@@ -63,7 +63,8 @@ pub use ledger::{
 };
 pub use mutation::{
     DELTA_EDGE_WORDS, EPOCH_INSTALL_OPS, INVALIDATE_ENTRY_WRITES, INVALIDATE_SCAN_OPS,
-    OVERLAY_ENTRY_WRITES, OVERLAY_FIND_OPS, OVERLAY_LOOKUP_READS, OVERLAY_UNION_OPS,
+    OVERLAY_ENTRY_WRITES, OVERLAY_FIND_OPS, OVERLAY_INDEX_WRITES, OVERLAY_LOOKUP_READS,
+    OVERLAY_UNION_OPS,
 };
 pub use report::CostReport;
 pub use wire::{

@@ -2,65 +2,80 @@
 //!
 //! The oracle of §4.3 is build-once: it stores one label per center and
 //! answers queries in `O(√ω)` expected operations with no writes. This
-//! module adds the ConnectIt-style incremental layer on top: a batch of
-//! edge insertions ([`GraphDelta`]) is folded into a frozen
-//! [`ComponentOverlay`] — a small table remapping *base* component ids to
-//! their post-insertion canonical ids — without ever rebuilding the
-//! decomposition. Connectivity under insertions only ever merges
-//! components, so an overlay over [`ComponentId`]s is a complete
+//! module adds the ConnectIt-style incremental layer on top: batches of
+//! edge insertions ([`GraphDelta`]) are folded into one versioned
+//! [`OverlayStore`] that remaps *base* component ids to their
+//! post-insertion canonical ids, epoch by epoch, without ever rebuilding
+//! the decomposition. Connectivity under insertions only ever merges
+//! components, so a remap over [`ComponentId`]s is a complete
 //! representation of the mutated graph's connectivity.
 //!
-//! The fold runs in two phases, mirroring ConnectIt's sample/finish split:
+//! ## The versioned store
 //!
-//! 1. **Sample** (parallel): resolve both endpoints of every delta edge to
-//!    their current canonical [`ComponentId`] — an oracle `component`
-//!    query plus a lookup through the base overlay. Runs under
-//!    [`Ledger::scoped_par`] at [`DELTA_SAMPLE_GRAIN`], so the charged
-//!    costs are bit-identical across thread counts.
-//! 2. **Finish** (sequential): union the sampled id pairs in a scratch
-//!    union-find over the distinct ids, pick the minimum [`ComponentId`]
-//!    of each merged class as its canonical representative, and freeze the
-//!    result — recanonicalizing the base overlay's entries through the new
-//!    merges — into one flat table.
+//! Every remapped base id keeps a short list of *versions* — its
+//! canonical id, tagged with the epoch that set it. Staging writes
+//! version entries tagged with the next epoch (`current + 1`) in place;
+//! installing is a counter bump that makes them visible; readers look an
+//! id up through an [`OverlayView`] — the store at one epoch — which
+//! resolves to the newest version tagged at or below its epoch. The
+//! canonical id of a merged class is always its minimum [`ComponentId`],
+//! so every epoch's answers are exactly those of a union-find over the
+//! base graph plus the deltas installed so far.
+//!
+//! A canonical → members **reverse index** finds the ids a merge
+//! remaps without scanning anything else. It is a merge forest: when a
+//! class loses its canonical id, its old canonical id is appended to the
+//! winner's list (one word), so a class's members are its canonical id's
+//! list, recursively. Retiring an epoch
+//! ([`OverlayStore::retire_oldest`]) drops exactly the version entries
+//! no live epoch can see any more.
 //!
 //! ## Charge contract
 //!
-//! For a delta of `m > 0` edges folded over a base overlay with `b`
-//! entries, where the sample phase sees `d` distinct endpoint classes and
-//! the finish phase performs `u` successful unions producing a frozen
-//! table of `t` entries, [`ConnQueryHandle::extend_overlay`] charges
-//! exactly:
+//! For a delta of `m > 0` edges where the sample phase sees `d` distinct
+//! endpoint classes, the finish phase performs `u` successful unions, `ℓ`
+//! classes lose their canonical id and `c` base ids change canonical id
+//! in total (each losing class's old canonical id and all its members),
+//! [`ConnQueryHandle::extend_overlay`] charges exactly:
 //!
 //! * sample — `⌈m/G⌉ − 1` ops + `⌈log₂⌈m/G⌉⌉` depth of `scoped_par`
 //!   bookkeeping (`G =` [`DELTA_SAMPLE_GRAIN`]), and per chunk:
 //!   [`DELTA_EDGE_WORDS`]`·len` reads for the edge payloads plus, per
-//!   endpoint, the oracle's `component` charge and — iff the base overlay
-//!   is non-empty — [`OVERLAY_LOOKUP_READS`] reads;
+//!   endpoint, the oracle's `component` charge and — iff the staged state
+//!   remaps anything — [`OVERLAY_LOOKUP_READS`] reads;
 //! * finish — `2m·`[`OVERLAY_FIND_OPS`] plus `u·`[`OVERLAY_UNION_OPS`]
 //!   plus `d·`[`OVERLAY_FIND_OPS`] ops (two finds per pair, one op per
 //!   successful union, one find per distinct class to resolve its
 //!   canonical representative);
-//! * freeze (skipped when `u = 0`) — `b·`[`OVERLAY_LOOKUP_READS`] reads
-//!   to recanonicalize the base table and `t·`[`OVERLAY_ENTRY_WRITES`]
-//!   **asymmetric writes** for the frozen table.
+//! * remap (skipped when `u = 0`) — `(c − ℓ)·`[`OVERLAY_LOOKUP_READS`]
+//!   reads walking the losing classes' reverse-index lists, and
+//!   `c·`[`OVERLAY_ENTRY_WRITES`]` + ℓ·`[`OVERLAY_INDEX_WRITES`]
+//!   **asymmetric writes**: one version entry per changed mapping and
+//!   one reverse-index move per losing class.
 //!
-//! The freeze writes are the only asymmetric writes of a mutation: `t` is
-//! the cumulative number of base ids whose canonical id has changed, so
-//! the write bill is `O(changed mappings)` — never `O(m)` or `O(n)` — the
-//! paper's write-efficiency discipline carried over to the dynamic path.
-//! A delta that merges nothing (`u = 0`) returns the base overlay
-//! unchanged and writes nothing.
+//! Those are the only asymmetric writes of a mutation, and `c` counts the
+//! mappings *this* delta changes — not the cumulative remap table — so
+//! the write bill is `O(changed mappings)`, the paper's write-efficiency
+//! discipline carried over to the dynamic path. A delta that merges
+//! nothing (`u = 0`) writes nothing.
+//!
+//! Lookups through an [`OverlayView`] at epoch `e` cost nothing when no
+//! version is visible at `e` (epoch 0, or no merge yet), so the read-only
+//! path stays bit-identical to its pre-mutation costs. Otherwise a lookup
+//! charges one [`OVERLAY_LOOKUP_READS`] probe plus one more per installed
+//! version of the id newer than `e` — zero for the current epoch, so only
+//! stragglers pay for the history they step past.
 //!
 //! Deletions are a designed extension, not implemented: the decremental
 //! structure of Aamand et al. would slot in as a second overlay kind
 //! behind the same `canonical` interface, which is why lookups go through
-//! the overlay rather than comparing raw ids at call sites.
+//! the view rather than comparing raw ids at call sites.
 
+use wec_asym::FxHashMap;
 use wec_asym::{
-    Charge, Ledger, DELTA_EDGE_WORDS, OVERLAY_ENTRY_WRITES, OVERLAY_FIND_OPS, OVERLAY_LOOKUP_READS,
-    OVERLAY_UNION_OPS,
+    Charge, Ledger, DELTA_EDGE_WORDS, OVERLAY_ENTRY_WRITES, OVERLAY_FIND_OPS, OVERLAY_INDEX_WRITES,
+    OVERLAY_LOOKUP_READS, OVERLAY_UNION_OPS,
 };
-use wec_asym::{FxHashMap, FxHashSet};
 use wec_baseline::UnionFind;
 use wec_graph::{GraphView, Vertex};
 
@@ -115,42 +130,187 @@ impl GraphDelta {
     }
 }
 
-/// A frozen remap of base [`ComponentId`]s to post-insertion canonical
-/// ids — the oracle-side half of an epoch snapshot (see `wec-serve`).
+/// The versioned remap of base [`ComponentId`]s to canonical ids, for
+/// every live epoch at once (see the [module docs](self)).
 ///
-/// The table maps exactly the base ids whose canonical id has changed;
-/// every table value is a fixed point (`peek(val) == val`), so one lookup
-/// fully resolves any id. An empty overlay is epoch 0: lookups through it
-/// are free, which keeps the read-only serving path bit-identical to its
-/// pre-mutation costs.
-#[derive(Debug, Clone, Default)]
-pub struct ComponentOverlay {
-    map: FxHashMap<ComponentId, ComponentId>,
+/// Epochs `oldest()..=current()` are readable; epoch `current() + 1` is
+/// the staged one, written by [`ConnQueryHandle::extend_overlay`] and
+/// made current by [`OverlayStore::install`]. The store itself charges
+/// nothing: staging charges through `extend_overlay`, lookups through
+/// [`OverlayView::canonical`], and the caller prices the install.
+#[derive(Debug, Default)]
+pub struct OverlayStore {
+    /// Remapped base id → its canonical ids by epoch tag, oldest first.
+    versions: FxHashMap<ComponentId, Vec<(u64, ComponentId)>>,
+    /// The reverse index as a merge forest: canonical id → the canonical
+    /// ids of the classes merged into it (each with its own list).
+    merged: FxHashMap<ComponentId, Vec<ComponentId>>,
+    /// Ids given a version per epoch tag (all above `oldest`), consumed
+    /// by retirement.
+    written: FxHashMap<u64, Vec<ComponentId>>,
+    current: u64,
+    oldest: u64,
+    /// The tag of the first version ever written: earlier epochs are the
+    /// identity.
+    first: Option<u64>,
 }
 
-impl ComponentOverlay {
-    /// The identity overlay (epoch 0): every id is its own canonical id.
-    pub fn empty() -> Self {
+impl OverlayStore {
+    /// The identity store at epoch 0.
+    pub fn new() -> Self {
         Self::default()
     }
 
-    /// Resolve `id` to its canonical id under this overlay, charging
-    /// [`OVERLAY_LOOKUP_READS`] iff the overlay is non-empty. This is the
-    /// charged form used on query paths; use [`ComponentOverlay::peek`]
-    /// for model-free inspection.
+    /// The installed (serving) epoch.
+    pub fn current(&self) -> u64 {
+        self.current
+    }
+
+    /// The oldest epoch still readable.
+    pub fn oldest(&self) -> u64 {
+        self.oldest
+    }
+
+    /// The store as seen by epoch `epoch`.
+    ///
+    /// Only live epochs (`oldest()..=current()`) and the staged epoch
+    /// `current() + 1` may be viewed: retirement has dropped versions a
+    /// retired epoch would need. Callers retire an epoch only once no
+    /// reader of it remains, so this is an invariant, checked in debug
+    /// builds.
+    pub fn view(&self, epoch: u64) -> OverlayView<'_> {
+        debug_assert!(
+            (self.oldest..=self.current + 1).contains(&epoch),
+            "overlay view at epoch {epoch} outside the live range {}..={}",
+            self.oldest,
+            self.current + 1
+        );
+        OverlayView { store: self, epoch }
+    }
+
+    /// Make the staged epoch current; returns the new epoch. Its versions
+    /// were written at stage time, so this moves nothing.
+    pub fn install(&mut self) -> u64 {
+        self.current += 1;
+        self.current
+    }
+
+    /// Retire the oldest epoch (which must be older than the current
+    /// one), dropping the version entries only it could see: those
+    /// superseded by the versions the next epoch wrote.
+    pub fn retire_oldest(&mut self) {
+        debug_assert!(
+            self.oldest < self.current,
+            "the current epoch cannot retire"
+        );
+        self.oldest += 1;
+        let oldest = self.oldest;
+        for k in self.written.remove(&oldest).unwrap_or_default() {
+            if let Some(vs) = self.versions.get_mut(&k) {
+                let visible = vs.partition_point(|&(t, _)| t <= oldest);
+                vs.drain(..visible - 1);
+            }
+        }
+    }
+
+    /// Version entries held, over all ids — what retirement bounds.
+    pub fn version_count(&self) -> usize {
+        self.versions.values().map(Vec::len).sum()
+    }
+
+    /// Point `k` at `c` from epoch `tag` on: a new version, or an
+    /// overwrite of one staged earlier in the same epoch.
+    fn remap(&mut self, tag: u64, k: ComponentId, c: ComponentId) {
+        let vs = self.versions.entry(k).or_default();
+        match vs.last_mut() {
+            Some(last) if last.0 == tag => last.1 = c,
+            _ => {
+                vs.push((tag, c));
+                self.written.entry(tag).or_default().push(k);
+            }
+        }
+        self.first.get_or_insert(tag);
+    }
+}
+
+/// An [`OverlayStore`] read at one epoch — the handle query paths resolve
+/// component ids through. Cheap to copy.
+#[derive(Debug, Clone, Copy)]
+pub struct OverlayView<'a> {
+    store: &'a OverlayStore,
+    epoch: u64,
+}
+
+impl OverlayView<'_> {
+    /// Whether this epoch is the identity (no merge visible yet).
+    pub fn is_empty(&self) -> bool {
+        self.store.first.is_none_or(|f| f > self.epoch)
+    }
+
+    /// Resolve `id` to its canonical id at this epoch, charging per the
+    /// [module docs](self): free on an identity epoch, otherwise
+    /// [`OVERLAY_LOOKUP_READS`] for the probe plus as much again per
+    /// installed version newer than this epoch. This is the charged form
+    /// used on query paths; use [`OverlayView::peek`] for model-free
+    /// inspection.
     #[inline]
     pub fn canonical(&self, sink: &mut impl Charge, id: ComponentId) -> ComponentId {
-        if self.map.is_empty() {
+        if self.is_empty() {
             return id;
         }
-        sink.charge_reads(OVERLAY_LOOKUP_READS);
-        self.peek(id)
+        let (c, stepped) = self.resolve(id);
+        sink.charge_reads(OVERLAY_LOOKUP_READS * (1 + stepped));
+        c
     }
 
     /// Resolve `id` without charging — for staleness probes whose cost is
     /// priced by the caller (the install-time invalidation sweep) and for
     /// tests.
     #[inline]
+    pub fn peek(&self, id: ComponentId) -> ComponentId {
+        self.resolve(id).0
+    }
+
+    /// The canonical id of `id` at this epoch, and how many installed
+    /// versions newer than this epoch a reader steps past to find it.
+    fn resolve(&self, id: ComponentId) -> (ComponentId, u64) {
+        let Some(vs) = self.store.versions.get(&id) else {
+            return (id, 0);
+        };
+        let visible = vs.partition_point(|&(t, _)| t <= self.epoch);
+        let stepped = vs[visible..]
+            .iter()
+            .take_while(|&&(t, _)| t <= self.store.current)
+            .count();
+        let c = visible.checked_sub(1).map_or(id, |i| vs[i].1);
+        (c, stepped as u64)
+    }
+
+    /// An owned copy of this epoch's remap table, for tests and
+    /// diagnostics; not charged.
+    pub fn snapshot(&self) -> ComponentOverlay {
+        let map = self
+            .store
+            .versions
+            .keys()
+            .map(|&k| (k, self.peek(k)))
+            .filter(|&(k, c)| k != c)
+            .collect();
+        ComponentOverlay { map }
+    }
+}
+
+/// An owned snapshot of one epoch's remap: exactly the base ids whose
+/// canonical id differs from their own, each mapped to a fixed point.
+/// Produced by [`OverlayView::snapshot`] for tests and diagnostics; query
+/// paths read the [`OverlayStore`] through an [`OverlayView`] instead.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ComponentOverlay {
+    map: FxHashMap<ComponentId, ComponentId>,
+}
+
+impl ComponentOverlay {
+    /// The canonical id of `id` in this snapshot.
     pub fn peek(&self, id: ComponentId) -> ComponentId {
         self.map.get(&id).copied().unwrap_or(id)
     }
@@ -160,38 +320,37 @@ impl ComponentOverlay {
         self.map.len()
     }
 
-    /// Whether this is the identity overlay.
+    /// Whether this is the identity remap.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
 
     /// The remapped `(base id, canonical id)` pairs, in no particular
-    /// order. For tests and diagnostics; iteration is not charged.
+    /// order.
     pub fn remapped(&self) -> impl Iterator<Item = (ComponentId, ComponentId)> + '_ {
         self.map.iter().map(|(&k, &v)| (k, v))
     }
 }
 
 impl<G: GraphView + Sync> ConnQueryHandle<'_, '_, G> {
-    /// Fold a batch of edge insertions over `base`, returning the frozen
-    /// overlay for the next epoch. ConnectIt-style sample-then-finish;
-    /// see the [module docs](self) for the exact charge contract.
+    /// Fold a batch of edge insertions into `store`'s staged epoch
+    /// (`current() + 1`), composing with anything staged there already.
+    /// ConnectIt-style sample-then-finish, writing only the mappings this
+    /// delta changes; see the [module docs](self) for the exact charge
+    /// contract.
     ///
     /// The costs are structural — bit-identical across `WEC_THREADS` —
     /// because the parallel sample runs under [`Ledger::scoped_par`] and
     /// everything else is sequential.
-    pub fn extend_overlay(
-        &self,
-        led: &mut Ledger,
-        base: &ComponentOverlay,
-        delta: &GraphDelta,
-    ) -> ComponentOverlay {
+    pub fn extend_overlay(&self, led: &mut Ledger, store: &mut OverlayStore, delta: &GraphDelta) {
         if delta.is_empty() {
-            return base.clone();
+            return;
         }
         let edges = delta.edges();
+        let tag = store.current + 1;
 
-        // Sample: resolve every endpoint to its current canonical id.
+        // Sample: resolve every endpoint to its staged canonical id.
+        let base = store.view(tag);
         let sampled: Vec<Vec<(ComponentId, ComponentId)>> =
             led.scoped_par(edges.len(), DELTA_SAMPLE_GRAIN, &|range, scope| {
                 scope.read(DELTA_EDGE_WORDS * range.len() as u64);
@@ -232,7 +391,7 @@ impl<G: GraphView + Sync> ConnQueryHandle<'_, '_, G> {
             }
         }
         if unions == 0 {
-            return base.clone();
+            return;
         }
 
         // Canonical representative of each merged class: the minimum id.
@@ -246,70 +405,29 @@ impl<G: GraphView + Sync> ConnQueryHandle<'_, '_, G> {
             }
         }
 
-        // Freeze: new merges plus the base table recanonicalized through
-        // them, all values fixed points.
-        let mut table: FxHashMap<ComponentId, ComponentId> = FxHashMap::default();
+        // Remap: every losing class — its old canonical id and, through
+        // the reverse index, all its members — moves to the winner.
+        let (mut changed, mut losers) = (0u64, 0u64);
+        let mut stack: Vec<ComponentId> = Vec::new();
         for (i, &id) in ids.iter().enumerate() {
             let c = canon[roots[i] as usize];
-            if c != id {
-                table.insert(id, c);
+            if c == id {
+                continue;
             }
+            stack.push(id);
+            while let Some(k) = stack.pop() {
+                if let Some(sub) = store.merged.get(&k) {
+                    stack.extend_from_slice(sub);
+                }
+                store.remap(tag, k, c);
+                changed += 1;
+            }
+            store.merged.entry(c).or_default().push(id);
+            losers += 1;
         }
-        led.read(OVERLAY_LOOKUP_READS * base.map.len() as u64);
-        for (&k, &v) in base.map.iter() {
-            let r = match index.get(&v) {
-                Some(&j) => canon[roots[j as usize] as usize],
-                None => v,
-            };
-            table.insert(k, r);
-        }
-        led.write(OVERLAY_ENTRY_WRITES * table.len() as u64);
-        ComponentOverlay { map: table }
+        led.read(OVERLAY_LOOKUP_READS * (changed - losers));
+        led.write(OVERLAY_ENTRY_WRITES * changed + OVERLAY_INDEX_WRITES * losers);
     }
-
-    /// [`ConnQueryHandle::component`] resolved through an overlay — the
-    /// mutated-graph form of a component query. Charges the base query
-    /// plus one overlay lookup ([`OVERLAY_LOOKUP_READS`], free when the
-    /// overlay is empty).
-    pub fn component_in(
-        &self,
-        led: &mut Ledger,
-        overlay: &ComponentOverlay,
-        v: Vertex,
-    ) -> ComponentId {
-        let id = self.component(led, v);
-        overlay.canonical(led, id)
-    }
-
-    /// [`ConnQueryHandle::connected`] under an overlay: two resolved
-    /// component queries and a free comparison.
-    pub fn connected_in(
-        &self,
-        led: &mut Ledger,
-        overlay: &ComponentOverlay,
-        u: Vertex,
-        v: Vertex,
-    ) -> bool {
-        let a = self.component_in(led, overlay, u);
-        let b = self.component_in(led, overlay, v);
-        a == b
-    }
-}
-
-/// Distinct canonical ids reachable from a vertex set under an overlay —
-/// a test/diagnostic helper (uncharged oracle reuse would skew replay
-/// formulas, so this takes its own ledger like any query batch).
-pub fn distinct_components<G: GraphView + Sync>(
-    handle: &ConnQueryHandle<'_, '_, G>,
-    led: &mut Ledger,
-    overlay: &ComponentOverlay,
-    verts: impl IntoIterator<Item = Vertex>,
-) -> usize {
-    let mut seen: FxHashSet<ComponentId> = FxHashSet::default();
-    for v in verts {
-        seen.insert(handle.component_in(led, overlay, v));
-    }
-    seen.len()
 }
 
 #[cfg(test)]
@@ -324,9 +442,22 @@ mod tests {
         ConnectivityOracle::build(led, g, pri, &verts, 4, 0x5eed, OracleBuildOpts::default())
     }
 
+    /// Whether `u` and `v` are connected at `view`'s epoch.
+    fn connected_in(
+        h: &ConnQueryHandle<'_, '_, Csr>,
+        led: &mut Ledger,
+        view: OverlayView<'_>,
+        u: Vertex,
+        v: Vertex,
+    ) -> bool {
+        let a = h.component(led, u);
+        let b = h.component(led, v);
+        view.canonical(led, a) == view.canonical(led, b)
+    }
+
     /// Two path components merged by one delta edge: both sides resolve
-    /// to one canonical id afterwards, and the overlay maps exactly the
-    /// losing id.
+    /// to one canonical id once installed, the staged epoch is invisible
+    /// to the current one, and exactly the losing id is remapped.
     #[test]
     fn merge_two_components() {
         let g = disjoint_union(&[&path(8), &path(8)]);
@@ -334,64 +465,96 @@ mod tests {
         let mut led = Ledger::new(wec_asym::DEFAULT_OMEGA);
         let oracle = build(&mut led, &g, &pri);
         let h = oracle.query_handle();
-        assert!(!h.connected(&mut led, 0, 8));
+        let mut store = OverlayStore::new();
 
-        let mut delta = GraphDelta::new();
-        delta.insert(3, 12);
-        let ov = h.extend_overlay(&mut led, &ComponentOverlay::empty(), &delta);
+        h.extend_overlay(&mut led, &mut store, &GraphDelta::from_edges(vec![(3, 12)]));
+        assert!(
+            !connected_in(&h, &mut led, store.view(0), 0, 8),
+            "staged only"
+        );
+        assert_eq!(store.install(), 1);
+        let ov = store.view(1).snapshot();
         assert_eq!(ov.len(), 1);
-        assert!(h.connected_in(&mut led, &ov, 0, 8));
-        assert!(h.connected_in(&mut led, &ov, 7, 15));
-        // Base answers are untouched.
-        assert!(!h.connected(&mut led, 0, 8));
-        // Every overlay value is a fixed point.
+        assert!(connected_in(&h, &mut led, store.view(1), 0, 8));
+        assert!(connected_in(&h, &mut led, store.view(1), 7, 15));
+        assert!(!connected_in(&h, &mut led, store.view(0), 0, 8));
         for (_, v) in ov.remapped() {
-            assert_eq!(ov.peek(v), v);
+            assert_eq!(ov.peek(v), v, "values are fixed points");
         }
     }
 
-    /// Composition across batches equals one big batch: same canonical
-    /// answers, and the second overlay's values are still fixed points.
+    /// Composition across epochs equals one big batch, and retiring the
+    /// older epochs keeps the newest answers while dropping superseded
+    /// versions.
     #[test]
-    fn composition_matches_one_shot() {
+    fn composition_matches_one_shot_and_retirement_prunes() {
         let g = disjoint_union(&[&path(6), &path(6), &path(6), &path(6)]);
         let pri = Priorities::identity(g.n());
         let mut led = Ledger::new(wec_asym::DEFAULT_OMEGA);
         let oracle = build(&mut led, &g, &pri);
         let h = oracle.query_handle();
 
-        let mut d1 = GraphDelta::new();
-        d1.insert(0, 6); // merge components 0 and 1
-        let mut d2 = GraphDelta::new();
-        d2.insert(12, 18); // merge components 2 and 3
-        d2.insert(5, 13); // then bridge the two merged pairs
-
-        let ov1 = h.extend_overlay(&mut led, &ComponentOverlay::empty(), &d1);
-        let ov2 = h.extend_overlay(&mut led, &ov1, &d2);
+        let d1 = GraphDelta::from_edges(vec![(0, 6), (12, 18)]);
+        let d2 = GraphDelta::from_edges(vec![(5, 13)]);
+        let mut store = OverlayStore::new();
+        h.extend_overlay(&mut led, &mut store, &d1);
+        store.install();
+        h.extend_overlay(&mut led, &mut store, &d2);
+        store.install();
 
         let mut big = GraphDelta::new();
         for &(u, v) in d1.edges().iter().chain(d2.edges()) {
             big.insert(u, v);
         }
-        let one = h.extend_overlay(&mut led, &ComponentOverlay::empty(), &big);
+        let mut one = OverlayStore::new();
+        h.extend_overlay(&mut led, &mut one, &big);
+        one.install();
+        assert_eq!(store.view(2).snapshot(), one.view(1).snapshot());
 
+        let before = store.version_count();
+        store.retire_oldest();
+        store.retire_oldest();
+        assert!(store.version_count() < before, "a superseded version went");
+        assert_eq!(store.view(2).snapshot(), one.view(1).snapshot());
         for u in 0..24u32 {
-            for v in 0..24u32 {
-                assert_eq!(
-                    h.connected_in(&mut led, &ov2, u, v),
-                    h.connected_in(&mut led, &one, u, v),
-                    "composition mismatch at ({u}, {v})"
-                );
-            }
-        }
-        assert_eq!(distinct_components(&h, &mut led, &ov2, 0..24), 1);
-        for (_, v) in ov2.remapped() {
-            assert_eq!(ov2.peek(v), v);
+            assert!(connected_in(&h, &mut led, store.view(2), 0, u));
         }
     }
 
-    /// A delta that merges nothing returns the base overlay unchanged and
-    /// charges no writes.
+    /// A straggler pays one extra read per installed version it steps
+    /// past; a current-epoch lookup pays one probe.
+    #[test]
+    fn stragglers_pay_for_newer_versions() {
+        let g = disjoint_union(&[&path(4), &path(4), &path(4)]);
+        let pri = Priorities::identity(g.n());
+        let mut led = Ledger::new(wec_asym::DEFAULT_OMEGA);
+        let oracle = build(&mut led, &g, &pri);
+        let h = oracle.query_handle();
+        // Merge the two largest ids, then the smallest in: the largest id
+        // loses in epoch 1 and, as a member, is remapped again in epoch 2.
+        let mut blocks: Vec<(ComponentId, Vertex)> =
+            [0, 4, 8].map(|v| (h.component(&mut led, v), v)).to_vec();
+        blocks.sort();
+        let [(_, lo), (_, mid), (id, hi)] = blocks[..] else {
+            unreachable!("three blocks")
+        };
+        let mut store = OverlayStore::new();
+        for d in [(mid, hi), (lo, mid)] {
+            h.extend_overlay(&mut led, &mut store, &GraphDelta::from_edges(vec![d]));
+            store.install();
+        }
+        let reads = |epoch: u64| {
+            let mut probe = Ledger::new(wec_asym::DEFAULT_OMEGA);
+            store.view(epoch).canonical(&mut probe, id);
+            probe.costs().asym_reads
+        };
+        assert_eq!(reads(0), 0, "identity epoch is free");
+        assert_eq!(reads(1), 2 * OVERLAY_LOOKUP_READS);
+        assert_eq!(reads(2), OVERLAY_LOOKUP_READS);
+    }
+
+    /// A delta that merges nothing writes nothing; an empty delta charges
+    /// nothing at all.
     #[test]
     fn no_op_delta_writes_nothing() {
         let g = path(16);
@@ -400,15 +563,13 @@ mod tests {
         let oracle = build(&mut build_led, &g, &pri);
         let h = oracle.query_handle();
         let mut led = Ledger::new(wec_asym::DEFAULT_OMEGA);
-        let mut delta = GraphDelta::new();
-        delta.insert(2, 9); // same component already
-        let ov = h.extend_overlay(&mut led, &ComponentOverlay::empty(), &delta);
-        assert!(ov.is_empty());
+        let mut store = OverlayStore::new();
+        // Same component already.
+        h.extend_overlay(&mut led, &mut store, &GraphDelta::from_edges(vec![(2, 9)]));
+        assert!(store.view(1).is_empty());
         assert_eq!(led.costs().asym_writes, 0);
-        // Empty deltas charge nothing at all.
         let before = led.costs();
-        let ov2 = h.extend_overlay(&mut led, &ov, &GraphDelta::new());
-        assert!(ov2.is_empty());
+        h.extend_overlay(&mut led, &mut store, &GraphDelta::new());
         assert_eq!(led.costs(), before);
     }
 
@@ -432,13 +593,10 @@ mod tests {
             } else {
                 Ledger::sequential(wec_asym::DEFAULT_OMEGA)
             };
-            let ov = h.extend_overlay(&mut led, &ComponentOverlay::empty(), &delta);
-            (led.costs(), led.depth(), ov.len())
+            let mut store = OverlayStore::new();
+            h.extend_overlay(&mut led, &mut store, &delta);
+            (led.costs(), led.depth(), store.view(1).snapshot())
         };
-        let (pc, pd, pl) = run(true);
-        let (sc, sd, sl) = run(false);
-        assert_eq!(pc, sc);
-        assert_eq!(pd, sd);
-        assert_eq!(pl, sl);
+        assert_eq!(run(true), run(false));
     }
 }

@@ -21,7 +21,7 @@ pub mod par;
 pub mod spanning;
 pub mod star;
 
-pub use delta::{distinct_components, ComponentOverlay, GraphDelta, DELTA_SAMPLE_GRAIN};
+pub use delta::{ComponentOverlay, GraphDelta, OverlayStore, OverlayView, DELTA_SAMPLE_GRAIN};
 pub use oracle::{ComponentId, ConnQueryHandle, ConnectivityOracle, OracleBuildOpts};
 pub use par::{
     connectivity_csr, connectivity_csr_with, connectivity_general, connectivity_general_with,

@@ -31,7 +31,7 @@ const CLUSTER_LIST_EXEC: Grain = Grain::SKEWED;
 /// connected iff their `ComponentId`s are equal.
 ///
 /// The derived total order (`Labeled` before `Implicit`, then by payload)
-/// is a documented contract: [`ComponentOverlay`](crate::ComponentOverlay)
+/// is a documented contract: the [`OverlayStore`](crate::OverlayStore)
 /// picks the minimum id of a merged class as its canonical representative,
 /// so golden cost files and replay tests depend on this ordering staying
 /// put.

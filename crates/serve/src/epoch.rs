@@ -1,22 +1,23 @@
 //! Epoch-snapshot state for serving through mutations.
 //!
-//! The streaming server answers every query against a *frozen* snapshot
-//! of the mutated graph's connectivity: a
-//! [`ComponentOverlay`] (epoch 0 is
-//! the identity overlay — the unmutated base graph). Mutations are
-//! double-buffered: a staged overlay for epoch `N+1` is built (and
-//! charged) while epoch `N` keeps serving, then installed with a single
-//! charged pointer swap plus the priced cache-invalidation sweep. No
-//! query ever waits for a build or an install.
+//! The streaming server answers every query against a *snapshot* of the
+//! mutated graph's connectivity: one epoch of the versioned
+//! [`OverlayStore`], read through an [`OverlayView`] (epoch 0 is the
+//! identity — the unmutated base graph). Mutations are double-buffered:
+//! the next epoch's changed mappings are staged (and charged) into the
+//! store while epoch `N` keeps serving, then installed with a single
+//! charged epoch bump plus the priced cache-invalidation sweep. No query
+//! ever waits for a stage or an install.
 //!
 //! Queries are tagged with the epoch current at *submission* time; the
 //! reorder queue can therefore span an install. Entries from the current
 //! epoch serve through the shard caches as usual. *Stragglers* — entries
 //! submitted under an older epoch that dispatch after an install — are
-//! answered uncached through their own epoch's retained overlay, so a
-//! ticket always resolves with the answer of the graph version it was
-//! submitted against. An old overlay is retired once delivery has passed
-//! its last ticket (`EpochTracker::prune`).
+//! answered uncached through a view at their own epoch, so a ticket
+//! always resolves with the answer of the graph version it was submitted
+//! against. An old epoch is retired once delivery has passed its last
+//! ticket (`EpochTracker::prune`), and the store drops the version
+//! entries only it could see.
 //!
 //! This module owns the bookkeeping (`EpochTracker`) and the
 //! externally-visible counters ([`EpochStats`]); the charged entry points
@@ -24,10 +25,9 @@
 //! [`StreamingServer`](crate::StreamingServer), which also documents the
 //! install-time invalidation contract.
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::collections::VecDeque;
 
-use wec_connectivity::ComponentOverlay;
+use wec_connectivity::{OverlayStore, OverlayView};
 
 /// Cumulative counters of everything the epoch machinery did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -37,149 +37,100 @@ pub struct EpochStats {
     pub staged_batches: u64,
     /// Delta edges sampled across all staged batches.
     pub staged_edges: u64,
-    /// Staged overlays installed (epoch advances).
+    /// Staged epochs installed (epoch advances).
     pub installs: u64,
     /// Cache entries removed by install-time invalidation sweeps.
     pub invalidated_entries: u64,
     /// Resident cache slots scanned by invalidation sweeps.
     pub invalidation_swept_slots: u64,
-    /// Queries answered through a retained older epoch's overlay (in
-    /// flight across an install, served uncached).
+    /// Queries answered at a retained older epoch (in flight across an
+    /// install, served uncached).
     pub straggler_answers: u64,
     /// Undelivered tickets outstanding at install time, summed over
     /// installs — the in-flight work that kept serving instead of
     /// blocking on the epoch swap.
     pub in_flight_at_install: u64,
-    /// Old epoch overlays retired after delivery passed their last
-    /// ticket.
+    /// Old epochs retired after delivery passed their last ticket.
     pub retired_overlays: u64,
 }
 
-/// Double-buffered epoch state: the current overlay, retained older
-/// overlays still referenced by in-flight tickets, and the staged
-/// next-epoch overlay. Plain bookkeeping — every model charge is made by
-/// the `StreamingServer` methods driving it.
-#[derive(Debug)]
+/// Double-buffered epoch state: the versioned overlay store (current
+/// epoch, retained older epochs still referenced by in-flight tickets,
+/// and the staged next epoch) plus the ticket boundaries that retire old
+/// epochs. Plain bookkeeping — every model charge is made by the
+/// `StreamingServer` methods driving it.
+#[derive(Debug, Default)]
 pub(crate) struct EpochTracker {
-    current: u64,
-    /// Live overlays by epoch: the current one plus every older epoch
-    /// with undelivered tickets. `Arc` so dispatch closures can resolve
-    /// stragglers without cloning tables.
-    overlays: BTreeMap<u64, Arc<ComponentOverlay>>,
-    staged: Option<Arc<ComponentOverlay>>,
-    /// For each retired-from epoch `e`: the first ticket *not* submitted
-    /// under `e` (the install boundary). Once delivery reaches it, `e`'s
-    /// overlay is unreachable and can be dropped.
-    ends: BTreeMap<u64, u64>,
+    store: OverlayStore,
+    /// Whether a stage is waiting to be installed.
+    staged: bool,
+    /// For each retained older epoch, oldest first: the first ticket
+    /// *not* submitted under it (its install boundary). Once delivery
+    /// reaches it, the epoch is unreachable and retires.
+    ends: VecDeque<u64>,
     pub(crate) stats: EpochStats,
-}
-
-impl Default for EpochTracker {
-    fn default() -> Self {
-        let mut overlays = BTreeMap::new();
-        overlays.insert(0, Arc::new(ComponentOverlay::empty()));
-        EpochTracker {
-            current: 0,
-            overlays,
-            staged: None,
-            ends: BTreeMap::new(),
-            stats: EpochStats::default(),
-        }
-    }
 }
 
 impl EpochTracker {
     /// The serving epoch.
     pub(crate) fn current(&self) -> u64 {
-        self.current
+        self.store.current()
     }
 
-    /// The current epoch's overlay.
-    pub(crate) fn current_overlay(&self) -> &ComponentOverlay {
-        &self.overlays[&self.current]
+    /// The store at a live epoch. Only epochs with undelivered tickets
+    /// (or the current one) are ever asked for — the tracker retires an
+    /// epoch only once delivery has passed all of its tickets; the store
+    /// checks this in debug builds.
+    pub(crate) fn view(&self, epoch: u64) -> OverlayView<'_> {
+        self.store.view(epoch)
     }
 
-    /// The overlay a given live epoch serves through. Panics if the epoch
-    /// was already retired — the tracker only retires epochs delivery has
-    /// fully passed, so a dispatching entry can never observe this.
-    pub(crate) fn overlay_for(&self, epoch: u64) -> &ComponentOverlay {
-        self.overlays
-            .get(&epoch)
-            .expect("live overlay for an in-flight epoch")
+    /// The store at the staged epoch (the current one when nothing is
+    /// staged).
+    pub(crate) fn staged_view(&self) -> OverlayView<'_> {
+        self.store.view(self.current() + 1)
     }
 
-    /// Shared handle to a live epoch's overlay (for the degraded recovery
-    /// path, which needs it while the server is mutably borrowed).
-    pub(crate) fn overlay_arc(&self, epoch: u64) -> Arc<ComponentOverlay> {
-        Arc::clone(
-            self.overlays
-                .get(&epoch)
-                .expect("live overlay for an in-flight epoch"),
-        )
-    }
-
-    /// The base the next `stage_delta` composes onto: the staged overlay
-    /// when one exists (so several batches can accumulate into one
-    /// epoch), else the current overlay.
-    pub(crate) fn stage_base(&self) -> Arc<ComponentOverlay> {
-        match &self.staged {
-            Some(s) => Arc::clone(s),
-            None => Arc::clone(&self.overlays[&self.current]),
-        }
-    }
-
-    /// Record a freshly built next-epoch overlay.
-    pub(crate) fn stage(&mut self, overlay: Arc<ComponentOverlay>, delta_edges: u64) {
-        self.staged = Some(overlay);
+    /// Record a stage of `delta_edges` edges and hand out the store to
+    /// fold it into; several stages compose into one epoch.
+    pub(crate) fn stage(&mut self, delta_edges: u64) -> &mut OverlayStore {
+        self.staged = true;
         self.stats.staged_batches += 1;
         self.stats.staged_edges += delta_edges;
+        &mut self.store
     }
 
-    /// Whether a staged overlay is waiting to be installed.
+    /// Whether a stage is waiting to be installed.
     pub(crate) fn has_staged(&self) -> bool {
-        self.staged.is_some()
+        self.staged
     }
 
-    /// Take the staged overlay for installation.
-    pub(crate) fn take_staged(&mut self) -> Option<Arc<ComponentOverlay>> {
-        self.staged.take()
-    }
-
-    /// Advance to the next epoch: the previous epoch's overlay is
-    /// retained for its in-flight tickets (every ticket below
-    /// `next_ticket`), the new overlay becomes current. Returns the new
-    /// epoch number.
-    pub(crate) fn install(
-        &mut self,
-        overlay: Arc<ComponentOverlay>,
-        next_ticket: u64,
-        in_flight: u64,
-    ) -> u64 {
-        self.ends.insert(self.current, next_ticket);
-        self.current += 1;
-        self.overlays.insert(self.current, overlay);
+    /// Advance to the staged epoch (callers check [`Self::has_staged`]):
+    /// the previous epoch is retained for its in-flight tickets (every
+    /// ticket below `next_ticket`). Returns the new epoch number.
+    pub(crate) fn install(&mut self, next_ticket: u64, in_flight: u64) -> u64 {
+        debug_assert!(self.staged, "install without a stage");
+        self.staged = false;
+        self.ends.push_back(next_ticket);
         self.stats.installs += 1;
         self.stats.in_flight_at_install += in_flight;
-        self.current
+        self.store.install()
     }
 
-    /// Drop retained overlays of epochs delivery has fully passed:
-    /// epoch `e` retires once `next_deliver >= ends[e]`.
+    /// Retire the old epochs delivery has fully passed: the oldest
+    /// retained epoch retires once `next_deliver` reaches its boundary.
     pub(crate) fn prune(&mut self, next_deliver: u64) {
-        while let Some((&e, &end)) = self.ends.first_key_value() {
-            if next_deliver < end {
-                break;
-            }
-            self.ends.remove(&e);
-            self.overlays.remove(&e);
+        while self.ends.front().is_some_and(|&end| next_deliver >= end) {
+            self.ends.pop_front();
+            self.store.retire_oldest();
             self.stats.retired_overlays += 1;
         }
     }
 
-    /// Live overlays (current plus retained older epochs), for tests and
-    /// diagnostics.
+    /// Live epochs (retained older ones plus the current one), for tests
+    /// and diagnostics.
     pub(crate) fn live_epochs(&self) -> Vec<u64> {
-        self.overlays.keys().copied().collect()
+        (self.store.oldest()..=self.current()).collect()
     }
 }
 
@@ -192,8 +143,8 @@ mod tests {
         let mut t = EpochTracker::default();
         assert_eq!(t.current(), 0);
         // Install epoch 1 at ticket 10 with 4 tickets in flight.
-        t.install(Arc::new(ComponentOverlay::empty()), 10, 4);
-        assert_eq!(t.current(), 1);
+        t.stage(0);
+        assert_eq!(t.install(10, 4), 1);
         assert_eq!(t.live_epochs(), vec![0, 1]);
         // Delivery at 9: epoch 0 still has an in-flight ticket.
         t.prune(9);
@@ -205,15 +156,15 @@ mod tests {
     }
 
     #[test]
-    fn staging_composes_onto_staged() {
+    fn staging_composes_until_install() {
         let mut t = EpochTracker::default();
         assert!(!t.has_staged());
-        let first = Arc::new(ComponentOverlay::empty());
-        t.stage(Arc::clone(&first), 3);
+        t.stage(3);
+        t.stage(2);
         assert!(t.has_staged());
-        // The next stage builds on the staged overlay, not the current.
-        assert!(Arc::ptr_eq(&t.stage_base(), &first));
-        assert_eq!(t.stats.staged_batches, 1);
-        assert_eq!(t.stats.staged_edges, 3);
+        assert_eq!(t.current(), 0, "staging leaves the serving epoch");
+        assert_eq!((t.stats.staged_batches, t.stats.staged_edges), (2, 5));
+        assert_eq!(t.install(0, 0), 1);
+        assert!(!t.has_staged());
     }
 }

@@ -20,7 +20,7 @@
 //! forces an answer out of it.
 //!
 //! Connectivity handles that additionally support the PR-7 mutation path
-//! (folding a [`GraphDelta`] into a [`ComponentOverlay`]) implement
+//! (folding a [`GraphDelta`] into an [`OverlayStore`]) implement
 //! [`DeltaOracle`]; the epoch methods of `StreamingServer` are bounded on
 //! it, so read-only oracle families still serve unchanged.
 
@@ -28,9 +28,7 @@ use std::hash::Hash;
 
 use wec_asym::Ledger;
 use wec_biconnectivity::{BiconnQueryHandle, BiconnQueryKey};
-use wec_connectivity::{
-    ComponentId, ComponentOverlay, ConnQueryHandle, GraphDelta, StarQueryHandle,
-};
+use wec_connectivity::{ComponentId, ConnQueryHandle, GraphDelta, OverlayStore, StarQueryHandle};
 use wec_graph::{GraphView, Vertex};
 
 /// A copyable, read-only oracle query view the serving layer can route
@@ -146,28 +144,19 @@ impl OracleHandle for NoBiconn {
 }
 
 /// A connectivity handle that supports the batched-insertion mutation
-/// path: folding a [`GraphDelta`] over a base [`ComponentOverlay`] into
-/// the next epoch's frozen overlay. See `wec_connectivity::delta` for the
-/// exact charge contract. `StreamingServer`'s epoch methods are bounded
-/// on this trait, so read-only oracle families need not implement it.
+/// path: folding a [`GraphDelta`] into the staged epoch of an
+/// [`OverlayStore`], writing only the mappings the delta changes. See
+/// `wec_connectivity::delta` for the exact charge contract.
+/// `StreamingServer`'s epoch methods are bounded on this trait, so
+/// read-only oracle families need not implement it.
 pub trait DeltaOracle: OracleHandle<Key = Vertex, Answer = ComponentId> {
     /// ConnectIt-style sample-then-finish fold; costs are bit-identical
     /// across `WEC_THREADS`.
-    fn extend_overlay(
-        &self,
-        led: &mut Ledger,
-        base: &ComponentOverlay,
-        delta: &GraphDelta,
-    ) -> ComponentOverlay;
+    fn extend_overlay(&self, led: &mut Ledger, store: &mut OverlayStore, delta: &GraphDelta);
 }
 
 impl<G: GraphView + Sync> DeltaOracle for ConnQueryHandle<'_, '_, G> {
-    fn extend_overlay(
-        &self,
-        led: &mut Ledger,
-        base: &ComponentOverlay,
-        delta: &GraphDelta,
-    ) -> ComponentOverlay {
-        ConnQueryHandle::extend_overlay(self, led, base, delta)
+    fn extend_overlay(&self, led: &mut Ledger, store: &mut OverlayStore, delta: &GraphDelta) {
+        ConnQueryHandle::extend_overlay(self, led, store, delta)
     }
 }

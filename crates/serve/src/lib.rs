@@ -69,9 +69,9 @@
 //! The graph can mutate *while serving*: a
 //! [`GraphDelta`] of batched edge
 //! insertions is folded (ConnectIt-style sample-then-finish, every
-//! union/find charged) into a frozen
-//! [`ComponentOverlay`] — the next
-//! **epoch** — while the current epoch keeps answering. Installing the
+//! union/find charged) into the next **epoch** of one versioned
+//! [`OverlayStore`], writing only the component-id mappings it changes,
+//! while the current epoch keeps answering. Installing the
 //! staged epoch is one charged pointer swap plus a priced
 //! cache-invalidation sweep that poisons exactly the component memos
 //! whose canonical id changed. Queries in flight across an install
@@ -124,7 +124,7 @@ pub use wec_asym::{
     FRAME_ENCODE_OPS, INVALIDATE_ENTRY_WRITES, INVALIDATE_SCAN_OPS, RECONNECT_BACKOFF_OPS,
     SESSION_BIND_OPS, TENANT_ADMIT_OPS,
 };
-pub use wec_connectivity::{ComponentOverlay, GraphDelta};
+pub use wec_connectivity::{ComponentOverlay, GraphDelta, OverlayStore, OverlayView};
 
 /// The one stats-snapshot idiom: every cumulative counter family a server
 /// keeps is exposed as a cheap copyable stats struct behind a `*_stats`
@@ -445,16 +445,15 @@ where
     }
 
     /// [`ShardedServer::answer_one`] against an epoch snapshot:
-    /// connectivity answers resolve through `overlay` (charging one
-    /// [`wec_asym::OVERLAY_LOOKUP_READS`] per resolution when the overlay
-    /// is non-empty; the identity overlay charges nothing, keeping the
-    /// read-only path bit-identical). Predicate queries answer **base
+    /// connectivity answers resolve through `overlay` (charging
+    /// [`OverlayView::canonical`]'s lookup per resolution; an identity
+    /// epoch charges nothing, keeping the read-only path bit-identical). Predicate queries answer **base
     /// graph** semantics unchanged — the insertion-only mutation model
     /// does not re-derive biconnectivity, a documented limitation.
     ///
     /// # Panics
     /// As [`ShardedServer::answer_one`].
-    pub fn answer_one_in(&self, led: &mut Ledger, overlay: &ComponentOverlay, q: Query) -> Answer {
+    pub fn answer_one_in(&self, led: &mut Ledger, overlay: OverlayView<'_>, q: Query) -> Answer {
         match q {
             Query::Connected(u, v) => {
                 let a = self.conn.answer_key(led, u);
@@ -476,7 +475,7 @@ where
     pub fn try_answer_one_in(
         &self,
         led: &mut Ledger,
-        overlay: &ComponentOverlay,
+        overlay: OverlayView<'_>,
         q: Query,
     ) -> ServeResult {
         match q {

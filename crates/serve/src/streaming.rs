@@ -267,30 +267,32 @@
 //! ## Epochs: serving through batched insertions
 //!
 //! PR-7 adds the mutation path: batched edge insertions
-//! ([`wec_connectivity::GraphDelta`]) fold into frozen epoch snapshots
-//! ([`wec_connectivity::ComponentOverlay`]) that install without ever
-//! blocking a query. Every submission is tagged with the epoch current at
-//! submit time; [`StreamingServer::stage_delta`] builds the next epoch's
-//! overlay off to the side (queries keep serving — and caching — against
-//! the current snapshot), and [`StreamingServer::install_staged`] swaps
-//! it in for one [`wec_asym::EPOCH_INSTALL_OPS`] operation plus the
-//! priced cache-invalidation sweep documented on that method: per shard,
-//! `swept ·` [`wec_asym::INVALIDATE_SCAN_OPS`] operations over the
-//! resident slots and `removed ·` [`wec_asym::INVALIDATE_ENTRY_WRITES`]
-//! asymmetric writes for exactly the connectivity memos whose cached
-//! [`ComponentId`] the new overlay remaps — predicate entries and
-//! untouched components survive, so invalidation is `O(changed)` in
-//! asymmetric writes, never `O(cache)`.
+//! ([`wec_connectivity::GraphDelta`]) fold into epochs of one versioned
+//! [`wec_connectivity::OverlayStore`] that install without ever blocking
+//! a query. Every submission is tagged with the epoch current at submit
+//! time; [`StreamingServer::stage_delta`] writes the mappings the delta
+//! changes into the next epoch (queries keep serving — and caching —
+//! against the current one), and [`StreamingServer::install_staged`]
+//! makes it current for one [`wec_asym::EPOCH_INSTALL_OPS`] operation
+//! plus the priced cache-invalidation sweep documented on that method:
+//! per shard, `swept ·` [`wec_asym::INVALIDATE_SCAN_OPS`] operations
+//! over the resident slots and `removed ·`
+//! [`wec_asym::INVALIDATE_ENTRY_WRITES`] asymmetric writes for exactly
+//! the connectivity memos whose cached [`ComponentId`] lost its canonical
+//! role in the new epoch — predicate entries and untouched components
+//! survive, so invalidation is `O(changed)` in asymmetric writes, never
+//! `O(cache)`.
 //!
 //! After an install, connectivity misses resolve the oracle's base id
-//! through the current overlay (one [`wec_asym::OVERLAY_LOOKUP_READS`]
-//! read per resolution on a non-empty overlay) and cache the *canonical*
-//! id; at epoch 0 the identity overlay charges nothing, so a read-only
-//! workload's charge sequence is bit-identical to the pre-epoch servers
-//! (pinned by `costs_golden.json`). Entries still in flight across an
-//! install dispatch as *stragglers*: answered uncached through their own
-//! epoch's retained overlay (retired once delivery passes the install
-//! boundary), so a ticket always resolves against the graph version it
+//! through the current epoch (one [`wec_asym::OVERLAY_LOOKUP_READS`]
+//! read per resolution once anything is remapped) and cache the
+//! *canonical* id; at epoch 0 the identity epoch charges nothing, so a
+//! read-only workload's charge sequence is bit-identical to the
+//! pre-epoch servers (pinned by `costs_golden.json`). Entries still in
+//! flight across an install dispatch as *stragglers*: answered uncached
+//! at their own epoch (retired once delivery passes the install
+//! boundary; a straggler also reads past the newer versions of the ids
+//! it resolves), so a ticket always resolves against the graph version it
 //! was submitted to. Biconnectivity-class predicates keep **base graph**
 //! semantics — the insertion-only model does not re-derive them — which
 //! is a documented limitation of the mutation API. Everything the epoch
@@ -299,14 +301,14 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use wec_asym::{
     Ledger, LedgerScope, DRR_VISIT_OPS, EPOCH_INSTALL_OPS, INVALIDATE_ENTRY_WRITES,
     INVALIDATE_SCAN_OPS, TENANT_ADMIT_OPS,
 };
 use wec_biconnectivity::BiconnQueryKey;
-use wec_connectivity::{ComponentId, ComponentOverlay, GraphDelta};
+use wec_connectivity::{ComponentId, ComponentOverlay, GraphDelta, OverlayView};
 use wec_graph::Vertex;
 
 use crate::cache::{CacheKey, CacheVal, ShardCache};
@@ -1124,8 +1126,8 @@ where
             let t = Ticket(self.next_deliver);
             self.next_deliver += 1;
             self.delivered_total += 1;
-            // Delivery advanced: overlays of epochs it has fully passed
-            // are unreachable and can be retired.
+            // Delivery advanced: epochs it has fully passed are
+            // unreachable and can be retired.
             self.epochs.prune(self.next_deliver);
             return Some((t, a));
         }
@@ -1147,8 +1149,8 @@ where
     }
 
     /// The oldest ticket that can still demand an answer: everything
-    /// below it has been delivered, so overlays of epochs entirely below
-    /// the floor are unreachable.
+    /// below it has been delivered, so epochs entirely below the floor
+    /// are unreachable.
     fn delivery_floor(&self) -> u64 {
         if !self.tenancy_active() {
             return self.next_deliver;
@@ -1167,22 +1169,6 @@ where
             out.push(pair);
         }
         out
-    }
-
-    /// Recover one shard's cache lock: a poisoned mutex (a panic escaped
-    /// while a guard was live) is cleared, the cache is reset cold, and
-    /// the recovery is counted. Locking never wedges the server.
-    fn lock_recovered(&mut self, shard: usize) -> std::sync::MutexGuard<'_, ShardCache> {
-        match self.caches[shard].lock() {
-            Ok(g) => g,
-            Err(poisoned) => {
-                self.caches[shard].clear_poison();
-                let mut g = poisoned.into_inner();
-                fold_retired(&mut self.retired, g.reset_cold());
-                self.robust.lock_poison_recoveries += 1;
-                g
-            }
-        }
     }
 
     /// Cumulative cache counters summed across shards, including the
@@ -1258,7 +1244,8 @@ where
     /// the panic held the guard), retire the cache's counters, and reset
     /// it cold.
     fn quarantine(&mut self, shard: usize) {
-        let dead = self.lock_recovered(shard).reset_cold();
+        let dead =
+            lock_recovered(&self.caches[shard], &mut self.retired, &mut self.robust).reset_cold();
         fold_retired(&mut self.retired, dead);
         self.robust.shards_quarantined += 1;
     }
@@ -1287,11 +1274,12 @@ where
         }
         for e in group {
             led.read(QUERY_WORDS);
-            // The degraded path answers through the entry's own epoch
-            // overlay, like the healthy path (epoch 0's identity overlay
-            // charges nothing, keeping the PR-6 recovery contract exact).
-            let overlay = self.epochs.overlay_arc(e.epoch);
-            let r = self.server.try_answer_one_in(led, &overlay, e.q);
+            // The degraded path answers at the entry's own epoch, like
+            // the healthy path (the identity epoch 0 charges nothing,
+            // keeping the PR-6 recovery contract exact).
+            let r = self
+                .server
+                .try_answer_one_in(led, self.epochs.view(e.epoch), e.q);
             self.robust.degraded_answers += 1;
             self.park(e.ticket, r);
         }
@@ -1309,7 +1297,7 @@ where
         let n = batch.len();
         let s = self.server.shards();
         // Entries submitted under an older epoch dispatch as stragglers:
-        // answered through their own epoch's retained overlay, uncached.
+        // answered at their own retained epoch, uncached.
         let current_epoch = self.epochs.current();
         self.epochs.stats.straggler_answers +=
             batch.iter().filter(|e| e.epoch != current_epoch).count() as u64;
@@ -1464,16 +1452,17 @@ where
         self.epochs.stats
     }
 
-    /// Epochs whose overlays are still live: the current epoch plus every
-    /// older epoch retaining in-flight tickets.
+    /// Live epochs: the current epoch plus every older epoch retaining
+    /// in-flight tickets.
     pub fn live_epochs(&self) -> Vec<u64> {
         self.epochs.live_epochs()
     }
 
-    /// The current epoch's component overlay (identity — empty — at
-    /// epoch 0).
-    pub fn current_overlay(&self) -> &ComponentOverlay {
-        self.epochs.current_overlay()
+    /// An owned snapshot of the current epoch's component remap
+    /// (identity — empty — at epoch 0), for tests and diagnostics;
+    /// uncharged.
+    pub fn current_overlay(&self) -> ComponentOverlay {
+        self.epochs.view(self.epochs.current()).snapshot()
     }
 }
 
@@ -1485,32 +1474,33 @@ where
     C: DeltaOracle,
     B: OracleHandle<Key = BiconnQueryKey, Answer = bool>,
 {
-    /// Fold a batch of edge insertions into the **staged** next-epoch
-    /// overlay, leaving the serving epoch untouched: queries keep
-    /// answering (and caching) against the current snapshot while the
-    /// build runs. Several batches may be staged before one install; each
-    /// composes onto the previously staged overlay.
+    /// Fold a batch of edge insertions into the **staged** next epoch,
+    /// leaving the serving epoch untouched: queries keep answering (and
+    /// caching) against the current snapshot while the stage runs.
+    /// Several batches may be staged before one install; each composes
+    /// onto the previously staged ones.
     ///
     /// Charges exactly the [`DeltaOracle::extend_overlay`] contract
     /// (documented in `wec_connectivity::delta`) on `led` — sampling
-    /// reads, union-find operations, and `O(changed mappings)` overlay
-    /// freeze writes. Bit-identical across `WEC_THREADS`. An empty delta
-    /// with nothing staged is a free no-op.
+    /// reads, union-find operations, reverse-index reads, and one write
+    /// per mapping this delta changes plus one per losing class. The
+    /// write bill is `O(changed mappings)` of this delta, never the
+    /// cumulative remap table. Bit-identical across `WEC_THREADS`. An
+    /// empty delta with nothing staged is a free no-op.
     pub fn stage_delta(&mut self, led: &mut Ledger, delta: &GraphDelta) {
         if delta.is_empty() && !self.epochs.has_staged() {
             return;
         }
-        let base = self.epochs.stage_base();
-        let overlay = self.server.conn_handle().extend_overlay(led, &base, delta);
-        self.epochs.stage(Arc::new(overlay), delta.len() as u64);
+        let store = self.epochs.stage(delta.len() as u64);
+        self.server.conn_handle().extend_overlay(led, store, delta);
     }
 
-    /// Install the staged overlay as the next epoch's snapshot. Returns
-    /// the new epoch number, or `None` when nothing is staged.
+    /// Install the staged epoch as the serving snapshot. Returns the new
+    /// epoch number, or `None` when nothing is staged.
     ///
     /// No query ever blocks on an install: in-flight tickets (queued or
     /// dispatched under the old epoch) keep resolving with old-epoch
-    /// answers through the retained overlay, and new submissions are
+    /// answers through the retained epoch, and new submissions are
     /// tagged with the new epoch immediately.
     ///
     /// The install charges, in order, on `led`:
@@ -1522,18 +1512,21 @@ where
     ///    (every slot's cached value is inspected once);
     /// 3. `removed ·` [`INVALIDATE_ENTRY_WRITES`] asymmetric writes,
     ///    where `removed` counts exactly the connectivity memos whose
-    ///    cached [`ComponentId`] the new overlay remaps
-    ///    (`overlay.peek(id) != id`). Predicate entries and memos whose
+    ///    cached [`ComponentId`] — a canonical id of the current epoch —
+    ///    lost its canonical role in the staged epoch
+    ///    (`staged.peek(id) != id`). Predicate entries and memos whose
     ///    component is untouched by the delta survive — invalidation is
     ///    priced by what actually changed, not by cache size.
     pub fn install_staged(&mut self, led: &mut Ledger) -> Option<u64> {
-        let overlay = self.epochs.take_staged()?;
+        if !self.epochs.has_staged() {
+            return None;
+        }
         led.op(EPOCH_INSTALL_OPS);
+        let staged = self.epochs.staged_view();
         let (mut swept_total, mut removed_total) = (0u64, 0u64);
-        for shard in 0..self.caches.len() {
-            let (swept, removed) = self
-                .lock_recovered(shard)
-                .invalidate_stale(|id| overlay.peek(id) != id);
+        for cache in &self.caches {
+            let (swept, removed) = lock_recovered(cache, &mut self.retired, &mut self.robust)
+                .invalidate_stale(|id| staged.peek(id) != id);
             led.op(swept * INVALIDATE_SCAN_OPS);
             led.write(removed * INVALIDATE_ENTRY_WRITES);
             swept_total += swept;
@@ -1542,7 +1535,7 @@ where
         self.epochs.stats.invalidation_swept_slots += swept_total;
         self.epochs.stats.invalidated_entries += removed_total;
         let in_flight = self.next_ticket - self.delivered_total;
-        let epoch = self.epochs.install(overlay, self.next_ticket, in_flight);
+        let epoch = self.epochs.install(self.next_ticket, in_flight);
         self.epochs.prune(self.delivery_floor());
         Some(epoch)
     }
@@ -1631,14 +1624,14 @@ where
         }
         scope.read(group.len() as u64 * QUERY_WORDS);
         let current_epoch = epochs.current();
-        let overlay = epochs.current_overlay();
+        let overlay = epochs.view(current_epoch);
         let mut out = Vec::with_capacity(group.len());
         for e in group {
             let r = if e.epoch != current_epoch {
                 // Straggler: in flight across an install. Answer uncached
-                // through its own epoch's retained overlay, so the ticket
-                // resolves against the graph version it was submitted to.
-                server.try_answer_one_in(scope.ledger(), epochs.overlay_for(e.epoch), e.q)
+                // at its own retained epoch, so the ticket resolves
+                // against the graph version it was submitted to.
+                server.try_answer_one_in(scope.ledger(), epochs.view(e.epoch), e.q)
             } else if cap == 0 {
                 server.try_answer_one_in(scope.ledger(), overlay, e.q)
             } else {
@@ -1674,6 +1667,27 @@ fn fold_retired(agg: &mut CacheStats, dead: CacheStats) {
     agg.invalidations += dead.invalidations;
 }
 
+/// Lock one shard's cache, recovering a poisoned mutex (a panic escaped
+/// while a guard was live): the poison is cleared, the cache is reset
+/// cold with its counters folded into `retired`, and the recovery is
+/// counted. Locking never wedges the server.
+fn lock_recovered<'a>(
+    cache: &'a Mutex<ShardCache>,
+    retired: &mut CacheStats,
+    robust: &mut RobustnessStats,
+) -> MutexGuard<'a, ShardCache> {
+    match cache.lock() {
+        Ok(g) => g,
+        Err(poisoned) => {
+            cache.clear_poison();
+            let mut g = poisoned.into_inner();
+            fold_retired(retired, g.reset_cold());
+            robust.lock_poison_recoveries += 1;
+            g
+        }
+    }
+}
+
 /// Answer one query through the shard's cache, charging exactly the
 /// module-level hit/miss/eviction contract (items 3–5). A
 /// biconnectivity-class query on a server without a biconnectivity oracle
@@ -1687,7 +1701,7 @@ fn answer_cached<C, B>(
     cache: &mut ShardCache,
     capacity: usize,
     eviction: Eviction,
-    overlay: &ComponentOverlay,
+    overlay: OverlayView<'_>,
     q: Query,
 ) -> ServeResult
 where
@@ -1753,10 +1767,10 @@ where
 }
 
 /// Memoized `Vertex → ComponentId` resolution. Cached ids are **epoch
-/// canonical**: a miss resolves the oracle's base id through the current
-/// overlay before filling, so hits need no overlay work and the
-/// install-time staleness test (`overlay.peek(id) != id`) is exact. At
-/// epoch 0 the identity overlay adds nothing, so the charge sequence is
+/// canonical**: a miss resolves the oracle's base id at the current
+/// epoch before filling, so hits need no overlay work and the
+/// install-time staleness test (`staged.peek(id) != id`) is exact. At
+/// epoch 0 the identity epoch adds nothing, so the charge sequence is
 /// the pre-epoch one.
 fn memo_component<C>(
     conn: C,
@@ -1764,7 +1778,7 @@ fn memo_component<C>(
     cache: &mut ShardCache,
     capacity: usize,
     eviction: Eviction,
-    overlay: &ComponentOverlay,
+    overlay: OverlayView<'_>,
     v: Vertex,
 ) -> ComponentId
 where

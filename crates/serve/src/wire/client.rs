@@ -11,9 +11,10 @@
 //! * the server suppresses a resubmitted correlation id that is still in
 //!   flight and replays one that already completed, so recomputation
 //!   never happens and each correlation id consumes at most one ticket;
-//! * the client remembers completed correlation ids and drops any
-//!   duplicate answer a faulty transport (or a replay racing the
-//!   original delivery) produces.
+//! * correlation ids are never reused, so an answer whose id is no longer
+//!   pending — a duplicate from a faulty transport, or a replay racing
+//!   the original delivery — is dropped; the client keeps no record of
+//!   completed ids.
 //!
 //! Reconnection is *charged*: dial attempt `a` (since the last healthy
 //! frame) costs `RECONNECT_BACKOFF_OPS << (a-1)` operations on the
@@ -30,7 +31,7 @@
 
 use std::collections::BTreeMap;
 
-use wec_asym::{FxHashSet, Ledger, FRAME_DECODE_OPS, FRAME_ENCODE_OPS, RECONNECT_BACKOFF_OPS};
+use wec_asym::{Ledger, FRAME_DECODE_OPS, FRAME_ENCODE_OPS, RECONNECT_BACKOFF_OPS};
 
 use super::codec::{encode_frame, Frame, FrameBuf};
 use super::transport::{Connector, Transport, TransportError};
@@ -113,10 +114,9 @@ pub struct WireClient {
     rx: FrameBuf,
     next_corr: u64,
     /// Correlation id → request, in id order (deterministic resubmission
-    /// order).
+    /// order). Ids are never reused, so membership here is the
+    /// exactly-once gate.
     pending: BTreeMap<u64, PendState>,
-    /// Completed correlation ids: the exactly-once gate.
-    done: FxHashSet<u64>,
     /// Consecutive dial attempts since the last inbound frame.
     attempt: u32,
     /// Ticks since the last inbound frame, while requests are pending.
@@ -139,7 +139,6 @@ impl WireClient {
             rx: FrameBuf::default(),
             next_corr: 0,
             pending: BTreeMap::new(),
-            done: FxHashSet::default(),
             attempt: 0,
             idle_ticks: 0,
             stats: ClientStats::default(),
@@ -257,13 +256,13 @@ impl WireClient {
         }
     }
 
-    /// Complete `corr` with `result`, exactly once.
+    /// Complete `corr` with `result`, exactly once: an id that is not
+    /// pending was completed before (or never issued).
     fn complete(&mut self, corr: u64, result: ServeResult, out: &mut Vec<(u64, ServeResult)>) {
-        if self.done.contains(&corr) || self.pending.remove(&corr).is_none() {
+        if self.pending.remove(&corr).is_none() {
             self.stats.duplicates_suppressed += 1;
             return;
         }
-        self.done.insert(corr);
         self.stats.answers += 1;
         out.push((corr, result));
     }

@@ -23,14 +23,24 @@
 //! 6. **base-graph predicates** — biconnectivity-class queries keep base
 //!    graph semantics across installs (the documented limitation of the
 //!    insertion-only mutation model).
+//! 7. **versioned store** — under random interleavings of stage, install
+//!    and retirement, every live epoch of the `OverlayStore` resolves
+//!    exactly like a per-epoch min-id union-find, each stage writes
+//!    exactly the mappings it changes plus one reverse-index move per
+//!    losing class, retirement keeps only visible versions, and the
+//!    charges are thread-invariant.
 
+use std::collections::BTreeMap;
 use wec::asym::{
     Costs, Ledger, EPOCH_INSTALL_OPS, INVALIDATE_ENTRY_WRITES, INVALIDATE_SCAN_OPS,
-    OVERLAY_LOOKUP_READS,
+    OVERLAY_ENTRY_WRITES, OVERLAY_INDEX_WRITES, OVERLAY_LOOKUP_READS,
 };
 use wec::baseline::UnionFind;
 use wec::biconnectivity::oracle::build_biconnectivity_oracle;
-use wec::connectivity::{ComponentId, ConnectivityOracle, GraphDelta, OracleBuildOpts};
+
+use wec::connectivity::{
+    ComponentId, ConnQueryHandle, ConnectivityOracle, GraphDelta, OracleBuildOpts, OverlayStore,
+};
 use wec::core::BuildOpts;
 use wec::graph::{gen, Csr, Priorities, Vertex};
 use wec::serve::{AdmissionPolicy, Answer, Query, ShardedServer, StreamingServer};
@@ -481,5 +491,182 @@ fn predicates_keep_base_graph_semantics_across_installs() {
         !two_edge_after,
         "predicates answer the base graph: the insertion-only model \
          does not re-derive biconnectivity (documented limitation)"
+    );
+}
+
+/// Canonical id of every base id at one epoch.
+type Canon = BTreeMap<ComponentId, ComponentId>;
+
+/// Many small components, so random deltas merge classes of every size:
+/// 40 paths of 5 vertices.
+const SMALL_BLOCKS: usize = 40;
+const SMALL_N: u32 = 5 * SMALL_BLOCKS as u32;
+
+fn many_blocks() -> Csr {
+    let p = gen::path(5);
+    gen::disjoint_union(&vec![&p; SMALL_BLOCKS])
+}
+
+/// The reference for the versioned store: a min-id union-find over base
+/// component ids, applied edge by edge.
+fn reference_merge(canon: &mut Canon, base: &[ComponentId], delta: &GraphDelta) {
+    for &(u, v) in delta.edges() {
+        let (a, b) = (canon[&base[u as usize]], canon[&base[v as usize]]);
+        let (win, lose) = (a.min(b), a.max(b));
+        for c in canon.values_mut() {
+            if *c == lose {
+                *c = win;
+            }
+        }
+    }
+}
+
+/// Ids remapped at one epoch.
+fn remapped(canon: &Canon) -> usize {
+    canon.iter().filter(|&(k, c)| k != c).count()
+}
+
+/// What a versioned-store run observed.
+#[derive(Debug, PartialEq)]
+struct StoreRun {
+    costs: Costs,
+    depth: u64,
+    stage_writes: u64,
+    /// What the same stages would have written as refrozen cumulative
+    /// tables: every id remapped at the staged epoch, per merging stage.
+    cumulative_table_writes: u64,
+    installs: u64,
+}
+
+/// Drive a fresh store through `steps` seeded operations — stage, install
+/// and retire the oldest epoch with weights 2:1:2, or with
+/// `install_every_stage` a stage then an install per step — checking
+/// every stage's writes and every live and staged epoch against the
+/// reference after each step.
+fn versioned_store_run(
+    h: &ConnQueryHandle<'_, '_, Csr>,
+    mut led: Ledger,
+    seed: u64,
+    steps: usize,
+    install_every_stage: bool,
+) -> StoreRun {
+    let n = SMALL_N;
+    let mut scratch = Ledger::new(OMEGA);
+    let base: Vec<ComponentId> = (0..n).map(|v| h.component(&mut scratch, v)).collect();
+    let identity: Canon = base.iter().map(|&id| (id, id)).collect();
+    let mut epochs: BTreeMap<u64, Canon> = BTreeMap::from([(0, identity.clone())]);
+    let mut staged = identity;
+    let mut store = OverlayStore::new();
+    let mut rng = Lcg(seed);
+    let mut run = StoreRun {
+        costs: Costs::ZERO,
+        depth: 0,
+        stage_writes: 0,
+        cumulative_table_writes: 0,
+        installs: 0,
+    };
+    for step in 0..steps {
+        let op = if install_every_stage { 5 } else { rng.below(5) };
+        if op < 2 || op == 5 {
+            let len = 1 + rng.below(4) as usize;
+            let delta = GraphDelta::from_edges(
+                (0..len)
+                    .map(|_| (rng.below(n as u64) as u32, rng.below(n as u64) as u32))
+                    .collect(),
+            );
+            let before = staged.clone();
+            reference_merge(&mut staged, &base, &delta);
+            let changed = staged.iter().filter(|&(k, c)| before[k] != *c).count() as u64;
+            let losers = before
+                .iter()
+                .filter(|&(k, c)| k == c && staged[k] != *k)
+                .count() as u64;
+            let w = led.costs().asym_writes;
+            h.extend_overlay(&mut led, &mut store, &delta);
+            let wrote = led.costs().asym_writes - w;
+            assert_eq!(
+                wrote,
+                changed * OVERLAY_ENTRY_WRITES + losers * OVERLAY_INDEX_WRITES,
+                "step {step}: stage writes = changed mappings + reverse-index moves"
+            );
+            run.stage_writes += wrote;
+            if changed > 0 {
+                run.cumulative_table_writes += remapped(&staged) as u64 * OVERLAY_ENTRY_WRITES;
+            }
+        }
+        if op == 2 || op == 5 {
+            epochs.insert(store.install(), staged.clone());
+            run.installs += 1;
+        }
+        if (3..5).contains(&op) && store.oldest() < store.current() {
+            epochs.remove(&store.oldest());
+            store.retire_oldest();
+            if store.oldest() == store.current() {
+                // Only the current epoch is live: one version per id it
+                // remaps, plus the versions staged on top.
+                let current = &epochs[&store.current()];
+                let on_top = staged.iter().filter(|&(k, c)| current[k] != *c).count();
+                assert!(
+                    store.version_count() <= remapped(current) + on_top,
+                    "step {step}: retirement keeps only visible versions"
+                );
+            }
+        }
+        assert_eq!(
+            (store.oldest()..=store.current()).collect::<Vec<_>>(),
+            epochs.keys().copied().collect::<Vec<_>>()
+        );
+        for (&e, canon) in epochs.iter().chain([(&(store.current() + 1), &staged)]) {
+            let view = store.view(e);
+            for (&k, &c) in canon {
+                assert_eq!(view.peek(k), c, "step {step}: epoch {e}, id {k:?}");
+            }
+        }
+    }
+    run.costs = led.costs();
+    run.depth = led.depth();
+    run
+}
+
+struct Lcg(u64);
+
+impl Lcg {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (self.0 >> 33) % n
+    }
+}
+
+#[test]
+fn versioned_store_matches_per_epoch_union_find() {
+    let g = many_blocks();
+    let pri = Priorities::random(g.n(), 29);
+    let verts: Vec<Vertex> = (0..g.n() as Vertex).collect();
+    let conn = build_conn(&g, &pri, &verts);
+    let h = conn.query_handle();
+    for seed in [1u64, 2, 3, 0xfeed] {
+        let par = versioned_store_run(&h, Ledger::new(OMEGA), seed, 160, false);
+        let seq = versioned_store_run(&h, Ledger::sequential(OMEGA), seed, 160, false);
+        assert_eq!(par, seq, "seed {seed}: store charges differ across ledgers");
+        assert!(par.installs > 0 && par.stage_writes > 0);
+    }
+}
+
+#[test]
+fn versioned_store_writes_below_the_cumulative_table_on_64_installs() {
+    let g = many_blocks();
+    let pri = Priorities::random(g.n(), 31);
+    let verts: Vec<Vertex> = (0..g.n() as Vertex).collect();
+    let conn = build_conn(&g, &pri, &verts);
+    let run = versioned_store_run(&conn.query_handle(), Ledger::new(OMEGA), 64, 64, true);
+    assert_eq!(run.installs, 64);
+    assert!(
+        run.stage_writes < run.cumulative_table_writes,
+        "stage writes {} not below the cumulative-table count {}",
+        run.stage_writes,
+        run.cumulative_table_writes
     );
 }

@@ -15,6 +15,8 @@
 //!    and closed, repeated malformed frames escalate through typed
 //!    errors to `Goaway(Misbehavior)`, and a slow client backpressures
 //!    into a bounded send queue without ever losing a frame.
+//! 4. **client dedup** — a replayed answer for a completed request is
+//!    suppressed and counted, never delivered twice.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -23,7 +25,7 @@ use wec::asym::{Costs, Ledger};
 use wec::connectivity::{ConnectivityOracle, OracleBuildOpts};
 use wec::graph::{gen, Csr, Priorities};
 use wec::serve::{
-    encode_frame, loopback_listener, loopback_pair, AdmissionPolicy, ChaosConnector,
+    encode_frame, loopback_listener, loopback_pair, AdmissionPolicy, Answer, ChaosConnector,
     ChaosTransport, ClientStats, Frame, FrameBuf, Frontend, FrontendStats, GoawayReason,
     LifecyclePolicy, Query, RetryPolicy, ServeError, ShardedServer, StreamingServer, Transport,
     TransportError, WireClient, WireFault, WireFaultPlan,
@@ -498,4 +500,48 @@ fn slow_client_backpressures_without_losing_frames() {
     }
     assert_eq!(tickets, vec![0, 1, 2, 3, 4, 5], "in order, none dropped");
     assert_eq!(fe.frontend_stats().send_failures, 0);
+}
+
+/// Exactly-once without a completed-id record: correlation ids are never
+/// reused, so a replayed answer for a request that already completed is
+/// counted in `duplicates_suppressed` and never delivered a second time,
+/// and an answer for an id never issued is dropped the same way.
+#[test]
+fn replayed_answer_for_a_completed_request_is_suppressed() {
+    let (connector, listener) = loopback_listener();
+    let mut client = WireClient::new(Box::new(connector), 7);
+    let mut cled = Ledger::new(OMEGA);
+    let corr = client.submit(Query::Component(3));
+    assert!(client.tick(&mut cled).is_empty(), "sent, not yet answered");
+
+    // A scripted server end: read the Hello and the request, then answer
+    // the request twice (the second is a replay) and an unknown id once.
+    let mut server = listener.accept().expect("the client dialed");
+    let mut rx = FrameBuf::default();
+    let mut buf = [0u8; 256];
+    let n = server.recv(&mut buf).unwrap();
+    rx.extend(&buf[..n]);
+    assert!(matches!(rx.next_frame(), Some(Ok(Frame::HelloV2 { .. }))));
+    assert!(matches!(
+        rx.next_frame(),
+        Some(Ok(Frame::RequestV2 { corr: c, .. })) if c == corr
+    ));
+    let answer = |corr| {
+        encode_frame(&Frame::AnswerV2 {
+            corr,
+            answer: Answer::Connected(true),
+        })
+    };
+    server.send(&answer(corr)).unwrap();
+    let first = client.tick(&mut cled);
+    assert_eq!(first.len(), 1, "delivered once");
+    assert_eq!(first[0].0, corr);
+    assert!(client.is_idle());
+
+    server.send(&answer(corr)).unwrap();
+    server.send(&answer(corr + 100)).unwrap();
+    assert!(client.tick(&mut cled).is_empty(), "never delivered again");
+    let stats = client.client_stats();
+    assert_eq!(stats.answers, 1);
+    assert_eq!(stats.duplicates_suppressed, 2);
 }
