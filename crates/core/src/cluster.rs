@@ -15,6 +15,8 @@
 
 use crate::centers::CenterLookup;
 use crate::rho::{rho, Center};
+use crate::scratch::{self, Pool, Recycle};
+use std::cell::RefCell;
 use wec_asym::{FxHashMap, FxHashSet, Ledger};
 use wec_graph::{GraphView, Priorities, Vertex};
 
@@ -57,6 +59,42 @@ impl Cluster {
     }
 }
 
+/// The reusable buffers of one enumeration, pooled per worker like the
+/// search scratch in [`crate::detbfs`].
+#[derive(Default)]
+struct ClusterScratch {
+    /// Rank of each member of the current level within that level.
+    rank_of: FxHashMap<Vertex, u32>,
+    member_set: FxHashSet<Vertex>,
+    non_members: FxHashSet<Vertex>,
+    /// `(candidate, parent's rank, cluster-tree parent)`, one entry per
+    /// edge into a member candidate.
+    cand: Vec<(Vertex, u32, Vertex)>,
+    /// One member's neighbors.
+    nbrs: Vec<Vertex>,
+    /// Deduplicated candidates keyed for the canonical sort:
+    /// `(parent rank, own priority rank, vertex, parent)`.
+    next: Vec<(u32, u32, Vertex, Vertex)>,
+    /// The current level.
+    level: Vec<Vertex>,
+}
+
+impl Recycle for ClusterScratch {
+    fn clear_capped(&mut self) {
+        self.rank_of.clear_capped();
+        self.member_set.clear_capped();
+        self.non_members.clear_capped();
+        self.cand.clear_capped();
+        self.nbrs.clear_capped();
+        self.next.clear_capped();
+        self.level.clear_capped();
+    }
+}
+
+thread_local! {
+    static POOL: Pool<ClusterScratch> = const { RefCell::new(Vec::new()) };
+}
+
 /// Enumerate up to `limit` members of the cluster centered at `s`.
 /// `s` must actually be a center (stored, or the implicit minimum of a
 /// center-less component).
@@ -69,34 +107,40 @@ pub fn enumerate_cluster<G: GraphView>(
     limit: usize,
 ) -> Cluster {
     debug_assert!(limit >= 1);
+    let mut buf = scratch::take(&POOL);
+    let ClusterScratch {
+        rank_of,
+        member_set,
+        non_members,
+        cand,
+        nbrs,
+        next,
+        level,
+    } = &mut buf;
     let mut members = vec![s];
     let mut parents = vec![s];
-    // rank of each member within its level
-    let mut rank_of: FxHashMap<Vertex, u32> = FxHashMap::default();
     rank_of.insert(s, 0);
-    let mut member_set: FxHashSet<Vertex> = FxHashSet::default();
     member_set.insert(s);
-    let mut non_members: FxHashSet<Vertex> = FxHashSet::default();
     let mut truncated = false;
     let mut sym_words = 2u64;
     led.sym_alloc(2);
     led.op(1);
 
-    let mut level: Vec<Vertex> = vec![s];
+    level.push(s);
     'levels: while !level.is_empty() {
-        // Candidates adjacent to the current level, with best parent rank.
-        let mut cand: FxHashMap<Vertex, (u32, Vertex)> = FxHashMap::default();
-        let mut nbrs = Vec::new();
-        for &v in &level {
+        // Candidates adjacent to the current level, with their parents.
+        cand.clear();
+        for &v in level.iter() {
             debug_assert!(rank_of.contains_key(&v));
             nbrs.clear();
-            g.neighbors_into(led, v, &mut nbrs);
-            for &w in &nbrs {
+            g.neighbors_into(led, v, nbrs);
+            for &w in nbrs.iter() {
                 led.op(1);
                 if member_set.contains(&w) || non_members.contains(&w) {
                     continue;
                 }
-                // Membership test: one ρ evaluation (cached).
+                // Membership test: one fresh, charged ρ evaluation — a
+                // candidate seen from several members is tested each time.
                 let a = rho(led, g, pri, centers, w);
                 let is_member = match a.center {
                     Center::Stored(c) => c == s,
@@ -112,25 +156,20 @@ pub fn enumerate_cluster<G: GraphView>(
                 // (= current `level`); order candidates by its rank.
                 debug_assert!(member_set.contains(&a.parent_hop) || a.parent_hop == w);
                 let pr = rank_of.get(&a.parent_hop).copied().unwrap_or(u32::MAX);
-                cand.entry(w)
-                    .and_modify(|e| {
-                        if pr < e.0 {
-                            *e = (pr, a.parent_hop);
-                        }
-                    })
-                    .or_insert((pr, a.parent_hop));
+                cand.push((w, pr, a.parent_hop));
             }
         }
         if cand.is_empty() {
             break;
         }
-        let mut next: Vec<(u32, u32, Vertex, Vertex)> = cand
-            .into_iter()
-            .map(|(w, (pr, p))| (pr, pri.rank(w), w, p))
-            .collect();
+        // ρ is a function of w, so every entry of one candidate is the
+        // same; keep one.
+        cand.sort_unstable();
+        cand.dedup_by_key(|e| e.0);
+        next.clear();
+        next.extend(cand.iter().map(|&(w, pr, p)| (pr, pri.rank(w), w, p)));
         next.sort_unstable();
         led.op(next.len() as u64 * 4);
-        let mut new_level = Vec::with_capacity(next.len());
         for (rank, &(_, _, w, p)) in next.iter().enumerate() {
             if members.len() >= limit {
                 truncated = true;
@@ -142,15 +181,16 @@ pub fn enumerate_cluster<G: GraphView>(
             rank_of.insert(w, rank as u32);
             led.sym_alloc(3);
             sym_words += 3;
-            new_level.push(w);
         }
         // ranks of the previous level are no longer needed
-        for v in level {
-            rank_of.remove(&v);
+        for v in level.iter() {
+            rank_of.remove(v);
         }
-        level = new_level;
+        level.clear();
+        level.extend(next.iter().map(|&(_, _, w, _)| w));
     }
     led.sym_free(sym_words);
+    scratch::give(&POOL, buf);
     Cluster {
         center: s,
         members,
@@ -163,7 +203,8 @@ pub fn enumerate_cluster<G: GraphView>(
 mod tests {
     use super::*;
     use crate::centers::{CenterLabel, CenterSet};
-    use wec_graph::gen::{grid, path};
+    use crate::scratch::SCRATCH_CAP;
+    use wec_graph::gen::{grid, path, star};
     use wec_graph::Csr;
 
     fn centers_of(led: &mut Ledger, prim: &[Vertex], sec: &[Vertex]) -> CenterSet {
@@ -308,5 +349,74 @@ mod tests {
         assert_eq!(kids[&0], vec![1]);
         assert_eq!(kids[&4], vec![5]);
         assert!(kids[&5].is_empty());
+    }
+
+    #[test]
+    fn interleaved_enumerations_match_runs_on_a_fresh_thread() {
+        let graphs = [grid(6, 6), path(12), grid(9, 5)];
+        let pris = [
+            Priorities::random(36, 7),
+            Priorities::identity(12),
+            Priorities::random(45, 1),
+        ];
+        let mut led = Ledger::new(8);
+        let centers = [
+            centers_of(&mut led, &[0, 35], &[14]),
+            centers_of(&mut led, &[0, 11], &[5]),
+            centers_of(&mut led, &[2, 40], &[22]),
+        ];
+        let run = |i: usize, s: Vertex, limit: usize| {
+            let mut led = Ledger::new(8);
+            let c = enumerate_cluster(&mut led, &graphs[i], &pris[i], &centers[i], s, limit);
+            let out = (c.members, c.parents, c.truncated);
+            (out, led.costs(), led.depth(), led.sym_peak())
+        };
+        let calls = [
+            (0, 0, usize::MAX),
+            (1, 5, usize::MAX),
+            (2, 40, 7),
+            (0, 14, usize::MAX),
+            (1, 0, 3),
+            (2, 22, usize::MAX),
+            (0, 35, 4),
+            (1, 11, usize::MAX),
+            (2, 2, usize::MAX),
+        ];
+        for _ in 0..3 {
+            for &(i, s, limit) in &calls {
+                let fresh = std::thread::scope(|t| t.spawn(|| run(i, s, limit)).join().unwrap());
+                assert_eq!(run(i, s, limit), fresh, "graph {i}, center {s}");
+            }
+        }
+    }
+
+    #[test]
+    fn enumerating_a_huge_cluster_leaves_the_pool_capped() {
+        // Every leaf's ρ is the hub after one level, so the hub's cluster
+        // is the whole star: far more members than a pooled buffer keeps.
+        let n = 4 * SCRATCH_CAP;
+        let g = star(n);
+        let pri = Priorities::identity(n);
+        let mut led = Ledger::new(8);
+        let cs = centers_of(&mut led, &[0], &[]);
+        let c = enumerate_cluster(&mut led, &g, &pri, &cs, 0, usize::MAX);
+        assert_eq!(c.len(), n);
+        POOL.with(|p| {
+            let p = p.borrow();
+            assert!(!p.is_empty(), "the enumeration returned its buffers");
+            for b in p.iter() {
+                for cap in [
+                    b.rank_of.capacity(),
+                    b.member_set.capacity(),
+                    b.non_members.capacity(),
+                    b.cand.capacity(),
+                    b.nbrs.capacity(),
+                    b.next.capacity(),
+                    b.level.capacity(),
+                ] {
+                    assert!(cap <= SCRATCH_CAP, "capacity {cap}");
+                }
+            }
+        });
     }
 }

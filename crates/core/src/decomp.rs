@@ -113,12 +113,8 @@ impl<'a, G: GraphView> ImplicitDecomposition<'a, G> {
                                 break false;
                             }
                         };
-                        if !found && s.visited() >= k {
-                            let min = s.info.keys().copied().min_by_key(|&u| pri.rank(u)).unwrap();
-                            l.op(s.visited() as u64);
-                            if min == v {
-                                found_mins.push(v);
-                            }
+                        if !found && s.visited() >= k && s.min_priority_visited(l) == v {
+                            found_mins.push(v);
                         }
                         s.release(l);
                     }

@@ -15,11 +15,19 @@
 //! before level `d` (compare parent ranks) or at level `d+1` itself
 //! (same parent — compare own priorities).
 //!
-//! Everything lives in **symmetric memory** (hash maps + frontier vectors,
-//! tracked against the ledger's high-water mark): the search performs no
-//! asymmetric writes, which is the whole point.
+//! Everything lives in **symmetric memory** and is charged against the
+//! ledger's high-water mark: the search performs no asymmetric writes,
+//! which is the whole point. The memory itself is a reused per-worker
+//! scratchpad (`scratch.rs`): a search takes a `SearchScratch`
+//! (visited map, frontier, neighbor, next-level and path buffers) from its
+//! thread's pool and hands it back when dropped, so a steady stream of
+//! searches allocates nothing. The `sym_alloc`/`sym_free` charges follow
+//! the model's words per visited vertex, not the allocator.
 
 use crate::centers::{CenterLabel, CenterLookup};
+use crate::scratch::{self, Pool, Recycle};
+use std::cell::RefCell;
+use std::collections::hash_map::Entry;
 use wec_asym::{FxHashMap, Ledger};
 use wec_graph::{GraphView, Priorities, Vertex};
 
@@ -30,43 +38,70 @@ pub struct NodeInfo {
     pub parent: Vertex,
     /// Hop distance from the start.
     pub level: u32,
-    /// Rank within its level under the canonical order.
-    pub rank: u32,
 }
 
-/// Words of symmetric memory charged per visited vertex (key + record).
+/// Words of symmetric memory charged per visited vertex: key, parent,
+/// level, and rank within the level (kept as the vertex's position in the
+/// frontier rather than in the record).
 const WORDS_PER_NODE: u64 = 4;
+
+/// The reusable buffers of one search.
+#[derive(Default)]
+struct SearchScratch {
+    /// Visited records.
+    info: FxHashMap<Vertex, NodeInfo>,
+    /// Current level in canonical rank order.
+    frontier: Vec<Vertex>,
+    /// One frontier vertex's neighbors.
+    nbrs: Vec<Vertex>,
+    /// The next level keyed for the canonical sort:
+    /// `(parent's rank, own priority rank, vertex)`.
+    next: Vec<(u32, u32, Vertex)>,
+    /// The last path reconstructed by `path_from_start`.
+    path: Vec<Vertex>,
+}
+
+impl Recycle for SearchScratch {
+    fn clear_capped(&mut self) {
+        self.info.clear_capped();
+        self.frontier.clear_capped();
+        self.nbrs.clear_capped();
+        self.next.clear_capped();
+        self.path.clear_capped();
+    }
+}
+
+thread_local! {
+    static POOL: Pool<SearchScratch> = const { RefCell::new(Vec::new()) };
+}
 
 /// A running deterministic search.
 pub struct DetSearch<'a, G: GraphView> {
     g: &'a G,
     pri: &'a Priorities,
-    /// Visited records.
-    pub info: FxHashMap<Vertex, NodeInfo>,
-    frontier: Vec<Vertex>,
+    buf: SearchScratch,
     level: u32,
     sym_words: u64,
 }
 
 impl<'a, G: GraphView> DetSearch<'a, G> {
-    /// Start a search at `start` (level 0, rank 0).
+    /// Start a search at `start` (level 0).
     pub fn new(led: &mut Ledger, g: &'a G, pri: &'a Priorities, start: Vertex) -> Self {
-        let mut info = FxHashMap::default();
-        info.insert(
+        let mut buf = scratch::take(&POOL);
+        buf.info.insert(
             start,
             NodeInfo {
                 parent: start,
                 level: 0,
-                rank: 0,
             },
         );
+        buf.frontier.push(start);
         led.op(1);
         led.sym_alloc(WORDS_PER_NODE);
         DetSearch {
             g,
             pri,
-            info,
-            frontier: vec![start],
+            buf,
             level: 0,
             sym_words: WORDS_PER_NODE,
         }
@@ -74,7 +109,7 @@ impl<'a, G: GraphView> DetSearch<'a, G> {
 
     /// Current level's vertices in canonical rank order.
     pub fn frontier(&self) -> &[Vertex] {
-        &self.frontier
+        &self.buf.frontier
     }
 
     /// Current level number.
@@ -84,79 +119,90 @@ impl<'a, G: GraphView> DetSearch<'a, G> {
 
     /// Number of vertices visited so far.
     pub fn visited(&self) -> usize {
-        self.info.len()
+        self.buf.info.len()
+    }
+
+    /// The record of a visited vertex, `None` if not visited yet.
+    pub fn node(&self, v: Vertex) -> Option<NodeInfo> {
+        self.buf.info.get(&v).copied()
+    }
+
+    /// The minimum-priority visited vertex — the implicit center of a
+    /// center-less component once the search has exhausted it. Charges
+    /// one op per visited vertex.
+    pub fn min_priority_visited(&self, led: &mut Ledger) -> Vertex {
+        led.op(self.visited() as u64);
+        self.buf
+            .info
+            .keys()
+            .copied()
+            .min_by_key(|&u| self.pri.rank(u))
+            .expect("search visited at least its start")
     }
 
     /// Expand to the next level. Returns `false` when the component is
     /// exhausted (frontier became empty).
     pub fn advance(&mut self, led: &mut Ledger) -> bool {
-        // candidate -> rank of best (minimal-rank) parent
-        let mut cand: FxHashMap<Vertex, u32> = FxHashMap::default();
-        let mut nbrs: Vec<Vertex> = Vec::new();
-        for (rank, &v) in self.frontier.iter().enumerate() {
+        let SearchScratch {
+            info,
+            frontier,
+            nbrs,
+            next,
+            ..
+        } = &mut self.buf;
+        // Scan the frontier in rank order. The first time an unvisited
+        // neighbor is seen its parent has minimal rank — the canonical
+        // parent — and recording it right away makes later sightings in
+        // this level skip it.
+        next.clear();
+        let level = self.level + 1;
+        for (rank, &v) in frontier.iter().enumerate() {
             nbrs.clear();
-            self.g.neighbors_into(led, v, &mut nbrs);
-            for &w in &nbrs {
+            self.g.neighbors_into(led, v, nbrs);
+            for &w in nbrs.iter() {
                 led.op(1);
-                if self.info.contains_key(&w) {
-                    continue;
+                if let Entry::Vacant(e) = info.entry(w) {
+                    e.insert(NodeInfo { parent: v, level });
+                    next.push((rank as u32, self.pri.rank(w), w));
                 }
-                cand.entry(w)
-                    .and_modify(|r| *r = (*r).min(rank as u32))
-                    .or_insert(rank as u32);
             }
         }
-        if cand.is_empty() {
-            self.frontier.clear();
+        if next.is_empty() {
+            frontier.clear();
             return false;
         }
         // Canonical order within the new level.
-        let mut next: Vec<(u32, u32, Vertex)> = cand
-            .iter()
-            .map(|(&w, &pr)| (pr, self.pri.rank(w), w))
-            .collect();
         next.sort_unstable();
         let f = next.len() as u64;
         led.op(f * (64 - f.leading_zeros() as u64).max(1)); // sort cost
-        self.level += 1;
-        let old_frontier = std::mem::take(&mut self.frontier);
-        let mut new_frontier = Vec::with_capacity(next.len());
-        for (rank, &(pr, _, w)) in next.iter().enumerate() {
-            // Parent ranks refer to the *previous* level's order.
-            let parent = old_frontier[pr as usize];
-            self.info.insert(
-                w,
-                NodeInfo {
-                    parent,
-                    level: self.level,
-                    rank: rank as u32,
-                },
-            );
-            led.op(1);
-            new_frontier.push(w);
-        }
+        self.level = level;
+        frontier.clear();
+        frontier.extend(next.iter().map(|&(_, _, w)| w));
+        led.op(f);
         led.sym_alloc(f * WORDS_PER_NODE);
         self.sym_words += f * WORDS_PER_NODE;
-        self.frontier = new_frontier;
         true
     }
 
     /// The canonical path `start → v` (inclusive of both endpoints),
-    /// reconstructed from parent pointers. `v` must be visited.
-    pub fn path_from_start(&self, led: &mut Ledger, v: Vertex) -> Vec<Vertex> {
-        let mut rev = vec![v];
+    /// reconstructed from parent pointers into a reused buffer. `v` must be
+    /// visited.
+    pub fn path_from_start(&mut self, led: &mut Ledger, v: Vertex) -> &[Vertex] {
+        let SearchScratch { info, path, .. } = &mut self.buf;
+        path.clear();
+        path.push(v);
         let mut cur = v;
         loop {
-            let info = self.info[&cur];
+            let node = info[&cur];
             led.op(1);
-            if info.parent == cur {
+            if node.parent == cur {
                 break;
             }
-            cur = info.parent;
-            rev.push(cur);
+            cur = node.parent;
+            path.push(cur);
         }
-        rev.reverse();
-        rev
+        path.reverse();
+        path
     }
 
     /// Scan the current frontier in canonical order for the first center
@@ -167,21 +213,31 @@ impl<'a, G: GraphView> DetSearch<'a, G> {
         centers: &impl CenterLookup,
         want: CenterLabel,
     ) -> Option<Vertex> {
-        self.frontier
+        self.buf
+            .frontier
             .iter()
             .copied()
             .find(|&u| centers.lookup(led, u) == Some(want))
     }
 
-    /// Release the symmetric memory this search charged.
+    /// Release the symmetric memory this search charged; its buffers go
+    /// back to the thread's pool.
     pub fn release(self, led: &mut Ledger) {
         led.sym_free(self.sym_words);
+    }
+}
+
+impl<G: GraphView> Drop for DetSearch<'_, G> {
+    fn drop(&mut self) {
+        scratch::give(&POOL, std::mem::take(&mut self.buf));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::centers::CenterSet;
+    use crate::scratch::SCRATCH_CAP;
     use wec_graph::gen::{cycle, grid, path};
     use wec_graph::Csr;
 
@@ -206,7 +262,7 @@ mod tests {
         while s.advance(&mut led) {}
         let dist = wec_graph::props::bfs_distances(&g, 0);
         for v in 0..25u32 {
-            assert_eq!(s.info[&v].level, dist[v as usize], "level of {v}");
+            assert_eq!(s.node(v).unwrap().level, dist[v as usize], "level of {v}");
         }
         s.release(&mut led);
     }
@@ -246,7 +302,7 @@ mod tests {
         let mut s = DetSearch::new(&mut led, &g, &pri, 0);
         s.advance(&mut led);
         s.advance(&mut led);
-        assert_eq!(s.info[&3].parent, 1);
+        assert_eq!(s.node(3).unwrap().parent, 1);
         let path = s.path_from_start(&mut led, 3);
         assert_eq!(path, vec![0, 1, 3]);
         s.release(&mut led);
@@ -256,7 +312,7 @@ mod tests {
         let mut s2 = DetSearch::new(&mut led2, &g, &pri2, 0);
         s2.advance(&mut led2);
         s2.advance(&mut led2);
-        assert_eq!(s2.info[&3].parent, 2);
+        assert_eq!(s2.node(3).unwrap().parent, 2);
         s2.release(&mut led2);
     }
 
@@ -301,5 +357,70 @@ mod tests {
         let o1 = collect_order(&g, &pri, 5);
         let o2 = collect_order(&g, &pri, 5);
         assert_eq!(o1, o2);
+    }
+
+    #[test]
+    fn live_searches_match_searches_run_one_after_the_other() {
+        let g1 = grid(7, 9);
+        let pri1 = Priorities::random(63, 5);
+        let g2 = cycle(11);
+        let pri2 = Priorities::random(11, 6);
+        let want1 = collect_order(&g1, &pri1, 30);
+        let want2 = collect_order(&g2, &pri2, 4);
+        // Both searches hold pooled buffers at once and advance in turn.
+        let mut led = Ledger::new(8);
+        let mut a = DetSearch::new(&mut led, &g1, &pri1, 30);
+        let mut b = DetSearch::new(&mut led, &g2, &pri2, 4);
+        let (mut got1, mut got2) = (a.frontier().to_vec(), b.frontier().to_vec());
+        let (mut live_a, mut live_b) = (true, true);
+        while live_a || live_b {
+            if live_a && a.advance(&mut led) {
+                got1.extend_from_slice(a.frontier());
+            } else {
+                live_a = false;
+            }
+            if live_b && b.advance(&mut led) {
+                got2.extend_from_slice(b.frontier());
+            } else {
+                live_b = false;
+            }
+        }
+        b.release(&mut led);
+        a.release(&mut led);
+        assert_eq!(led.sym_live(), 0);
+        assert_eq!(got1, want1);
+        assert_eq!(got2, want2);
+        // The buffers the nested pair returned serve later searches too.
+        assert_eq!(collect_order(&g2, &pri2, 4), want2);
+        assert_eq!(collect_order(&g1, &pri1, 30), want1);
+    }
+
+    #[test]
+    fn exhausting_a_huge_component_leaves_the_pool_capped() {
+        let g = grid(128, 128);
+        let pri = Priorities::random(128 * 128, 3);
+        let mut led = Ledger::new(8);
+        let none = CenterSet::with_capacity(&mut led, 1);
+        let a = crate::rho::rho(&mut led, &g, &pri, &none, 0);
+        assert!(a.center.is_implicit());
+        POOL.with(|p| {
+            let p = p.borrow();
+            assert!(!p.is_empty(), "the search returned its buffers");
+            for b in p.iter() {
+                assert!(
+                    b.info.capacity() <= SCRATCH_CAP,
+                    "info {}",
+                    b.info.capacity()
+                );
+                for cap in [
+                    b.frontier.capacity(),
+                    b.nbrs.capacity(),
+                    b.next.capacity(),
+                    b.path.capacity(),
+                ] {
+                    assert!(cap <= SCRATCH_CAP, "capacity {cap}");
+                }
+            }
+        });
     }
 }

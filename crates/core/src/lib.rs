@@ -22,6 +22,10 @@
 //! * [`decomp`] — the [`ImplicitDecomposition`] oracle object;
 //! * [`clusters_graph`] — the implicit clusters-graph view (Definition 1,
 //!   Lemma 4.3) that §4.3/§5.3 run connectivity over.
+//!
+//! The searches behind `ρ` and cluster enumeration reuse per-worker pooled
+//! buffers (the paper's reused symmetric scratchpad), so a steady stream
+//! of queries allocates nothing; charges still come only from the model.
 
 pub mod centers;
 pub mod cluster;
@@ -29,6 +33,7 @@ pub mod clusters_graph;
 pub mod decomp;
 pub mod detbfs;
 pub mod rho;
+mod scratch;
 pub mod secondary;
 
 pub use centers::{CenterLabel, CenterLookup, CenterSet};

@@ -91,13 +91,7 @@ pub fn rho<G: GraphView>(
         }
         None => {
             // Component exhausted: implicit minimum-priority center.
-            let min = s
-                .info
-                .keys()
-                .copied()
-                .min_by_key(|&u| pri.rank(u))
-                .expect("search visited at least v");
-            led.op(s.info.len() as u64);
+            let min = s.min_priority_visited(led);
             if min == v {
                 RhoAnswer {
                     center: Center::ImplicitMin(v),
@@ -281,5 +275,43 @@ mod tests {
         let a = rho(&mut led, &g, &pri, &cs, 3);
         assert_eq!(a.center, Center::Stored(1));
         assert_eq!(a.parent_hop, 2);
+    }
+
+    #[test]
+    fn interleaved_calls_match_runs_on_a_fresh_thread() {
+        // ρ calls on different graphs, centers and starts share one
+        // thread's pooled scratch; each must charge and answer exactly as
+        // on a fresh thread, whose pool is empty.
+        let graphs = [
+            path(10),
+            grid(8, 8),
+            wec_graph::gen::disjoint_union(&[&path(4), &cycle(5)]),
+            grid(20, 20),
+        ];
+        let pris = [
+            Priorities::identity(10),
+            Priorities::random(64, 3),
+            Priorities::identity(9),
+            Priorities::random(400, 8),
+        ];
+        let mut led = Ledger::new(8);
+        let centers = [
+            centers_of(&mut led, &[0, 9], &[]),
+            centers_of(&mut led, &[0, 37, 51], &[12]),
+            centers_of(&mut led, &[6], &[]),
+            centers_of(&mut led, &[399], &[150, 210]),
+        ];
+        let run = |i: usize, v: Vertex| {
+            let mut led = Ledger::new(8);
+            let a = rho(&mut led, &graphs[i], &pris[i], &centers[i], v);
+            (a, led.costs(), led.depth(), led.sym_peak())
+        };
+        let calls: Vec<(usize, Vertex)> = (0..40u32)
+            .flat_map(|j| (0..4).map(move |i| (i, (j * 7 + i as u32) % [10, 64, 9, 400][i])))
+            .collect();
+        for &(i, v) in &calls {
+            let fresh = std::thread::scope(|t| t.spawn(|| run(i, v)).join().unwrap());
+            assert_eq!(run(i, v), fresh, "graph {i}, start {v}");
+        }
     }
 }
