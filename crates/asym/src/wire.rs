@@ -35,14 +35,14 @@ pub const FRAME_DECODE_OPS: u64 = 1;
 /// plus the bounded payload serialization).
 pub const FRAME_ENCODE_OPS: u64 = 1;
 
-/// Unit operations charged when a v2 `Hello` binds or rebinds a session
-/// (one session-table probe plus the connection pointer swap). v1
-/// connections never bind sessions and never pay this.
+/// Unit operations charged when a `Hello` binds or rebinds a session
+/// (one session-table probe plus the connection pointer swap). A refused
+/// `Hello` binds nothing and does not pay this.
 pub const SESSION_BIND_OPS: u64 = 1;
 
-/// Unit operations charged per v2 `Request` for probing the session's
-/// dedup window (one bounded hash-table probe deciding fresh vs
-/// suppressed vs replayed). v1 requests skip the window and the charge.
+/// Unit operations charged per `Request` on a bound session for probing
+/// its dedup window (one bounded hash-table probe deciding fresh vs
+/// suppressed vs replayed).
 pub const DEDUP_PROBE_OPS: u64 = 1;
 
 /// Asymmetric-memory writes charged per fresh dedup-window entry (the

@@ -10,14 +10,15 @@
 //! every leg replays bit-identically). Two client populations drive each
 //! rate:
 //!
-//! * **retry** — protocol-v2 `WireClient`s: session `Hello` on every
-//!   (re)connect, charged exponential backoff, resubmission of
-//!   unacknowledged correlation ids into the server's per-session dedup
-//!   window. The acceptance bar: completeness exactly 1.0 at every
-//!   fault rate — at-least-once delivery, exactly-once answers.
-//! * **noretry** — fire-once v1 clients that never reconnect and never
-//!   resubmit: what the same faults cost an unhardened stack. At 10‰
-//!   this baseline visibly loses answers.
+//! * **retry** — `WireClient`s: session `Hello` on every (re)connect,
+//!   charged exponential backoff, resubmission of unacknowledged
+//!   correlation ids into the server's per-session dedup window. The
+//!   acceptance bar: completeness exactly 1.0 at every fault rate —
+//!   at-least-once delivery, exactly-once answers.
+//! * **noretry** — fire-once clients that open one session, send each
+//!   request once, and never reconnect or resubmit: what the same faults
+//!   cost an unhardened stack. At 10‰ this baseline visibly loses
+//!   answers.
 //!
 //! Writes the machine-readable `BENCH_PR10.json` (override the path with
 //! `WEC_CHAOS_BENCH_OUT`) whose `completeness_at_10pm` (must be 1.0),
@@ -25,14 +26,16 @@
 //! `throughput_retained_pct_at_10pm` keys CI's bench guard validates.
 //! Pass `--smoke` for the CI-sized run.
 
+use std::collections::BTreeSet;
+
 use wec_asym::Ledger;
 use wec_bench::{time, ChaosLeg, ChaosSnapshot};
 use wec_connectivity::{ConnectivityOracle, OracleBuildOpts};
 use wec_graph::gen;
 use wec_serve::{
     encode_frame, loopback_listener, AdmissionPolicy, ChaosConnector, Connector, Frame, FrameBuf,
-    Frontend, LifecyclePolicy, Query, RetryPolicy, ShardedServer, StreamingServer, Transport,
-    WireClient, WireFaultPlan, FRAME_DECODE_OPS, FRAME_ENCODE_OPS,
+    Frontend, LifecyclePolicy, Query, RetryPolicy, ShardedServer, StreamingServer, TenantId,
+    Transport, WireClient, WireFaultPlan, FRAME_DECODE_OPS, FRAME_ENCODE_OPS,
 };
 
 const OMEGA: u64 = 64;
@@ -59,22 +62,48 @@ fn next_query(rng: &mut u32, n: u32) -> Query {
     }
 }
 
-/// A fire-once v1 client: submits each query at most once over a chaos
-/// transport, never reconnects, never resubmits. The unhardened
-/// baseline.
+/// A fire-once client: opens one session, submits each query at most
+/// once over a chaos transport, never reconnects, never resubmits. The
+/// unhardened baseline.
 struct NoRetryClient {
     transport: Option<Box<dyn Transport>>,
     rx: FrameBuf,
     rng: u32,
     queries_left: u64,
-    outstanding: usize,
+    /// Correlation ids sent and not yet answered.
+    outstanding: BTreeSet<u64>,
     submitted: u64,
     answered: u64,
 }
 
 impl NoRetryClient {
+    /// Dial once and open session `session`; a failed dial or `Hello`
+    /// leaves a client that is finished before it starts.
+    fn open(connector: &mut dyn Connector, session: u64, rng: u32, queries: u64) -> Self {
+        let mut transport = connector.dial().ok();
+        let hello = Frame::Hello {
+            tenant: TenantId::DEFAULT,
+            credential: 0,
+            session,
+        };
+        if let Some(t) = transport.as_mut() {
+            if t.send(&encode_frame(&hello)).is_err() {
+                transport = None;
+            }
+        }
+        NoRetryClient {
+            transport,
+            rx: FrameBuf::default(),
+            rng,
+            queries_left: queries,
+            outstanding: BTreeSet::new(),
+            submitted: 0,
+            answered: 0,
+        }
+    }
+
     fn finished(&self) -> bool {
-        self.transport.is_none() || (self.queries_left == 0 && self.outstanding == 0)
+        self.transport.is_none() || (self.queries_left == 0 && self.outstanding.is_empty())
     }
 
     /// One round: fill the window, drain answers. Any transport failure
@@ -83,13 +112,14 @@ impl NoRetryClient {
         let Some(transport) = self.transport.as_mut() else {
             return 0;
         };
-        while self.queries_left > 0 && self.outstanding < WINDOW {
-            let q = next_query(&mut self.rng, n);
+        while self.queries_left > 0 && self.outstanding.len() < WINDOW {
+            let query = next_query(&mut self.rng, n);
+            let corr = self.submitted;
             led.op(FRAME_ENCODE_OPS);
-            match transport.send(&encode_frame(&Frame::Request { query: q })) {
+            match transport.send(&encode_frame(&Frame::Request { corr, query })) {
                 Ok(()) => {
                     self.queries_left -= 1;
-                    self.outstanding += 1;
+                    self.outstanding.insert(corr);
                     self.submitted += 1;
                 }
                 Err(_) => {
@@ -115,10 +145,11 @@ impl NoRetryClient {
         let mut got = 0;
         while let Some(f) = self.rx.next_frame() {
             led.op(FRAME_DECODE_OPS);
-            if let Ok(Frame::Answer { .. }) = f {
-                self.outstanding -= 1;
-                self.answered += 1;
-                got += 1;
+            if let Ok(Frame::Answer { corr, .. }) = f {
+                if self.outstanding.remove(&corr) {
+                    self.answered += 1;
+                    got += 1;
+                }
             }
         }
         got
@@ -211,14 +242,13 @@ fn run_leg(
             WireFaultPlan::seeded(SEED).with_all(per_mille),
         );
         let mut workers: Vec<NoRetryClient> = (0..clients)
-            .map(|i| NoRetryClient {
-                transport: chaos.dial().ok(),
-                rx: FrameBuf::default(),
-                rng: (i as u32) << 8 | 1,
-                queries_left: per_client,
-                outstanding: 0,
-                submitted: 0,
-                answered: 0,
+            .map(|i| {
+                NoRetryClient::open(
+                    &mut chaos,
+                    0xf1e_0000 + i as u64,
+                    (i as u32) << 8 | 1,
+                    per_client,
+                )
             })
             .collect();
         // Run until every client is finished or wedged (a torn frame can

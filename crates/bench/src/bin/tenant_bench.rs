@@ -32,8 +32,6 @@
 //! `min_tenant_completeness` keys CI's bench guard validates. Pass
 //! `--smoke` for the CI-sized run.
 
-use std::collections::VecDeque;
-
 use wec_asym::Ledger;
 use wec_bench::{time, TenantLane, TenantLeg, TenantSnapshot};
 use wec_connectivity::{ConnectivityOracle, OracleBuildOpts};
@@ -58,9 +56,6 @@ struct Client {
     tenant: usize,
     /// Requests sent whose answer has not arrived.
     outstanding: usize,
-    /// Submission round of each outstanding request, oldest first
-    /// (answers arrive per connection in submission order).
-    sent_rounds: VecDeque<u64>,
     rng: u32,
 }
 
@@ -116,8 +111,9 @@ fn collect(clients: &mut [Client], out: &mut LegOut, round: u64, loaded: bool) -
         }
         while let Some(f) = c.rx.next_frame() {
             match f.expect("server frames are well-formed") {
-                Frame::Answer { .. } => {
-                    let sent = c.sent_rounds.pop_front().expect("answer without request");
+                Frame::Answer { corr: sent, .. } => {
+                    // A client sends at most one request per round, so the
+                    // submission round is the correlation id.
                     c.outstanding -= 1;
                     delivered += 1;
                     out.delivered_total[c.tenant] += 1;
@@ -126,8 +122,8 @@ fn collect(clients: &mut [Client], out: &mut LegOut, round: u64, loaded: bool) -
                         out.latencies[c.tenant].push(round - sent);
                     }
                 }
-                Frame::Error { ticket, error } => {
-                    panic!("unexpected error frame (ticket {ticket:?}): {error}")
+                Frame::Error { corr, error } => {
+                    panic!("unexpected error frame (corr {corr:?}): {error}")
                 }
                 other => panic!("unexpected frame {other:?}"),
             }
@@ -153,12 +149,13 @@ fn run_leg(
         latencies: vec![Vec::new(); TENANTS],
         rounds_loaded: rounds,
     };
-    // Bind every connection to its tenant.
-    for c in clients.iter_mut() {
+    // Bind every connection to its tenant and a session of its own.
+    for (session, c) in clients.iter_mut().enumerate() {
         c.transport
             .send(&encode_frame(&Frame::Hello {
                 tenant: TenantId(c.tenant as u16),
                 credential: 0,
+                session: session as u64,
             }))
             .unwrap();
     }
@@ -168,12 +165,11 @@ fn run_leg(
     for round in 0..rounds {
         for c in clients.iter_mut() {
             if c.outstanding < WINDOW {
-                let q = c.next_query(n);
+                let query = c.next_query(n);
                 c.transport
-                    .send(&encode_frame(&Frame::Request { query: q }))
+                    .send(&encode_frame(&Frame::Request { corr: round, query }))
                     .unwrap();
                 c.outstanding += 1;
-                c.sent_rounds.push_back(round);
                 out.submitted[c.tenant] += 1;
             }
         }
@@ -231,7 +227,6 @@ fn main() {
                         rx: FrameBuf::default(),
                         tenant: t,
                         outstanding: 0,
-                        sent_rounds: VecDeque::new(),
                         rng: (t as u32) << 20 | i as u32 | 1,
                     },
                     server_end,

@@ -110,11 +110,11 @@ pub use streaming::{
 };
 pub use tenant::{FairShare, TenancyStats, TenantId, TenantSpec, TenantStats};
 pub use wire::{
-    encode_frame, frame_version, loopback_listener, loopback_pair, ChaosConnector, ChaosStats,
-    ChaosTransport, ClientStats, ConnId, Connector, Frame, FrameBuf, Frontend, FrontendStats,
-    GoawayReason, LifecyclePolicy, LoopbackConnector, LoopbackListener, LoopbackTransport,
-    PumpReport, RetryPolicy, TcpTransport, Transport, TransportError, WireClient, WireFault,
-    WireFaultPlan, MAX_FRAME_BYTES, WIRE_VERSION, WIRE_VERSION_2,
+    encode_frame, loopback_listener, loopback_pair, ChaosConnector, ChaosStats, ChaosTransport,
+    ClientStats, ConnId, Connector, Frame, FrameBuf, Frontend, FrontendStats, GoawayReason,
+    LifecyclePolicy, LoopbackConnector, LoopbackListener, LoopbackTransport, PumpReport,
+    RetryPolicy, TcpTransport, Transport, TransportError, WireClient, WireFault, WireFaultPlan,
+    MAX_FRAME_BYTES, WIRE_VERSION,
 };
 // The mutation- and wire-path charge constants, re-exported beside the
 // serving ones so replay tests and benches price everything from one
@@ -242,8 +242,8 @@ pub enum ServeError {
     /// connection stays usable — a malformed frame is answered, never
     /// dropped.
     MalformedFrame(WireFault),
-    /// A wire frame carried an unsupported protocol version; the peer
-    /// must speak [`WIRE_VERSION`] or [`WIRE_VERSION_2`].
+    /// A wire frame carried an unsupported protocol version (the retired
+    /// version 1 included); the peer must speak [`WIRE_VERSION`].
     ProtocolVersion {
         /// The version byte the peer sent.
         got: u8,
@@ -276,7 +276,7 @@ impl std::fmt::Display for ServeError {
             ServeError::ProtocolVersion { got } => {
                 write!(
                     f,
-                    "protocol version {got} unsupported (speak {WIRE_VERSION} or {WIRE_VERSION_2})"
+                    "protocol version {got} unsupported (speak {WIRE_VERSION})"
                 )
             }
             ServeError::ShuttingDown => {

@@ -1,6 +1,6 @@
 //! The exactly-once retrying wire client.
 //!
-//! [`WireClient`] speaks protocol v2 against a
+//! [`WireClient`] speaks the wire protocol against a
 //! [`Frontend`](super::Frontend): every request carries a client-chosen
 //! correlation id, the client belongs to a *session* that survives
 //! reconnects, and the server keeps a per-session dedup window. Those
@@ -101,7 +101,7 @@ struct PendState {
     ever_sent: bool,
 }
 
-/// A v2 wire client with reconnect, charged backoff, and idempotent
+/// A wire client with reconnect, charged backoff, and idempotent
 /// resubmission — exactly-once answers over at-least-once delivery (see
 /// the [module docs](self)).
 pub struct WireClient {
@@ -223,7 +223,7 @@ impl WireClient {
                 // Open (or resume) the session before anything else.
                 self.send_frame(
                     led,
-                    &Frame::HelloV2 {
+                    &Frame::Hello {
                         tenant: self.tenant,
                         credential: self.credential,
                         session: self.session,
@@ -296,7 +296,7 @@ impl WireClient {
                 let st = &self.pending[&corr];
                 (st.query, st.ever_sent)
             };
-            if self.send_frame(led, &Frame::RequestV2 { corr, query }) {
+            if self.send_frame(led, &Frame::Request { corr, query }) {
                 if ever_sent {
                     self.stats.resubmitted += 1;
                 }
@@ -327,8 +327,8 @@ impl WireClient {
             led.op(FRAME_DECODE_OPS);
             inbound += 1;
             match decoded {
-                Ok(Frame::AnswerV2 { corr, answer }) => self.complete(corr, Ok(answer), &mut out),
-                Ok(Frame::ErrorV2 {
+                Ok(Frame::Answer { corr, answer }) => self.complete(corr, Ok(answer), &mut out),
+                Ok(Frame::Error {
                     corr: Some(corr),
                     error,
                 }) => match error {
@@ -342,14 +342,11 @@ impl WireClient {
                     }
                     _ => self.complete(corr, Err(error), &mut out),
                 },
-                Ok(Frame::ErrorV2 { corr: None, error })
-                | Ok(Frame::Error {
-                    ticket: None,
-                    error,
-                }) => {
+                Ok(Frame::Error { corr: None, error }) => {
                     // Connection-scoped rejection (e.g. a refused Hello
                     // while the server drains): the reconnect path will
-                    // retry it.
+                    // retry it. A Hello refused for its identity instead
+                    // fails each request with the refusal's error.
                     if matches!(error, ServeError::ShuttingDown) {
                         self.stats.retryable_errors += 1;
                     }
@@ -366,8 +363,8 @@ impl WireClient {
                 }
                 Ok(_) => {
                     // Pong (keepalive answered — inbound counter already
-                    // records the progress) or a v1 frame this v2 client
-                    // did not ask for: ignore.
+                    // records the progress) or a frame only a server
+                    // accepts: ignore.
                 }
                 Err(_) => {
                     // A frame that fails to decode means the stream is

@@ -4,15 +4,15 @@
 //! header (`u32` length, version byte, kind byte — see [`super`]), the
 //! per-kind payloads are:
 //!
-//! | kind | name    | v1 payload | v2 payload |
-//! |------|---------|------------|------------|
-//! | 1    | Hello   | `tenant: u16`, `credential: u64` | v1 + `session: u64` |
-//! | 2    | Request | `query kind: u8`, `u: u32`, `v: u32` | `corr: u64` + v1 |
-//! | 3    | Answer  | `ticket: u64`, `answer kind: u8`, answer body | `corr: u64`, answer kind + body |
-//! | 4    | Error   | `has_ticket: u8`, `ticket: u64` (if 1), error body | `has_corr: u8`, `corr: u64` (if 1), error body |
-//! | 5    | Ping    | `nonce: u64` (version-neutral) | — |
-//! | 6    | Pong    | `nonce: u64` (version-neutral) | — |
-//! | 7    | Goaway  | `reason: u8` (version-neutral) | — |
+//! | kind | name    | payload |
+//! |------|---------|---------|
+//! | 1    | Hello   | `tenant: u16`, `credential: u64`, `session: u64` |
+//! | 2    | Request | `corr: u64`, `query kind: u8`, `u: u32`, `v: u32` |
+//! | 3    | Answer  | `corr: u64`, `answer kind: u8`, answer body |
+//! | 4    | Error   | `has_corr: u8`, `corr: u64` (if 1), error body |
+//! | 5    | Ping    | `nonce: u64` |
+//! | 6    | Pong    | `nonce: u64` |
+//! | 7    | Goaway  | `reason: u8` |
 //!
 //! Query kinds: 1 `Connected(u, v)`, 2 `Component(v)` (second word 0),
 //! 3 `TwoEdgeConnected(u, v)`, 4 `Biconnected(u, v)`. Answer bodies: the
@@ -21,18 +21,14 @@
 //! bodies mirror [`ServeError`] variant by variant (queue/quota bounds
 //! saturate to `u32` on the wire).
 //!
-//! ## Versions and negotiation
+//! ## Version
 //!
-//! Every frame carries its own version byte, and negotiation is
-//! per-frame: the server answers each frame in the version the frame
-//! arrived in, so a v1 peer sees exactly the PR-8 protocol while a v2
-//! peer on the same frontend gets correlation-id `Request`/`Answer`
-//! frames and session binding. Version 2 ([`WIRE_VERSION_2`]) adds a
-//! client-chosen correlation id to requests (echoed on the answer — the
-//! idempotence key for exactly-once retry) and a session id to `Hello`
-//! (survives reconnects). The control kinds `Ping`/`Pong`/`Goaway` are
-//! lifecycle frames, version-neutral by construction: they encode at
-//! version 1 and decode identically at either version.
+//! Every frame carries the version byte [`WIRE_VERSION`] (2). A request
+//! carries a client-chosen correlation id, echoed on its answer — the
+//! idempotence key for exactly-once retry — and `Hello` binds a session
+//! id that survives reconnects. Any other version byte, the retired
+//! version 1 included, is refused with a typed
+//! [`ServeError::ProtocolVersion`].
 //!
 //! Decoding never panics and never silently skips: every outcome is a
 //! [`Frame`] or a typed [`ServeError`] ([`ServeError::ProtocolVersion`]
@@ -48,12 +44,8 @@ use wec_connectivity::ComponentId;
 use crate::tenant::TenantId;
 use crate::{Answer, Query, ServeError};
 
-/// The baseline protocol version (PR-8 frames, no correlation ids).
-pub const WIRE_VERSION: u8 = 1;
-
-/// Protocol version 2: correlation-id requests/answers and session
-/// `Hello`s, negotiated per frame (see the module docs).
-pub const WIRE_VERSION_2: u8 = 2;
+/// The protocol version every frame carries (see the module docs).
+pub const WIRE_VERSION: u8 = 2;
 
 /// Hard cap on a frame's post-prefix length. Every frame this protocol
 /// defines is under 64 bytes; the cap bounds buffering against corrupt or
@@ -96,13 +88,14 @@ pub enum WireFault {
     /// A `Hello` presented an unregistered tenant or the wrong
     /// credential.
     BadCredential,
-    /// The peer sent a frame kind this side does not accept (e.g. an
-    /// `Answer` frame arriving at the server).
+    /// The peer sent a frame this side does not accept (e.g. an `Answer`
+    /// frame arriving at the server, or a `Request` on a connection no
+    /// `Hello` has bound).
     UnexpectedFrame,
-    /// A `Hello` arrived on a connection that is already bound (to a
-    /// tenant or a session). Rebinding a live connection is a protocol
-    /// violation; reconnect-and-rebind uses a *new* connection with the
-    /// same session id.
+    /// A `Hello` arrived on a connection that is already bound to a
+    /// session. Rebinding a live connection is a protocol violation;
+    /// reconnect-and-rebind uses a *new* connection with the same
+    /// session id.
     Rebind,
 }
 
@@ -129,39 +122,11 @@ impl std::fmt::Display for WireFault {
 /// One decoded wire frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Frame {
-    /// Bind the connection to a tenant. Must present the tenant's
-    /// registered credential (0 when none is required).
-    Hello {
-        /// The tenant to bind to.
-        tenant: TenantId,
-        /// The shared-secret credential.
-        credential: u64,
-    },
-    /// Submit one query.
-    Request {
-        /// The query.
-        query: Query,
-    },
-    /// One answered request, correlated by ticket.
-    Answer {
-        /// The ticket the answer belongs to.
-        ticket: u64,
-        /// The answer.
-        answer: Answer,
-    },
-    /// A typed failure: of one ticket (delivery errors), or of the frame
-    /// that triggered it (admission and decode rejections, `ticket:
-    /// None`).
-    Error {
-        /// The ticket the error belongs to, when it belongs to one.
-        ticket: Option<u64>,
-        /// The error.
-        error: ServeError,
-    },
-    /// v2 `Hello`: bind the connection to a tenant *and* a client-chosen
-    /// session. Reconnecting with the same session id rebinds the
+    /// Bind the connection to a tenant *and* a client-chosen session.
+    /// Must present the tenant's registered credential (0 when none is
+    /// required). Reconnecting with the same session id rebinds the
     /// session (and its dedup window) to the new connection.
-    HelloV2 {
+    Hello {
         /// The tenant to bind to.
         tenant: TenantId,
         /// The shared-secret credential.
@@ -169,45 +134,45 @@ pub enum Frame {
         /// The client-chosen session id; survives reconnects.
         session: u64,
     },
-    /// v2 request: one query under a client-chosen correlation id — the
+    /// Submit one query under a client-chosen correlation id — the
     /// idempotence key the session's dedup window keys on.
-    RequestV2 {
+    Request {
         /// The client-chosen correlation id (unique per session).
         corr: u64,
         /// The query.
         query: Query,
     },
-    /// v2 answer, correlated by the request's correlation id rather than
-    /// a server-side ticket.
-    AnswerV2 {
+    /// One answered request, correlated by the request's correlation id.
+    Answer {
         /// The correlation id of the request being answered.
         corr: u64,
         /// The answer.
         answer: Answer,
     },
-    /// v2 typed failure: of one correlation id, or of the frame that
-    /// triggered it (`corr: None`).
-    ErrorV2 {
+    /// A typed failure: of one correlation id, or of the frame that
+    /// triggered it (`corr: None` — decode errors, refused `Hello`s,
+    /// protocol violations).
+    Error {
         /// The correlation id the error belongs to, when it has one.
         corr: Option<u64>,
         /// The error.
         error: ServeError,
     },
-    /// Keepalive probe (version-neutral). The receiver answers with a
-    /// [`Frame::Pong`] echoing the nonce.
+    /// Keepalive probe. The receiver answers with a [`Frame::Pong`]
+    /// echoing the nonce.
     Ping {
         /// Echoed verbatim in the pong.
         nonce: u64,
     },
-    /// Keepalive reply (version-neutral).
+    /// Keepalive reply.
     Pong {
         /// The nonce of the ping being answered.
         nonce: u64,
     },
-    /// The sender is done with this connection (version-neutral): it
-    /// will finish what is in flight and then close. A server announces
-    /// shutdown or a lifecycle eviction; a client announces intent to
-    /// disconnect cleanly.
+    /// The sender is done with this connection: it will finish what is
+    /// in flight and then close. A server announces shutdown or a
+    /// lifecycle eviction; a client announces intent to disconnect
+    /// cleanly.
     Goaway {
         /// Why the connection is being retired.
         reason: GoawayReason,
@@ -350,49 +315,11 @@ fn put_fault(out: &mut Vec<u8>, fault: WireFault) {
     }
 }
 
-/// The version byte `frame` encodes with: v2 frames carry
-/// [`WIRE_VERSION_2`], everything else (v1 and the version-neutral
-/// control kinds) carries [`WIRE_VERSION`].
-pub fn frame_version(frame: &Frame) -> u8 {
-    match frame {
-        Frame::HelloV2 { .. }
-        | Frame::RequestV2 { .. }
-        | Frame::AnswerV2 { .. }
-        | Frame::ErrorV2 { .. } => WIRE_VERSION_2,
-        _ => WIRE_VERSION,
-    }
-}
-
 /// Encode one frame, length prefix included.
 pub fn encode_frame(f: &Frame) -> Vec<u8> {
-    let mut body = vec![frame_version(f)];
+    let mut body = vec![WIRE_VERSION];
     match *f {
-        Frame::Hello { tenant, credential } => {
-            body.push(KIND_HELLO);
-            put_u16(&mut body, tenant.0);
-            put_u64(&mut body, credential);
-        }
-        Frame::Request { query } => {
-            body.push(KIND_REQUEST);
-            put_query(&mut body, query);
-        }
-        Frame::Answer { ticket, answer } => {
-            body.push(KIND_ANSWER);
-            put_u64(&mut body, ticket);
-            put_answer(&mut body, answer);
-        }
-        Frame::Error { ticket, error } => {
-            body.push(KIND_ERROR);
-            match ticket {
-                Some(t) => {
-                    body.push(1);
-                    put_u64(&mut body, t);
-                }
-                None => body.push(0),
-            }
-            put_error(&mut body, error);
-        }
-        Frame::HelloV2 {
+        Frame::Hello {
             tenant,
             credential,
             session,
@@ -402,17 +329,17 @@ pub fn encode_frame(f: &Frame) -> Vec<u8> {
             put_u64(&mut body, credential);
             put_u64(&mut body, session);
         }
-        Frame::RequestV2 { corr, query } => {
+        Frame::Request { corr, query } => {
             body.push(KIND_REQUEST);
             put_u64(&mut body, corr);
             put_query(&mut body, query);
         }
-        Frame::AnswerV2 { corr, answer } => {
+        Frame::Answer { corr, answer } => {
             body.push(KIND_ANSWER);
             put_u64(&mut body, corr);
             put_answer(&mut body, answer);
         }
-        Frame::ErrorV2 { corr, error } => {
+        Frame::Error { corr, error } => {
             body.push(KIND_ERROR);
             match corr {
                 Some(c) => {
@@ -571,78 +498,50 @@ fn get_fault(c: &mut Cursor<'_>) -> Result<WireFault, WireFault> {
     }
 }
 
-/// Decode one frame body (everything after the length prefix). The
-/// version byte selects the payload layout for kinds 1–4; the control
-/// kinds 5–7 decode identically at either version.
+/// Decode one frame body (everything after the length prefix).
 fn decode_body(body: &[u8]) -> Result<Frame, ServeError> {
     let mut c = Cursor::new(body);
     let version = c.u8().map_err(ServeError::MalformedFrame)?;
-    if version != WIRE_VERSION && version != WIRE_VERSION_2 {
+    if version != WIRE_VERSION {
         return Err(ServeError::ProtocolVersion { got: version });
     }
-    let v2 = version == WIRE_VERSION_2;
-    let kind = c.u8().map_err(ServeError::MalformedFrame)?;
-    let frame = match kind {
-        KIND_HELLO if v2 => Frame::HelloV2 {
-            tenant: TenantId(c.u16().map_err(ServeError::MalformedFrame)?),
-            credential: c.u64().map_err(ServeError::MalformedFrame)?,
-            session: c.u64().map_err(ServeError::MalformedFrame)?,
-        },
+    decode_payload(&mut c).map_err(ServeError::MalformedFrame)
+}
+
+/// Decode the kind byte and its payload, which must fill the body
+/// exactly.
+fn decode_payload(c: &mut Cursor<'_>) -> Result<Frame, WireFault> {
+    let frame = match c.u8()? {
         KIND_HELLO => Frame::Hello {
-            tenant: TenantId(c.u16().map_err(ServeError::MalformedFrame)?),
-            credential: c.u64().map_err(ServeError::MalformedFrame)?,
-        },
-        KIND_REQUEST if v2 => Frame::RequestV2 {
-            corr: c.u64().map_err(ServeError::MalformedFrame)?,
-            query: get_query(&mut c).map_err(ServeError::MalformedFrame)?,
+            tenant: TenantId(c.u16()?),
+            credential: c.u64()?,
+            session: c.u64()?,
         },
         KIND_REQUEST => Frame::Request {
-            query: get_query(&mut c).map_err(ServeError::MalformedFrame)?,
-        },
-        KIND_ANSWER if v2 => Frame::AnswerV2 {
-            corr: c.u64().map_err(ServeError::MalformedFrame)?,
-            answer: get_answer(&mut c).map_err(ServeError::MalformedFrame)?,
+            corr: c.u64()?,
+            query: get_query(c)?,
         },
         KIND_ANSWER => Frame::Answer {
-            ticket: c.u64().map_err(ServeError::MalformedFrame)?,
-            answer: get_answer(&mut c).map_err(ServeError::MalformedFrame)?,
+            corr: c.u64()?,
+            answer: get_answer(c)?,
         },
-        KIND_ERROR => {
-            let tagged = if c.bool().map_err(ServeError::MalformedFrame)? {
-                Some(c.u64().map_err(ServeError::MalformedFrame)?)
-            } else {
-                None
-            };
-            let error = get_error(&mut c).map_err(ServeError::MalformedFrame)?;
-            if v2 {
-                Frame::ErrorV2 {
-                    corr: tagged,
-                    error,
-                }
-            } else {
-                Frame::Error {
-                    ticket: tagged,
-                    error,
-                }
-            }
-        }
-        KIND_PING => Frame::Ping {
-            nonce: c.u64().map_err(ServeError::MalformedFrame)?,
+        KIND_ERROR => Frame::Error {
+            corr: if c.bool()? { Some(c.u64()?) } else { None },
+            error: get_error(c)?,
         },
-        KIND_PONG => Frame::Pong {
-            nonce: c.u64().map_err(ServeError::MalformedFrame)?,
-        },
+        KIND_PING => Frame::Ping { nonce: c.u64()? },
+        KIND_PONG => Frame::Pong { nonce: c.u64()? },
         KIND_GOAWAY => Frame::Goaway {
-            reason: match c.u8().map_err(ServeError::MalformedFrame)? {
+            reason: match c.u8()? {
                 1 => GoawayReason::Shutdown,
                 2 => GoawayReason::IdleTimeout,
                 3 => GoawayReason::Misbehavior,
-                _ => return Err(ServeError::MalformedFrame(WireFault::BadPayload)),
+                _ => return Err(WireFault::BadPayload),
             },
         },
-        k => return Err(ServeError::MalformedFrame(WireFault::UnknownKind(k))),
+        k => return Err(WireFault::UnknownKind(k)),
     };
-    c.finish().map_err(ServeError::MalformedFrame)?;
+    c.finish()?;
     Ok(frame)
 }
 
@@ -707,6 +606,7 @@ mod tests {
     #[test]
     fn split_delivery_reassembles() {
         let frame = Frame::Request {
+            corr: 9,
             query: Query::Connected(17, 4242),
         };
         let bytes = encode_frame(&frame);

@@ -14,29 +14,31 @@
 //!    frame, charging [`FRAME_DECODE_OPS`] per decode attempt
 //!    (well-formed or not) on the pumping ledger. `Hello` binds the
 //!    connection to a tenant (checked against the registered credential
-//!    when tenancy is active); v2 `Hello` additionally binds a
-//!    *session*; `Request` is admitted through
-//!    [`StreamingServer::submit_as`](crate::StreamingServer::submit_as);
-//!    v2 `Request` first probes the session's dedup window; inbound
+//!    when tenancy is active) and a *session* ([`SESSION_BIND_OPS`]);
+//!    `Request` probes the session's dedup window ([`DEDUP_PROBE_OPS`])
+//!    and is then admitted through
+//!    [`StreamingServer::submit_as`](crate::StreamingServer::submit_as)
+//!    ([`DEDUP_INSERT_WRITES`] for its dedup record); inbound
 //!    `Answer`/`Error` frames are protocol violations
 //!    ([`WireFault::UnexpectedFrame`]).
 //! 2. **Dispatch** — one [`flush`](crate::StreamingServer::flush) if the
 //!    queue is non-empty.
 //! 3. **Deliver** — every deliverable result is encoded
-//!    ([`FRAME_ENCODE_OPS`] each) and sent to the connection (v1) or
-//!    session (v2) that submitted it.
+//!    ([`FRAME_ENCODE_OPS`] each) and sent to the connection currently
+//!    bound to the session that submitted it, keyed by the request's
+//!    `(session, corr)`.
 //!
 //! ## Windows as backpressure
 //!
-//! Each connection may have at most `window` requests in flight
-//! (submitted, answer not yet sent). A request over the window is
+//! Each session may have at most `window` requests in flight
+//! (submitted, answer not yet recorded). A request over the window is
 //! answered with a typed [`ServeError::Overloaded`] error frame —
-//! `queue_len` reporting the connection's in-flight count and
-//! `max_queue` its window — and **never** a dropped byte: the connection
-//! stays synchronized and other connections keep submitting. The window
-//! defaults to the admission policy's `max_queue`, so a single
-//! connection cannot force the server-side
-//! [`Overflow::Shed`](crate::Overflow::Shed) path on its own.
+//! `queue_len` reporting the session's in-flight count and `max_queue`
+//! its window — and **never** a dropped byte: the connection stays
+//! synchronized and other sessions keep submitting. The window defaults
+//! to the admission policy's `max_queue`, so a single session cannot
+//! force the server-side [`Overflow::Shed`](crate::Overflow::Shed) path
+//! on its own.
 //!
 //! ## Connection lifecycle
 //!
@@ -59,7 +61,7 @@
 //!   *ingesting* that connection (its bytes keep accumulating in the
 //!   transport, whose flow control is the peer's problem) — slow
 //!   clients cost bounded memory and never a dropped byte.
-//! * **Session dedup windows.** Each v2 session keeps its last
+//! * **Session dedup windows.** Each session keeps its last
 //!   `dedup_window` correlation ids with their outcomes: a resubmitted
 //!   in-flight correlation id is suppressed, a resubmitted completed
 //!   one is re-answered from the record. Combined with client
@@ -87,8 +89,7 @@
 //! ([`TransportError`] on send or receive) or by
 //! the lifecycle policy above; close is counted, buffered frames
 //! already received are still served, and undeliverable answers are
-//! parked (v2: replayable from the dedup record) or dropped after
-//! accounting (v1).
+//! parked, replayable from the session's dedup record.
 
 use std::collections::VecDeque;
 
@@ -120,8 +121,9 @@ impl ConnId {
 /// Opt-in connection-lifecycle knobs, clocked in model time (pump
 /// rounds). The default disables everything that could alter the
 /// charge sequence of a pre-lifecycle frontend: no idle deadline, no
-/// strike limit, no send-buffer bound. `dedup_window` only matters to
-/// v2 sessions, which do not exist unless a peer speaks v2.
+/// strike limit, no send-buffer bound. `dedup_window` bounds each
+/// session's record of answered correlation ids; evicting a record
+/// charges nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LifecyclePolicy {
     /// Rounds a connection may sit without a decoded frame before it is
@@ -136,7 +138,7 @@ pub struct LifecyclePolicy {
     /// Deferred send-queue length at which the frontend stops ingesting
     /// a slow connection (0 = unbounded queue, never stop ingesting).
     pub send_buffer: usize,
-    /// Correlation ids remembered per v2 session (clamped to ≥ 1); the
+    /// Correlation ids remembered per session (clamped to ≥ 1); the
     /// idempotence horizon for client resubmission.
     pub dedup_window: usize,
 }
@@ -153,6 +155,13 @@ impl Default for LifecyclePolicy {
     }
 }
 
+/// What an accepted `Hello` bound a connection to.
+#[derive(Clone, Copy)]
+struct Binding {
+    tenant: TenantId,
+    session: u64,
+}
+
 /// Server-side state of one connection.
 struct Conn {
     transport: Box<dyn Transport>,
@@ -160,13 +169,11 @@ struct Conn {
     /// Encoded frames the transport was too busy to take, flushed in
     /// order on later rounds.
     tx: VecDeque<Vec<u8>>,
-    /// Tenant bound by `Hello`; unbound connections submit as
-    /// [`TenantId::DEFAULT`].
-    tenant: Option<TenantId>,
-    /// Session bound by a v2 `Hello`.
-    session: Option<u64>,
-    /// v1 requests admitted whose answer frame has not been sent.
-    in_flight: usize,
+    /// The binding of the accepted `Hello`, or, until one is accepted,
+    /// the error this connection's requests are answered with: the last
+    /// `Hello` refusal, or [`WireFault::UnexpectedFrame`] when no
+    /// `Hello` was sent.
+    binding: Result<Binding, ServeError>,
     /// Model time of the last decoded frame.
     last_rx: u64,
     /// When a keepalive ping was sent, until answered by any frame.
@@ -194,20 +201,12 @@ impl Transport for DeadTransport {
     }
 }
 
-/// Where an in-flight ticket's answer goes.
-enum Dest {
-    /// A v1 connection slot.
-    Conn(usize),
-    /// A v2 session and the request's correlation id.
-    Session { session: u64, corr: u64 },
-}
-
-/// The server half of a v2 session: survives reconnects, carries the
+/// The server half of a session: survives reconnects, carries the
 /// dedup window that makes resubmission idempotent.
 struct Session {
     /// The connection currently speaking for this session.
     conn: Option<usize>,
-    /// v2 requests admitted whose answer has not been recorded.
+    /// Requests admitted whose answer has not been recorded.
     in_flight: usize,
     /// Correlation id → outcome, bounded by the policy's `dedup_window`.
     dedup: FxHashMap<u64, DedupState>,
@@ -232,7 +231,7 @@ pub struct FrontendStats {
     pub frames_out: u64,
     /// Requests admitted into the streaming server.
     pub admitted: u64,
-    /// Requests rejected because the connection's window was full.
+    /// Requests rejected because the session's window was full.
     pub rejected_window: u64,
     /// Requests rejected by admission itself (shed, unknown tenant,
     /// quota).
@@ -240,27 +239,28 @@ pub struct FrontendStats {
     /// Requests rejected with [`ServeError::ShuttingDown`] after a
     /// `Goaway` was exchanged.
     pub rejected_shutdown: u64,
-    /// Complete frames that failed to decode, plus inbound
-    /// `Answer`/`Error` protocol violations and rebinds.
+    /// Complete frames that failed to decode, plus protocol violations:
+    /// inbound `Answer`/`Error` frames, rebinds, and requests on a
+    /// connection without a session.
     pub malformed_frames: u64,
-    /// `Hello` frames that bound a tenant.
+    /// `Hello` frames that bound a session.
     pub hellos_accepted: u64,
     /// `Hello` frames rejected (unknown tenant or bad credential).
     pub hellos_rejected: u64,
-    /// v2 sessions created.
+    /// Sessions created.
     pub sessions_bound: u64,
-    /// v2 sessions rebound to a new connection (reconnects).
+    /// Sessions rebound to a new connection (reconnects).
     pub sessions_rebound: u64,
-    /// v2 requests whose correlation id was already in flight —
+    /// Requests whose correlation id was already in flight —
     /// suppressed, answered once by the pending ticket.
     pub dup_requests_suppressed: u64,
-    /// v2 requests whose correlation id was already answered —
+    /// Requests whose correlation id was already answered —
     /// re-answered from the dedup record without recomputation.
     pub dup_answers_replayed: u64,
     /// Answer frames (including per-ticket error results) delivered to a
     /// live connection.
     pub answers_delivered: u64,
-    /// v2 answers whose session had no live connection at delivery
+    /// Answers whose session had no live connection at delivery
     /// time; the outcome is recorded for replay on resubmission.
     pub answers_parked: u64,
     /// Frames that could not be written because the transport failed.
@@ -291,8 +291,7 @@ pub struct PumpReport {
     pub admitted: usize,
     /// Queries dispatched to shards this round.
     pub dispatched: usize,
-    /// Answer/error results delivered (sent, parked, or
-    /// dropped-at-close) this round.
+    /// Answer/error results delivered (sent or parked) this round.
     pub delivered: usize,
 }
 
@@ -373,6 +372,18 @@ fn send_frame(conn: &mut Conn, led: &mut Ledger, stats: &mut FrontendStats, fram
     }
 }
 
+/// Send a typed [`Frame::Error`] for `corr` (`None`: for the frame that
+/// triggered it).
+fn send_error(
+    conn: &mut Conn,
+    led: &mut Ledger,
+    stats: &mut FrontendStats,
+    corr: Option<u64>,
+    error: ServeError,
+) {
+    send_frame(conn, led, stats, &Frame::Error { corr, error });
+}
+
 /// One strike against a misbehaving connection; at the policy's limit
 /// the connection is told `Goaway` (`Misbehavior`) and closed.
 fn strike(conn: &mut Conn, led: &mut Ledger, stats: &mut FrontendStats, policy: &LifecyclePolicy) {
@@ -400,7 +411,7 @@ fn strike(conn: &mut Conn, led: &mut Ledger, stats: &mut FrontendStats, policy: 
 /// # use wec_graph::{gen, Priorities};
 /// use wec_serve::{
 ///     encode_frame, loopback_pair, AdmissionPolicy, Frame, FrameBuf, Frontend, Query,
-///     ShardedServer, StreamingServer, Transport,
+///     ShardedServer, StreamingServer, TenantId, Transport,
 /// };
 ///
 /// # let g = gen::grid(4, 4);
@@ -417,10 +428,12 @@ fn strike(conn: &mut Conn, led: &mut Ledger, stats: &mut FrontendStats, policy: 
 /// let (mut client, server_end) = loopback_pair();
 /// fe.connect(Box::new(server_end));
 ///
-/// // The client writes a request frame; one pump ingests, dispatches,
-/// // and writes the answer frame back.
+/// // The client opens a session and writes a request frame; one pump
+/// // ingests, dispatches, and writes the answer frame back.
+/// let hello = Frame::Hello { tenant: TenantId::DEFAULT, credential: 0, session: 1 };
+/// client.send(&encode_frame(&hello)).unwrap();
 /// let q = Query::Connected(0, 15);
-/// client.send(&encode_frame(&Frame::Request { query: q })).unwrap();
+/// client.send(&encode_frame(&Frame::Request { corr: 7, query: q })).unwrap();
 /// fe.pump(&mut led);
 ///
 /// let mut rx = FrameBuf::default();
@@ -428,8 +441,8 @@ fn strike(conn: &mut Conn, led: &mut Ledger, stats: &mut FrontendStats, policy: 
 /// let n = client.recv(&mut buf).unwrap();
 /// rx.extend(&buf[..n]);
 /// match rx.next_frame() {
-///     Some(Ok(Frame::Answer { ticket, answer })) => {
-///         assert_eq!(ticket, 0);
+///     Some(Ok(Frame::Answer { corr, answer })) => {
+///         assert_eq!(corr, 7);
 ///         assert_eq!(answer.as_bool(), Some(true), "the grid is connected");
 ///     }
 ///     other => panic!("expected an answer frame, got {other:?}"),
@@ -438,9 +451,9 @@ fn strike(conn: &mut Conn, led: &mut Ledger, stats: &mut FrontendStats, policy: 
 pub struct Frontend<C, B = NoBiconn> {
     server: StreamingServer<C, B>,
     conns: Vec<Conn>,
-    /// Where each in-flight ticket's answer goes.
-    ticket_dest: FxHashMap<u64, Dest>,
-    /// v2 sessions by client-chosen session id.
+    /// Each in-flight ticket's `(session, corr)`.
+    ticket_dest: FxHashMap<u64, (u64, u64)>,
+    /// Sessions by client-chosen session id.
     sessions: FxHashMap<u64, Session>,
     window: usize,
     lifecycle: LifecyclePolicy,
@@ -457,7 +470,7 @@ where
     C: OracleHandle<Key = Vertex, Answer = ComponentId>,
     B: OracleHandle<Key = BiconnQueryKey, Answer = bool>,
 {
-    /// Wrap `server`; the per-connection window defaults to the
+    /// Wrap `server`; the per-session window defaults to the
     /// admission policy's `max_queue`, the lifecycle policy to
     /// [`LifecyclePolicy::default`] (everything off).
     pub fn new(server: StreamingServer<C, B>) -> Self {
@@ -475,7 +488,7 @@ where
         }
     }
 
-    /// Set the per-connection in-flight window (clamped to at least 1).
+    /// Set the per-session in-flight window (clamped to at least 1).
     pub fn with_window(mut self, window: usize) -> Self {
         self.window = window.max(1);
         self
@@ -487,7 +500,7 @@ where
         self
     }
 
-    /// The per-connection in-flight window.
+    /// The per-session in-flight window.
     pub fn window(&self) -> usize {
         self.window
     }
@@ -514,9 +527,7 @@ where
             transport,
             rx: FrameBuf::default(),
             tx: VecDeque::new(),
-            tenant: None,
-            session: None,
-            in_flight: 0,
+            binding: Err(ServeError::MalformedFrame(WireFault::UnexpectedFrame)),
             last_rx: self.now,
             ping_sent: None,
             strikes: 0,
@@ -526,17 +537,12 @@ where
         ConnId(self.conns.len() - 1)
     }
 
-    /// v1 requests admitted on `conn` whose answer has not been sent.
-    pub fn conn_in_flight(&self, conn: ConnId) -> usize {
-        self.conns[conn.0].in_flight
-    }
-
     /// Whether `conn`'s transport has failed or been retired.
     pub fn conn_closed(&self, conn: ConnId) -> bool {
         self.conns[conn.0].closed
     }
 
-    /// v2 requests in flight for `session` (`None` for an unknown
+    /// Requests in flight for `session` (`None` for an unknown
     /// session id).
     pub fn session_in_flight(&self, session: u64) -> Option<usize> {
         self.sessions.get(&session).map(|s| s.in_flight)
@@ -611,184 +617,66 @@ where
                 stats.frames_in += 1;
                 rx_frames += 1;
                 match decoded {
-                    Ok(Frame::Hello { tenant, credential }) => {
-                        if conn.draining || *shutting_down {
-                            stats.rejected_shutdown += 1;
-                            send_frame(
-                                conn,
-                                led,
-                                stats,
-                                &Frame::Error {
-                                    ticket: None,
-                                    error: ServeError::ShuttingDown,
-                                },
-                            );
-                            continue;
-                        }
-                        if conn.tenant.is_some() || conn.session.is_some() {
-                            stats.malformed_frames += 1;
-                            send_frame(
-                                conn,
-                                led,
-                                stats,
-                                &Frame::Error {
-                                    ticket: None,
-                                    error: ServeError::MalformedFrame(WireFault::Rebind),
-                                },
-                            );
-                            strike(conn, led, stats, lifecycle);
-                            continue;
-                        }
-                        match hello_verdict(server, tenant, credential) {
-                            Ok(()) => {
-                                conn.tenant = Some(tenant);
-                                stats.hellos_accepted += 1;
-                            }
-                            Err(error) => {
-                                stats.hellos_rejected += 1;
-                                send_frame(
-                                    conn,
-                                    led,
-                                    stats,
-                                    &Frame::Error {
-                                        ticket: None,
-                                        error,
-                                    },
-                                );
-                            }
-                        }
-                    }
-                    Ok(Frame::HelloV2 {
+                    Ok(Frame::Hello {
                         tenant,
                         credential,
                         session,
                     }) => {
                         if conn.draining || *shutting_down {
                             stats.rejected_shutdown += 1;
-                            send_frame(
-                                conn,
-                                led,
-                                stats,
-                                &Frame::ErrorV2 {
-                                    corr: None,
-                                    error: ServeError::ShuttingDown,
-                                },
-                            );
+                            send_error(conn, led, stats, None, ServeError::ShuttingDown);
                             continue;
                         }
-                        if conn.tenant.is_some() || conn.session.is_some() {
+                        if conn.binding.is_ok() {
                             stats.malformed_frames += 1;
-                            send_frame(
-                                conn,
-                                led,
-                                stats,
-                                &Frame::ErrorV2 {
-                                    corr: None,
-                                    error: ServeError::MalformedFrame(WireFault::Rebind),
-                                },
-                            );
+                            let error = ServeError::MalformedFrame(WireFault::Rebind);
+                            send_error(conn, led, stats, None, error);
                             strike(conn, led, stats, lifecycle);
                             continue;
                         }
-                        match hello_verdict(server, tenant, credential) {
-                            Ok(()) => {
-                                led.op(SESSION_BIND_OPS);
-                                conn.tenant = Some(tenant);
-                                conn.session = Some(session);
-                                match sessions.entry(session) {
-                                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                                        // Reconnect: the session (and its
-                                        // dedup window) follows the client
-                                        // to the new connection.
-                                        e.get_mut().conn = Some(ci);
-                                        stats.sessions_rebound += 1;
-                                    }
-                                    std::collections::hash_map::Entry::Vacant(e) => {
-                                        e.insert(Session {
-                                            conn: Some(ci),
-                                            in_flight: 0,
-                                            dedup: FxHashMap::default(),
-                                            order: VecDeque::new(),
-                                        });
-                                        stats.sessions_bound += 1;
-                                    }
-                                }
-                                stats.hellos_accepted += 1;
+                        if let Err(error) = hello_verdict(server, tenant, credential) {
+                            stats.hellos_rejected += 1;
+                            conn.binding = Err(error);
+                            send_error(conn, led, stats, None, error);
+                            continue;
+                        }
+                        led.op(SESSION_BIND_OPS);
+                        conn.binding = Ok(Binding { tenant, session });
+                        match sessions.entry(session) {
+                            std::collections::hash_map::Entry::Occupied(mut e) => {
+                                // Reconnect: the session (and its dedup
+                                // window) follows the client to the new
+                                // connection.
+                                e.get_mut().conn = Some(ci);
+                                stats.sessions_rebound += 1;
                             }
-                            Err(error) => {
-                                stats.hellos_rejected += 1;
-                                send_frame(conn, led, stats, &Frame::ErrorV2 { corr: None, error });
+                            std::collections::hash_map::Entry::Vacant(e) => {
+                                e.insert(Session {
+                                    conn: Some(ci),
+                                    in_flight: 0,
+                                    dedup: FxHashMap::default(),
+                                    order: VecDeque::new(),
+                                });
+                                stats.sessions_bound += 1;
                             }
                         }
+                        stats.hellos_accepted += 1;
                     }
-                    Ok(Frame::Request { query }) => {
-                        if conn.draining || *shutting_down {
-                            stats.rejected_shutdown += 1;
-                            send_frame(
-                                conn,
-                                led,
-                                stats,
-                                &Frame::Error {
-                                    ticket: None,
-                                    error: ServeError::ShuttingDown,
-                                },
-                            );
-                            continue;
-                        }
-                        if conn.in_flight >= *window {
-                            stats.rejected_window += 1;
-                            send_frame(
-                                conn,
-                                led,
-                                stats,
-                                &Frame::Error {
-                                    ticket: None,
-                                    error: ServeError::Overloaded {
-                                        queue_len: conn.in_flight,
-                                        max_queue: *window,
-                                    },
-                                },
-                            );
-                            continue;
-                        }
-                        let tenant = conn.tenant.unwrap_or(TenantId::DEFAULT);
-                        match server.submit_as(led, tenant, query) {
-                            Ok(ticket) => {
-                                ticket_dest.insert(ticket.id(), Dest::Conn(ci));
-                                conn.in_flight += 1;
-                                report.admitted += 1;
-                                stats.admitted += 1;
-                            }
+                    Ok(Frame::Request { corr, query }) => {
+                        let Binding {
+                            tenant,
+                            session: sid,
+                        } = match conn.binding {
+                            Ok(binding) => binding,
                             Err(error) => {
-                                stats.rejected_admission += 1;
-                                send_frame(
-                                    conn,
-                                    led,
-                                    stats,
-                                    &Frame::Error {
-                                        ticket: None,
-                                        error,
-                                    },
-                                );
+                                // Requests require a session; one without
+                                // is a protocol violation, answered with
+                                // why there is none.
+                                stats.malformed_frames += 1;
+                                send_error(conn, led, stats, Some(corr), error);
+                                strike(conn, led, stats, lifecycle);
+                                continue;
                             }
-                        }
-                    }
-                    Ok(Frame::RequestV2 { corr, query }) => {
-                        let Some(sid) = conn.session else {
-                            // v2 requests require a session; an unbound
-                            // one is a protocol violation, answered typed.
-                            stats.malformed_frames += 1;
-                            send_frame(
-                                conn,
-                                led,
-                                stats,
-                                &Frame::ErrorV2 {
-                                    corr: Some(corr),
-                                    error: ServeError::MalformedFrame(WireFault::UnexpectedFrame),
-                                },
-                            );
-                            strike(conn, led, stats, lifecycle);
-                            continue;
                         };
                         let sess = sessions.get_mut(&sid).expect("bound sessions exist");
                         led.op(DEDUP_PROBE_OPS);
@@ -802,7 +690,7 @@ where
                             }
                             Some(DedupState::Done(result)) => {
                                 stats.dup_answers_replayed += 1;
-                                let frame = answer_frame_v2(corr, *result);
+                                let frame = answer_frame(corr, *result);
                                 send_frame(conn, led, stats, &frame);
                                 continue;
                             }
@@ -810,38 +698,21 @@ where
                         }
                         if conn.draining || *shutting_down {
                             stats.rejected_shutdown += 1;
-                            send_frame(
-                                conn,
-                                led,
-                                stats,
-                                &Frame::ErrorV2 {
-                                    corr: Some(corr),
-                                    error: ServeError::ShuttingDown,
-                                },
-                            );
+                            send_error(conn, led, stats, Some(corr), ServeError::ShuttingDown);
                             continue;
                         }
                         if sess.in_flight >= *window {
                             stats.rejected_window += 1;
-                            send_frame(
-                                conn,
-                                led,
-                                stats,
-                                &Frame::ErrorV2 {
-                                    corr: Some(corr),
-                                    error: ServeError::Overloaded {
-                                        queue_len: sess.in_flight,
-                                        max_queue: *window,
-                                    },
-                                },
-                            );
+                            let error = ServeError::Overloaded {
+                                queue_len: sess.in_flight,
+                                max_queue: *window,
+                            };
+                            send_error(conn, led, stats, Some(corr), error);
                             continue;
                         }
-                        let tenant = conn.tenant.unwrap_or(TenantId::DEFAULT);
                         match server.submit_as(led, tenant, query) {
                             Ok(ticket) => {
-                                ticket_dest
-                                    .insert(ticket.id(), Dest::Session { session: sid, corr });
+                                ticket_dest.insert(ticket.id(), (sid, corr));
                                 sess.in_flight += 1;
                                 led.write(DEDUP_INSERT_WRITES);
                                 sess.dedup.insert(corr, DedupState::Pending);
@@ -863,15 +734,7 @@ where
                             }
                             Err(error) => {
                                 stats.rejected_admission += 1;
-                                send_frame(
-                                    conn,
-                                    led,
-                                    stats,
-                                    &Frame::ErrorV2 {
-                                        corr: Some(corr),
-                                        error,
-                                    },
-                                );
+                                send_error(conn, led, stats, Some(corr), error);
                             }
                         }
                     }
@@ -886,35 +749,15 @@ where
                         stats.goaways_received += 1;
                         conn.draining = true;
                     }
-                    Ok(
-                        Frame::Answer { .. }
-                        | Frame::Error { .. }
-                        | Frame::AnswerV2 { .. }
-                        | Frame::ErrorV2 { .. },
-                    ) => {
+                    Ok(Frame::Answer { .. } | Frame::Error { .. }) => {
                         stats.malformed_frames += 1;
-                        send_frame(
-                            conn,
-                            led,
-                            stats,
-                            &Frame::Error {
-                                ticket: None,
-                                error: ServeError::MalformedFrame(WireFault::UnexpectedFrame),
-                            },
-                        );
+                        let error = ServeError::MalformedFrame(WireFault::UnexpectedFrame);
+                        send_error(conn, led, stats, None, error);
                         strike(conn, led, stats, lifecycle);
                     }
                     Err(error) => {
                         stats.malformed_frames += 1;
-                        send_frame(
-                            conn,
-                            led,
-                            stats,
-                            &Frame::Error {
-                                ticket: None,
-                                error,
-                            },
-                        );
+                        send_error(conn, led, stats, None, error);
                         strike(conn, led, stats, lifecycle);
                     }
                 }
@@ -957,63 +800,43 @@ where
         // 3. Deliver everything deliverable.
         while let Some((ticket, result)) = server.try_next() {
             report.delivered += 1;
-            match ticket_dest.remove(&ticket.id()) {
-                None => {
-                    // Submitted through the in-process API on
-                    // `server_mut()`; not ours to answer.
-                }
-                Some(Dest::Conn(ci)) => {
-                    let conn = &mut conns[ci];
-                    conn.in_flight -= 1;
-                    let frame = match result {
-                        Ok(answer) => Frame::Answer {
-                            ticket: ticket.id(),
-                            answer,
-                        },
-                        Err(error) => Frame::Error {
-                            ticket: Some(ticket.id()),
-                            error,
-                        },
-                    };
-                    if send_frame(conn, led, stats, &frame) {
+            // A ticket without a destination was submitted through the
+            // in-process API on `server_mut()`; not ours to answer.
+            let Some((session, corr)) = ticket_dest.remove(&ticket.id()) else {
+                continue;
+            };
+            let Some(sess) = sessions.get_mut(&session) else {
+                continue;
+            };
+            sess.in_flight = sess.in_flight.saturating_sub(1);
+            // Record the outcome first: even if the connection is gone, a
+            // resubmission replays it — the exactly-once contract does not
+            // depend on this delivery landing.
+            if let Some(state) = sess.dedup.get_mut(&corr) {
+                *state = DedupState::Done(result);
+            }
+            let frame = answer_frame(corr, result);
+            match sess.conn {
+                Some(ci) if !conns[ci].closed => {
+                    if send_frame(&mut conns[ci], led, stats, &frame) {
                         stats.answers_delivered += 1;
+                    } else {
+                        stats.answers_parked += 1;
                     }
                 }
-                Some(Dest::Session { session, corr }) => {
-                    let Some(sess) = sessions.get_mut(&session) else {
-                        continue;
-                    };
-                    sess.in_flight = sess.in_flight.saturating_sub(1);
-                    // Record the outcome first: even if the connection is
-                    // gone, a resubmission replays it — the exactly-once
-                    // contract does not depend on this delivery landing.
-                    if let Some(state) = sess.dedup.get_mut(&corr) {
-                        *state = DedupState::Done(result);
-                    }
-                    let frame = answer_frame_v2(corr, result);
-                    match sess.conn {
-                        Some(ci) if !conns[ci].closed => {
-                            if send_frame(&mut conns[ci], led, stats, &frame) {
-                                stats.answers_delivered += 1;
-                            } else {
-                                stats.answers_parked += 1;
-                            }
-                        }
-                        _ => stats.answers_parked += 1,
-                    }
-                }
+                _ => stats.answers_parked += 1,
             }
         }
 
         // 4. Close draining connections with nothing left to say.
         for conn in conns.iter_mut() {
-            if conn.closed || !conn.draining || !conn.tx.is_empty() || conn.in_flight > 0 {
+            if conn.closed || !conn.draining || !conn.tx.is_empty() {
                 continue;
             }
             let session_busy = conn
-                .session
-                .and_then(|sid| sessions.get(&sid))
-                .is_some_and(|s| s.in_flight > 0);
+                .binding
+                .as_ref()
+                .is_ok_and(|b| sessions.get(&b.session).is_some_and(|s| s.in_flight > 0));
             if !session_busy {
                 close_conn(conn, stats);
             }
@@ -1069,7 +892,7 @@ where
     /// ([`Frontend::begin_shutdown`]), drain every in-flight ticket,
     /// close every connection. No admitted request is abandoned and no
     /// buffered byte dropped: everything in flight is answered (or, for
-    /// a v2 session without a live connection, recorded for replay)
+    /// a session without a live connection, recorded for replay)
     /// before the close.
     pub fn shutdown(&mut self, led: &mut Ledger) -> PumpReport {
         self.begin_shutdown(led);
@@ -1108,11 +931,11 @@ where
     }
 }
 
-/// The v2 delivery frame for one recorded outcome.
-fn answer_frame_v2(corr: u64, result: ServeResult) -> Frame {
+/// The delivery frame for one recorded outcome.
+fn answer_frame(corr: u64, result: ServeResult) -> Frame {
     match result {
-        Ok(answer) => Frame::AnswerV2 { corr, answer },
-        Err(error) => Frame::ErrorV2 {
+        Ok(answer) => Frame::Answer { corr, answer },
+        Err(error) => Frame::Error {
             corr: Some(corr),
             error,
         },

@@ -12,23 +12,24 @@
 //! ```text
 //! ┌───────────┬──────────┬────────┬─────────────────────────┐
 //! │ len: u32  │ ver: u8  │ kind   │ payload (len − 2 bytes) │
-//! │ LE        │ 1 or 2   │ u8     │ kind-specific, LE ints  │
+//! │ LE        │ 2        │ u8     │ kind-specific, LE ints  │
 //! └───────────┴──────────┴────────┴─────────────────────────┘
 //! ```
 //!
 //! `len` counts everything after the prefix (version + kind + payload)
-//! and is capped at [`MAX_FRAME_BYTES`]. Two protocol versions share
-//! the framing and negotiate per frame — the server answers each frame
-//! in the version it arrived in, so v1 and v2 peers coexist on one
-//! frontend. v1 frame kinds: `Hello` (tenant id and credential, binds a
-//! connection to a tenant), `Request` (one [`Query`](crate::Query)),
-//! `Answer` (ticket plus [`Answer`](crate::Answer)), `Error` (optional
-//! ticket plus [`ServeError`](crate::ServeError)). v2 widens `Hello`
-//! with a session id and keys `Request`/`Answer`/`Error` by
-//! client-chosen correlation ids — the basis of reconnect-with-resume
-//! and idempotent resubmission. Kinds 5–7 (`Ping`/`Pong`/`Goaway`, the
-//! connection-lifecycle frames) are version-neutral. The full per-kind
-//! payload layout is documented in [`codec`].
+//! and is capped at [`MAX_FRAME_BYTES`]. Every frame carries the one
+//! protocol version, [`WIRE_VERSION`]; any other version byte is
+//! refused with a typed [`ProtocolVersion`](crate::ServeError::ProtocolVersion)
+//! error. Frame kinds: `Hello` (tenant id, credential and a
+//! client-chosen session id — binds a connection to a tenant and a
+//! session that survives reconnects), `Request` (a client-chosen
+//! correlation id plus one [`Query`](crate::Query)), `Answer`
+//! (correlation id plus [`Answer`](crate::Answer)), `Error` (optional
+//! correlation id plus [`ServeError`](crate::ServeError)), and the
+//! connection-lifecycle frames `Ping`/`Pong`/`Goaway`. Sessions and
+//! correlation ids are the basis of reconnect-with-resume and idempotent
+//! resubmission. The full per-kind payload layout is documented in
+//! [`codec`].
 //!
 //! Decoding is *total*: any byte sequence either yields a frame or a
 //! typed [`crate::ServeError::MalformedFrame`] /
@@ -56,11 +57,11 @@
 //! connection's bytes, decodes and handles the frames (charging
 //! [`wec_asym::FRAME_DECODE_OPS`] per frame on the pumping ledger),
 //! dispatches at most one micro-batch, and writes out every deliverable
-//! answer as a frame ([`wec_asym::FRAME_ENCODE_OPS`] each). Connection
-//! windows map per-connection backpressure onto the admission queue: a
-//! connection with `window` requests in flight gets a typed `Overloaded`
+//! answer as a frame ([`wec_asym::FRAME_ENCODE_OPS`] each). Session
+//! windows map per-session backpressure onto the admission queue: a
+//! session with `window` requests in flight gets a typed `Overloaded`
 //! error frame for the overflow request — never a dropped byte — while
-//! other connections keep submitting. [`LifecyclePolicy`] adds opt-in
+//! other sessions keep submitting. [`LifecyclePolicy`] adds opt-in
 //! idle deadlines with `Ping`/`Pong` keepalive, malformed-frame strike
 //! escalation, bounded per-connection send buffers with slow-client
 //! backpressure, and per-session dedup windows;
@@ -86,8 +87,7 @@ pub mod transport;
 pub use chaos::{ChaosConnector, ChaosStats, ChaosTransport, WireFaultPlan};
 pub use client::{ClientStats, RetryPolicy, WireClient};
 pub use codec::{
-    encode_frame, frame_version, Frame, FrameBuf, GoawayReason, WireFault, MAX_FRAME_BYTES,
-    WIRE_VERSION, WIRE_VERSION_2,
+    encode_frame, Frame, FrameBuf, GoawayReason, WireFault, MAX_FRAME_BYTES, WIRE_VERSION,
 };
 pub use frontend::{ConnId, Frontend, FrontendStats, LifecyclePolicy, PumpReport};
 pub use transport::{

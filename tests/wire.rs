@@ -6,22 +6,26 @@
 //!    split at every byte boundary across two deliveries, with and
 //!    without duplicated frames prepended), truncated frames wait
 //!    instead of erroring, bad version / unknown kind bytes are rejected
-//!    as *typed* errors with the stream staying synchronized, and
-//!    arbitrary garbage never panics the decoder — for both protocol
-//!    versions;
+//!    as *typed* errors with the stream staying synchronized (the
+//!    retired version 1 included), and arbitrary garbage never panics
+//!    the decoder;
 //! 2. deficit-round-robin fair share holds **exactly**: under a 10:1
 //!    submission skew with equal weights, both tenants' dispatched counts
 //!    advance in lockstep while both are backlogged, and a 3:1 weighting
 //!    splits every contended micro-batch 3:1 — deterministic counts, not
 //!    statistical bounds;
 //! 3. the loopback frontend serves end to end: hello credentials gate
-//!    tenant binding, per-connection windows reject the overflow request
+//!    session binding, a refused hello fails each later request with the
+//!    refusal's error, per-session windows reject the overflow request
 //!    with a typed `Overloaded` error frame (never a dropped byte), quota
-//!    rejections travel as error frames, and each tenant's answers arrive
-//!    in its own submission order;
+//!    rejections travel as error frames, each session's answers arrive
+//!    in its own submission order, and retired v1 frames are refused
+//!    typed;
 //! 4. wire-served costs are **bit-identical** to the in-process path plus
-//!    exactly one `FRAME_DECODE_OPS` per inbound frame and one
-//!    `FRAME_ENCODE_OPS` per outbound frame. CI runs this file under
+//!    exactly the priced wire work: `FRAME_DECODE_OPS` per inbound frame,
+//!    `FRAME_ENCODE_OPS` per outbound frame, `SESSION_BIND_OPS` per
+//!    session, `DEDUP_PROBE_OPS` per request and `DEDUP_INSERT_WRITES`
+//!    per admitted request. CI runs this file under
 //!    `WEC_THREADS ∈ {1, 2, 8, 16}`, pinning the equality at every
 //!    parallelism level.
 
@@ -29,10 +33,11 @@ use wec::asym::{Costs, Ledger};
 use wec::connectivity::{ConnectivityOracle, OracleBuildOpts};
 use wec::graph::{gen, Csr, Priorities};
 use wec::serve::{
-    encode_frame, loopback_pair, AdmissionPolicy, Answer, FairShare, Frame, FrameBuf, Frontend,
-    GoawayReason, LoopbackTransport, Overflow, Query, ServeError, ShardedServer, Snapshot,
-    StreamingServer, TcpTransport, TenancyStats, TenantId, TenantSpec, Transport, WireFault,
-    FRAME_DECODE_OPS, FRAME_ENCODE_OPS, MAX_FRAME_BYTES,
+    encode_frame, loopback_listener, loopback_pair, AdmissionPolicy, Answer, FairShare, Frame,
+    FrameBuf, Frontend, GoawayReason, LifecyclePolicy, LoopbackTransport, Overflow, Query,
+    ServeError, ShardedServer, Snapshot, StreamingServer, TcpTransport, TenancyStats, TenantId,
+    TenantSpec, Transport, WireClient, WireFault, DEDUP_INSERT_WRITES, DEDUP_PROBE_OPS,
+    FRAME_DECODE_OPS, FRAME_ENCODE_OPS, MAX_FRAME_BYTES, SESSION_BIND_OPS,
 };
 
 const OMEGA: u64 = 64;
@@ -123,40 +128,21 @@ fn arb_reason(r: &mut Lcg) -> GoawayReason {
 }
 
 fn arb_frame(r: &mut Lcg) -> Frame {
-    match r.below(11) {
+    match r.below(7) {
         0 => Frame::Hello {
-            tenant: TenantId(r.below(1 << 16) as u16),
-            credential: r.next(),
-        },
-        1 => Frame::Request {
-            query: arb_query(r),
-        },
-        2 => Frame::Answer {
-            ticket: r.next(),
-            answer: arb_answer(r),
-        },
-        3 => Frame::Error {
-            ticket: if r.below(2) == 0 {
-                Some(r.next())
-            } else {
-                None
-            },
-            error: arb_error(r),
-        },
-        4 => Frame::HelloV2 {
             tenant: TenantId(r.below(1 << 16) as u16),
             credential: r.next(),
             session: r.next(),
         },
-        5 => Frame::RequestV2 {
+        1 => Frame::Request {
             corr: r.next(),
             query: arb_query(r),
         },
-        6 => Frame::AnswerV2 {
+        2 => Frame::Answer {
             corr: r.next(),
             answer: arb_answer(r),
         },
-        7 => Frame::ErrorV2 {
+        3 => Frame::Error {
             corr: if r.below(2) == 0 {
                 Some(r.next())
             } else {
@@ -164,58 +150,55 @@ fn arb_frame(r: &mut Lcg) -> Frame {
             },
             error: arb_error(r),
         },
-        8 => Frame::Ping { nonce: r.next() },
-        9 => Frame::Pong { nonce: r.next() },
+        4 => Frame::Ping { nonce: r.next() },
+        5 => Frame::Pong { nonce: r.next() },
         _ => Frame::Goaway {
             reason: arb_reason(r),
         },
     }
 }
 
-/// One representative frame per wire kind and version — the exhaustive
-/// boundary sweep covers every encoder branch through these.
+/// One representative frame per wire kind — the exhaustive boundary
+/// sweep covers every encoder branch through these.
 fn representative_frames() -> Vec<Frame> {
     vec![
         Frame::Hello {
             tenant: TenantId(7),
             credential: 0xfeed_beef_dead_cafe,
+            session: 0x0102_0304_0506_0708,
         },
         Frame::Request {
+            corr: 0xaaaa_bbbb_cccc_dddd,
             query: Query::TwoEdgeConnected(123_456, 654_321),
         },
+        Frame::Request {
+            corr: 0,
+            query: Query::Biconnected(1, 2),
+        },
         Frame::Answer {
-            ticket: u64::MAX - 3,
+            corr: u64::MAX - 3,
             answer: Answer::Component(wec::connectivity::ComponentId::Implicit(0x1234_5678)),
         },
+        Frame::Answer {
+            corr: 3,
+            answer: Answer::Connected(true),
+        },
         Frame::Error {
-            ticket: Some(42),
+            corr: Some(42),
             error: ServeError::QuotaExceeded {
                 tenant: TenantId(9),
                 quota: 17,
             },
         },
         Frame::Error {
-            ticket: None,
-            error: ServeError::MalformedFrame(WireFault::Oversize { len: 1 << 30 }),
-        },
-        Frame::HelloV2 {
-            tenant: TenantId(7),
-            credential: 0xfeed_beef_dead_cafe,
-            session: 0x0102_0304_0506_0708,
-        },
-        Frame::RequestV2 {
-            corr: 0xaaaa_bbbb_cccc_dddd,
-            query: Query::Biconnected(1, 2),
-        },
-        Frame::AnswerV2 {
-            corr: 3,
-            answer: Answer::Connected(true),
-        },
-        Frame::ErrorV2 {
             corr: Some(u64::MAX),
             error: ServeError::ShuttingDown,
         },
-        Frame::ErrorV2 {
+        Frame::Error {
+            corr: None,
+            error: ServeError::MalformedFrame(WireFault::Oversize { len: 1 << 30 }),
+        },
+        Frame::Error {
             corr: None,
             error: ServeError::MalformedFrame(WireFault::Rebind),
         },
@@ -312,12 +295,13 @@ fn codec_round_trips_arbitrary_frames() {
     }
 }
 
-/// A truncated frame waits for more bytes; a bad version or unknown kind
-/// is consumed as a typed error and the *next* frame still decodes — the
-/// stream never desynchronizes.
+/// A truncated frame waits for more bytes; a bad version (the retired
+/// version 1 included) or unknown kind is consumed as a typed error and
+/// the *next* frame still decodes — the stream never desynchronizes.
 #[test]
 fn codec_rejects_bad_version_and_kind_without_losing_sync() {
     let good = Frame::Request {
+        corr: 5,
         query: Query::Connected(1, 2),
     };
     let bytes = encode_frame(&good);
@@ -329,17 +313,20 @@ fn codec_rejects_bad_version_and_kind_without_losing_sync() {
         assert_eq!(fb.next_frame(), None, "prefix of {cut} bytes must wait");
     }
 
-    // Bad version byte (neither v1 nor v2), then a good frame.
-    let mut bad = bytes.clone();
-    bad[4] = 99;
-    let mut fb = FrameBuf::default();
-    fb.extend(&bad);
-    fb.extend(&bytes);
-    assert_eq!(
-        fb.next_frame(),
-        Some(Err(ServeError::ProtocolVersion { got: 99 }))
-    );
-    assert_eq!(fb.next_frame(), Some(Ok(good)), "stream stays in sync");
+    // Bad version byte — an undefined one, and the retired version 1 —
+    // then a good frame.
+    for version in [99u8, 1] {
+        let mut bad = bytes.clone();
+        bad[4] = version;
+        let mut fb = FrameBuf::default();
+        fb.extend(&bad);
+        fb.extend(&bytes);
+        assert_eq!(
+            fb.next_frame(),
+            Some(Err(ServeError::ProtocolVersion { got: version }))
+        );
+        assert_eq!(fb.next_frame(), Some(Ok(good)), "stream stays in sync");
+    }
 
     // Unknown kind byte, then a good frame.
     let mut bad = bytes.clone();
@@ -530,8 +517,16 @@ fn client_recv_all(client: &mut LoopbackTransport, rx: &mut FrameBuf) -> Vec<Fra
     out
 }
 
+fn hello(tenant: u16, credential: u64, session: u64) -> Frame {
+    Frame::Hello {
+        tenant: TenantId(tenant),
+        credential,
+        session,
+    }
+}
+
 /// End-to-end over loopback: hello credentials gate binding, windows
-/// reject overflow with a typed error frame, answers return per tenant in
+/// reject overflow with a typed error frame, answers return per session in
 /// submission order, and a second connection is unaffected throughout.
 #[test]
 fn frontend_serves_loopback_connections() {
@@ -557,35 +552,17 @@ fn frontend_serves_loopback_connections() {
     let (mut rx_a, mut rx_b) = (FrameBuf::default(), FrameBuf::default());
 
     // A wrong credential is rejected in-band; the right one binds.
-    client_send(
-        &mut alice,
-        &Frame::Hello {
-            tenant: TenantId(1),
-            credential: 0xdead,
-        },
-    );
+    client_send(&mut alice, &hello(1, 0xdead, 10));
     fe.pump(&mut led);
     assert_eq!(
         client_recv_all(&mut alice, &mut rx_a),
         vec![Frame::Error {
-            ticket: None,
+            corr: None,
             error: ServeError::MalformedFrame(WireFault::BadCredential),
         }]
     );
-    client_send(
-        &mut alice,
-        &Frame::Hello {
-            tenant: TenantId(1),
-            credential: 0xfeed,
-        },
-    );
-    client_send(
-        &mut bob,
-        &Frame::Hello {
-            tenant: TenantId(2),
-            credential: 0,
-        },
-    );
+    client_send(&mut alice, &hello(1, 0xfeed, 10));
+    client_send(&mut bob, &hello(2, 0, 20));
 
     // Alice sends 6 requests against a window of 4: the last two get
     // typed Overloaded error frames; Bob's single request is unaffected.
@@ -593,6 +570,7 @@ fn frontend_serves_loopback_connections() {
         client_send(
             &mut alice,
             &Frame::Request {
+                corr: i as u64,
                 query: Query::Component(i),
             },
         );
@@ -600,6 +578,7 @@ fn frontend_serves_loopback_connections() {
     client_send(
         &mut bob,
         &Frame::Request {
+            corr: 0,
             query: Query::Connected(0, 299),
         },
     );
@@ -607,52 +586,52 @@ fn frontend_serves_loopback_connections() {
     let stats = fe.frontend_stats();
     assert_eq!(stats.hellos_accepted, 2);
     assert_eq!(stats.hellos_rejected, 1);
+    assert_eq!(stats.sessions_bound, 2);
     assert_eq!(stats.rejected_window, 2);
     assert_eq!(stats.admitted, 5);
 
     let to_alice = client_recv_all(&mut alice, &mut rx_a);
-    let overloaded: Vec<&Frame> = to_alice
+    let overloaded: Vec<u64> = to_alice
         .iter()
-        .filter(|f| {
-            matches!(
-                f,
-                Frame::Error {
-                    ticket: None,
-                    error: ServeError::Overloaded {
+        .filter_map(|f| match f {
+            Frame::Error {
+                corr: Some(corr),
+                error:
+                    ServeError::Overloaded {
                         queue_len: 4,
                         max_queue: 4,
                     },
-                }
-            )
+            } => Some(*corr),
+            _ => None,
         })
         .collect();
-    assert_eq!(overloaded.len(), 2, "window overflow is answered, typed");
+    assert_eq!(overloaded, vec![4, 5], "window overflow is answered, typed");
     let answers: Vec<u64> = to_alice
         .iter()
         .filter_map(|f| match f {
-            Frame::Answer { ticket, .. } => Some(*ticket),
+            Frame::Answer { corr, .. } => Some(*corr),
             _ => None,
         })
         .collect();
     assert_eq!(answers, vec![0, 1, 2, 3], "in submission order");
-    assert_eq!(fe.conn_in_flight(ca), 0);
+    assert_eq!(fe.session_in_flight(10), Some(0));
 
     let to_bob = client_recv_all(&mut bob, &mut rx_b);
     assert_eq!(to_bob.len(), 1);
     match to_bob[0] {
-        Frame::Answer { ticket: 4, answer } => {
+        Frame::Answer { corr: 0, answer } => {
             assert_eq!(answer.as_bool(), Some(true), "fixture graph is connected")
         }
         ref other => panic!("expected bob's answer, got {other:?}"),
     }
-    assert_eq!(fe.conn_in_flight(cb), 0);
+    assert_eq!(fe.session_in_flight(20), Some(0));
     assert!(!fe.conn_closed(ca) && !fe.conn_closed(cb));
 
     // An inbound answer frame is a protocol violation — answered, typed.
     client_send(
         &mut bob,
         &Frame::Answer {
-            ticket: 0,
+            corr: 0,
             answer: Answer::Connected(true),
         },
     );
@@ -660,15 +639,156 @@ fn frontend_serves_loopback_connections() {
     assert_eq!(
         client_recv_all(&mut bob, &mut rx_b),
         vec![Frame::Error {
-            ticket: None,
+            corr: None,
             error: ServeError::MalformedFrame(WireFault::UnexpectedFrame),
         }]
     );
 }
 
-/// A second `Hello` on an already-bound connection — v1 or v2 — is a
-/// typed in-band `Rebind` error, never a panic or a silent drop, and the
-/// connection keeps serving afterwards.
+/// A request on a connection without a session fails with the reason
+/// there is none: the refusal of its `Hello` (a wrong credential, an
+/// unknown tenant), or `UnexpectedFrame` when no `Hello` was sent. A
+/// `WireClient` with a bad identity therefore sees every request fail
+/// with the real reason.
+#[test]
+fn refused_hello_fails_requests_with_the_refusal_reason() {
+    let (g, pri, verts) = oracle_fixture();
+    let mut led = Ledger::new(OMEGA);
+    let k = led.sqrt_omega();
+    let oracle =
+        ConnectivityOracle::build(&mut led, &g, &pri, &verts, k, 1, OracleBuildOpts::default());
+    let policy = AdmissionPolicy::builder()
+        .max_batch(8)
+        .max_queue(1 << 10)
+        .tenant(TenantSpec::new(1).credential(0xfeed))
+        .build();
+    let srv = StreamingServer::new(ShardedServer::new(oracle.query_handle(), 3), policy);
+    let mut fe = Frontend::new(srv);
+
+    let (connector, listener) = loopback_listener();
+    let identities = [
+        (
+            TenantId(1),
+            0xbad,
+            Err(ServeError::MalformedFrame(WireFault::BadCredential)),
+        ),
+        (TenantId(9), 0, Err(ServeError::UnknownTenant(TenantId(9)))),
+        (TenantId(1), 0xfeed, Ok(Answer::Connected(true))),
+    ];
+    let mut clients: Vec<(WireClient, Ledger)> = identities
+        .iter()
+        .enumerate()
+        .map(|(i, &(tenant, credential, _))| {
+            let mut c = WireClient::new(Box::new(connector.clone()), 100 + i as u64)
+                .with_identity(tenant, credential);
+            c.submit(Query::Connected(0, 1));
+            c.submit(Query::Connected(2, 3));
+            (c, Ledger::new(OMEGA))
+        })
+        .collect();
+    let mut results = vec![Vec::new(); clients.len()];
+    for _ in 0..50 {
+        while let Some(t) = listener.accept() {
+            fe.connect(Box::new(t));
+        }
+        for (i, (c, cled)) in clients.iter_mut().enumerate() {
+            results[i].extend(c.tick(cled).into_iter().map(|(_, r)| r));
+        }
+        fe.pump(&mut led);
+        if clients.iter().all(|(c, _)| c.is_idle()) {
+            break;
+        }
+    }
+    for ((_, _, expect), got) in identities.iter().zip(&results) {
+        assert_eq!(
+            got,
+            &vec![*expect; 2],
+            "each request fails with the real reason"
+        );
+    }
+    assert_eq!(fe.frontend_stats().hellos_rejected, 2);
+
+    // No Hello at all: the request is refused as unexpected.
+    let (mut raw, server_end) = loopback_pair();
+    fe.connect(Box::new(server_end));
+    let mut rx = FrameBuf::default();
+    client_send(
+        &mut raw,
+        &Frame::Request {
+            corr: 3,
+            query: Query::Connected(0, 1),
+        },
+    );
+    fe.pump(&mut led);
+    assert_eq!(
+        client_recv_all(&mut raw, &mut rx),
+        vec![Frame::Error {
+            corr: Some(3),
+            error: ServeError::MalformedFrame(WireFault::UnexpectedFrame),
+        }]
+    );
+}
+
+/// Retired protocol-v1 frames are refused with a typed `ProtocolVersion`
+/// error — never a panic, a silent drop or a misparse — and each counts
+/// as a strike.
+#[test]
+fn frontend_refuses_retired_v1_frames_typed() {
+    let (g, pri, verts) = oracle_fixture();
+    let mut led = Ledger::new(OMEGA);
+    let k = led.sqrt_omega();
+    let oracle =
+        ConnectivityOracle::build(&mut led, &g, &pri, &verts, k, 1, OracleBuildOpts::default());
+    let srv = StreamingServer::new(
+        ShardedServer::new(oracle.query_handle(), 3),
+        AdmissionPolicy::builder().build(),
+    );
+    let mut fe = Frontend::new(srv).with_lifecycle(LifecyclePolicy {
+        max_strikes: 2,
+        ..LifecyclePolicy::default()
+    });
+    let (mut old, server_end) = loopback_pair();
+    let conn = fe.connect(Box::new(server_end));
+    let mut rx = FrameBuf::default();
+
+    // v1 Hello: [len=12][ver=1][kind=1][tenant u16][credential u64].
+    let mut v1_hello = vec![12, 0, 0, 0, 1, 1, 1, 0];
+    v1_hello.extend_from_slice(&0u64.to_le_bytes());
+    // v1 Request: [len=11][ver=1][kind=2][Connected][u u32][v u32].
+    let mut v1_request = vec![11, 0, 0, 0, 1, 2, 1];
+    v1_request.extend_from_slice(&0u32.to_le_bytes());
+    v1_request.extend_from_slice(&1u32.to_le_bytes());
+
+    old.send(&v1_hello).unwrap();
+    fe.pump(&mut led);
+    assert!(!fe.conn_closed(conn), "one strike is tolerated");
+    old.send(&v1_request).unwrap();
+    fe.pump(&mut led);
+    assert!(fe.conn_closed(conn), "the second strike closes");
+
+    let refusal = Frame::Error {
+        corr: None,
+        error: ServeError::ProtocolVersion { got: 1 },
+    };
+    assert_eq!(
+        client_recv_all(&mut old, &mut rx),
+        vec![
+            refusal,
+            refusal,
+            Frame::Goaway {
+                reason: GoawayReason::Misbehavior
+            }
+        ]
+    );
+    let stats = fe.frontend_stats();
+    assert_eq!(stats.malformed_frames, 2);
+    assert_eq!(stats.strike_closed, 1);
+    assert_eq!((stats.hellos_accepted, stats.admitted), (0, 0));
+}
+
+/// A second `Hello` on an already-bound connection is a typed in-band
+/// `Rebind` error, never a panic or a silent drop, and the connection
+/// keeps serving afterwards.
 #[test]
 fn frontend_answers_double_hello_with_typed_rebind() {
     let (g, pri, verts) = oracle_fixture();
@@ -684,73 +804,37 @@ fn frontend_answers_double_hello_with_typed_rebind() {
     let srv = StreamingServer::new(ShardedServer::new(oracle.query_handle(), 3), policy);
     let mut fe = Frontend::new(srv);
 
-    // v1: bind, then try to rebind.
-    let (mut v1, s1) = loopback_pair();
-    let c1 = fe.connect(Box::new(s1));
-    let mut rx1 = FrameBuf::default();
-    let hello = Frame::Hello {
-        tenant: TenantId(1),
-        credential: 0,
-    };
-    client_send(&mut v1, &hello);
+    let (mut client, server_end) = loopback_pair();
+    let conn = fe.connect(Box::new(server_end));
+    let mut rx = FrameBuf::default();
+    client_send(&mut client, &hello(2, 0, 77));
     fe.pump(&mut led);
-    client_send(&mut v1, &hello);
+    client_send(&mut client, &hello(2, 0, 77));
     fe.pump(&mut led);
     assert_eq!(
-        client_recv_all(&mut v1, &mut rx1),
+        client_recv_all(&mut client, &mut rx),
         vec![Frame::Error {
-            ticket: None,
-            error: ServeError::MalformedFrame(WireFault::Rebind),
-        }]
-    );
-
-    // v2: same contract, the error travels as a v2 frame.
-    let (mut v2, s2) = loopback_pair();
-    fe.connect(Box::new(s2));
-    let mut rx2 = FrameBuf::default();
-    let hello2 = Frame::HelloV2 {
-        tenant: TenantId(2),
-        credential: 0,
-        session: 77,
-    };
-    client_send(&mut v2, &hello2);
-    fe.pump(&mut led);
-    client_send(&mut v2, &hello2);
-    fe.pump(&mut led);
-    assert_eq!(
-        client_recv_all(&mut v2, &mut rx2),
-        vec![Frame::ErrorV2 {
             corr: None,
             error: ServeError::MalformedFrame(WireFault::Rebind),
         }]
     );
-    assert_eq!(fe.frontend_stats().malformed_frames, 2);
+    assert_eq!(fe.frontend_stats().malformed_frames, 1);
     assert_eq!(fe.frontend_stats().sessions_bound, 1);
 
-    // Both connections still serve.
+    // The connection still serves.
     client_send(
-        &mut v1,
+        &mut client,
         &Frame::Request {
-            query: Query::Connected(0, 1),
-        },
-    );
-    client_send(
-        &mut v2,
-        &Frame::RequestV2 {
             corr: 5,
             query: Query::Connected(0, 1),
         },
     );
     fe.drain(&mut led);
     assert!(matches!(
-        client_recv_all(&mut v1, &mut rx1).as_slice(),
-        [Frame::Answer { .. }]
+        client_recv_all(&mut client, &mut rx).as_slice(),
+        [Frame::Answer { corr: 5, .. }]
     ));
-    assert!(matches!(
-        client_recv_all(&mut v2, &mut rx2).as_slice(),
-        [Frame::AnswerV2 { corr: 5, .. }]
-    ));
-    assert!(!fe.conn_closed(c1));
+    assert!(!fe.conn_closed(conn));
 }
 
 /// Graceful shutdown: `begin_shutdown` announces `Goaway` on every live
@@ -777,17 +861,22 @@ fn frontend_goaway_drains_in_flight_and_rejects_new_work() {
     let conn = fe.connect(Box::new(s));
     let mut rx = FrameBuf::default();
 
+    client_send(&mut client, &hello(0, 0, 1));
     for u in 0..3u32 {
         client_send(
             &mut client,
             &Frame::Request {
+                corr: u as u64,
                 query: Query::Connected(u, u + 1),
             },
         );
     }
     fe.pump(&mut led);
     assert_eq!(fe.frontend_stats().admitted, 3);
-    assert!(fe.conn_in_flight(conn) > 0, "work in flight at shutdown");
+    assert!(
+        fe.session_in_flight(1).unwrap() > 0,
+        "work in flight at shutdown"
+    );
 
     fe.begin_shutdown(&mut led);
     assert!(fe.is_shutting_down());
@@ -796,16 +885,11 @@ fn frontend_goaway_drains_in_flight_and_rejects_new_work() {
     client_send(
         &mut client,
         &Frame::Request {
+            corr: 3,
             query: Query::Connected(0, 1),
         },
     );
-    client_send(
-        &mut client,
-        &Frame::Hello {
-            tenant: TenantId(1),
-            credential: 0,
-        },
-    );
+    client_send(&mut client, &hello(0, 0, 2));
     let report = fe.shutdown(&mut led);
     assert_eq!(report.admitted, 0, "nothing new admitted while draining");
 
@@ -814,20 +898,22 @@ fn frontend_goaway_drains_in_flight_and_rejects_new_work() {
         .iter()
         .filter(|f| matches!(f, Frame::Answer { .. }))
         .count();
-    let shutdown_errors = frames
+    let shutdown_errors: Vec<Option<u64>> = frames
         .iter()
-        .filter(|f| {
-            matches!(
-                f,
-                Frame::Error {
-                    ticket: None,
-                    error: ServeError::ShuttingDown,
-                }
-            )
+        .filter_map(|f| match f {
+            Frame::Error {
+                corr,
+                error: ServeError::ShuttingDown,
+            } => Some(*corr),
+            _ => None,
         })
-        .count();
+        .collect();
     assert_eq!(answers, 3, "every in-flight ticket drained to an answer");
-    assert_eq!(shutdown_errors, 2, "request and hello both rejected typed");
+    assert_eq!(
+        shutdown_errors,
+        vec![Some(3), None],
+        "request and hello both rejected typed"
+    );
     assert!(
         frames.iter().any(|f| matches!(
             f,
@@ -842,10 +928,13 @@ fn frontend_goaway_drains_in_flight_and_rejects_new_work() {
     assert_eq!(fe.server().undelivered(), 0, "nothing abandoned");
 }
 
-/// Serving through the wire charges exactly the in-process costs plus one
-/// `FRAME_DECODE_OPS` per inbound frame and one `FRAME_ENCODE_OPS` per
-/// outbound frame — nothing else. Run under the `WEC_THREADS` matrix this
-/// pins wire-served costs bit-identical at every parallelism level.
+/// Serving through the wire charges exactly the in-process costs plus the
+/// priced wire work — one `FRAME_DECODE_OPS` per inbound frame, one
+/// `FRAME_ENCODE_OPS` per outbound frame, one `SESSION_BIND_OPS` per
+/// session, one `DEDUP_PROBE_OPS` per request and one
+/// `DEDUP_INSERT_WRITES` per admitted request — and nothing else. Run
+/// under the `WEC_THREADS` matrix this pins wire-served costs
+/// bit-identical at every parallelism level.
 #[test]
 fn wire_costs_equal_in_process_costs_plus_frame_ops() {
     let (g, pri, verts) = oracle_fixture();
@@ -878,7 +967,7 @@ fn wire_costs_equal_in_process_costs_plus_frame_ops() {
         })
         .collect();
 
-    // Wire path: two authenticated connections, drained to completion.
+    // Wire path: two authenticated sessions, drained to completion.
     let mut wire_led = Ledger::new(OMEGA);
     let srv = StreamingServer::new(ShardedServer::new(oracle.query_handle(), 3), policy());
     let mut fe = Frontend::new(srv);
@@ -886,36 +975,31 @@ fn wire_costs_equal_in_process_costs_plus_frame_ops() {
     let (mut c2, s2) = loopback_pair();
     fe.connect(Box::new(s1));
     fe.connect(Box::new(s2));
-    client_send(
-        &mut c1,
-        &Frame::Hello {
-            tenant: TenantId(1),
-            credential: 0,
-        },
-    );
-    client_send(
-        &mut c2,
-        &Frame::Hello {
-            tenant: TenantId(2),
-            credential: 0,
-        },
-    );
-    for &(t, q) in &script {
+    client_send(&mut c1, &hello(1, 0, 1));
+    client_send(&mut c2, &hello(2, 0, 2));
+    for (corr, &(t, q)) in script.iter().enumerate() {
         let client = if t == TenantId(1) { &mut c1 } else { &mut c2 };
-        client_send(client, &Frame::Request { query: q });
+        client_send(
+            client,
+            &Frame::Request {
+                corr: corr as u64,
+                query: q,
+            },
+        );
     }
     fe.drain(&mut wire_led);
     let fs = fe.frontend_stats();
-    assert_eq!(fs.admitted, 120);
-    assert_eq!(fs.answers_delivered, 120);
-    assert_eq!(fs.frames_in, 122, "2 hellos + 120 requests");
-    assert_eq!(fs.frames_out, 120);
+    let requests = script.len() as u64;
+    assert_eq!(fs.sessions_bound, 2);
+    assert_eq!(fs.admitted, requests);
+    assert_eq!(fs.answers_delivered, requests);
+    assert_eq!(fs.frames_in, 2 + requests, "2 hellos + 120 requests");
+    assert_eq!(fs.frames_out, requests);
 
     // In-process replay: same submissions in the same order (the pump
     // ingests connection 1 fully, then connection 2), same flush cadence.
     let mut direct_led = Ledger::new(OMEGA);
-    let srv = StreamingServer::new(ShardedServer::new(oracle.query_handle(), 3), policy());
-    let mut srv = srv;
+    let mut srv = StreamingServer::new(ShardedServer::new(oracle.query_handle(), 3), policy());
     for &(t, q) in script.iter().filter(|(t, _)| *t == TenantId(1)) {
         srv.submit_as(&mut direct_led, t, q).unwrap();
     }
@@ -929,12 +1013,17 @@ fn wire_costs_equal_in_process_costs_plus_frame_ops() {
     }
     assert_eq!(delivered, 120);
 
-    let frame_ops = fs.frames_in * FRAME_DECODE_OPS + fs.frames_out * FRAME_ENCODE_OPS;
+    let direct = direct_led.costs();
     let expect = Costs {
-        sym_ops: direct_led.costs().sym_ops + frame_ops,
-        ..direct_led.costs()
+        asym_reads: direct.asym_reads,
+        asym_writes: direct.asym_writes + fs.admitted * DEDUP_INSERT_WRITES,
+        sym_ops: direct.sym_ops
+            + fs.frames_in * FRAME_DECODE_OPS
+            + fs.frames_out * FRAME_ENCODE_OPS
+            + fs.sessions_bound * SESSION_BIND_OPS
+            + requests * DEDUP_PROBE_OPS,
     };
-    assert_eq!(wire_led.costs(), expect, "wire = in-process + frame ops");
+    assert_eq!(wire_led.costs(), expect, "wire = in-process + wire work");
 }
 
 /// End-to-end over a real TCP socket: the same `Frontend`, a
@@ -966,9 +1055,11 @@ fn frontend_serves_tcp_connections_when_enabled() {
     fe.connect(Box::new(accepted));
 
     const QUERIES: usize = 8;
+    client.send(&encode_frame(&hello(0, 0, 1))).unwrap();
     for u in 0..QUERIES as u32 {
         client
             .send(&encode_frame(&Frame::Request {
+                corr: u as u64,
                 query: Query::Connected(u, u + 1),
             }))
             .unwrap();
@@ -998,8 +1089,8 @@ fn frontend_serves_tcp_connections_when_enabled() {
     assert_eq!(answers.len(), QUERIES, "all TCP answers delivered");
     for (i, f) in answers.iter().enumerate() {
         match f {
-            Frame::Answer { ticket, answer } => {
-                assert_eq!(*ticket, i as u64, "tickets in submission order");
+            Frame::Answer { corr, answer } => {
+                assert_eq!(*corr, i as u64, "answers in submission order");
                 assert_eq!(
                     answer.as_bool(),
                     Some(true),

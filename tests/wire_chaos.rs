@@ -27,8 +27,8 @@ use wec::graph::{gen, Csr, Priorities};
 use wec::serve::{
     encode_frame, loopback_listener, loopback_pair, AdmissionPolicy, Answer, ChaosConnector,
     ChaosTransport, ClientStats, Frame, FrameBuf, Frontend, FrontendStats, GoawayReason,
-    LifecyclePolicy, Query, RetryPolicy, ServeError, ShardedServer, StreamingServer, Transport,
-    TransportError, WireClient, WireFault, WireFaultPlan,
+    LifecyclePolicy, Query, RetryPolicy, ServeError, ShardedServer, StreamingServer, TenantId,
+    Transport, TransportError, WireClient, WireFault, WireFaultPlan,
 };
 
 const OMEGA: u64 = 64;
@@ -45,6 +45,13 @@ impl Lcg {
         self.next() % n.max(1)
     }
 }
+
+/// The session `Hello` every raw-frame client opens with.
+const HELLO: Frame = Frame::Hello {
+    tenant: TenantId::DEFAULT,
+    credential: 0,
+    session: 1,
+};
 
 fn oracle_fixture() -> (Csr, Priorities, Vec<u32>) {
     let g = gen::bounded_degree_connected(300, 4, 60, 7);
@@ -224,10 +231,11 @@ fn zero_knob_chaos_run_is_bit_identical_to_bare_transports() {
 
         let mut wire_led = Ledger::new(OMEGA);
         let mut r = Lcg(7);
-        for _ in 0..100 {
-            let q = Query::Connected(r.below(300) as u32, r.below(300) as u32);
+        client.send(&encode_frame(&HELLO)).unwrap();
+        for corr in 0..100 {
+            let query = Query::Connected(r.below(300) as u32, r.below(300) as u32);
             client
-                .send(&encode_frame(&Frame::Request { query: q }))
+                .send(&encode_frame(&Frame::Request { corr, query }))
                 .unwrap();
         }
         fe.drain(&mut wire_led);
@@ -366,8 +374,8 @@ fn malformed_frame_strikes_escalate_to_goaway() {
     let (mut abuser, server_end) = loopback_pair();
     let conn = fe.connect(Box::new(server_end));
 
-    // An unknown-kind frame: [len=2][ver=1][kind=99].
-    let garbage = [2u8, 0, 0, 0, 1, 99];
+    // An unknown-kind frame: [len=2][ver=2][kind=99].
+    let garbage = [2u8, 0, 0, 0, 2, 99];
     abuser.send(&garbage).unwrap();
     fe.pump(&mut led);
     assert!(!fe.conn_closed(conn), "one strike is tolerated");
@@ -393,7 +401,7 @@ fn malformed_frame_strikes_escalate_to_goaway() {
     assert_eq!(
         frames[0],
         Frame::Error {
-            ticket: None,
+            corr: None,
             error: ServeError::MalformedFrame(WireFault::UnknownKind(99)),
         },
         "strike one: typed error, not a drop"
@@ -456,9 +464,11 @@ fn slow_client_backpressures_without_losing_frames() {
     }));
 
     // Five requests land while the client cannot absorb answers.
+    client.send(&encode_frame(&HELLO)).unwrap();
     for u in 0..5u32 {
         client
             .send(&encode_frame(&Frame::Request {
+                corr: u as u64,
                 query: Query::Connected(u, u + 1),
             }))
             .unwrap();
@@ -477,6 +487,7 @@ fn slow_client_backpressures_without_losing_frames() {
     // drains — submitted now, served after recovery.
     client
         .send(&encode_frame(&Frame::Request {
+            corr: 5,
             query: Query::Connected(5, 6),
         }))
         .unwrap();
@@ -491,14 +502,14 @@ fn slow_client_backpressures_without_losing_frames() {
             Ok(n) => rx.extend(&buf[..n]),
         }
     }
-    let mut tickets = Vec::new();
+    let mut corrs = Vec::new();
     while let Some(f) = rx.next_frame() {
         match f.unwrap() {
-            Frame::Answer { ticket, .. } => tickets.push(ticket),
+            Frame::Answer { corr, .. } => corrs.push(corr),
             other => panic!("expected answers only, got {other:?}"),
         }
     }
-    assert_eq!(tickets, vec![0, 1, 2, 3, 4, 5], "in order, none dropped");
+    assert_eq!(corrs, vec![0, 1, 2, 3, 4, 5], "in order, none dropped");
     assert_eq!(fe.frontend_stats().send_failures, 0);
 }
 
@@ -521,13 +532,13 @@ fn replayed_answer_for_a_completed_request_is_suppressed() {
     let mut buf = [0u8; 256];
     let n = server.recv(&mut buf).unwrap();
     rx.extend(&buf[..n]);
-    assert!(matches!(rx.next_frame(), Some(Ok(Frame::HelloV2 { .. }))));
+    assert!(matches!(rx.next_frame(), Some(Ok(Frame::Hello { .. }))));
     assert!(matches!(
         rx.next_frame(),
-        Some(Ok(Frame::RequestV2 { corr: c, .. })) if c == corr
+        Some(Ok(Frame::Request { corr: c, .. })) if c == corr
     ));
     let answer = |corr| {
-        encode_frame(&Frame::AnswerV2 {
+        encode_frame(&Frame::Answer {
             corr,
             answer: Answer::Connected(true),
         })
