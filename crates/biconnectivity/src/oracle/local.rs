@@ -146,8 +146,8 @@ pub fn build_local_graph<G: GraphView>(
             index[&ctx.witness_inner[cj as usize]],
         ));
     }
-    // Categories 1a + 3: scan member adjacency.
-    let member_set: wec_asym::FxHashSet<Vertex> = members.iter().copied().collect();
+    // Categories 1a + 3: scan member adjacency. `index` answers
+    // membership: members hold the local ids below `n_members`.
     led.op(n_members as u64);
     let mut nbrs = Vec::new();
     for &v in &members {
@@ -156,9 +156,9 @@ pub fn build_local_graph<G: GraphView>(
         let iv = index[&v];
         for &w in &nbrs {
             led.op(1);
-            if member_set.contains(&w) {
+            if let Some(&iw) = index.get(&w).filter(|&&iw| (iw as usize) < n_members) {
                 if v < w {
-                    edges.push((iv, index[&w]));
+                    edges.push((iv, iw));
                 }
                 continue;
             }
@@ -193,8 +193,10 @@ pub fn build_local_graph<G: GraphView>(
         }
     }
     // Category 2: chain outside vertices of tree neighbors sharing a
-    // clusters-graph BC label (deterministic order: by local id).
-    let mut groups: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
+    // clusters-graph BC label. Each chain runs in local-id order and the
+    // chains are ordered by their smallest local id, so local edge ids are
+    // deterministic.
+    let mut labeled: Vec<(u32, u32)> = Vec::new(); // (label, local id)
     for (j, &dir) in dirs.iter().enumerate() {
         let label = match dir {
             OutsideDir::Parent => ctx.cg_label[ci as usize],
@@ -202,17 +204,15 @@ pub fn build_local_graph<G: GraphView>(
         };
         led.op(1);
         if label != NO_LABEL {
-            groups
-                .entry(label)
-                .or_default()
-                .push((n_members + j) as u32);
+            labeled.push((label, (n_members + j) as u32));
         }
     }
-    let mut chain_groups: Vec<Vec<u32>> = groups.into_values().collect();
-    chain_groups.sort();
-    for grp in chain_groups {
-        for pair in grp.windows(2) {
-            edges.push((pair[0], pair[1]));
+    labeled.sort_unstable();
+    let mut chains: Vec<&[(u32, u32)]> = labeled.chunk_by(|a, b| a.0 == b.0).collect();
+    chains.sort_unstable_by_key(|chain| chain[0].1);
+    for chain in chains {
+        for pair in chain.windows(2) {
+            edges.push((pair[0].1, pair[1].1));
         }
     }
     led.op(edges.len() as u64);
@@ -250,8 +250,11 @@ pub struct LocalBcc {
     /// for globally unique ids, so it must not count upward-extending
     /// components.
     pub internal_rank: Vec<u32>,
-    /// Per-local-vertex: sorted list of BCCs it belongs to.
-    pub vertex_bccs: Vec<Vec<u32>>,
+    /// Offsets into [`Self::bcc_lists`], one per local vertex plus one.
+    pub bcc_offsets: Vec<u32>,
+    /// Per-local-vertex sorted lists of the BCCs it belongs to,
+    /// concatenated; see [`LocalBcc::vertex_bccs`].
+    pub bcc_lists: Vec<u32>,
 }
 
 /// Analyze a local graph. All charged as symmetric-memory operations.
@@ -297,18 +300,23 @@ pub fn analyze_local(led: &mut Ledger, lg: &LocalGraph) -> LocalBcc {
             }
         }
         // Per-vertex BCC membership.
-        let mut vertex_bccs: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let mut bcc_offsets = Vec::with_capacity(n + 1);
+        let mut bcc_lists = Vec::with_capacity(2 * m);
+        let mut bs: Vec<u32> = Vec::new();
+        bcc_offsets.push(0);
         for v in 0..n as u32 {
-            let mut bs: Vec<u32> = lg
-                .csr
-                .neighbor_edge_ids(v)
-                .iter()
-                .map(|&e| ht.edge_bcc[e as usize])
-                .collect();
+            bs.clear();
+            bs.extend(
+                lg.csr
+                    .neighbor_edge_ids(v)
+                    .iter()
+                    .map(|&e| ht.edge_bcc[e as usize]),
+            );
             bs.sort_unstable();
             bs.dedup();
             scratch.op(bs.len() as u64 + 1);
-            vertex_bccs[v as usize] = bs;
+            bcc_lists.extend_from_slice(&bs);
+            bcc_offsets.push(bcc_lists.len() as u32);
         }
         LocalBcc {
             edge_bcc: ht.edge_bcc,
@@ -318,18 +326,25 @@ pub fn analyze_local(led: &mut Ledger, lg: &LocalGraph) -> LocalBcc {
             tecc,
             bcc_touches_parent,
             internal_rank,
-            vertex_bccs,
+            bcc_offsets,
+            bcc_lists,
         }
     })
 }
 
 impl LocalBcc {
+    /// Sorted BCCs of local vertex `v`.
+    pub fn vertex_bccs(&self, v: u32) -> &[u32] {
+        let v = v as usize;
+        &self.bcc_lists[self.bcc_offsets[v] as usize..self.bcc_offsets[v + 1] as usize]
+    }
+
     /// Whether two local vertices share a biconnected component.
     pub fn same_bcc(&self, led: &mut Ledger, a: u32, b: u32) -> bool {
         if a == b {
             return true;
         }
-        let (x, y) = (&self.vertex_bccs[a as usize], &self.vertex_bccs[b as usize]);
+        let (x, y) = (self.vertex_bccs(a), self.vertex_bccs(b));
         led.op((x.len() + y.len()) as u64 + 1);
         let (mut i, mut j) = (0, 0);
         while i < x.len() && j < y.len() {

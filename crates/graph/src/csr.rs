@@ -79,26 +79,26 @@ impl Csr {
             cursor[v as usize] += 1;
         }
         // Sort each adjacency list by (target, edge id) so positions are
-        // binary-searchable and iteration order is deterministic.
-        let mut csr = Csr {
+        // binary-searchable and iteration order is deterministic; one
+        // buffer is reused across all lists.
+        let mut pairs: Vec<(Vertex, EdgeId)> = Vec::new();
+        for v in 0..n {
+            let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
+            pairs.clear();
+            pairs.extend((lo..hi).map(|i| (targets[i], edge_ids[i])));
+            pairs.sort_unstable();
+            for (j, &(t, e)) in pairs.iter().enumerate() {
+                targets[lo + j] = t;
+                edge_ids[lo + j] = e;
+            }
+        }
+        Csr {
             n,
             offsets,
             targets,
             edge_ids,
             edges: canon,
-        };
-        for v in 0..n {
-            let (lo, hi) = (csr.offsets[v] as usize, csr.offsets[v + 1] as usize);
-            let mut pairs: Vec<(Vertex, EdgeId)> = (lo..hi)
-                .map(|i| (csr.targets[i], csr.edge_ids[i]))
-                .collect();
-            pairs.sort_unstable();
-            for (j, (t, e)) in pairs.into_iter().enumerate() {
-                csr.targets[lo + j] = t;
-                csr.edge_ids[lo + j] = e;
-            }
         }
-        csr
     }
 
     /// Number of vertices.
