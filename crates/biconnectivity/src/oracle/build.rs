@@ -1,9 +1,9 @@
 //! Construction of the §5.3 biconnectivity oracle (Algorithm 2).
 
-use super::local::{analyze_local, build_local_graph, ClusterCtx, LocalBcc, LocalGraph};
+use super::local::{analyze_local, build_local_graph, intra_path_bridge_free, ClusterCtx};
 use super::BiconnectivityOracle;
 use crate::labeling::NO_LABEL;
-use wec_asym::{FxHashMap, FxHashSet, Grain, Ledger};
+use wec_asym::{FxHashMap, Grain, Ledger};
 use wec_baseline::UnionFind;
 use wec_core::{BuildOpts, ClustersGraph, ImplicitDecomposition};
 use wec_graph::{GraphView, Priorities, Vertex};
@@ -23,50 +23,6 @@ const STEP_GRAIN: usize = 16;
 /// Cost-invisible by the `Grain` contract — the accounted numbers come
 /// from [`STEP_GRAIN`]'s chunk structure alone.
 const STEP_EXEC: Grain = Grain::SKEWED;
-
-/// Whether the intra-cluster tree path between members `a` and `b` is
-/// bridge-free under the local multigraph's bridge flags.
-pub(super) fn intra_path_bridge_free(
-    led: &mut Ledger,
-    lg: &LocalGraph,
-    bcc: &LocalBcc,
-    a: Vertex,
-    b: Vertex,
-) -> bool {
-    if a == b {
-        return true;
-    }
-    let mut seen: FxHashSet<Vertex> = FxHashSet::default();
-    let mut cur = a;
-    seen.insert(a);
-    led.op(1);
-    loop {
-        let p = lg.parent_of(cur);
-        if p == cur {
-            break;
-        }
-        seen.insert(p);
-        led.op(1);
-        cur = p;
-    }
-    let mut meet = b;
-    while !seen.contains(&meet) {
-        let p = lg.parent_of(meet);
-        if bcc.edge_is_bridge(led, &lg.csr, lg.index[&meet], lg.index[&p]) {
-            return false;
-        }
-        meet = p;
-    }
-    let mut cur = a;
-    while cur != meet {
-        let p = lg.parent_of(cur);
-        if bcc.edge_is_bridge(led, &lg.csr, lg.index[&cur], lg.index[&p]) {
-            return false;
-        }
-        cur = p;
-    }
-    true
-}
 
 /// Build the oracle with cluster parameter `k` (callers pass `√ω`).
 /// O(n·k) expected operations, O(n/k) writes.

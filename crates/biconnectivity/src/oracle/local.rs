@@ -23,7 +23,7 @@
 //! asymmetric reads: cluster enumeration and one `ρ` per boundary endpoint
 //! — O(k²) expected operations, **no writes** (Lemma 5.4).
 
-use wec_asym::{FxHashMap, Ledger};
+use wec_asym::{FxHashMap, FxHashSet, Ledger};
 use wec_baseline::hopcroft_tarjan;
 use wec_core::{Center, ImplicitDecomposition};
 use wec_graph::{Csr, GraphView, Vertex};
@@ -81,6 +81,54 @@ impl LocalGraph {
         debug_assert!(i < self.n_members, "parent_of on an outside vertex");
         self.tree_parent[i]
     }
+}
+
+/// Whether the intra-cluster spanning-tree path between members `a` and
+/// `b` of `lg`'s cluster is bridge-free under the local multigraph's
+/// bridge flags (Lemma 5.5). O(k log k) operations.
+pub(super) fn intra_path_bridge_free(
+    led: &mut Ledger,
+    lg: &LocalGraph,
+    bcc: &LocalBcc,
+    a: Vertex,
+    b: Vertex,
+) -> bool {
+    if a == b {
+        return true;
+    }
+    // Collect a's ancestor chain (toward the cluster center).
+    let mut seen: FxHashSet<Vertex> = FxHashSet::default();
+    let mut cur = a;
+    seen.insert(a);
+    led.op(1);
+    loop {
+        let p = lg.parent_of(cur);
+        if p == cur {
+            break;
+        }
+        seen.insert(p);
+        led.op(1);
+        cur = p;
+    }
+    // Walk b upward to the meeting point, checking bridges on the way.
+    let mut meet = b;
+    while !seen.contains(&meet) {
+        let p = lg.parent_of(meet);
+        if bcc.edge_is_bridge(led, &lg.csr, lg.index[&meet], lg.index[&p]) {
+            return false;
+        }
+        meet = p;
+    }
+    // Walk a upward to the meeting point, checking its side.
+    let mut cur = a;
+    while cur != meet {
+        let p = lg.parent_of(cur);
+        if bcc.edge_is_bridge(led, &lg.csr, lg.index[&cur], lg.index[&p]) {
+            return false;
+        }
+        cur = p;
+    }
+    true
 }
 
 /// Everything about the clusters forest the local-graph builder needs.

@@ -31,12 +31,14 @@
 pub mod build;
 pub mod local;
 
-use wec_asym::{FxHashMap, FxHashSet, Ledger};
+use wec_asym::{FxHashMap, Ledger};
 use wec_core::{Center, ImplicitDecomposition};
 use wec_graph::{GraphView, Vertex};
 use wec_prims::{EulerTour, LcaIndex, RootedForest};
 
-use local::{analyze_local, build_local_graph, ClusterCtx, LocalBcc, LocalGraph};
+use local::{
+    analyze_local, build_local_graph, intra_path_bridge_free, ClusterCtx, LocalBcc, LocalGraph,
+};
 
 /// A globally unique biconnected-component identity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -268,7 +270,7 @@ impl<'a, G: GraphView> BiconnectivityOracle<'a, G> {
             (Resolved::Cluster(cu), Resolved::Cluster(cv)) => {
                 if cu == cv {
                     let (lg, bcc) = self.local_of(led, cu);
-                    return self.no_bridge_on_intra_path(led, &lg, &bcc, u, v);
+                    return intra_path_bridge_free(led, &lg, &bcc, u, v);
                 }
                 let Some(lcad) = self.lca.lca(led, cu, cv) else {
                     return false;
@@ -302,7 +304,7 @@ impl<'a, G: GraphView> BiconnectivityOracle<'a, G> {
                     }
                     let (lg, bcc) = self.local_of(led, side);
                     let root = self.witness_inner[side as usize];
-                    if !self.no_bridge_on_intra_path(led, &lg, &bcc, x, root) {
+                    if !intra_path_bridge_free(led, &lg, &bcc, x, root) {
                         return false;
                     }
                 }
@@ -321,59 +323,10 @@ impl<'a, G: GraphView> BiconnectivityOracle<'a, G> {
                 };
                 let a = entry(led, cu, u);
                 let b = entry(led, cv, v);
-                self.no_bridge_on_intra_path(led, &lg, &bcc, a, b)
+                intra_path_bridge_free(led, &lg, &bcc, a, b)
             }
             _ => false,
         }
-    }
-
-    /// Whether the intra-cluster spanning-tree path between two member
-    /// vertices of `lg`'s cluster is bridge-free, using the local
-    /// multigraph's bridge flags (Lemma 5.5). O(k log k) operations.
-    fn no_bridge_on_intra_path(
-        &self,
-        led: &mut Ledger,
-        lg: &LocalGraph,
-        bcc: &LocalBcc,
-        a: Vertex,
-        b: Vertex,
-    ) -> bool {
-        if a == b {
-            return true;
-        }
-        // Collect a's ancestor chain (toward the cluster center).
-        let mut seen: FxHashSet<Vertex> = FxHashSet::default();
-        let mut cur = a;
-        seen.insert(a);
-        led.op(1);
-        loop {
-            let p = lg.parent_of(cur);
-            if p == cur {
-                break;
-            }
-            seen.insert(p);
-            led.op(1);
-            cur = p;
-        }
-        // Walk b upward to the meeting point, checking bridges on the way.
-        let mut meet = b;
-        while !seen.contains(&meet) {
-            let p = lg.parent_of(meet);
-            if bcc.edge_is_bridge(led, &lg.csr, lg.index[&meet], lg.index[&p]) {
-                return false;
-            }
-            meet = p;
-        }
-        // Walk a upward to the meeting point, checking its side.
-        let mut cur = a;
-        while cur != meet {
-            let p = lg.parent_of(cur);
-            if bcc.edge_is_bridge(led, &lg.csr, lg.index[&cur], lg.index[&p]) {
-                return false;
-            }
-            cur = p;
-        }
-        true
     }
 
     /// Whether `v` is an articulation point of the graph. O(ω) expected
