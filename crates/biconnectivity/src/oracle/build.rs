@@ -47,31 +47,45 @@ pub fn build_biconnectivity_oracle<'a, G: GraphView>(
     led.op(nc as u64);
 
     // ---- Step 1: clusters spanning forest with witness edges. ----
+    // A BFS over the implicit clusters graph, level by level: a frontier's
+    // O(k²) edge listings are independent, so they fan out over worker
+    // scopes, one accounting chunk per listing (a level's depth is its
+    // longest listing). Parents and witnesses are then assigned in
+    // frontier order, which gives exactly the forest, witnesses and Step-1
+    // reads and writes of a FIFO queue.
     let cg = ClustersGraph::new(&d);
     let mut cparent = vec![u32::MAX; nc];
     let mut witness_inner = vec![0 as Vertex; nc];
     let mut witness_outer = vec![0 as Vertex; nc];
     led.write(3 * nc as u64);
-    let mut queue = std::collections::VecDeque::new();
+    let mut frontier: Vec<u32> = Vec::new();
     for start in 0..nc as u32 {
         led.read(1);
         if cparent[start as usize] != u32::MAX {
             continue;
         }
         cparent[start as usize] = start;
-        queue.push_back(start);
-        while let Some(xd) = queue.pop_front() {
-            for e in cg.neighbor_edges(led, centers[xd as usize]) {
-                let yd = idx[&e.center];
-                led.read(1);
-                if cparent[yd as usize] == u32::MAX {
-                    cparent[yd as usize] = xd;
-                    witness_inner[yd as usize] = e.outer;
-                    witness_outer[yd as usize] = e.inner;
-                    led.write(3);
-                    queue.push_back(yd);
+        frontier.push(start);
+        while !frontier.is_empty() {
+            let (cg_ref, centers_ref, frontier_ref) = (&cg, &centers, &frontier);
+            let lists = led.scoped_par_map_grained(frontier.len(), 1, STEP_EXEC, &|i, s| {
+                cg_ref.neighbor_edges(s.ledger(), centers_ref[frontier_ref[i] as usize])
+            });
+            let mut next = Vec::new();
+            for (&xd, edges) in frontier.iter().zip(lists) {
+                for e in edges {
+                    let yd = idx[&e.center];
+                    led.read(1);
+                    if cparent[yd as usize] == u32::MAX {
+                        cparent[yd as usize] = xd;
+                        witness_inner[yd as usize] = e.outer;
+                        witness_outer[yd as usize] = e.inner;
+                        led.write(3);
+                        next.push(yd);
+                    }
                 }
             }
+            frontier = next;
         }
     }
     let forest = RootedForest::from_parents(led, cparent);

@@ -20,12 +20,14 @@
 //! The graph has O(k) vertices and edges and fits in symmetric memory; its
 //! Hopcroft–Tarjan analysis is charged as unit operations
 //! ([`wec_asym::Ledger::sym_compute`]). Construction itself pays real
-//! asymmetric reads: cluster enumeration and one `ρ` per boundary endpoint
-//! — O(k²) expected operations, **no writes** (Lemma 5.4).
+//! asymmetric reads: cluster enumeration, which evaluates one `ρ` per
+//! boundary vertex and memoizes its center, and a rescan of member
+//! adjacency that routes each external edge by a lookup in that memo —
+//! O(k²) expected operations, **no writes** (Lemma 5.4).
 
 use wec_asym::{FxHashMap, FxHashSet, Ledger};
 use wec_baseline::hopcroft_tarjan;
-use wec_core::{Center, ImplicitDecomposition};
+use wec_core::ImplicitDecomposition;
 use wec_graph::{Csr, GraphView, Vertex};
 use wec_prims::{EulerTour, LcaIndex, RootedForest};
 
@@ -160,8 +162,7 @@ pub fn build_local_graph<G: GraphView>(
 ) -> LocalGraph {
     let center = ctx.centers[ci as usize];
     let cluster = d.cluster(led, center);
-    let members = cluster.members;
-    let tree_parent = cluster.parents;
+    let members = &cluster.members;
     let mut verts = members.clone();
     let mut dirs: Vec<OutsideDir> = Vec::new();
     let is_root = ctx.forest.is_root(ci);
@@ -198,7 +199,7 @@ pub fn build_local_graph<G: GraphView>(
     // membership: members hold the local ids below `n_members`.
     led.op(n_members as u64);
     let mut nbrs = Vec::new();
-    for &v in &members {
+    for &v in members {
         nbrs.clear();
         d.graph().neighbors_into(led, v, &mut nbrs);
         let iv = index[&v];
@@ -218,11 +219,12 @@ pub fn build_local_graph<G: GraphView>(
             {
                 continue;
             }
-            // External edge: route to the outside vertex toward w's cluster.
-            let wc = match d.rho(led, w).center {
-                Center::Stored(c) => c,
-                Center::ImplicitMin(c) => c,
-            };
+            // External edge: route to the outside vertex toward w's
+            // cluster, whose center the enumeration's boundary memo holds.
+            let wc = cluster
+                .boundary_center(w)
+                .expect("a non-member neighbor is a boundary vertex");
+            led.op(1);
             let wd = ctx.idx[&wc];
             debug_assert_ne!(wd, ci);
             let vo = if ctx.tour.is_ancestor(ci, wd) {
@@ -274,7 +276,7 @@ pub fn build_local_graph<G: GraphView>(
         csr,
         dirs,
         parent_outside,
-        tree_parent,
+        tree_parent: cluster.parents,
     }
 }
 

@@ -2,7 +2,8 @@
 //!
 //! Construction (Algorithm 2) on top of an implicit √ω-decomposition:
 //!
-//! 1. connectivity over the implicit clusters graph → a rooted **clusters
+//! 1. a level-synchronous BFS over the implicit clusters graph (each
+//!    frontier's edge listings run in parallel) → a rooted **clusters
 //!    spanning forest** whose tree edges carry witness G-edges; each
 //!    non-root cluster's *cluster root* is the witness endpoint inside it;
 //! 2. low/high + critical edges + **BC labeling of the clusters graph**

@@ -8,7 +8,7 @@
 use super::build::build_biconnectivity_oracle;
 use wec_asym::{FxHashMap, Ledger};
 use wec_baseline::{brute, hopcroft_tarjan};
-use wec_core::BuildOpts;
+use wec_core::{BuildOpts, ClustersGraph};
 use wec_graph::gen::{
     bounded_degree_connected, caterpillar, cycle, disjoint_union, grid, ladder, path,
     random_regular,
@@ -241,4 +241,91 @@ fn query_cost_is_k_squared_not_n() {
         per_query[1] <= 3 * per_query[0] + 100,
         "per-query ops should not scale with n: {per_query:?}"
     );
+}
+
+/// Step 1 as a FIFO queue over the implicit clusters graph, started from
+/// each unvisited cluster in dense-id order: `(parent, witness_inner,
+/// witness_outer)` per dense id.
+fn fifo_clusters_forest(
+    oracle: &super::BiconnectivityOracle<Csr>,
+) -> (Vec<u32>, Vec<Vertex>, Vec<Vertex>) {
+    let cg = ClustersGraph::new(oracle.decomposition());
+    let nc = oracle.centers.len();
+    let mut parent = vec![u32::MAX; nc];
+    let mut inner = vec![0 as Vertex; nc];
+    let mut outer = vec![0 as Vertex; nc];
+    let mut led = Ledger::sequential(1);
+    let mut queue = std::collections::VecDeque::new();
+    for start in 0..nc as u32 {
+        if parent[start as usize] != u32::MAX {
+            continue;
+        }
+        parent[start as usize] = start;
+        queue.push_back(start);
+        while let Some(x) = queue.pop_front() {
+            for e in cg.neighbor_edges(&mut led, oracle.centers[x as usize]) {
+                let y = oracle.idx[&e.center] as usize;
+                if parent[y] == u32::MAX {
+                    parent[y] = x;
+                    inner[y] = e.outer;
+                    outer[y] = e.inner;
+                    queue.push_back(y as u32);
+                }
+            }
+        }
+    }
+    (parent, inner, outer)
+}
+
+#[test]
+fn step1_forest_matches_a_fifo_bfs_under_both_ledgers() {
+    let cases = [
+        (bounded_degree_connected(400, 4, 80, 5), false),
+        (grid(14, 14), false),
+        (
+            disjoint_union(&[
+                &grid(9, 9),
+                &path(2),
+                &cycle(5),
+                &bounded_degree_connected(120, 4, 30, 3),
+            ]),
+            true,
+        ),
+    ];
+    let k = 4;
+    for (gi, (g, disconnected)) in cases.iter().enumerate() {
+        let n = g.n();
+        let pri = Priorities::random(n, gi as u64);
+        let verts: Vec<Vertex> = (0..n as u32).collect();
+        let build = |mut led: Ledger| {
+            let o = build_biconnectivity_oracle(
+                &mut led,
+                g,
+                &pri,
+                &verts,
+                k,
+                gi as u64 + 1,
+                BuildOpts::default(),
+            );
+            (o, led.costs(), led.depth())
+        };
+        let (par, par_costs, par_depth) = build(Ledger::new(16));
+        let (seq, seq_costs, seq_depth) = build(Ledger::sequential(16));
+        assert_eq!(par_costs, seq_costs, "graph {gi}: costs");
+        assert_eq!(par_depth, seq_depth, "graph {gi}: depth");
+        for oracle in [&par, &seq] {
+            let (parent, inner, outer) = fifo_clusters_forest(oracle);
+            let built: Vec<u32> = (0..parent.len() as u32)
+                .map(|c| oracle.forest.parent(c))
+                .collect();
+            assert_eq!(built, parent, "graph {gi}: forest");
+            assert_eq!(oracle.witness_inner, inner, "graph {gi}: witness_inner");
+            assert_eq!(oracle.witness_outer, outer, "graph {gi}: witness_outer");
+            assert_eq!(
+                oracle.forest.roots().len() > 1,
+                *disconnected,
+                "graph {gi}: forest roots"
+            );
+        }
+    }
 }

@@ -6,6 +6,12 @@
 //! check costs one `ρ` evaluation, so enumeration costs O(k·|C(s)|)
 //! expected operations and **no asymmetric writes**.
 //!
+//! A rejected neighbor's `ρ` already names the cluster it belongs to, so
+//! the enumeration keeps it: [`Cluster::boundary`] maps every boundary
+//! vertex to its center (2 symmetric words each). Listing clusters-graph
+//! edges (Lemma 4.3) and building local graphs (§5.3) look centers up there
+//! instead of evaluating `ρ` again, so each boundary vertex costs one `ρ`.
+//!
 //! Members are produced in a canonical, deterministic order — level by
 //! level (levels are exact hop distances from `s`: canonical paths are
 //! shortest paths, so no member can appear "early"), ranked within a level
@@ -14,7 +20,7 @@
 //! k vertices form a tree" step needs.
 
 use crate::centers::CenterLookup;
-use crate::rho::{rho, Center};
+use crate::rho::rho;
 use crate::scratch::{self, Pool, Recycle};
 use std::cell::RefCell;
 use wec_asym::{FxHashMap, FxHashSet, Ledger};
@@ -32,6 +38,10 @@ pub struct Cluster {
     pub parents: Vec<Vertex>,
     /// True if enumeration stopped at `limit` with members remaining.
     pub truncated: bool,
+    /// The boundary memo: `(vertex, its center)` for each non-member
+    /// neighbor of a member, sorted by vertex. Complete only when
+    /// `truncated` is false.
+    pub boundary: Vec<(Vertex, Vertex)>,
 }
 
 impl Cluster {
@@ -43,6 +53,29 @@ impl Cluster {
     /// Whether the cluster is empty (never: contains at least the center).
     pub fn is_empty(&self) -> bool {
         self.members.is_empty()
+    }
+
+    /// Keep only the first `k` members — a parent-closed prefix — and mark
+    /// the cluster truncated.
+    pub fn truncated_to(mut self, k: usize) -> Cluster {
+        self.members.truncate(k);
+        self.parents.truncate(k);
+        self.truncated = true;
+        self
+    }
+
+    /// The center of boundary vertex `w`, from the memo (a symmetric
+    /// lookup; callers charge it). `None` means `w` is not a boundary
+    /// vertex — for a neighbor of a member, that it is a member.
+    pub fn boundary_center(&self, w: Vertex) -> Option<Vertex> {
+        debug_assert!(
+            !self.truncated,
+            "the boundary memo of a truncated cluster is partial"
+        );
+        self.boundary
+            .binary_search_by_key(&w, |&(b, _)| b)
+            .ok()
+            .map(|i| self.boundary[i].1)
     }
 
     /// Children lists of the enumerated cluster tree, keyed by member, in
@@ -119,6 +152,7 @@ pub fn enumerate_cluster<G: GraphView>(
     } = &mut buf;
     let mut members = vec![s];
     let mut parents = vec![s];
+    let mut boundary = Vec::new();
     rank_of.insert(s, 0);
     member_set.insert(s);
     let mut truncated = false;
@@ -142,14 +176,13 @@ pub fn enumerate_cluster<G: GraphView>(
                 // Membership test: one fresh, charged ρ evaluation — a
                 // candidate seen from several members is tested each time.
                 let a = rho(led, g, pri, centers, w);
-                let is_member = match a.center {
-                    Center::Stored(c) => c == s,
-                    Center::ImplicitMin(c) => c == s,
-                };
-                if !is_member {
+                let c = a.center.vertex();
+                if c != s {
+                    // A boundary vertex: memoize its center.
                     non_members.insert(w);
-                    led.sym_alloc(1);
-                    sym_words += 1;
+                    boundary.push((w, c));
+                    led.sym_alloc(2);
+                    sym_words += 2;
                     continue;
                 }
                 // w's cluster-tree parent is a member at the previous level
@@ -191,11 +224,13 @@ pub fn enumerate_cluster<G: GraphView>(
     }
     led.sym_free(sym_words);
     scratch::give(&POOL, buf);
+    boundary.sort_unstable();
     Cluster {
         center: s,
         members,
         parents,
         truncated,
+        boundary,
     }
 }
 
@@ -368,7 +403,7 @@ mod tests {
         let run = |i: usize, s: Vertex, limit: usize| {
             let mut led = Ledger::new(8);
             let c = enumerate_cluster(&mut led, &graphs[i], &pris[i], &centers[i], s, limit);
-            let out = (c.members, c.parents, c.truncated);
+            let out = (c.members, c.parents, c.truncated, c.boundary);
             (out, led.costs(), led.depth(), led.sym_peak())
         };
         let calls = [

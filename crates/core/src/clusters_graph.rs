@@ -2,8 +2,10 @@
 //!
 //! Vertices are the stored centers; an edge joins two centers whenever some
 //! `G`-edge crosses between their clusters. Nothing is materialized:
-//! enumerating the centers adjacent to `x` enumerates `x`'s cluster and
-//! resolves every boundary neighbor's center — O(k²) expected operations,
+//! enumerating the centers adjacent to `x` enumerates `x`'s cluster, whose
+//! boundary memo already holds every boundary neighbor's center, then
+//! rescans member adjacency and looks each crossing edge's far center up
+//! in that memo — one `ρ` per boundary vertex, O(k²) expected operations,
 //! no writes (Lemma 4.3). Implemented as a [`GraphView`] so the BFS / LDD /
 //! connectivity machinery runs on it unchanged (§4.3).
 //!
@@ -13,8 +15,7 @@
 //! memory).
 
 use crate::decomp::ImplicitDecomposition;
-use crate::rho::Center;
-use wec_asym::{FxHashMap, FxHashSet, Ledger};
+use wec_asym::{FxHashSet, Ledger};
 use wec_graph::{GraphView, Vertex};
 
 /// Implicit clusters-graph view over a decomposition.
@@ -51,40 +52,36 @@ impl<'a, G: GraphView> ClustersGraph<'a, G> {
     /// O(k²) expected operations, no writes.
     pub fn neighbor_edges(&self, led: &mut Ledger, x: Vertex) -> Vec<ClusterEdge> {
         let cluster = self.d.cluster(led, x);
-        let mut seen: FxHashMap<Vertex, ClusterEdge> = FxHashMap::default();
-        let mut order: Vec<Vertex> = Vec::new();
-        let members: FxHashSet<Vertex> = cluster.members.iter().copied().collect();
-        led.sym_alloc(2 * cluster.members.len() as u64);
+        // The cluster and its boundary memo stay in symmetric memory while
+        // member adjacency is rescanned.
+        let held = 2 * (cluster.members.len() + cluster.boundary.len()) as u64;
+        led.sym_alloc(held);
+        let mut seen: FxHashSet<Vertex> = FxHashSet::default();
+        let mut edges = Vec::new();
         let mut nbrs = Vec::new();
         for &v in &cluster.members {
             nbrs.clear();
             self.d.graph().neighbors_into(led, v, &mut nbrs);
             for &w in &nbrs {
                 led.op(1);
-                if members.contains(&w) {
+                // A member's neighbor outside the memo is a member.
+                let Some(c) = cluster.boundary_center(w) else {
                     continue;
-                }
-                let a = self.d.rho(led, w);
-                let c = match a.center {
-                    Center::Stored(c) => c,
-                    // Another cluster of the same component can never be
-                    // implicit (implicit centers own whole components).
-                    Center::ImplicitMin(c) => c,
                 };
+                led.op(1);
                 debug_assert_ne!(c, x);
-                if let std::collections::hash_map::Entry::Vacant(e) = seen.entry(c) {
-                    e.insert(ClusterEdge {
+                if seen.insert(c) {
+                    edges.push(ClusterEdge {
                         center: c,
                         inner: v,
                         outer: w,
                     });
-                    order.push(c);
                     led.op(1);
                 }
             }
         }
-        led.sym_free(2 * cluster.members.len() as u64);
-        order.into_iter().map(|c| seen[&c]).collect()
+        led.sym_free(held);
+        edges
     }
 }
 
@@ -231,6 +228,100 @@ mod tests {
         assert_eq!(led.costs().asym_writes, w0, "listing must not write");
         // O(k²) with constants: k=8 -> generous cap
         assert!(per <= 400 * 8 * 8, "per-listing ops {per}");
+    }
+
+    /// Reference listing: one fresh `ρ` per external edge.
+    fn rho_per_edge_listing(
+        led: &mut Ledger,
+        d: &ImplicitDecomposition<wec_graph::Csr>,
+        x: Vertex,
+    ) -> Vec<ClusterEdge> {
+        let cluster = d.cluster(led, x);
+        let members: FxHashSet<Vertex> = cluster.members.iter().copied().collect();
+        let mut seen: FxHashSet<Vertex> = FxHashSet::default();
+        let mut edges = Vec::new();
+        for &v in &cluster.members {
+            for &w in d.graph().neighbors(v) {
+                if members.contains(&w) {
+                    continue;
+                }
+                let c = d.rho(led, w).center.vertex();
+                if seen.insert(c) {
+                    edges.push(ClusterEdge {
+                        center: c,
+                        inner: v,
+                        outer: w,
+                    });
+                }
+            }
+        }
+        edges
+    }
+
+    #[test]
+    fn boundary_memo_is_exact_and_listings_never_recompute_rho() {
+        let with_small = wec_graph::gen::disjoint_union(&[
+            &grid(7, 7),
+            &path(2),
+            &path(3),
+            &bounded_degree_connected(60, 4, 20, 2),
+        ]);
+        let cases = [
+            (grid(9, 9), 5, 1u64),
+            (bounded_degree_connected(200, 4, 50, 7), 6, 3),
+            (with_small, 6, 4),
+        ];
+        for (gi, (g, k, seed)) in cases.iter().enumerate() {
+            let pri = Priorities::random(g.n(), *seed);
+            let mut led = Ledger::new(8);
+            let d = build(&mut led, g, &pri, *k, *seed);
+            let cg = ClustersGraph::new(&d);
+            // Every center, stored or the implicit minimum of a center-less
+            // component.
+            let mut centers: Vec<Vertex> = (0..g.n() as u32)
+                .map(|v| d.rho(&mut led, v).center.vertex())
+                .collect();
+            centers.sort_unstable();
+            centers.dedup();
+            let implicit = centers
+                .iter()
+                .filter(|&&c| d.center_label(&mut led, c).is_none())
+                .count();
+            assert_eq!(implicit > 0, gi == 2, "graph {gi}: center-less components");
+            for &c in &centers {
+                let cluster = d.cluster(&mut led, c);
+                assert!(!cluster.truncated);
+                let mut expect: Vec<(Vertex, Vertex)> = Vec::new();
+                for &v in &cluster.members {
+                    for &w in g.neighbors(v) {
+                        if !cluster.members.contains(&w) {
+                            expect.push((w, d.rho(&mut led, w).center.vertex()));
+                        }
+                    }
+                }
+                expect.sort_unstable();
+                expect.dedup();
+                assert_eq!(cluster.boundary, expect, "graph {gi}, center {c}");
+
+                // The listing equals the ρ-per-edge listing, in order, and
+                // charges only the enumeration plus one adjacency rescan.
+                let mut l = Ledger::sequential(8);
+                let listed = cg.neighbor_edges(&mut l, c);
+                assert_eq!(listed, rho_per_edge_listing(&mut led, &d, c));
+                let mut e = Ledger::sequential(8);
+                let _ = d.cluster(&mut e, c);
+                let rescan: u64 = cluster
+                    .members
+                    .iter()
+                    .map(|&v| g.neighbors(v).len() as u64 + 1)
+                    .sum();
+                assert_eq!(
+                    l.costs().asym_reads,
+                    e.costs().asym_reads + rescan,
+                    "graph {gi}, center {c}: the listing evaluated ρ"
+                );
+            }
+        }
     }
 
     #[test]

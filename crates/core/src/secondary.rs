@@ -81,12 +81,7 @@ pub fn secondary_centers_seq<G: GraphView>(
             continue; // cluster already within bound
         }
         // first k members define the tree to split
-        let head = Cluster {
-            center: c.center,
-            members: c.members[..k].to_vec(),
-            parents: c.parents[..k].to_vec(),
-            truncated: true,
-        };
+        let head = c.truncated_to(k);
         let u = pick_splitter(led, &head);
         centers.insert(led, u, crate::centers::CenterLabel::Secondary);
         added += 1;
@@ -118,12 +113,7 @@ pub fn secondary_centers_overlay<G: GraphView>(
         if c.members.len() <= k {
             continue;
         }
-        let head = Cluster {
-            center: c.center,
-            members: c.members[..k].to_vec(),
-            parents: c.parents[..k].to_vec(),
-            truncated: true,
-        };
+        let head = c.truncated_to(k);
         // mark the root's children (parallel-variant extra writes)...
         let kids: Vec<Vertex> = head
             .members
