@@ -8,7 +8,7 @@
 //! `BENCH_PR1.json` (override the path with `WEC_BENCH_OUT`) so later PRs
 //! have a perf trajectory to beat. The PR-9 A/B legs run on the same
 //! wall-clock graph — §4.2 with the materialized two-pass cross-edge
-//! filter vs the fused delayed-sequence pass vs the LDD +
+//! filter vs the fused delayed-sequence pass vs the sample-and-finish
 //! star-contraction fast path — and write `BENCH_PR9.json` (override with
 //! `WEC_FUSION_BENCH_OUT`). Pass `--smoke` for the CI-sized run.
 
@@ -204,7 +204,11 @@ fn fusion_ab_snapshot(n: usize, iters: usize) {
             build_seconds_materialized,
         ),
         ("sec4.2 fused", writes_per_edge_fused, build_seconds_fused),
-        ("ldd+star fused", writes_per_edge_star, build_seconds_star),
+        (
+            "sample+star fused",
+            writes_per_edge_star,
+            build_seconds_star,
+        ),
     ] {
         println!("{label:<28} {wpe:>14.4} {:>12.2}", 1e3 * secs);
     }

@@ -44,8 +44,9 @@
 //! latency in pump rounds, and throughput retained — and emits
 //! `BENCH_PR8.json`; `conn_writes` additionally runs the PR-9 A/B legs on
 //! its wall-clock graph — §4.2 with the materialized two-pass cross-edge
-//! filter vs the fused delayed-sequence pass vs the LDD + star-contraction
-//! fast path, reporting charged writes/edge and build wall-clock for each —
+//! filter vs the fused delayed-sequence pass vs the sample-and-finish
+//! star-contraction fast path (2-out sample, fused finish, star rounds),
+//! reporting charged writes/edge and build wall-clock for each —
 //! and emits `BENCH_PR9.json` (override the path with
 //! `WEC_FUSION_BENCH_OUT`). Criterion wall-clock benches live in
 //! `benches/`.
@@ -177,8 +178,8 @@ impl BenchSnapshot {
 /// writes/edge and build wall-clock for the three connectivity build
 /// paths — §4.2 with the materialized two-pass cross-edge filter (the
 /// pre-PR-9 baseline), §4.2 with the fused delayed-sequence pass, and the
-/// LDD + star-contraction fast path — on the same graph and seed. The
-/// bench guard asserts `writes_per_edge_fused ≤
+/// sample-and-finish star-contraction fast path — on the same graph and
+/// seed. The bench guard asserts `writes_per_edge_fused ≤
 /// writes_per_edge_materialized` and `writes_per_edge_star ≤
 /// writes_per_edge_materialized`, the paper's own metric applied to the
 /// build pipeline.
@@ -198,7 +199,7 @@ pub struct FusionSnapshot {
     pub writes_per_edge_materialized: f64,
     /// Charged asymmetric writes per edge, §4.2 + fused cross-edge pass.
     pub writes_per_edge_fused: f64,
-    /// Charged asymmetric writes per edge, LDD + star contraction.
+    /// Charged asymmetric writes per edge, sample-and-finish star path.
     pub writes_per_edge_star: f64,
     /// Median build wall-clock seconds, materialized leg.
     pub build_seconds_materialized: f64,

@@ -1,42 +1,63 @@
-//! LDD + star-contraction connectivity — the fused fast path.
+//! Sample-and-skip star connectivity — the fused fast path.
 //!
-//! The parlaylib exemplar composes LDD connectivity from delayed
-//! sequences: decompose, extract the cross-part edges *lazily* (no
-//! intermediate arrays), then finish the contracted multigraph with
-//! randomized **star contraction** instead of union-find. This module is
-//! that pipeline on the charged substrate, built entirely from the fused
+//! ConnectIt (Dhulipala, Hong & Shun) observes that on non-sparse graphs a
+//! tiny sample of the edges already connects almost everything: hook every
+//! vertex to a couple of its neighbors, find the largest sampled component
+//! `L`, and only the edges of vertices *outside* `L` are left to resolve.
+//! This module is that pipeline on the charged substrate, finished with the
+//! parlaylib exemplar's randomized **star contraction** over the fused
 //! [`wec_prims::delayed`] layer:
 //!
-//! 1. one low-diameter decomposition with parameter β (steps 1–2 of §4.2,
-//!    shared with the paper-faithful path);
-//! 2. a fused `tabulate → flatten → collect` pass over the edge slots
-//!    producing the cross-part pairs — `edge_at` and the part comparison
-//!    run **once** per slot and the only writes are the `O(βm)` survivors;
-//! 3. star-contraction rounds on the contracted multigraph: each part
-//!    flips a deterministic coin (hashed from `(seed, round, part)`);
-//!    every tails-part with a heads neighbor links to its **minimum**
-//!    heads neighbor, then the edge list is relabeled and self-loops drop
-//!    out through another fused pass. Each round removes a constant
-//!    fraction of edges in expectation, so total relabel writes stay
-//!    `O(βm)`; each part links at most once ever, so link writes are
-//!    bounded by the part count.
+//! 1. **sample** — each vertex unions itself with its first 2 CSR
+//!    neighbors (`SAMPLE_K`) through a charged union-find (smaller
+//!    root wins, full path compression), then every vertex is compressed
+//!    onto its root so one read resolves its sampled component;
+//! 2. **largest component** — `L` is the most frequent root among at most
+//!    1,024 vertices (`MAX_PROBES`) probed at a fixed stride (reads only);
+//! 3. **finish** — one fused `tabulate → flatten → collect` pass over the
+//!    vertices: a vertex in `L` costs one label read, a vertex outside `L`
+//!    reads its adjacency and emits only the root pairs that cross sampled
+//!    components. An edge between `L` and the rest is seen from its outside
+//!    end, an edge between two outside vertices from its lower end, so
+//!    each crossing edge is written at most once;
+//! 4. **contraction** — star-contraction rounds on the root multigraph:
+//!    each root flips a deterministic coin (hashed from `(seed, round,
+//!    root)`); every tails-root with a heads neighbor links to its
+//!    **minimum** heads neighbor, then the pair list is relabeled and
+//!    self-loops drop out through another fused pass. Each root links at
+//!    most once ever, so link writes are bounded by the sampled component
+//!    count.
 //!
-//! Compared to the paper-faithful §4.2 finish this skips the union-find
-//! state and — crucially — never materializes a spanning forest, so its
-//! build writes sit strictly below the materialized path's. The price is
-//! losing the forest output: [`StarOracle`] answers component queries
-//! only, which is exactly the serving stack's contract
-//! ([`StarQueryHandle`] mirrors [`ConnQueryHandle`](crate::ConnQueryHandle)'s
-//! query surface, so it drops into `wec-serve`'s sharded front end
-//! unchanged). Prefer the star path when only component labels are needed
-//! and writes are at a premium; prefer §4.2 when the spanning forest
-//! matters (biconnectivity needs it).
+//! Every step is deterministic and charged in a fixed order, so labels,
+//! `Costs` and depth are identical across thread counts. When the sample
+//! covers the graph (dense inputs: `gnm(250k, 4M)` lands entirely in `L`)
+//! the finish writes nothing and no contraction round runs; the build then
+//! writes exactly `n` (union-find init) + links + compress rewrites + `n`
+//! (labels) + one dense id per component. Many-component inputs, and
+//! inputs where each endpoint's first two neighbors miss a link, leave
+//! vertices outside `L`, and the finish and contraction do the work.
+//!
+//! Compared to the paper-faithful §4.2 build (which keeps its low-diameter
+//! decomposition) this never materializes a spanning forest, so its build
+//! writes sit strictly below §4.2's. The price is losing the forest
+//! output: [`StarOracle`] answers component queries only, which is exactly
+//! the serving stack's contract ([`StarQueryHandle`] mirrors
+//! [`ConnQueryHandle`](crate::ConnQueryHandle)'s query surface, so it drops
+//! into `wec-serve`'s sharded front end unchanged). Prefer the star path
+//! when only component labels are needed and writes are at a premium;
+//! prefer §4.2 when the spanning forest matters (biconnectivity needs it).
 
 use crate::oracle::ComponentId;
 use wec_asym::{stable_combine, FxHashMap, Ledger};
 use wec_graph::{Csr, Vertex};
 use wec_prims::delayed::{tabulate, Delayed};
-use wec_prims::low_diameter_decomposition;
+
+/// Edges each vertex contributes to the sample: its first `SAMPLE_K`
+/// neighbors in CSR (ascending id) order.
+const SAMPLE_K: usize = 2;
+
+/// Most vertices probed when picking the largest sampled component.
+const MAX_PROBES: usize = 1024;
 
 /// Build options for [`star_connectivity_with`].
 #[derive(Debug, Clone, Copy)]
@@ -55,12 +76,11 @@ impl Default for StarBuildOpts {
 }
 
 /// Component labeling produced by the star fast path. Owns its (dense)
-/// per-vertex labels — unlike the §4.3 oracle there is no decomposition to
-/// keep alive, so the struct borrows nothing.
+/// per-vertex labels — there is no decomposition to keep alive, so the
+/// struct borrows nothing.
 #[derive(Debug, Clone)]
 pub struct StarOracle {
-    /// Dense component label per vertex id (`u32::MAX` for ids the build
-    /// never saw).
+    /// Dense component label per vertex id.
     labels: Vec<u32>,
     num_components: usize,
     num_parts: usize,
@@ -73,7 +93,8 @@ impl StarOracle {
         self.num_components
     }
 
-    /// Number of LDD parts the contraction started from (diagnostics).
+    /// Number of sampled components — the roots contraction started from
+    /// (diagnostics).
     pub fn num_parts(&self) -> usize {
         self.num_parts
     }
@@ -113,17 +134,21 @@ fn heads(seed: u64, round: usize, node: u32) -> bool {
     stable_combine(seed, ((round as u64) << 32) ^ node as u64) & 1 == 1
 }
 
-/// Star connectivity on a CSR graph with LDD parameter `beta` — default
-/// options. `beta = 1/ω` matches the paper-faithful path's write regime.
-pub fn star_connectivity(led: &mut Ledger, g: &Csr, beta: f64, seed: u64) -> StarOracle {
-    star_connectivity_with(led, g, beta, seed, StarBuildOpts::default())
+/// Star connectivity on a CSR graph — default options.
+///
+/// `_beta` is ignored: the build samples instead of decomposing, so there
+/// is no LDD parameter to set. It stays in the signature for existing
+/// callers. `seed` drives the contraction coins.
+pub fn star_connectivity(led: &mut Ledger, g: &Csr, _beta: f64, seed: u64) -> StarOracle {
+    star_connectivity_with(led, g, _beta, seed, StarBuildOpts::default())
 }
 
-/// [`star_connectivity`] with explicit [`StarBuildOpts`].
+/// [`star_connectivity`] with explicit [`StarBuildOpts`] (`_beta` is
+/// ignored here too).
 pub fn star_connectivity_with(
     led: &mut Ledger,
     g: &Csr,
-    beta: f64,
+    _beta: f64,
     seed: u64,
     opts: StarBuildOpts,
 ) -> StarOracle {
@@ -136,38 +161,20 @@ pub fn star_connectivity_with(
             rounds: 0,
         };
     }
-    let vertices: Vec<Vertex> = (0..n as u32).collect();
 
-    // Steps 1–2: decompose; the LDD's internal BFS trees already connect
-    // each part, so only the cross-part structure is left to resolve.
-    let ldd = low_diameter_decomposition(led, g, &vertices, beta, seed);
-    let part = ldd.part;
-    let num_parts = ldd.centers.len();
+    let (mut p, num_parts) = sample(led, g);
+    let big = largest_root(led, &p);
+    let mut edges = cross_pairs(led, g, &p, big);
 
-    // Step 3 (fused): cross-part pairs in one lazy pass — one edge read +
-    // two part reads + one comparison per slot, writes only for survivors.
-    let edges_list = g.edges();
-    let part_ref = &part;
-    let mut edges: Vec<(u32, u32)> = tabulate(edges_list.len(), |i, l| {
-        l.read(1);
-        let (u, v) = edges_list[i];
-        l.read(2);
-        let (pu, pv) = (part_ref[u as usize], part_ref[v as usize]);
-        (pu != pv).then_some((pu, pv))
-    })
-    .flatten()
-    .collect(led);
-
-    // Star contraction on the contracted multigraph. `p` is the parent
-    // pointer per part; a part links at most once ever (once linked it is
-    // relabeled out of the edge list), so link writes ≤ num_parts total.
-    let mut p: Vec<u32> = (0..num_parts as u32).collect();
-    led.write(num_parts as u64);
+    // Star contraction on the root multigraph. `p` keeps serving as the
+    // parent pointer: roots are self-parented, and a root links at most
+    // once ever (once linked it is relabeled out of the pair list), so
+    // link writes ≤ num_parts total.
     let mut rounds = 0usize;
     while !edges.is_empty() && rounds < opts.max_rounds {
         // Link pass: tails hook onto their minimum heads neighbor. Charges:
         // two coin evaluations + the min-merge op per edge (endpoints are
-        // already in hand from the fused relabel pass), one write per part
+        // already in hand from the fused relabel pass), one write per root
         // that actually links.
         led.op(3 * edges.len() as u64);
         let mut linked = 0u64;
@@ -212,27 +219,25 @@ pub fn star_connectivity_with(
         }
     }
 
-    // Compress every part to its root (chains are at most `rounds` deep;
-    // path compression writes each part at most once), then densify the
-    // surviving roots into component labels.
+    // Dense relabel: every vertex already points at its sampled root, so
+    // compressing from that root rewrites only roots that contraction
+    // linked (each at most once); the surviving roots become dense
+    // component labels, one write each, and every vertex gets its label —
+    // the same O(n) labeling tier §4.2 pays.
     let mut dense: FxHashMap<u32, u32> = FxHashMap::default();
-    for pid in 0..num_parts as u32 {
-        let r = root_compress(led, &mut p, pid);
+    let mut labels = vec![0u32; n];
+    led.read(n as u64);
+    for (v, label) in labels.iter_mut().enumerate() {
+        let sampled_root = p[v];
+        let r = root_compress(led, &mut p, sampled_root);
         let next = dense.len() as u32;
-        dense.entry(r).or_insert_with(|| {
+        *label = *dense.entry(r).or_insert_with(|| {
             led.write(1);
             next
         });
     }
-    led.op(num_parts as u64);
-
-    // Project to vertices — the same O(n) labeling tier §4.2 pays.
-    let mut labels = vec![u32::MAX; n];
-    led.read(vertices.len() as u64);
-    led.write(vertices.len() as u64);
-    for &v in &vertices {
-        labels[v as usize] = dense[&p[part[v as usize] as usize]];
-    }
+    led.op(n as u64);
+    led.write(n as u64);
 
     StarOracle {
         labels,
@@ -240,6 +245,89 @@ pub fn star_connectivity_with(
         num_parts,
         rounds,
     }
+}
+
+/// Step 1: the 2-out sample. Each vertex unions itself with its first
+/// [`SAMPLE_K`] neighbors (smaller root wins), then a compress pass points
+/// every vertex straight at its root. Charges `n` init writes, one write
+/// per successful link and one per pointer a compression rewrites; reads
+/// are one offset plus up to `SAMPLE_K` neighbors per vertex, plus the
+/// find hops. Returns the parent array and the sampled component count.
+fn sample(led: &mut Ledger, g: &Csr) -> (Vec<u32>, usize) {
+    let n = g.n();
+    let mut p: Vec<u32> = (0..n as u32).collect();
+    led.write(n as u64);
+    let mut links = 0u64;
+    for v in 0..n as u32 {
+        let nbrs = g.neighbors(v);
+        let picked = &nbrs[..nbrs.len().min(SAMPLE_K)];
+        led.read(1 + picked.len() as u64);
+        led.op(picked.len() as u64);
+        if picked.is_empty() {
+            continue;
+        }
+        let mut rv = root_compress(led, &mut p, v);
+        for &w in picked {
+            let rw = root_compress(led, &mut p, w);
+            if rv != rw {
+                let (lo, hi) = (rv.min(rw), rv.max(rw));
+                p[hi as usize] = lo;
+                links += 1;
+                rv = lo;
+            }
+        }
+    }
+    led.write(links);
+    let mut roots = 0usize;
+    for v in 0..n as u32 {
+        if root_compress(led, &mut p, v) == v {
+            roots += 1;
+        }
+    }
+    (p, roots)
+}
+
+/// Step 2: the root of the largest sampled component, estimated as the
+/// most frequent root among at most [`MAX_PROBES`] vertices at a fixed
+/// stride (ties go to the smaller root). `p` is fully compressed, so each
+/// probe is one read and nothing is written.
+fn largest_root(led: &mut Ledger, p: &[u32]) -> u32 {
+    let stride = p.len().div_ceil(MAX_PROBES);
+    let mut tally: FxHashMap<u32, u32> = FxHashMap::default();
+    let mut probes = 0u64;
+    for &r in p.iter().step_by(stride) {
+        *tally.entry(r).or_default() += 1;
+        probes += 1;
+    }
+    led.read(probes);
+    tally
+        .into_iter()
+        .max_by_key(|&(r, c)| (c, std::cmp::Reverse(r)))
+        .map_or(0, |(r, _)| r)
+}
+
+/// Step 3 (fused): the root pairs of the edges that cross sampled
+/// components, skipping everything inside `big`. A vertex in `big` costs
+/// one label read; any other vertex reads its offset, its neighbors and
+/// their labels. Writes only the emitted pairs.
+fn cross_pairs(led: &mut Ledger, g: &Csr, p: &[u32], big: u32) -> Vec<(u32, u32)> {
+    tabulate(g.n(), |i, l| {
+        l.read(1);
+        let (v, rv) = (i as u32, p[i]);
+        let nbrs: &[Vertex] = if rv == big {
+            &[]
+        } else {
+            let nbrs = g.neighbors(v);
+            l.read(1 + 2 * nbrs.len() as u64);
+            nbrs
+        };
+        nbrs.iter().filter_map(move |&w| {
+            let rw = p[w as usize];
+            (rw != rv && (rw == big || v < w)).then_some((rv, rw))
+        })
+    })
+    .flatten()
+    .collect(led)
 }
 
 /// Hook tail `t` onto head `h`, keeping the minimum head if `t` already
@@ -337,7 +425,46 @@ mod tests {
     use super::*;
     use crate::par::connectivity_csr;
     use wec_baseline::unionfind::{same_partition, uf_labels};
-    use wec_graph::gen::{disjoint_union, gnm, grid, path, random_regular, torus};
+    use wec_graph::gen::{complete, disjoint_union, gnm, grid, path, random_regular, star, torus};
+
+    /// Builds `g` under the parallel and the sequential ledger, asserts the
+    /// two agree on labels, `Costs` and depth and that the labels match
+    /// union-find ground truth, and returns the oracle.
+    fn checked_build(g: &Csr) -> StarOracle {
+        let run = |mut led: Ledger| {
+            let o = star_connectivity(&mut led, g, 1.0 / 16.0, 3);
+            (o, led.costs(), led.depth())
+        };
+        let (par, par_costs, par_depth) = run(Ledger::new(16));
+        let (seq, seq_costs, seq_depth) = run(Ledger::sequential(16));
+        assert_eq!(
+            par.labels(),
+            seq.labels(),
+            "labels differ across parallelism"
+        );
+        assert_eq!(par_costs, seq_costs, "costs differ across parallelism");
+        assert_eq!(par_depth, seq_depth, "depth differs across parallelism");
+        let mut truth = uf_labels(g);
+        assert!(same_partition(par.labels(), &truth));
+        truth.sort_unstable();
+        truth.dedup();
+        assert_eq!(par.num_components(), truth.len());
+        par
+    }
+
+    /// Two interleaved `k`-cliques (even ids, odd ids) joined only by the
+    /// edge between their highest-id vertices. Each endpoint's first two
+    /// neighbors are lower ids of its own clique, so the sample misses the
+    /// join and leaves two components for the finish.
+    fn two_cliques(k: usize) -> Csr {
+        let mut edges: Vec<(Vertex, Vertex)> = Vec::new();
+        for &(u, v) in complete(k).edges() {
+            edges.push((2 * u, 2 * v));
+            edges.push((2 * u + 1, 2 * v + 1));
+        }
+        edges.push((2 * k as u32 - 2, 2 * k as u32 - 1));
+        Csr::from_edges(2 * k, &edges)
+    }
 
     #[test]
     fn matches_ground_truth_on_families() {
@@ -422,5 +549,98 @@ mod tests {
             let _ = o.component(&mut led, v);
         }
         assert_eq!(led.costs().asym_writes, w0);
+    }
+
+    #[test]
+    fn many_small_components_and_isolated_vertices() {
+        // L is one small sampled component out of more than a thousand;
+        // every joined clique pair outside it reaches the finish as a
+        // crossing pair.
+        let joined = two_cliques(5);
+        let gnm_parts: Vec<Csr> = (0..40).map(|s| gnm(12, 10, s)).collect();
+        let mut parts: Vec<&Csr> = vec![&joined; 300];
+        parts.extend(gnm_parts.iter());
+        let isolated = Csr::from_edges(500, &[]);
+        parts.push(&isolated);
+        let g = disjoint_union(&parts);
+        let mut led = Ledger::new(16);
+        let (p, num_parts) = sample(&mut led, &g);
+        let big = largest_root(&mut led, &p);
+        let pairs = cross_pairs(&mut led, &g, &p, big);
+        assert!(pairs.len() >= 299, "{} crossing pairs", pairs.len());
+        let o = checked_build(&g);
+        assert_eq!(o.num_parts(), num_parts);
+        assert!(o.num_parts() > o.num_components());
+        assert!(o.rounds() > 0);
+    }
+
+    #[test]
+    fn cliques_joined_beyond_the_sample() {
+        for k in [4usize, 9, 40] {
+            let g = two_cliques(k);
+            let o = checked_build(&g);
+            assert_eq!(o.num_parts(), 2, "k = {k}: the sample misses the join");
+            assert_eq!(o.num_components(), 1);
+            assert!(o.rounds() > 0, "k = {k}");
+        }
+    }
+
+    #[test]
+    fn covered_families_need_no_contraction() {
+        for g in [
+            path(1),
+            path(2),
+            path(3000),
+            star(2500),
+            Csr::from_edges(0, &[]),
+        ] {
+            let o = checked_build(&g);
+            assert_eq!(o.num_parts(), o.num_components());
+            assert_eq!(o.rounds(), 0);
+        }
+    }
+
+    /// The write contract when the sample puts every vertex in `L`: the
+    /// finish emits nothing, no contraction round runs, and the build
+    /// writes exactly
+    ///
+    /// `n` (init) + links + compress rewrites + `n` (labels) + components,
+    ///
+    /// with links = `n` − components. The small graph's single rewrite is
+    /// traced by hand: 0–3 and 1–2 link first, 2's scan of 3 links root 1
+    /// under root 0, and 3's scan of 2 compresses 2 → 1 → 0 (one rewrite).
+    /// A path links every vertex straight to 0, so it rewrites nothing.
+    #[test]
+    fn full_coverage_write_contract() {
+        let small = Csr::from_edges(4, &[(0, 3), (1, 2), (2, 3)]);
+        for (g, rewrites) in [(small, 1u64), (path(5000), 0)] {
+            let n = g.n() as u64;
+            let mut led = Ledger::new(16);
+            let (p, num_parts) = sample(&mut led, &g);
+            assert_eq!(num_parts, 1);
+            assert_eq!(led.costs().asym_writes, n + (n - 1) + rewrites);
+            let before = led.costs().asym_writes;
+            let big = largest_root(&mut led, &p);
+            let pairs = cross_pairs(&mut led, &g, &p, big);
+            assert!(pairs.is_empty());
+            assert_eq!(led.costs().asym_writes, before, "empty finish writes");
+
+            let mut led = Ledger::new(16);
+            let o = star_connectivity(&mut led, &g, 1.0 / 16.0, 1);
+            assert_eq!(o.rounds(), 0);
+            assert_eq!(led.costs().asym_writes, n + (n - 1) + rewrites + n + 1);
+        }
+
+        // Dense: the sample's own writes (init + links + rewrites) plus
+        // `n` labels and one dense id are the whole build.
+        let g = gnm(2000, 32_000, 5);
+        let mut led = Ledger::new(16);
+        let (_, num_parts) = sample(&mut led, &g);
+        assert_eq!(num_parts, 1);
+        let sample_writes = led.costs().asym_writes;
+        let mut led = Ledger::new(16);
+        let o = star_connectivity(&mut led, &g, 1.0 / 16.0, 1);
+        assert_eq!(o.rounds(), 0);
+        assert_eq!(led.costs().asym_writes, sample_writes + 2000 + 1);
     }
 }

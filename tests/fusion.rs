@@ -4,10 +4,12 @@
 //! context (seeded `SmallRng`, no proptest dependency):
 //!
 //! 1. **Labeling equivalence** — on randomized graphs and seeds, the
-//!    LDD + star-contraction builder produces a component partition
-//!    isomorphic to the paper-faithful §4.2 path's and to union-find
-//!    ground truth; the star handle also drops into the sharded serving
-//!    stack and answers exactly like its own one-by-one queries.
+//!    sample-and-finish star builder (2-out sample, fused finish over the
+//!    vertices outside the largest sampled component, star contraction)
+//!    produces a component partition isomorphic to the paper-faithful
+//!    §4.2 path's and to union-find ground truth; the star handle also
+//!    drops into the sharded serving stack and answers exactly like its
+//!    own one-by-one queries.
 //! 2. **Fusion output equivalence** — every fused pipeline
 //!    (`tabulate/map/filter/flatten/pack_index` compositions, including
 //!    empty inputs and all-pass/all-fail filters) is element-identical to
@@ -16,9 +18,10 @@
 //! 3. **Cost replays** — pinned exact `Costs` for a fixed fused pipeline
 //!    and its materialized counterpart (any drift in the fusion charge
 //!    contract fails the literals), fused writes strictly below
-//!    materialized writes, and bit-identical costs under
-//!    `Ledger::sequential` vs the rayon pool — CI runs this file at
-//!    `WEC_THREADS ∈ {1, 2, 8, 16}`.
+//!    materialized writes, star build writes/edge strictly below fused
+//!    §4.2 on seeded bounded-degree and dense graphs at ω = 64, and
+//!    bit-identical costs under `Ledger::sequential` vs the rayon pool —
+//!    CI runs this file at `WEC_THREADS ∈ {1, 2, 8, 16}`.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -296,4 +299,39 @@ fn star_build_costs_invariant_under_parallelism() {
         run(Ledger::sequential(64)),
         "star build not bit-identical across parallelism"
     );
+}
+
+/// Star build writes/edge must sit strictly below fused §4.2's at ω = 64
+/// — on the bounded-degree graphs the `conn_writes` A/B measures (its
+/// smoke and full sizes) and on a dense `gnm`, where the sample covers the
+/// graph and the finish writes nothing.
+#[test]
+fn star_writes_per_edge_below_fused_section42() {
+    const OMEGA_AB: u64 = 64;
+    let beta = 1.0 / OMEGA_AB as f64;
+    let seed = 9;
+    for (label, g) in [
+        (
+            "bounded 4k",
+            gen::bounded_degree_connected(4000, 4, 1000, 42),
+        ),
+        (
+            "bounded 60k",
+            gen::bounded_degree_connected(60_000, 4, 15_000, 42),
+        ),
+        ("gnm 20k/320k", gen::gnm(20_000, 320_000, 42)),
+    ] {
+        let per_edge = |led: &Ledger| led.costs().asym_writes as f64 / g.m() as f64;
+        let mut led_star = Ledger::new(OMEGA_AB);
+        let star = star_connectivity(&mut led_star, &g, beta, seed);
+        let mut led_fused = Ledger::new(OMEGA_AB);
+        let fused = connectivity_csr_with(&mut led_fused, &g, beta, seed, CrossEdgePass::Fused);
+        assert!(same_partition(star.labels(), &fused.labels), "{label}");
+        assert!(
+            per_edge(&led_star) < per_edge(&led_fused),
+            "{label}: star {:.4} !< fused §4.2 {:.4} writes/edge",
+            per_edge(&led_star),
+            per_edge(&led_fused)
+        );
+    }
 }
