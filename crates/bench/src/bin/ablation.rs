@@ -1,4 +1,4 @@
-//! **Ablations** over the design choices DESIGN.md calls out:
+//! **Ablations** over two design choices:
 //!
 //! 1. sequential vs parallel `SECONDARYCENTERS` (Lemma 3.6 vs 3.7): the
 //!    parallel variant marks the call root's children too — more centers,

@@ -3,8 +3,7 @@
 //! cross-edge filter) have polylog-in-n depth at fixed ω; the full §4.2
 //! pipeline in this implementation finishes with a *sequential*
 //! linear-work pass over the contracted graph (size O(n/ω + βm)), so its
-//! measured depth has an additional small linear term — called out in
-//! EXPERIMENTS.md.
+//! measured depth has an additional small linear term.
 
 use wec_asym::Ledger;
 use wec_connectivity::connectivity_csr;

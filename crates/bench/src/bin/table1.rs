@@ -12,12 +12,12 @@
 //!
 //! We print measured writes/operations/work/depth for all six algorithms
 //! on a density sweep at each ω and mark the measured winner. Two constant
-//! factors shift the crossovers relative to the asymptotics (both reported
-//! in EXPERIMENTS.md): our ρ implementation costs ~90 unit operations per
-//! visited vertex (hash-map deterministic BFS), so the √ω·m oracles win on
-//! *work* only once ω ≳ 10⁴, while they win on *writes* — the actual NVM
-//! resource — already at ω = 16; and the §5.2 labeling carries ~35n writes
-//! of array constants, so it overtakes Θ(m)-output prior work at m ≳ 16n.
+//! factors shift the crossovers relative to the asymptotics: our ρ
+//! implementation costs ~90 unit operations per visited vertex (hash-map
+//! deterministic BFS), so the √ω·m oracles win on *work* only once
+//! ω ≳ 10⁴, while they win on *writes* — the actual NVM resource — already
+//! at ω = 16; and the §5.2 labeling carries ~35n writes of array
+//! constants, so it overtakes Θ(m)-output prior work at m ≳ 16n.
 
 use wec_baseline::{hopcroft_tarjan, seq_connectivity, shun_connectivity};
 use wec_bench::measure;

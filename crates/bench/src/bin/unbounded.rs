@@ -55,6 +55,7 @@ fn main() {
     }
     println!("\nVertex-biconnectivity through the view is NOT exact in general —");
     println!(
-        "see tests/section6.rs::vertex_biconnectivity_counterexample_is_real and DESIGN.md §1."
+        "see tests/section6.rs::vertex_biconnectivity_counterexample_is_real and the \
+         wec-graph bounded-view docs."
     );
 }

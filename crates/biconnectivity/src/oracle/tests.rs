@@ -179,9 +179,8 @@ fn varying_k_same_answers() {
 #[test]
 fn build_writes_scale_inversely_with_k_and_queries_write_free() {
     // The oracle's writes follow O((n/k)·log n) — the log factor is the
-    // documented LCA sparse-table substitution (DESIGN.md §1); the paper's
-    // O(n/k) shape shows as clean inverse scaling in k. EXPERIMENTS.md
-    // reports the measured per-cluster constant and the n-crossover.
+    // LCA sparse-table substitution documented in `wec_prims::lca`; the
+    // paper's O(n/k) shape shows as clean inverse scaling in k.
     let n = 3000usize;
     let g = bounded_degree_connected(n, 4, 700, 3);
     let pri = Priorities::random(n, 5);

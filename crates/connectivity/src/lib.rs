@@ -23,9 +23,6 @@ pub mod star;
 
 pub use delta::{ComponentOverlay, GraphDelta, OverlayStore, OverlayView, DELTA_SAMPLE_GRAIN};
 pub use oracle::{ComponentId, ConnQueryHandle, ConnectivityOracle, OracleBuildOpts};
-pub use par::{
-    connectivity_csr, connectivity_csr_with, connectivity_general, connectivity_general_with,
-    ConnResult, CrossEdgePass,
-};
+pub use par::{connectivity_csr, connectivity_general, ConnResult};
 pub use spanning::root_forest;
 pub use star::{star_connectivity, StarBuildOpts, StarOracle, StarQueryHandle};

@@ -17,23 +17,7 @@ use wec_asym::Ledger;
 use wec_baseline::UnionFind;
 use wec_graph::{Csr, GraphView, Vertex};
 use wec_prims::delayed::{tabulate, Delayed};
-use wec_prims::filter::filter_map_collect;
 use wec_prims::low_diameter_decomposition;
-
-/// How step 3 packs the cross-part edges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CrossEdgePass {
-    /// Fused delayed-sequence pass (the default): `edge_at` and the
-    /// part-comparison predicate run **once** per slot, and the only
-    /// asymmetric writes are the surviving cross edges at the terminal
-    /// `collect` — no block-offset writes, no second predicate pass.
-    #[default]
-    Fused,
-    /// The pre-fusion two-pass write-efficient filter (count pass + emit
-    /// pass). Kept selectable for the bench A/B legs and the differential
-    /// tests in `tests/fusion.rs`.
-    Materialized,
-}
 
 /// Output of §4.2 connectivity.
 #[derive(Debug, Clone)]
@@ -56,9 +40,7 @@ pub struct ConnResult {
 ///
 /// `edge_at(i, led)` returns the `i`-th undirected edge or `None` for a
 /// masked-out slot (how §5.2 removes critical edges without rebuilding the
-/// graph). Under the default [`CrossEdgePass::Fused`] step 3 it is called
-/// exactly once per slot; the materialized variant calls it at most twice
-/// (count + emit pass of the two-pass filter). Either way it must be
+/// graph). Step 3 calls it exactly once per slot, so it must be
 /// deterministic.
 pub fn connectivity_general(
     led: &mut Ledger,
@@ -69,59 +51,25 @@ pub fn connectivity_general(
     beta: f64,
     seed: u64,
 ) -> ConnResult {
-    connectivity_general_with(
-        led,
-        view,
-        vertices,
-        num_edge_slots,
-        edge_at,
-        beta,
-        seed,
-        CrossEdgePass::Fused,
-    )
-}
-
-/// [`connectivity_general`] with an explicit step-3 strategy (fused vs
-/// materialized cross-edge pack). Output is element-identical either way;
-/// only the charged costs differ.
-#[allow(clippy::too_many_arguments)]
-pub fn connectivity_general_with(
-    led: &mut Ledger,
-    view: &impl GraphView,
-    vertices: &[Vertex],
-    num_edge_slots: usize,
-    edge_at: &(impl Fn(usize, &mut Ledger) -> Option<(Vertex, Vertex)> + Sync),
-    beta: f64,
-    seed: u64,
-    pass: CrossEdgePass,
-) -> ConnResult {
     let n_ids = view.n();
     // Step 1 + 2: decompose; parents of the LDD BFS are per-part trees.
     let ldd = low_diameter_decomposition(led, view, vertices, beta, seed);
     let part = ldd.part;
     let num_parts = ldd.centers.len();
 
-    // Step 3: pack cross-part edges (by part ids). The fused pass runs
-    // `edge_at` + the part comparison once per slot and writes only the
-    // survivors; the materialized pass is the historical two-pass filter
-    // (writes ∝ output + blocks, predicate run twice).
+    // Step 3: pack cross-part edges (by part ids) in one fused
+    // delayed-sequence pass: `edge_at` and the part comparison run once per
+    // slot, and the only asymmetric writes are the surviving cross edges
+    // at the terminal `collect`.
     let part_ref = &part;
-    let cross: Vec<(u32, u32, u32)> = match pass {
-        CrossEdgePass::Fused => tabulate(num_edge_slots, |i, l| {
-            let (u, v) = edge_at(i, l)?;
-            l.read(2);
-            let (pu, pv) = (part_ref[u as usize], part_ref[v as usize]);
-            (pu != pv).then_some((pu, pv, i as u32))
-        })
-        .flatten()
-        .collect(led),
-        CrossEdgePass::Materialized => filter_map_collect(led, num_edge_slots, &|i, l| {
-            let (u, v) = edge_at(i, l)?;
-            l.read(2);
-            let (pu, pv) = (part_ref[u as usize], part_ref[v as usize]);
-            (pu != pv).then_some((pu, pv, i as u32))
-        }),
-    };
+    let cross: Vec<(u32, u32, u32)> = tabulate(num_edge_slots, |i, l| {
+        let (u, v) = edge_at(i, l)?;
+        l.read(2);
+        let (pu, pv) = (part_ref[u as usize], part_ref[v as usize]);
+        (pu != pv).then_some((pu, pv, i as u32))
+    })
+    .flatten()
+    .collect(led);
 
     // Step 4: linear-work pass on the contracted graph (union-find). The
     // union sweep is inherently sequential; its reads are a known count and
@@ -180,22 +128,9 @@ pub fn connectivity_general_with(
 /// §4.2 on an explicit CSR graph. `beta = 1/ω` reproduces Theorem 4.2's
 /// headline bounds.
 pub fn connectivity_csr(led: &mut Ledger, g: &Csr, beta: f64, seed: u64) -> ConnResult {
-    connectivity_csr_with(led, g, beta, seed, CrossEdgePass::Fused)
-}
-
-/// [`connectivity_csr`] with an explicit step-3 strategy — the bench A/B
-/// entry point (fused vs materialized cross-edge pack on the same graph
-/// and seed).
-pub fn connectivity_csr_with(
-    led: &mut Ledger,
-    g: &Csr,
-    beta: f64,
-    seed: u64,
-    pass: CrossEdgePass,
-) -> ConnResult {
     let vertices: Vec<Vertex> = (0..g.n() as u32).collect();
     let edges = g.edges();
-    connectivity_general_with(
+    connectivity_general(
         led,
         g,
         &vertices,
@@ -206,7 +141,6 @@ pub fn connectivity_csr_with(
         },
         beta,
         seed,
-        pass,
     )
 }
 

@@ -22,10 +22,11 @@
 //! components meeting at a high-degree articulation point can merge in `G'`
 //! when their edge slots interleave across different leaves, because the
 //! virtual tree then offers a bypass around the (now split) articulation
-//! point. `tests/` exhibits a 5-vertex counterexample. Consumers use `G'`
-//! for connectivity/spanning-forest/bridge/1-edge-connectivity work, and
-//! fall back to the dense `O(m + ωn)` algorithms for vertex-biconnectivity
-//! on unbounded-degree inputs. See DESIGN.md §1.
+//! point. `tests/section6.rs::vertex_biconnectivity_counterexample_is_real`
+//! exhibits a 5-vertex counterexample. Consumers use `G'` for
+//! connectivity/spanning-forest/bridge/1-edge-connectivity work, and fall
+//! back to the dense `O(m + ωn)` algorithms for vertex-biconnectivity on
+//! unbounded-degree inputs.
 
 use crate::csr::Csr;
 use crate::view::GraphView;

@@ -1,7 +1,7 @@
 //! O(1)-query LCA via Euler tour + sparse table, plus the
 //! "child of `c` toward descendant `d`" query the §5.3 local graphs need.
 //!
-//! Substitution note (DESIGN.md §1): the paper cites O(n)-word LCA
+//! Substitution note: the paper cites O(n)-word LCA
 //! preprocessing [11, 42]; we use the textbook sparse table, which costs
 //! `O(n log n)` words of preprocessing but keeps the O(1) query. The oracle
 //! only builds this on the *clusters graph* (`O(n/k)` vertices), so the

@@ -1,5 +1,5 @@
 //! The per-shard result-cache engine: one unified slot store for both
-//! cacheable key spaces, driven by the [`Eviction`] policy.
+//! cacheable key spaces, evicting by deterministic CLOCK.
 //!
 //! The streaming module documents the externally-visible cost contract;
 //! this module is the deterministic machine that enforces it. Everything
@@ -17,13 +17,12 @@ use wec_graph::Vertex;
 use wec_asym::{INVALIDATE_ENTRY_WRITES, INVALIDATE_SCAN_OPS};
 
 use crate::streaming::{
-    CacheStats, Eviction, CACHE_INSERT_WRITES, CACHE_PROBE_READS, CLOCK_SWEEP_OPS, CLOCK_TOUCH_OPS,
+    CacheStats, CACHE_INSERT_WRITES, CACHE_PROBE_READS, CLOCK_SWEEP_OPS, CLOCK_TOUCH_OPS,
 };
 
 /// Unified key of one shard-cache entry. The two cacheable key spaces
 /// (per-vertex component memos, canonical biconnectivity predicates) share
-/// one slot budget, exactly as the PR-3 fill-until-full caches shared one
-/// capacity across their two maps.
+/// one slot budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum CacheKey {
     /// `Vertex → ComponentId` memo entry.
@@ -42,8 +41,7 @@ pub(crate) enum CacheVal {
 }
 
 /// One resident entry: the packed key/value record plus the CLOCK
-/// second-chance bit (unused — never set — under
-/// [`Eviction::FillUntilFull`]).
+/// second-chance bit.
 #[derive(Debug)]
 struct Slot {
     key: CacheKey,
@@ -73,16 +71,14 @@ impl ShardCache {
     }
 
     /// Probe for `key`, charging [`CACHE_PROBE_READS`] to the tally either
-    /// way. Under [`Eviction::Clock`] a hit additionally sets the entry's
-    /// second-chance bit and charges [`CLOCK_TOUCH_OPS`].
-    pub(crate) fn probe(&mut self, key: CacheKey, eviction: Eviction) -> Option<CacheVal> {
+    /// way. A hit additionally sets the entry's second-chance bit and
+    /// charges [`CLOCK_TOUCH_OPS`].
+    pub(crate) fn probe(&mut self, key: CacheKey) -> Option<CacheVal> {
         match self.index.get(&key) {
             Some(&i) => {
                 self.tally.hit(CACHE_PROBE_READS);
-                if matches!(eviction, Eviction::Clock) {
-                    self.slots[i].referenced = true;
-                    self.tally.touch(CLOCK_TOUCH_OPS);
-                }
+                self.slots[i].referenced = true;
+                self.tally.touch(CLOCK_TOUCH_OPS);
                 Some(self.slots[i].val)
             }
             None => {
@@ -92,24 +88,16 @@ impl ShardCache {
         }
     }
 
-    /// Fill after a miss. Below `capacity` both policies append the entry
-    /// and charge [`CACHE_INSERT_WRITES`]. At capacity,
-    /// [`Eviction::FillUntilFull`] drops the fill (charging nothing) while
-    /// [`Eviction::Clock`] sweeps the hand for a victim — charging
-    /// [`CLOCK_SWEEP_OPS`] per inspected slot and clearing set
+    /// Fill after a miss. Below `capacity` the entry is appended for
+    /// [`CACHE_INSERT_WRITES`]. At capacity the hand sweeps for a victim —
+    /// charging [`CLOCK_SWEEP_OPS`] per inspected slot and clearing set
     /// second-chance bits on the way — then overwrites the victim in place
     /// for the same single [`CACHE_INSERT_WRITES`]. New entries start with
     /// the second-chance bit clear, and the hand rests one past the victim.
     ///
     /// Callers must not invoke this with `capacity == 0`: the dispatch path
     /// bypasses the cache entirely in that configuration.
-    pub(crate) fn fill(
-        &mut self,
-        key: CacheKey,
-        val: CacheVal,
-        capacity: usize,
-        eviction: Eviction,
-    ) {
+    pub(crate) fn fill(&mut self, key: CacheKey, val: CacheVal, capacity: usize) {
         debug_assert!(capacity > 0, "capacity-0 dispatch bypasses the cache");
         if self.slots.len() < capacity {
             self.tally.insert(CACHE_INSERT_WRITES);
@@ -121,9 +109,6 @@ impl ShardCache {
             });
             return;
         }
-        let Eviction::Clock = eviction else {
-            return; // fill-until-full: a full cache stops filling
-        };
         let mut swept = 0u64;
         let victim = loop {
             swept += 1;
@@ -222,41 +207,24 @@ mod tests {
     }
 
     #[test]
-    fn fill_until_full_stops_at_capacity() {
-        let mut c = ShardCache::default();
-        for v in 0..5u32 {
-            assert!(c.probe(k(v), Eviction::FillUntilFull).is_none());
-            c.fill(k(v), val(), 3, Eviction::FillUntilFull);
-        }
-        assert_eq!(c.len(), 3, "capacity bounds residency");
-        assert_eq!(c.tally.inserts(), 3);
-        assert_eq!(c.tally.evictions(), 0);
-        assert!(c.probe(k(0), Eviction::FillUntilFull).is_some());
-        assert!(
-            c.probe(k(4), Eviction::FillUntilFull).is_none(),
-            "dropped fill"
-        );
-    }
-
-    #[test]
     fn clock_evicts_unreferenced_first() {
         let mut c = ShardCache::default();
         for v in 0..3u32 {
-            c.probe(k(v), Eviction::Clock);
-            c.fill(k(v), val(), 3, Eviction::Clock);
+            c.probe(k(v));
+            c.fill(k(v), val(), 3);
         }
         // Reference 0 and 2; 1 stays clear.
-        c.probe(k(0), Eviction::Clock);
-        c.probe(k(2), Eviction::Clock);
+        c.probe(k(0));
+        c.probe(k(2));
         // Miss at capacity: hand starts at slot 0 (referenced — cleared),
         // slot 1 is clear → victim. Sweep inspected 2 slots.
-        c.probe(k(9), Eviction::Clock);
-        c.fill(k(9), val(), 3, Eviction::Clock);
+        c.probe(k(9));
+        c.fill(k(9), val(), 3);
         assert_eq!(c.tally.evictions(), 1);
-        assert!(c.probe(k(1), Eviction::Clock).is_none(), "1 was evicted");
-        assert!(c.probe(k(0), Eviction::Clock).is_some(), "0 survived");
-        assert!(c.probe(k(2), Eviction::Clock).is_some(), "2 survived");
-        assert!(c.probe(k(9), Eviction::Clock).is_some(), "9 resident");
+        assert!(c.probe(k(1)).is_none(), "1 was evicted");
+        assert!(c.probe(k(0)).is_some(), "0 survived");
+        assert!(c.probe(k(2)).is_some(), "2 survived");
+        assert!(c.probe(k(9)).is_some(), "9 resident");
         assert_eq!(c.len(), 3);
     }
 
@@ -265,14 +233,14 @@ mod tests {
         let mut c = ShardCache::default();
         // Two cold fills below capacity 2: 2 probes, 2 inserts.
         for v in 0..2u32 {
-            c.probe(k(v), Eviction::Clock);
-            c.fill(k(v), val(), 2, Eviction::Clock);
+            c.probe(k(v));
+            c.fill(k(v), val(), 2);
         }
         // One hit (probe + touch), then an eviction that must sweep past
         // the referenced slot 0: clears it (1 op), takes slot 1 (1 op).
-        c.probe(k(0), Eviction::Clock);
-        c.probe(k(7), Eviction::Clock);
-        c.fill(k(7), val(), 2, Eviction::Clock);
+        c.probe(k(0));
+        c.probe(k(7));
+        c.fill(k(7), val(), 2);
         assert_eq!(
             c.tally.pending(),
             Costs {
@@ -289,19 +257,16 @@ mod tests {
     fn reset_cold_returns_history_and_empties_the_cache() {
         let mut c = ShardCache::default();
         for v in 0..4u32 {
-            c.probe(k(v), Eviction::Clock);
-            c.fill(k(v), val(), 8, Eviction::Clock);
+            c.probe(k(v));
+            c.fill(k(v), val(), 8);
         }
-        c.probe(k(1), Eviction::Clock); // one hit
+        c.probe(k(1)); // one hit
         let retired = c.reset_cold();
         assert_eq!((retired.hits, retired.misses), (1, 4));
         assert_eq!((retired.inserts, retired.entries), (4, 4));
         assert_eq!(c.len(), 0, "cold after reset");
         assert_eq!(c.tally.pending(), Costs::ZERO, "pending charges dropped");
-        assert!(
-            c.probe(k(1), Eviction::Clock).is_none(),
-            "quarantined entries are gone"
-        );
+        assert!(c.probe(k(1)).is_none(), "quarantined entries are gone");
         assert_eq!(c.stats().misses, 1, "counters restart from zero");
     }
 
@@ -309,24 +274,19 @@ mod tests {
     fn invalidate_stale_removes_exactly_stale_comp_entries() {
         let mut c = ShardCache::default();
         for v in 0..3u32 {
-            c.probe(k(v), Eviction::Clock);
-            c.fill(
-                k(v),
-                CacheVal::Comp(ComponentId::Labeled(v)),
-                8,
-                Eviction::Clock,
-            );
+            c.probe(k(v));
+            c.fill(k(v), CacheVal::Comp(ComponentId::Labeled(v)), 8);
         }
         let pkey = CacheKey::Pred(BiconnQueryKey::two_edge_connected(1, 2));
-        c.probe(pkey, Eviction::Clock);
-        c.fill(pkey, CacheVal::Pred(true), 8, Eviction::Clock);
+        c.probe(pkey);
+        c.fill(pkey, CacheVal::Pred(true), 8);
         let (swept, removed) = c.invalidate_stale(|id| id == ComponentId::Labeled(1));
         assert_eq!((swept, removed), (4, 1), "scan all slots, remove one");
-        assert!(c.probe(k(1), Eviction::Clock).is_none(), "stale memo gone");
-        assert!(c.probe(k(0), Eviction::Clock).is_some());
-        assert!(c.probe(k(2), Eviction::Clock).is_some());
+        assert!(c.probe(k(1)).is_none(), "stale memo gone");
+        assert!(c.probe(k(0)).is_some());
+        assert!(c.probe(k(2)).is_some());
         assert!(
-            c.probe(pkey, Eviction::Clock).is_some(),
+            c.probe(pkey).is_some(),
             "predicate entries keep base-graph semantics and survive"
         );
         assert_eq!(c.stats().invalidations, 1);
@@ -341,11 +301,8 @@ mod tests {
     fn clock_capacity_one_churns_in_place() {
         let mut c = ShardCache::default();
         for v in 0..10u32 {
-            assert!(
-                c.probe(k(v), Eviction::Clock).is_none(),
-                "all-distinct churn never hits"
-            );
-            c.fill(k(v), val(), 1, Eviction::Clock);
+            assert!(c.probe(k(v)).is_none(), "all-distinct churn never hits");
+            c.fill(k(v), val(), 1);
             assert_eq!(c.len(), 1);
         }
         // First fill is an append; the other 9 each evict the lone
@@ -353,9 +310,6 @@ mod tests {
         assert_eq!(c.tally.inserts(), 10);
         assert_eq!(c.tally.evictions(), 9);
         assert_eq!(c.tally.pending().sym_ops, 9 * CLOCK_SWEEP_OPS);
-        assert!(
-            c.probe(k(9), Eviction::Clock).is_some(),
-            "last key resident"
-        );
+        assert!(c.probe(k(9)).is_some(), "last key resident");
     }
 }

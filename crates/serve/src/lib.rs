@@ -56,10 +56,10 @@
 //! Point-query *streams* (rather than pre-formed batches) enter through
 //! the [`streaming`] module: [`StreamingServer`] coalesces submissions
 //! into micro-batches under an [`AdmissionPolicy`], routes each query to
-//! its owner shard ([`Routing::Affinity`] — a pinned hash of the
-//! canonical cache key, with a documented skew fallback), serves it
-//! against that shard's result cache under a deterministic eviction
-//! policy ([`Eviction::Clock`] second-chance replacement by default), and
+//! its owner shard (a pinned hash of the canonical cache key, falling
+//! back to a contiguous partition for batches skewed past
+//! [`AdmissionPolicy::skew_factor`]), serves it against that shard's
+//! result cache under deterministic CLOCK second-chance eviction, and
 //! delivers answers in submission order. The exact
 //! routing/hit/miss/eviction cost contract is documented in the
 //! [`streaming`] module docs.
@@ -104,8 +104,8 @@ pub use epoch::EpochStats;
 pub use fault::{BreakerState, FaultPlan, RecoveryPolicy, RobustnessStats, ShardHealth};
 pub use handle::{DeltaOracle, NoBiconn, OracleHandle};
 pub use streaming::{
-    query_work_estimate, AdmissionPolicy, AdmissionPolicyBuilder, CacheStats, Eviction, Overflow,
-    Routing, StreamingServer, Ticket, CACHE_INSERT_WRITES, CACHE_PROBE_READS, CLOCK_SWEEP_OPS,
+    query_work_estimate, AdmissionPolicy, AdmissionPolicyBuilder, CacheStats, Overflow,
+    StreamingServer, Ticket, CACHE_INSERT_WRITES, CACHE_PROBE_READS, CLOCK_SWEEP_OPS,
     CLOCK_TOUCH_OPS, ROUTE_HASH_OPS,
 };
 pub use tenant::{FairShare, TenancyStats, TenantId, TenantSpec, TenantStats};

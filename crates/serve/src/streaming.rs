@@ -96,106 +96,95 @@
 //!
 //! ## Routing: which shard serves a query
 //!
-//! [`Routing`] selects how a micro-batch of `n` queries maps onto the `s`
-//! shards:
+//! Each query is routed to a fixed **owner shard** derived from a pinned
+//! hash of its canonical cache key, so a repeat key always lands on the
+//! shard holding its entry and the hot key set is *partitioned* across
+//! shards instead of duplicated:
 //!
-//! * [`Routing::Contiguous`] — the PR-3 partition: the batch splits into
-//!   [`super::shard_chunks`]`(n, s)` contiguous chunks of grain `⌈n/s⌉`,
-//!   chunk `i` served by shard `i` against cache `i`. A repeat key hits
-//!   only if its *position* happens to land on a shard that cached it, so
-//!   every shard gradually duplicates the hot key set.
-//! * [`Routing::Affinity`]`{ skew_factor }` (the default) — each query is
-//!   routed to a fixed **owner shard** derived from a pinned hash of its
-//!   canonical cache key, so a repeat key always lands on the shard
-//!   holding its entry and the hot key set is *partitioned* across shards
-//!   instead of duplicated:
-//!   - [`Query::Component`]`(v)` routes by
-//!     [`wec_connectivity::ConnQueryHandle::route_hash`]`(v)`;
-//!   - [`Query::Connected`]`(u, v)` routes by `route_hash(min(u, v))` —
-//!     the canonical endpoint — so `(u, v)` and `(v, u)` co-locate. The
-//!     non-canonical endpoint's memo is cached on (and only useful to)
-//!     that owner shard: a vertex appearing as the larger endpoint of
-//!     several different pairs may be memoized on several shards. Affinity
-//!     guarantees *pair* repeats always hit; per-vertex dedup across
-//!     differing pairs is best-effort;
-//!   - predicates route by [`wec_biconnectivity::BiconnQueryKey::route_hash`]
-//!     on their canonical key.
+//! - [`Query::Component`]`(v)` routes by
+//!   [`wec_connectivity::ConnQueryHandle::route_hash`]`(v)`;
+//! - [`Query::Connected`]`(u, v)` routes by `route_hash(min(u, v))` —
+//!   the canonical endpoint — so `(u, v)` and `(v, u)` co-locate. The
+//!   non-canonical endpoint's memo is cached on (and only useful to)
+//!   that owner shard: a vertex appearing as the larger endpoint of
+//!   several different pairs may be memoized on several shards. Affinity
+//!   guarantees *pair* repeats always hit; per-vertex dedup across
+//!   differing pairs is best-effort;
+//! - predicates route by [`wec_biconnectivity::BiconnQueryKey::route_hash`]
+//!   on their canonical key.
 //!
-//!   The owner shard is `hash % s`; the hash is
-//!   [`wec_asym::stable_mix64`]-based and **pinned** (golden cost files
-//!   depend on the placement). Routing preserves submission order within
-//!   each shard's group.
+//! The owner shard is `hash % s`; the hash is [`wec_asym::stable_mix64`]-based
+//! and **pinned** (golden cost files depend on the placement). Routing
+//! preserves submission order within each shard's group.
 //!
-//!   **Rebalancing fallback:** affinity trades balance for locality, so a
-//!   micro-batch whose keys are pathologically skewed (many repeats of one
-//!   key in a single batch) would serialize on one shard. When the largest
-//!   owner group exceeds `skew_factor × ⌈n/s⌉` entries, the dispatch falls
-//!   back to the contiguous partition **for that micro-batch only** — the
-//!   routing scan is already charged, and the per-query charges revert to
-//!   the contiguous formula below. `skew_factor = 0` falls back on every
-//!   non-trivial batch (useful as a routed-scan baseline); the default is
-//!   4, i.e. tolerate up to 4× the balanced share before rebalancing.
+//! **The contiguous partition** splits a batch of `n` queries into
+//! [`super::shard_chunks`]`(n, s)` contiguous chunks of grain `⌈n/s⌉`,
+//! chunk `i` served by shard `i` against cache `i`. It serves three
+//! cases:
 //!
-//!   With `cache_capacity == 0` there is nothing for affinity to hit, so
-//!   routing is forced to [`Routing::Contiguous`] and the cache is
-//!   bypassed entirely — a dispatch then charges precisely what
-//!   [`super::ShardedServer::serve`] charges for the same batch.
+//! * **skew fallback** — affinity trades balance for locality, so a
+//!   micro-batch whose keys are pathologically skewed (many repeats of
+//!   one key in a single batch) would serialize on one shard. When the
+//!   largest owner group exceeds
+//!   [`AdmissionPolicy::skew_factor`]` × ⌈n/s⌉` entries, that micro-batch
+//!   alone dispatches contiguously — the routing scan is already
+//!   charged, and the per-query charges revert to the contiguous formula
+//!   below. `skew_factor = 0` falls back on every non-empty batch; the
+//!   default is 4, i.e. tolerate up to 4× the balanced share before
+//!   rebalancing;
+//! * **capacity 0** — with `cache_capacity == 0` there is nothing for
+//!   affinity to hit, so every batch dispatches contiguously with no
+//!   routing scan and the cache bypassed entirely — a dispatch then
+//!   charges precisely what [`super::ShardedServer::serve`] charges for
+//!   the same batch;
+//! * **open breakers** — the degraded routing of the fault-recovery
+//!   section below partitions contiguously over the surviving shards.
 //!
 //! ## Eviction: what happens when a cache is full
 //!
-//! [`Eviction`] selects the full-cache policy:
-//!
-//! * [`Eviction::FillUntilFull`] — the PR-3 policy: a full cache stops
-//!   filling; resident entries are immortal. Goes cold-dead when the hot
-//!   set shifts after capacity is reached.
-//! * [`Eviction::Clock`] (the default) — deterministic CLOCK
-//!   (second-chance): every resident entry carries one second-chance bit,
-//!   set on each hit. A miss at capacity advances the hand over the slot
-//!   ring, clearing set bits, and evicts the first entry whose bit is
-//!   clear; the replacement record overwrites the victim in place. New
-//!   entries start with the bit clear, and the hand rests one past the
-//!   victim. The second-chance bits are a `⌈capacity/64⌉`-word
-//!   symmetric-memory sideband per shard (within the model's `O(ω log n)`
-//!   symmetric budget for the capacities benchmarked), so touching them
-//!   costs unit operations, never asymmetric traffic.
+//! Full caches evict by deterministic CLOCK (second-chance): every
+//! resident entry carries one second-chance bit, set on each hit. A miss
+//! at capacity advances the hand over the slot ring, clearing set bits,
+//! and evicts the first entry whose bit is clear; the replacement record
+//! overwrites the victim in place. New entries start with the bit clear,
+//! and the hand rests one past the victim. The second-chance bits are a
+//! `⌈capacity/64⌉`-word symmetric-memory sideband per shard (within the
+//! model's `O(ω log n)` symmetric budget for the capacities benchmarked),
+//! so touching them costs unit operations, never asymmetric traffic.
 //!
 //! ## The exact cost contract
 //!
-//! Dispatching a micro-batch of `n` queries over `s` shards charges
-//! **exactly** the following, enforced by `tests/streaming.rs` (legacy
-//! contiguous + fill-until-full) and `tests/affinity.rs` (affinity +
-//! CLOCK) at the workspace root:
+//! Dispatching a micro-batch of `n` queries over `s` shards with a
+//! non-zero cache capacity charges **exactly** the following, enforced by
+//! `tests/affinity.rs` (affinity groups) and `tests/streaming.rs` (the
+//! contiguous partition, via `skew_factor = 0`) at the workspace root:
 //!
-//! 1. **routing** (affinity only): [`ROUTE_HASH_OPS`] unit operations per
-//!    query, charged on the dispatching ledger as one sequential routing
-//!    scan (`n` ops, `n` depth) — also charged when the skew fallback
-//!    reverts the batch to the contiguous partition;
+//! 1. **routing**: [`ROUTE_HASH_OPS`] unit operations per query, charged
+//!    on the dispatching ledger as one sequential routing scan (`n` ops,
+//!    `n` depth) — also charged when the skew fallback reverts the batch
+//!    to the contiguous partition;
 //! 2. [`super::QUERY_WORDS`] asymmetric reads per query (batch input
 //!    scan), charged by the serving shard — group-sized chunks under
-//!    affinity, `⌈n/s⌉`-sized chunks under contiguous; the total is
-//!    `n · QUERY_WORDS` either way;
+//!    affinity, `⌈n/s⌉`-sized chunks under the contiguous partition; the
+//!    total is `n · QUERY_WORDS` either way;
 //! 3. [`CACHE_PROBE_READS`] asymmetric reads per probe — one probe for a
 //!    [`Query::Component`] or a predicate, two (one per endpoint) for a
-//!    [`Query::Connected`]. Under [`Eviction::Clock`] a **hit**
-//!    additionally charges [`CLOCK_TOUCH_OPS`] unit operations (setting
-//!    the second-chance bit); under [`Eviction::FillUntilFull`] a hit
-//!    costs nothing beyond its probe;
+//!    [`Query::Connected`]. A **hit** additionally charges
+//!    [`CLOCK_TOUCH_OPS`] unit operations (setting the second-chance
+//!    bit);
 //! 4. per **miss**, the full one-by-one cost of the canonical underlying
 //!    query — `component(x)` for a missing endpoint memo, the
 //!    canonical-order predicate for a missing key — charged by the oracle
 //!    itself, identical to an uncached call;
 //! 5. per **fill**: below capacity, [`CACHE_INSERT_WRITES`] asymmetric
-//!    writes (both policies). At capacity, [`Eviction::FillUntilFull`]
-//!    charges nothing (the fill is dropped) while [`Eviction::Clock`]
-//!    charges [`CLOCK_SWEEP_OPS`] unit operations per slot the hand
-//!    inspects (victim included) **plus** the same single
+//!    writes. At capacity, [`CLOCK_SWEEP_OPS`] unit operations per slot
+//!    the hand inspects (victim included) **plus** the same single
 //!    [`CACHE_INSERT_WRITES`] for the in-place overwrite. Cache fills are
-//!    the *only* asymmetric writes the serving layer ever performs, under
-//!    every policy combination;
-//! 6. scheduler bookkeeping: under contiguous routing,
-//!    `shard_chunks(n, s) − 1` unit operations and `⌈log₂ chunks⌉` depth;
-//!    under affinity routing, exactly `s` chunks always run (empty groups
-//!    charge nothing inside), so `s − 1` unit operations and `⌈log₂ s⌉`
+//!    the *only* asymmetric writes the serving layer ever performs;
+//! 6. scheduler bookkeeping: under affinity groups, exactly `s` chunks
+//!    always run (empty groups charge nothing inside), so `s − 1` unit
+//!    operations and `⌈log₂ s⌉` depth; under the contiguous partition,
+//!    `shard_chunks(n, s) − 1` unit operations and `⌈log₂ chunks⌉`
 //!    depth.
 //!
 //! Probe/hit/miss/insert/evict charges are tallied per shard through
@@ -206,7 +195,7 @@
 //! Because routing, grouping, and the merge all run in deterministic
 //! orders, the total `Costs`, depth, and symmetric-memory peak of any
 //! submit/flush/drain sequence are **bit-identical across `WEC_THREADS`
-//! settings**; CI pins this with the {1, 2, 8} matrix.
+//! settings**; CI pins this with the {1, 2, 8, 16} matrix.
 //!
 //! ## Fault isolation and recovery
 //!
@@ -340,40 +329,6 @@ pub const CLOCK_TOUCH_OPS: u64 = 1;
 /// a victim (reading the second-chance bit and clearing it when set).
 pub const CLOCK_SWEEP_OPS: u64 = 1;
 
-/// How a micro-batch's queries map onto shards. See the module docs for
-/// the full routing contract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Routing {
-    /// The PR-3 partition: contiguous `⌈n/s⌉`-sized chunks, chunk `i`
-    /// served by shard `i`. Repeat keys hit a cache only when their batch
-    /// position lands them on the shard that cached them.
-    Contiguous,
-    /// Hash each query's canonical cache key to a fixed owner shard, so
-    /// repeat keys always land on the shard holding their entry. Falls
-    /// back to [`Routing::Contiguous`] for any micro-batch whose largest
-    /// owner group exceeds `skew_factor × ⌈n/s⌉` queries.
-    Affinity {
-        /// Skew tolerance: how many times the balanced per-shard share
-        /// (`⌈n/s⌉`) one owner group may reach before the batch is
-        /// rebalanced onto the contiguous partition. `0` rebalances every
-        /// non-trivial batch.
-        skew_factor: u32,
-    },
-}
-
-/// What a shard cache does when a fill arrives at capacity. See the module
-/// docs for the per-policy charge formulas.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Eviction {
-    /// The PR-3 policy: a full cache stops filling (resident entries are
-    /// immortal).
-    FillUntilFull,
-    /// Deterministic CLOCK second-chance replacement: hits set a
-    /// second-chance bit, a full-cache fill sweeps the hand to the first
-    /// clear entry and overwrites it in place.
-    Clock,
-}
-
 /// What [`StreamingServer::submit`] does when the queue sits at the
 /// policy's `max_queue` bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -402,15 +357,15 @@ pub fn query_work_estimate(q: Query, omega: u64) -> u64 {
     QUERY_WORDS + probes * (CACHE_PROBE_READS + omega * CACHE_INSERT_WRITES + omega)
 }
 
-/// When micro-batches form, how queries route to shards, how much each
-/// shard may cache, and how full caches evict. See the module docs for the
-/// exact semantics of each knob.
+/// When micro-batches form, when affinity routing falls back to the
+/// contiguous partition, and how much each shard may cache. See the module
+/// docs for the exact semantics of each knob.
 ///
 /// ```
 /// # use wec_asym::Ledger;
 /// # use wec_connectivity::{ConnectivityOracle, OracleBuildOpts};
 /// # use wec_graph::{gen, Priorities};
-/// use wec_serve::{AdmissionPolicy, Eviction, Query, Routing, ShardedServer, StreamingServer};
+/// use wec_serve::{AdmissionPolicy, Query, ShardedServer, StreamingServer};
 ///
 /// # let g = gen::grid(6, 6);
 /// # let pri = Priorities::random(36, 1);
@@ -424,10 +379,9 @@ pub fn query_work_estimate(q: Query, omega: u64) -> u64 {
 ///     .max_batch(8)
 ///     .max_queue(32)
 ///     .cache_capacity(2)
-///     .routing(Routing::Affinity { skew_factor: 4 })
-///     .eviction(Eviction::Clock)
+///     .skew_factor(4)
 ///     .build();
-/// assert_eq!(policy.eviction, Eviction::Clock);
+/// assert_eq!(policy.skew_factor, 4);
 ///
 /// let sharded = ShardedServer::new(oracle.query_handle(), 2);
 /// let mut srv = StreamingServer::new(sharded, policy);
@@ -454,10 +408,11 @@ pub struct AdmissionPolicy {
     /// Per-shard result-cache entry budget; 0 disables caching entirely
     /// (dispatches then cost exactly [`ShardedServer::serve`]).
     pub cache_capacity: usize,
-    /// How queries map onto shards (default: affinity with skew factor 4).
-    pub routing: Routing,
-    /// Full-cache replacement policy (default: CLOCK).
-    pub eviction: Eviction,
+    /// Skew tolerance of affinity routing (default 4): how many times the
+    /// balanced per-shard share (`⌈n/s⌉`) one owner group may reach before
+    /// the micro-batch is rebalanced onto the contiguous partition. `0`
+    /// rebalances every non-empty batch.
+    pub skew_factor: u32,
     /// What `submit` does at the `max_queue` bound (default: the PR-4
     /// inline dispatch; [`Overflow::Shed`] turns the bound into a typed
     /// rejection).
@@ -496,7 +451,7 @@ impl AdmissionPolicy {
 /// so a built policy is always valid.
 ///
 /// ```
-/// use wec_serve::{AdmissionPolicy, Eviction, Overflow};
+/// use wec_serve::{AdmissionPolicy, Overflow};
 ///
 /// let p = AdmissionPolicy::builder()
 ///     .max_batch(16)
@@ -504,7 +459,7 @@ impl AdmissionPolicy {
 ///     .overflow(Overflow::Shed)
 ///     .build();
 /// assert_eq!((p.max_batch, p.cache_capacity), (16, 64));
-/// assert_eq!(p.eviction, Eviction::Clock, "untouched knobs keep defaults");
+/// assert_eq!(p.skew_factor, 4, "untouched knobs keep defaults");
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdmissionPolicyBuilder {
@@ -532,15 +487,10 @@ impl AdmissionPolicyBuilder {
         self
     }
 
-    /// How queries map onto shards.
-    pub fn routing(mut self, routing: Routing) -> Self {
-        self.policy.routing = routing;
-        self
-    }
-
-    /// Full-cache replacement policy.
-    pub fn eviction(mut self, eviction: Eviction) -> Self {
-        self.policy.eviction = eviction;
+    /// Skew tolerance of affinity routing (0 rebalances every batch onto
+    /// the contiguous partition).
+    pub fn skew_factor(mut self, skew_factor: u32) -> Self {
+        self.policy.skew_factor = skew_factor;
         self
     }
 
@@ -596,8 +546,7 @@ impl Default for AdmissionPolicy {
             max_batch: 256,
             max_queue: 1024,
             cache_capacity: 1 << 16,
-            routing: Routing::Affinity { skew_factor: 4 },
-            eviction: Eviction::Clock,
+            skew_factor: 4,
             overflow: Overflow::DispatchInline,
             op_budget: 0,
             fair_share: FairShare::Fifo,
@@ -1286,8 +1235,8 @@ where
     }
 
     /// Serve one micro-batch, parking results in the reorder buffer.
-    /// Healthy routing is the PR-4/PR-5 path (affinity with skew
-    /// fallback, or contiguous); with any circuit breaker open, the batch
+    /// Healthy routing is affinity with the skew fallback (contiguous at
+    /// cache capacity 0); with any circuit breaker open, the batch
     /// partitions contiguously over the surviving shards instead. Every
     /// shard chunk runs behind a panic-isolation boundary; failed chunks
     /// are recovered through [`StreamingServer::recover_group`].
@@ -1329,14 +1278,11 @@ where
             self.dispatch_mapped(led, batch, &healthy, seq);
             return;
         }
-        let skew_factor = match self.policy.routing {
-            Routing::Affinity { skew_factor } if self.policy.cache_capacity > 0 => skew_factor,
-            _ => {
-                let all: Vec<usize> = (0..s).collect();
-                self.dispatch_mapped(led, batch, &all, seq);
-                return;
-            }
-        };
+        if self.policy.cache_capacity == 0 {
+            let all: Vec<usize> = (0..s).collect();
+            self.dispatch_mapped(led, batch, &all, seq);
+            return;
+        }
         // The routing scan: hash every query's canonical key once.
         led.op(n as u64 * ROUTE_HASH_OPS);
         let mut groups: Vec<Vec<Entry>> = (0..s).map(|_| Vec::new()).collect();
@@ -1344,7 +1290,7 @@ where
             groups[self.owner_shard(e.q)].push(e);
         }
         let max_group = groups.iter().map(Vec::len).max().unwrap_or(0);
-        if max_group > skew_factor as usize * n.div_ceil(s) {
+        if max_group > self.policy.skew_factor as usize * n.div_ceil(s) {
             // Rebalancing fallback: this batch's keys are skewed past the
             // policy threshold, so affinity would serialize on one shard.
             // The routing ops above stay charged; everything else reverts
@@ -1354,7 +1300,7 @@ where
             return;
         }
         let (server, caches, epochs) = (&self.server, &self.caches, &self.epochs);
-        let (cap, eviction) = (self.policy.cache_capacity, self.policy.eviction);
+        let cap = self.policy.cache_capacity;
         let fault = self.fault.filter(|f| f.injects_anything());
         // Exactly s accounting chunks, chunk i = shard i serving its own
         // group (execution may batch several shards per task on few-thread
@@ -1368,7 +1314,6 @@ where
                 &caches[shard],
                 &groups[shard],
                 cap,
-                eviction,
                 fault,
                 seq,
                 shard,
@@ -1395,13 +1340,13 @@ where
     /// Contiguous dispatch over an explicit shard map: the batch splits
     /// into `⌈n/|map|⌉`-grained chunks and chunk `i` is served by shard
     /// `map[i]` against cache `map[i]`. With the identity map this is
-    /// exactly the PR-3 contiguous path (cache bypassed at capacity 0);
+    /// the contiguous partition (cache bypassed at capacity 0);
     /// with a surviving-shards map it is the breaker's degraded routing.
     fn dispatch_mapped(&mut self, led: &mut Ledger, batch: &[Entry], map: &[usize], seq: u64) {
         let n = batch.len();
         let grain = n.div_ceil(map.len());
         let (server, caches, epochs) = (&self.server, &self.caches, &self.epochs);
-        let (cap, eviction) = (self.policy.cache_capacity, self.policy.eviction);
+        let cap = self.policy.cache_capacity;
         let fault = self.fault.filter(|f| f.injects_anything());
         let parts: Vec<ChunkOutcome> = led.scoped_par(n, grain, &|r, scope| {
             // Chunk i is shard map[i]: this worker is the only one
@@ -1414,7 +1359,6 @@ where
                 &caches[shard],
                 &batch[r],
                 cap,
-                eviction,
                 fault,
                 seq,
                 shard,
@@ -1595,7 +1539,6 @@ fn run_chunk<C, B>(
     cache_mutex: &Mutex<ShardCache>,
     group: &[Entry],
     cap: usize,
-    eviction: Eviction,
     fault: Option<FaultPlan>,
     seq: u64,
     shard: usize,
@@ -1635,15 +1578,7 @@ where
             } else if cap == 0 {
                 server.try_answer_one_in(scope.ledger(), overlay, e.q)
             } else {
-                answer_cached(
-                    server,
-                    scope.ledger(),
-                    &mut cache,
-                    cap,
-                    eviction,
-                    overlay,
-                    e.q,
-                )
+                answer_cached(server, scope.ledger(), &mut cache, cap, overlay, e.q)
             };
             out.push((e.ticket, r));
         }
@@ -1694,13 +1629,11 @@ fn lock_recovered<'a>(
 /// is rejected with [`ServeError::UnsupportedQuery`] *before* probing, so
 /// the rejection charges nothing and the cache never learns spurious
 /// keys.
-#[allow(clippy::too_many_arguments)]
 fn answer_cached<C, B>(
     server: &ShardedServer<C, B>,
     led: &mut Ledger,
     cache: &mut ShardCache,
     capacity: usize,
-    eviction: Eviction,
     overlay: OverlayView<'_>,
     q: Query,
 ) -> ServeResult
@@ -1714,31 +1647,14 @@ where
             led,
             cache,
             capacity,
-            eviction,
             overlay,
             v,
         ))),
         Query::Connected(u, v) => {
             // The answer is derived from the memoized ComponentId pair; the
             // comparison is free, as in ConnQueryHandle::component_pair.
-            let a = memo_component(
-                server.conn_handle(),
-                led,
-                cache,
-                capacity,
-                eviction,
-                overlay,
-                u,
-            );
-            let b = memo_component(
-                server.conn_handle(),
-                led,
-                cache,
-                capacity,
-                eviction,
-                overlay,
-                v,
-            );
+            let a = memo_component(server.conn_handle(), led, cache, capacity, overlay, u);
+            let b = memo_component(server.conn_handle(), led, cache, capacity, overlay, v);
             Ok(Answer::Connected(a == b))
         }
         Query::TwoEdgeConnected(u, v) => match server.bicon_handle() {
@@ -1747,7 +1663,6 @@ where
                 led,
                 cache,
                 capacity,
-                eviction,
                 BiconnQueryKey::two_edge_connected(u, v),
             ))),
             None => Err(ServeError::UnsupportedQuery(q)),
@@ -1758,7 +1673,6 @@ where
                 led,
                 cache,
                 capacity,
-                eviction,
                 BiconnQueryKey::biconnected(u, v),
             ))),
             None => Err(ServeError::UnsupportedQuery(q)),
@@ -1777,14 +1691,13 @@ fn memo_component<C>(
     led: &mut Ledger,
     cache: &mut ShardCache,
     capacity: usize,
-    eviction: Eviction,
     overlay: OverlayView<'_>,
     v: Vertex,
 ) -> ComponentId
 where
     C: OracleHandle<Key = Vertex, Answer = ComponentId>,
 {
-    if let Some(hit) = cache.probe(CacheKey::Comp(v), eviction) {
+    if let Some(hit) = cache.probe(CacheKey::Comp(v)) {
         let CacheVal::Comp(id) = hit else {
             unreachable!("component key holds a component value")
         };
@@ -1792,7 +1705,7 @@ where
     }
     let id = conn.answer_key(led, v);
     let id = overlay.canonical(led, id);
-    cache.fill(CacheKey::Comp(v), CacheVal::Comp(id), capacity, eviction);
+    cache.fill(CacheKey::Comp(v), CacheVal::Comp(id), capacity);
     id
 }
 
@@ -1801,20 +1714,19 @@ fn memo_pred<B>(
     led: &mut Ledger,
     cache: &mut ShardCache,
     capacity: usize,
-    eviction: Eviction,
     key: BiconnQueryKey,
 ) -> bool
 where
     B: OracleHandle<Key = BiconnQueryKey, Answer = bool>,
 {
-    if let Some(hit) = cache.probe(CacheKey::Pred(key), eviction) {
+    if let Some(hit) = cache.probe(CacheKey::Pred(key)) {
         let CacheVal::Pred(ans) = hit else {
             unreachable!("predicate key holds a predicate value")
         };
         return ans;
     }
     let ans = bicon.answer_key(led, key);
-    cache.fill(CacheKey::Pred(key), CacheVal::Pred(ans), capacity, eviction);
+    cache.fill(CacheKey::Pred(key), CacheVal::Pred(ans), capacity);
     ans
 }
 
@@ -1828,8 +1740,7 @@ mod tests {
             .max_batch(8)
             .max_queue(32)
             .cache_capacity(2)
-            .routing(Routing::Contiguous)
-            .eviction(Eviction::FillUntilFull)
+            .skew_factor(0)
             .overflow(Overflow::Shed)
             .op_budget(99)
             .fair_share(FairShare::DRR)

@@ -53,11 +53,8 @@
 //! no workers and every `join` runs inline.
 //!
 //! Scheduler observability: [`scheduler_stats`] exposes monotonic counters
-//! (publishes by channel, steals, reclaims, blocked joins, parks) that the
-//! `pool_bench` harness uses to report steal rates, and
-//! [`force_injector_only`] routes every publish through the injector so the
-//! old shared-queue scheduler can be measured against this one in the same
-//! process.
+//! (publishes by channel, steals, reclaims, blocked joins, parks) for
+//! steal-rate reporting and the scheduler tests.
 
 use std::cell::{Cell, UnsafeCell};
 use std::collections::VecDeque;
@@ -345,14 +342,14 @@ impl Deque {
 // ---------------------------------------------------------------------------
 
 /// Monotonic scheduler counters since process start, for steal-rate
-/// reporting (`pool_bench`) and scheduler tests. Snapshot via
+/// reporting and scheduler tests. Snapshot via
 /// [`scheduler_stats`]; subtract two snapshots for a per-phase delta.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulerStats {
     /// Jobs pushed onto a worker's own deque (the lock-free fork path).
     pub published_deque: u64,
-    /// Jobs pushed onto the shared injector (external threads, overflow,
-    /// or [`force_injector_only`] mode).
+    /// Jobs pushed onto the shared injector (external threads or
+    /// overflow).
     pub published_injector: u64,
     /// Deque pushes rejected at capacity and rerouted to the injector.
     pub deque_overflows: u64,
@@ -452,16 +449,6 @@ pub fn scheduler_stats() -> SchedulerStats {
     s
 }
 
-static INJECTOR_ONLY: AtomicBool = AtomicBool::new(false);
-
-/// Diagnostic / benchmarking knob: while `true`, every `join` publishes
-/// through the shared injector queue instead of the caller's deque,
-/// reproducing the pre-work-stealing scheduler so `pool_bench` can measure
-/// both in one process. Workers still drain the injector either way.
-pub fn force_injector_only(on: bool) {
-    INJECTOR_ONLY.store(on, Ordering::SeqCst);
-}
-
 // ---------------------------------------------------------------------------
 // The pool
 // ---------------------------------------------------------------------------
@@ -475,8 +462,7 @@ enum Placement {
 struct Pool {
     /// One Chase–Lev deque per worker; `deques[i]` is owned by worker `i`.
     deques: Box<[Deque]>,
-    /// Overflow / external-submission channel (and the whole scheduler in
-    /// [`force_injector_only`] mode).
+    /// Overflow / external-submission channel.
     injector: Mutex<VecDeque<JobRef>>,
     /// Sleeper handshake: `sleepers` counts workers inside the pre-park
     /// window; publishers lock `sleep` and signal `wake` only when it is
@@ -494,20 +480,17 @@ thread_local! {
 
 impl Pool {
     /// Publish a job: caller's own deque when the caller is a worker (the
-    /// lock-free path), the injector otherwise — or on overflow, or in
-    /// [`force_injector_only`] mode.
+    /// lock-free path), the injector otherwise — or on overflow.
     fn publish(&self, job: JobRef) -> Placement {
-        if !INJECTOR_ONLY.load(Ordering::Relaxed) {
-            if let Some(w) = WORKER.with(Cell::get) {
-                match self.deques[w].push(job) {
-                    Ok(()) => {
-                        stats().published_deque.fetch_add(1, Ordering::Relaxed);
-                        self.notify();
-                        return Placement::Deque(w);
-                    }
-                    Err(_) => {
-                        stats().deque_overflows.fetch_add(1, Ordering::Relaxed);
-                    }
+        if let Some(w) = WORKER.with(Cell::get) {
+            match self.deques[w].push(job) {
+                Ok(()) => {
+                    stats().published_deque.fetch_add(1, Ordering::Relaxed);
+                    self.notify();
+                    return Placement::Deque(w);
+                }
+                Err(_) => {
+                    stats().deque_overflows.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
@@ -746,10 +729,8 @@ mod tests {
     }
 
     /// Serializes the tests that assert on the process-global scheduler
-    /// counters or toggle [`force_injector_only`]: run concurrently they
-    /// would perturb each other's stat deltas (the counters are global)
-    /// and the injector-only window would suppress sibling tests' deque
-    /// publishes.
+    /// counters: run concurrently they would perturb each other's stat
+    /// deltas (the counters are global).
     static STATS_TEST_LOCK: Mutex<()> = Mutex::new(());
 
     fn stats_test_guard() -> std::sync::MutexGuard<'static, ()> {
@@ -1191,27 +1172,5 @@ mod tests {
                 "right branch ran on unexpected thread {name:?}"
             );
         }
-    }
-
-    #[test]
-    fn injector_only_mode_still_computes_correctly() {
-        setup();
-        let _serial = stats_test_guard();
-        force_injector_only(true);
-        let before = scheduler_stats();
-        let total: u64 = (0..256u64)
-            .map(|i| {
-                let (a, b) = join(move || i, move || i * 2);
-                a + b
-            })
-            .sum();
-        force_injector_only(false);
-        assert_eq!(total, 3 * 255 * 256 / 2);
-        let delta = scheduler_stats().since(&before);
-        assert!(
-            delta.published_injector >= 256,
-            "injector-only mode must route every publish through the \
-             injector: {delta:?}"
-        );
     }
 }

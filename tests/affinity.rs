@@ -7,17 +7,14 @@
 //!    against an independent replay that re-implements the owner-shard
 //!    hash and the CLOCK machine from the documented formulas alone;
 //! 2. every charge is **bit-identical** between parallel and sequential
-//!    ledgers; CI runs this file under `WEC_THREADS ∈ {1, 2, 8}`;
+//!    ledgers; CI runs this file under `WEC_THREADS ∈ {1, 2, 8, 16}`;
 //! 3. eviction edge cases behave: capacity 0 bypasses the cache and
 //!    charges exactly the sharded batch path, capacity 1 churns in place,
 //!    and an adversarial all-distinct key stream pins hit rate 0 with
 //!    exact counter identities;
 //! 4. the skew fallback is exact: a pathologically skewed stream charges
-//!    the contiguous dispatch plus the already-spent routing scan;
-//! 5. **the capacity-pressure acceptance claim**: on a 94%-hot stream
-//!    with total cache capacity ≤ 25% of the working set, affinity
-//!    routing + CLOCK sustains a strictly higher cumulative hit ratio
-//!    than the PR-3 contiguous + fill-until-full baseline.
+//!    the replayed contiguous dispatch plus the already-spent routing
+//!    scan.
 
 use wec::asym::{stable_mix64, Costs, Ledger};
 use wec::biconnectivity::oracle::build_biconnectivity_oracle;
@@ -26,7 +23,7 @@ use wec::connectivity::{ConnectivityOracle, OracleBuildOpts};
 use wec::core::BuildOpts;
 use wec::graph::{gen, Csr, Priorities, Vertex};
 use wec::serve::{
-    AdmissionPolicy, Eviction, FullServer, FullStreamingServer, Query, Routing, ShardedServer,
+    shard_chunks, AdmissionPolicy, FullServer, FullStreamingServer, Query, ShardedServer,
     StreamingServer, CACHE_INSERT_WRITES, CACHE_PROBE_READS, CLOCK_SWEEP_OPS, CLOCK_TOUCH_OPS,
     QUERY_WORDS, ROUTE_HASH_OPS,
 };
@@ -155,11 +152,12 @@ impl SimClock {
 }
 
 /// Replay the affinity + CLOCK cost formula over one pass of the stream:
-/// consecutive `max_batch`-sized micro-batches, owner-shard grouping (the
-/// replay asserts no batch trips the skew fallback), per-shard CLOCK
-/// simulation, and the miss costs priced by one-by-one canonical queries
-/// on fresh ledgers. `sims` carries per-shard CLOCK state in and out so a
-/// second call prices the warmed pass.
+/// consecutive `max_batch`-sized micro-batches, owner-shard grouping — or,
+/// for a batch whose largest group exceeds `skew_factor × ⌈n/s⌉`, the
+/// contiguous fallback partition (query `j` on shard `j / ⌈n/s⌉`) —
+/// per-shard CLOCK simulation, and the miss costs priced by one-by-one
+/// canonical queries on fresh ledgers. `sims` carries per-shard CLOCK
+/// state in and out so a second call prices the warmed pass.
 fn replay_affinity_clock(
     server1: &FullServer<'_, '_, Csr>,
     stream: &[Query],
@@ -171,20 +169,24 @@ fn replay_affinity_clock(
     let mut expect = Costs::ZERO;
     for batch in stream.chunks(max_batch) {
         let n = batch.len();
+        let grain = n.div_ceil(SHARDS);
         expect.sym_ops += n as u64 * ROUTE_HASH_OPS; // routing scan
-        expect.sym_ops += SHARDS as u64 - 1; // split bookkeeping: s chunks
         expect.asym_reads += n as u64 * QUERY_WORDS; // per-shard input scans
         let mut group_sizes = [0usize; SHARDS];
         for &q in batch {
             group_sizes[replay_owner(q)] += 1;
         }
-        let max_group = *group_sizes.iter().max().unwrap();
-        assert!(
-            max_group <= skew_factor as usize * n.div_ceil(SHARDS),
-            "replay assumes no skew fallback; pick a less skewed stream"
-        );
-        for &q in batch {
-            let sim = &mut sims[replay_owner(q)];
+        let fallback = *group_sizes.iter().max().unwrap() > skew_factor as usize * grain;
+        // Split bookkeeping: s chunks under affinity, one per grain-sized
+        // slice under the contiguous fallback.
+        let chunks = if fallback {
+            shard_chunks(n, SHARDS)
+        } else {
+            SHARDS
+        };
+        expect.sym_ops += chunks as u64 - 1;
+        for (j, &q) in batch.iter().enumerate() {
+            let sim = &mut sims[if fallback { j / grain } else { replay_owner(q) }];
             let mut led = Ledger::new(OMEGA);
             let mut memo = |sim: &mut SimClock, led: &mut Ledger, key: SimKey| {
                 expect.asym_reads += CACHE_PROBE_READS;
@@ -245,8 +247,7 @@ fn affinity_clock_contract_exact_cold_then_warm() {
             .max_batch(max_batch)
             .max_queue(10_000)
             .cache_capacity(capacity)
-            .routing(Routing::Affinity { skew_factor: skew })
-            .eviction(Eviction::Clock)
+            .skew_factor(skew)
             .build(),
     );
     let server1 =
@@ -309,8 +310,7 @@ fn affinity_clock_bit_identical_across_parallelism() {
                 .max_batch(32)
                 .max_queue(64)
                 .cache_capacity(16) // small: evictions exercised
-                .routing(Routing::Affinity { skew_factor: 4 })
-                .eviction(Eviction::Clock)
+                .skew_factor(4)
                 .build(),
         );
         for &q in &stream {
@@ -356,8 +356,7 @@ fn capacity_zero_bypasses_cache_even_under_affinity_clock() {
             .max_batch(max_batch)
             .max_queue(10_000)
             .cache_capacity(0)
-            .routing(Routing::Affinity { skew_factor: 4 })
-            .eviction(Eviction::Clock)
+            .skew_factor(4)
             .build(),
     );
     let mut led = Ledger::new(OMEGA);
@@ -401,8 +400,7 @@ fn capacity_one_churns_in_place_and_stays_correct() {
             .max_batch(32)
             .max_queue(64)
             .cache_capacity(1)
-            .routing(Routing::Affinity { skew_factor: 4 })
-            .eviction(Eviction::Clock)
+            .skew_factor(4)
             .build(),
     );
     let mut led = Ledger::new(OMEGA);
@@ -456,8 +454,7 @@ fn adversarial_churn_all_distinct_keys_hit_rate_zero() {
             .max_batch(64)
             .max_queue(10_000)
             .cache_capacity(capacity)
-            .routing(Routing::Affinity { skew_factor: 4 })
-            .eviction(Eviction::Clock)
+            .skew_factor(4)
             .build(),
     );
     let mut led = Ledger::new(OMEGA);
@@ -498,119 +495,41 @@ fn skew_fallback_charges_contiguous_plus_routing_scan() {
     // Every query shares one routing key => one owner group holds the
     // whole batch => skew_factor 1 trips the fallback on every batch.
     let stream: Vec<Query> = (0..150).map(|_| Query::Component(7)).collect();
-    let run = |routing: Routing| {
-        let mut srv = streaming_server(
-            &conn,
-            &bicon,
-            AdmissionPolicy::builder()
-                .max_batch(50)
-                .max_queue(10_000)
-                .cache_capacity(64)
-                .routing(routing)
-                .eviction(Eviction::Clock)
-                .build(),
-        );
-        let mut led = Ledger::new(OMEGA);
-        for &q in &stream {
-            srv.submit(&mut led, q).unwrap();
-        }
-        srv.drain(&mut led);
-        assert_eq!(srv.take_ready().len(), stream.len());
-        (led.costs(), led.depth())
-    };
-    let (skewed, skewed_depth) = run(Routing::Affinity { skew_factor: 1 });
-    let (contig, contig_depth) = run(Routing::Contiguous);
-    let routed_ops = stream.len() as u64 * ROUTE_HASH_OPS;
-    let mut expect = contig;
-    expect.sym_ops += routed_ops;
+    let (max_batch, capacity, skew) = (50usize, 64usize, 1u32);
+    let mut srv = streaming_server(
+        &conn,
+        &bicon,
+        AdmissionPolicy::builder()
+            .max_batch(max_batch)
+            .max_queue(10_000)
+            .cache_capacity(capacity)
+            .skew_factor(skew)
+            .build(),
+    );
+    let mut led = Ledger::new(OMEGA);
+    for &q in &stream {
+        srv.submit(&mut led, q).unwrap();
+    }
+    srv.drain(&mut led);
+    assert_eq!(srv.take_ready().len(), stream.len());
+
+    let server1 =
+        ShardedServer::new(conn.query_handle(), 1).with_biconnectivity(bicon.query_handle());
+    let mut sims: Vec<SimClock> = (0..SHARDS).map(|_| SimClock::default()).collect();
+    let expect = replay_affinity_clock(&server1, &stream, max_batch, capacity, skew, &mut sims);
     assert_eq!(
-        skewed, expect,
+        led.costs(),
+        expect,
         "fallback must charge contiguous dispatch + the routing scan"
     );
+    // Contiguous chunks of one key: every shard misses once, then hits.
+    let stats = srv.cache_stats();
     assert_eq!(
-        skewed_depth,
-        contig_depth + routed_ops,
+        (stats.misses, stats.inserts),
+        (SHARDS as u64, SHARDS as u64)
+    );
+    assert!(
+        led.depth() >= stream.len() as u64 * ROUTE_HASH_OPS,
         "the routing scan is sequential depth"
-    );
-}
-
-/// **Acceptance criterion of PR 4**: on a 94%-hot stream with total cache
-/// capacity ≤ 25% of the working set, affinity routing + CLOCK eviction
-/// sustains a strictly higher cumulative hit ratio than the PR-3
-/// contiguous + fill-until-full baseline (whose per-shard caches must each
-/// hold the *entire* hot set and go cold-dead once junk fills them).
-#[test]
-fn affinity_clock_beats_fill_baseline_under_capacity_pressure() {
-    let g = test_graph();
-    let n = g.n() as u32;
-    let pri = Priorities::random(n as usize, 11);
-    let verts: Vec<Vertex> = (0..n).collect();
-    let (conn, bicon) = build_oracles(&g, &pri, &verts);
-
-    // 94%-hot component stream: hot keys 0..64, cold keys uniform over the
-    // rest of the graph (mostly one-shot junk).
-    const HOT: u32 = 64;
-    let mut v = 0x94u32;
-    let mut step = move || {
-        v = v.wrapping_mul(2654435761).wrapping_add(12345);
-        v
-    };
-    let stream: Vec<Query> = (0..4000)
-        .map(|_| {
-            let r = step();
-            let x = step();
-            if r % 256 < 241 {
-                Query::Component(x % HOT) // ~94.1% hot
-            } else {
-                Query::Component(HOT + x % (n - HOT)) // cold junk
-            }
-        })
-        .collect();
-
-    // Working set = distinct keys the stream probes.
-    let mut seen = std::collections::HashSet::new();
-    for q in &stream {
-        let Query::Component(v) = *q else {
-            unreachable!()
-        };
-        seen.insert(v);
-    }
-    let working_set = seen.len();
-    // Total capacity ≤ 25% of the working set, split across shards.
-    let per_shard = (working_set / 4) / SHARDS;
-    assert!(per_shard * SHARDS * 4 <= working_set);
-    assert!(
-        per_shard > 0 && per_shard < HOT as usize,
-        "pressure sanity: one baseline shard cache ({per_shard} slots) must \
-         not be able to hold the whole hot set"
-    );
-
-    let hit_ratio = |routing: Routing, eviction: Eviction| {
-        let mut srv = streaming_server(
-            &conn,
-            &bicon,
-            AdmissionPolicy::builder()
-                .max_batch(64)
-                .max_queue(64)
-                .cache_capacity(per_shard)
-                .routing(routing)
-                .eviction(eviction)
-                .build(),
-        );
-        let mut led = Ledger::new(OMEGA);
-        for &q in &stream {
-            srv.submit(&mut led, q).unwrap();
-        }
-        srv.drain(&mut led);
-        assert_eq!(srv.take_ready().len(), stream.len());
-        srv.cache_stats().hit_ratio()
-    };
-
-    let baseline = hit_ratio(Routing::Contiguous, Eviction::FillUntilFull);
-    let routed = hit_ratio(Routing::Affinity { skew_factor: 4 }, Eviction::Clock);
-    assert!(
-        routed > baseline,
-        "affinity+CLOCK ({routed:.3}) must strictly beat contiguous+fill ({baseline:.3}) \
-         at capacity {per_shard}/shard, working set {working_set}"
     );
 }

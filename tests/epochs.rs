@@ -28,7 +28,11 @@
 //!    exactly like a per-epoch min-id union-find, each stage writes
 //!    exactly the mappings it changes plus one reverse-index move per
 //!    losing class, retirement keeps only visible versions, and the
-//!    charges are thread-invariant.
+//!    charges are thread-invariant;
+//! 8. **installs never block** — in an auto-dispatching stream with
+//!    deltas staged mid-stream and installed with tickets still queued,
+//!    epochs install, answers flow while a delta is staged, and every
+//!    ticket is delivered in order with its submission epoch's answer.
 
 use std::collections::BTreeMap;
 use wec::asym::{
@@ -669,4 +673,122 @@ fn versioned_store_writes_below_the_cumulative_table_on_64_installs() {
         run.stage_writes,
         run.cumulative_table_writes
     );
+}
+
+/// The mutating serving loop at test size: a 40-block base graph, a
+/// `Connected` stream with auto-dispatch (`max_queue == max_batch`), and
+/// edge insertions arriving every `UPDATE_EVERY` queries, batched into
+/// `DELTA_BATCH`-edge deltas. Each delta is staged mid-stream, the stream
+/// keeps submitting and delivering for `STAGE_WINDOW` queries while the
+/// next epoch exists only as staged state, and then the epoch installs
+/// with tickets still queued. Every ticket must be delivered, in order,
+/// with the answer of the graph version it was submitted against — so no
+/// query ever waits on an install.
+#[test]
+fn staged_window_keeps_answering_and_installs_never_block() {
+    const MAX_BATCH: usize = 32;
+    // 1.5 × MAX_BATCH: every window holds at least one inline dispatch.
+    const STAGE_WINDOW: usize = MAX_BATCH + MAX_BATCH / 2;
+    const UPDATE_EVERY: usize = 20;
+    const DELTA_BATCH: usize = 4;
+    const STREAM: usize = 3000;
+
+    let g = many_blocks();
+    let n = g.n() as u32;
+    let pri = Priorities::random(g.n(), 37);
+    let verts: Vec<Vertex> = (0..n).collect();
+    let conn = build_conn(&g, &pri, &verts);
+    let mut srv = StreamingServer::new(
+        ShardedServer::new(conn.query_handle(), SHARDS),
+        AdmissionPolicy::builder()
+            .max_batch(MAX_BATCH)
+            .max_queue(MAX_BATCH)
+            .cache_capacity(64)
+            .build(),
+    );
+    let mut reference = UnionFind::new(n as usize);
+    for b in 0..SMALL_BLOCKS as u32 {
+        for i in 0..4 {
+            reference.union(5 * b + i, 5 * b + i + 1);
+        }
+    }
+
+    let mut rng = Lcg(0xE7);
+    let mut led = Ledger::new(OMEGA);
+    // Expected answer per ticket, fixed at submission from the installed
+    // graph; staged edges join the reference only at their install.
+    let mut expected: Vec<bool> = Vec::with_capacity(STREAM);
+    let mut next_ticket = 0u64;
+    let mut answered_during_stage = 0u64;
+    let mut pending: Vec<(Vertex, Vertex)> = Vec::new();
+    let mut staged: Vec<(Vertex, Vertex)> = Vec::new();
+    let mut install_at: Option<usize> = None;
+    for i in 0..STREAM {
+        let (u, v) = (rng.below(n as u64) as u32, rng.below(n as u64) as u32);
+        expected.push(reference.find(u) == reference.find(v));
+        srv.submit(&mut led, Query::Connected(u, v)).unwrap();
+        let got = deliver_in_order(&mut srv, &expected, &mut next_ticket);
+        if install_at.is_some() {
+            answered_during_stage += got;
+        }
+        // Install once the window has passed, always with tickets queued
+        // (they dispatch after the install, as stragglers).
+        if install_at.is_some_and(|at| i >= at) && srv.queue_len() > 0 {
+            srv.install_staged(&mut led);
+            for (a, b) in staged.drain(..) {
+                reference.union(a, b);
+            }
+            install_at = None;
+        }
+        if (i + 1) % UPDATE_EVERY == 0 {
+            let (a, b) = (rng.below(n as u64) as u32, rng.below(n as u64) as u32);
+            pending.push((a, b));
+            if pending.len() >= DELTA_BATCH && install_at.is_none() {
+                staged = std::mem::take(&mut pending);
+                srv.stage_delta(&mut led, &GraphDelta::from_edges(staged.clone()));
+                install_at = Some(i + STAGE_WINDOW);
+            }
+        }
+    }
+    srv.drain(&mut led);
+    deliver_in_order(&mut srv, &expected, &mut next_ticket);
+
+    let stats = srv.epoch_stats();
+    assert!(stats.installs > 0, "the mutating stream installed epochs");
+    assert!(
+        answered_during_stage > 0,
+        "answers flow while a delta is staged"
+    );
+    assert!(stats.in_flight_at_install > 0 && stats.straggler_answers > 0);
+    assert!(
+        expected.contains(&true) && expected.contains(&false),
+        "the stream asks both merged and separate pairs"
+    );
+    // blocked_on_install: submitted tickets never delivered.
+    assert_eq!(
+        STREAM as u64 - next_ticket,
+        0,
+        "no query waits on an install"
+    );
+}
+
+/// Deliver every ready answer, checking ticket order and each answer
+/// against `expected[ticket]`; returns how many were delivered.
+fn deliver_in_order(
+    srv: &mut StreamingServer<ConnQueryHandle<'_, '_, Csr>>,
+    expected: &[bool],
+    next_ticket: &mut u64,
+) -> u64 {
+    let mut got = 0;
+    while let Some((t, r)) = srv.try_next() {
+        assert_eq!(t.id(), *next_ticket, "tickets delivered in order");
+        assert_eq!(
+            unwrap_connected(&r),
+            expected[t.id() as usize],
+            "ticket {t:?} answers its submission epoch"
+        );
+        *next_ticket += 1;
+        got += 1;
+    }
+    got
 }

@@ -3,7 +3,9 @@
 //! 1. **the acceptance claim** — a seeded 1%-per-shard panic plan on the
 //!    94%-hot streaming workload still answers 100% of submitted queries,
 //!    delivers tickets in submission order, and charges bit-identical
-//!    costs on repeated runs (the plan is a pure function of the seed);
+//!    costs on repeated runs (the plan is a pure function of the seed),
+//!    while a crash-on-first-fault server replaying the same plan would
+//!    answer strictly less than 100%;
 //! 2. a fault plan with every knob at zero charges **bit-identically** to
 //!    no plan at all — the hook is free when disabled;
 //! 3. the circuit breaker lifecycle: a shard that panics on every
@@ -37,9 +39,9 @@ use wec::connectivity::{ConnectivityOracle, OracleBuildOpts};
 use wec::core::BuildOpts;
 use wec::graph::{gen, Csr, Priorities, Vertex};
 use wec::serve::{
-    query_work_estimate, AdmissionPolicy, BreakerState, Eviction, FaultPlan, FullStreamingServer,
-    Overflow, Query, RecoveryPolicy, RobustnessStats, Routing, ServeError, ServeResult,
-    ShardedServer, StreamingServer, Ticket,
+    query_work_estimate, AdmissionPolicy, BreakerState, FaultPlan, FullStreamingServer, Overflow,
+    Query, RecoveryPolicy, RobustnessStats, ServeError, ServeResult, ShardedServer,
+    StreamingServer, Ticket,
 };
 
 const OMEGA: u64 = 64;
@@ -193,8 +195,7 @@ fn seeded_panic_plan_answers_everything_in_order() {
             .max_batch(64)
             .max_queue(64)
             .cache_capacity(32)
-            .routing(Routing::Affinity { skew_factor: 4 })
-            .eviction(Eviction::Clock)
+            .skew_factor(4)
             .build()
     };
     let plan = FaultPlan::seeded(0xF417)
@@ -224,6 +225,23 @@ fn seeded_panic_plan_answers_everything_in_order() {
     assert!(
         stats.retries >= stats.panics_caught,
         "every recovery charges at least one backoff rung"
+    );
+
+    // The crash baseline: a crash-on-first-fault server answers only the
+    // batches dispatched before the first firing (dispatch, shard)
+    // decision. Batches are exactly `max_batch` wide (`max_queue ==
+    // max_batch` under inline dispatch), so dispatch `d` covers queries
+    // from `(d − 1) · 64`; the first panic landing before the last
+    // dispatch ends makes that server answer strictly less than 1.0.
+    let dispatches = stream.len().div_ceil(64) as u64;
+    let first_fault = (1..=dispatches)
+        .find(|&d| (0..SHARDS as u64).any(|s| plan.injects_panic(d, s)))
+        .expect("the 10‰ plan fires within the run");
+    let crash_answered = (first_fault - 1) as usize * 64;
+    assert!(
+        crash_answered < stream.len(),
+        "crash-on-first-fault completeness {crash_answered}/{} must be < 1.0",
+        stream.len()
     );
 
     // Every delivered answer matches the fault-free reference server.
@@ -259,8 +277,7 @@ fn zero_knob_plan_charges_identically_to_no_plan() {
             .max_batch(48)
             .max_queue(48)
             .cache_capacity(64)
-            .routing(Routing::Affinity { skew_factor: 4 })
-            .eviction(Eviction::Clock)
+            .skew_factor(4)
             .build()
     };
     let quiet = FaultPlan::seeded(123);
@@ -297,8 +314,7 @@ fn breaker_trips_excludes_and_reprobes_a_dead_shard() {
         .max_batch(16)
         .max_queue(16)
         .cache_capacity(32)
-        .routing(Routing::Affinity { skew_factor: 4 })
-        .eviction(Eviction::Clock)
+        .skew_factor(4)
         .build();
     let recovery = RecoveryPolicy::default()
         .with_breaker_threshold(2)
@@ -373,8 +389,7 @@ fn half_open_probe_success_restores_the_shard() {
         .max_batch(16)
         .max_queue(16)
         .cache_capacity(32)
-        .routing(Routing::Affinity { skew_factor: 4 })
-        .eviction(Eviction::Clock)
+        .skew_factor(4)
         .build();
     let recovery = RecoveryPolicy::default()
         .with_breaker_threshold(2)
@@ -424,8 +439,7 @@ fn poisoned_cache_lock_is_cleared_and_counted() {
         .max_batch(16)
         .max_queue(16)
         .cache_capacity(32)
-        .routing(Routing::Affinity { skew_factor: 4 })
-        .eviction(Eviction::Clock)
+        .skew_factor(4)
         .build();
     let plan = FaultPlan::seeded(5)
         .with_poison_per_mille(120)
@@ -550,16 +564,7 @@ fn ticket_order_survives_random_interleavings_of_faults() {
             .max_batch(rng.gen_range(1..24))
             .max_queue(rng.gen_range(2..32))
             .cache_capacity([0, 8, 64][rng.gen_range(0..3)])
-            .routing(if rng.gen_bool(0.5) {
-                Routing::Affinity { skew_factor: 4 }
-            } else {
-                Routing::Contiguous
-            })
-            .eviction(if rng.gen_bool(0.5) {
-                Eviction::Clock
-            } else {
-                Eviction::FillUntilFull
-            })
+            .skew_factor([0, 4][rng.gen_range(0..2)])
             .overflow(overflow)
             .build();
         let plan = FaultPlan::seeded(rng.gen::<u64>())

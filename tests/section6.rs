@@ -2,7 +2,7 @@
 //! the implicit bounded-degree view `G'`.
 //!
 //! What the transformation provably preserves — and what it does not —
-//! is documented in `wec-graph/src/bounded.rs` and DESIGN.md: connectivity
+//! is documented in `wec-graph/src/bounded.rs`: connectivity
 //! and the edge-cut structure (bridges / 2-edge-connectivity) carry over
 //! exactly; vertex biconnectivity does not in general (this file contains
 //! the counterexample, kept as a *documented-limitation* test).
@@ -167,7 +167,7 @@ fn two_edge_connectivity_view_implies_original() {
     );
 }
 
-/// **Documented limitation** (DESIGN.md §1, `bounded.rs` docs): the §6
+/// **Documented limitation** (`bounded.rs` docs): the §6
 /// virtual-tree sketch does *not* preserve vertex biconnectivity in
 /// general — when two biconnected components meet at a high-degree
 /// articulation point whose edge slots interleave across different leaves,

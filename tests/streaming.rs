@@ -3,18 +3,19 @@
 //! 1. answers are delivered strictly in submission order and equal
 //!    one-by-one oracle queries (under the default affinity + CLOCK
 //!    policy);
-//! 2. the documented **legacy** hit/miss cost formula
-//!    ([`Routing::Contiguous`] + [`Eviction::FillUntilFull`], the PR-3
-//!    configuration) holds **exactly**: a dispatch charges the batch
-//!    input scan + cache probes + the full one-by-one cost of every miss
-//!    (canonical order) + one write per cache fill + the
-//!    `shard_chunks − 1` scheduler bookkeeping, and nothing else —
-//!    verified cold (misses) and warmed (all hits) against an independent
-//!    replay of the admission/partition logic. The affinity + CLOCK
-//!    formula is enforced the same way by `tests/affinity.rs`;
+//! 2. the documented hit/miss cost formula of the **contiguous
+//!    partition** (`skew_factor = 0`, so every batch takes the skew
+//!    fallback) holds **exactly**: a dispatch charges the routing scan +
+//!    the batch input scan + cache probes + one CLOCK touch per hit + the
+//!    full one-by-one cost of every miss (canonical order) + one write
+//!    per cache fill + the `shard_chunks − 1` scheduler bookkeeping, and
+//!    nothing else — verified cold (misses) and warmed (all hits) against
+//!    an independent replay of the admission/partition logic. The
+//!    affinity-group formula is enforced the same way by
+//!    `tests/affinity.rs`;
 //! 3. every charge is **bit-identical** between parallel and sequential
 //!    ledgers; CI additionally runs this file under `WEC_THREADS ∈
-//!    {1, 2, 8}`, so the totals are pinned at every parallelism level;
+//!    {1, 2, 8, 16}`, so the totals are pinned at every parallelism level;
 //! 4. admission edge cases behave: `max_batch = 1` dispatches every
 //!    submission immediately, and a drain whose queue runs out mid-flush
 //!    ships a final short micro-batch.
@@ -28,8 +29,9 @@ use wec::connectivity::{ConnectivityOracle, OracleBuildOpts};
 use wec::core::BuildOpts;
 use wec::graph::{gen, Csr, Priorities, Vertex};
 use wec::serve::{
-    shard_chunks, AdmissionPolicy, Answer, Eviction, FullServer, FullStreamingServer, Query,
-    Routing, ShardedServer, StreamingServer, CACHE_INSERT_WRITES, CACHE_PROBE_READS, QUERY_WORDS,
+    shard_chunks, AdmissionPolicy, Answer, FullServer, FullStreamingServer, Query, ShardedServer,
+    StreamingServer, CACHE_INSERT_WRITES, CACHE_PROBE_READS, CLOCK_TOUCH_OPS, QUERY_WORDS,
+    ROUTE_HASH_OPS,
 };
 
 const OMEGA: u64 = 64;
@@ -83,15 +85,17 @@ fn streaming_server<'o, 'g>(
     StreamingServer::new(sharded, policy)
 }
 
-/// Independent replay of the documented cost contract: partition the
-/// stream into micro-batches exactly as a no-auto-flush drain would
-/// (consecutive `max_batch`-sized chunks), map each query to its shard
-/// (`position / grain`), track per-shard key sets, and sum the formula —
-/// `QUERY_WORDS` per query, `CACHE_PROBE_READS` per probe, each miss's
-/// canonical one-by-one cost on a fresh ledger, `CACHE_INSERT_WRITES` per
-/// fill while below capacity, and `shard_chunks − 1` ops per dispatch.
-/// `warm_sets` carries per-shard key sets in and out, so a second replay
-/// over the same sets prices the warmed pass.
+/// Independent replay of the documented contiguous-partition cost
+/// contract: partition the stream into micro-batches exactly as a
+/// no-auto-flush drain would (consecutive `max_batch`-sized chunks), map
+/// each query to its shard (`position / grain`), track per-shard key
+/// sets, and sum the formula — `ROUTE_HASH_OPS` + `QUERY_WORDS` per
+/// query, `CACHE_PROBE_READS` per probe, `CLOCK_TOUCH_OPS` per hit, each
+/// miss's canonical one-by-one cost on a fresh ledger,
+/// `CACHE_INSERT_WRITES` per fill, and `shard_chunks − 1` ops per
+/// dispatch. The replay asserts the caches never reach `capacity` (it
+/// does not model eviction). `sets` carries per-shard key sets in and
+/// out, so a second replay over the same sets prices the warmed pass.
 #[allow(clippy::type_complexity)]
 fn replay_expected_costs(
     server1: &FullServer<'_, '_, Csr>,
@@ -106,31 +110,35 @@ fn replay_expected_costs(
     let mut expect = Costs::ZERO;
     for batch in stream.chunks(max_batch) {
         let grain = batch.len().div_ceil(SHARDS);
+        expect.sym_ops += batch.len() as u64 * ROUTE_HASH_OPS;
         expect.asym_reads += batch.len() as u64 * QUERY_WORDS;
         expect.sym_ops += shard_chunks(batch.len(), SHARDS) as u64 - 1;
         for (j, &q) in batch.iter().enumerate() {
             let (comp, pred) = &mut sets[j / grain];
             let mut led = Ledger::new(OMEGA);
+            // One probe: a hit touches its second-chance bit, a miss pays
+            // the query and fills below capacity.
+            let mut probe = |hit: bool, resident: usize| {
+                expect.asym_reads += CACHE_PROBE_READS;
+                if hit {
+                    expect.sym_ops += CLOCK_TOUCH_OPS;
+                } else {
+                    assert!(resident < capacity, "replay does not model eviction");
+                    expect.asym_writes += CACHE_INSERT_WRITES;
+                }
+            };
             match q {
                 Query::Component(v) => {
-                    expect.asym_reads += CACHE_PROBE_READS;
-                    if !comp.contains(&v) {
+                    probe(comp.contains(&v), comp.len() + pred.len());
+                    if comp.insert(v) {
                         server1.conn_handle().component(&mut led, v);
-                        if comp.len() + pred.len() < capacity {
-                            expect.asym_writes += CACHE_INSERT_WRITES;
-                            comp.insert(v);
-                        }
                     }
                 }
                 Query::Connected(u, v) => {
                     for x in [u, v] {
-                        expect.asym_reads += CACHE_PROBE_READS;
-                        if !comp.contains(&x) {
+                        probe(comp.contains(&x), comp.len() + pred.len());
+                        if comp.insert(x) {
                             server1.conn_handle().component(&mut led, x);
-                            if comp.len() + pred.len() < capacity {
-                                expect.asym_writes += CACHE_INSERT_WRITES;
-                                comp.insert(x);
-                            }
                         }
                     }
                 }
@@ -140,13 +148,9 @@ fn replay_expected_costs(
                     } else {
                         BiconnQueryKey::biconnected(u, v)
                     };
-                    expect.asym_reads += CACHE_PROBE_READS;
-                    if !pred.contains(&key) {
+                    probe(pred.contains(&key), comp.len() + pred.len());
+                    if pred.insert(key) {
                         server1.bicon_handle().unwrap().answer_key(&mut led, key);
-                        if comp.len() + pred.len() < capacity {
-                            expect.asym_writes += CACHE_INSERT_WRITES;
-                            pred.insert(key);
-                        }
                     }
                 }
             }
@@ -213,9 +217,9 @@ fn hit_miss_cost_contract_exact_cold_then_warm() {
     let (max_batch, capacity) = (64usize, 1usize << 12);
     // max_queue above the stream length: no auto-flush, so micro-batches
     // are exactly the drain's consecutive max_batch-sized chunks — the
-    // partition the replay below assumes. Routing/eviction pinned to the
-    // legacy PR-3 configuration this replay prices; tests/affinity.rs
-    // replays the affinity + CLOCK contract.
+    // partition the replay below assumes. skew_factor 0 sends every batch
+    // through the contiguous fallback this replay prices; tests/affinity.rs
+    // replays the affinity-group contract.
     let mut srv = streaming_server(
         &conn,
         &bicon,
@@ -223,8 +227,7 @@ fn hit_miss_cost_contract_exact_cold_then_warm() {
             .max_batch(max_batch)
             .max_queue(10_000)
             .cache_capacity(capacity)
-            .routing(Routing::Contiguous)
-            .eviction(Eviction::FillUntilFull)
+            .skew_factor(0)
             .build(),
     );
     let server1 =

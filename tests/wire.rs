@@ -13,7 +13,10 @@
 //!    submission skew with equal weights, both tenants' dispatched counts
 //!    advance in lockstep while both are backlogged, and a 3:1 weighting
 //!    splits every contended micro-batch 3:1 — deterministic counts, not
-//!    statistical bounds;
+//!    statistical bounds. Through the wire, loopback clients at a 10:1
+//!    per-tenant arrival skew receive within ±10% of their weighted fair
+//!    share (equal and 4:2:1:1 weights) and every tenant's completeness is
+//!    exactly 1.0;
 //! 3. the loopback frontend serves end to end: hello credentials gate
 //!    session binding, a refused hello fails each later request with the
 //!    refusal's error, per-session windows reject the overflow request
@@ -458,6 +461,106 @@ fn weighted_fair_share_honors_weights() {
     let a = srv.tenant_stats(TenantId(1)).unwrap().dispatched;
     let b = srv.tenant_stats(TenantId(2)).unwrap().dispatched;
     assert_eq!((a, b), (12, 4), "weight 3:1 ⇒ 12/4 in a contended batch");
+}
+
+/// DRR fair share through the wire: loopback clients split over four
+/// tenants at a 10:3:1.5:1 arrival skew (client counts are the arrival
+/// rate; each client keeps up to 8 requests in flight and sends one per
+/// pump round) drive one `Frontend`. Over the contended rounds every
+/// tenant's delivered share sits within ±10% of its weighted fair share —
+/// for equal weights and for 4:2:1:1 — and after arrivals stop every
+/// tenant drains to completeness exactly 1.0.
+#[test]
+fn wire_drr_delivers_weighted_fair_share_under_arrival_skew() {
+    const CLIENTS: [usize; 4] = [40, 12, 6, 4];
+    const WINDOW: usize = 8;
+    const ROUNDS: u64 = 12;
+    let (g, pri, verts) = oracle_fixture();
+    let mut led = Ledger::new(OMEGA);
+    let k = led.sqrt_omega();
+    let oracle =
+        ConnectivityOracle::build(&mut led, &g, &pri, &verts, k, 1, OracleBuildOpts::default());
+
+    for weights in [[1u32, 1, 1, 1], [4, 2, 1, 1]] {
+        let policy = AdmissionPolicy::builder()
+            // One batch per pump: the coldest tenant's arrivals (4 per
+            // round) cover its share of 16 under both weightings.
+            .max_batch(16)
+            .max_queue(1 << 20)
+            .fair_share(FairShare::DRR)
+            .tenants((0..4).map(|t| TenantSpec::new(t as u16).weight(weights[t])))
+            .build();
+        let srv = StreamingServer::new(ShardedServer::new(oracle.query_handle(), 3), policy);
+        let mut fe = Frontend::new(srv);
+        // (transport, inbound frames, tenant, requests in flight)
+        let mut clients: Vec<(LoopbackTransport, FrameBuf, usize, usize)> = Vec::new();
+        for (tenant, &count) in CLIENTS.iter().enumerate() {
+            for _ in 0..count {
+                let (mut client, server_end) = loopback_pair();
+                fe.connect(Box::new(server_end));
+                client
+                    .send(&encode_frame(&Frame::Hello {
+                        tenant: TenantId(tenant as u16),
+                        credential: 0,
+                        session: clients.len() as u64,
+                    }))
+                    .unwrap();
+                clients.push((client, FrameBuf::default(), tenant, 0));
+            }
+        }
+        fe.pump(&mut led);
+
+        let mut r = Lcg(0x7e4a);
+        let mut submitted = [0u64; 4];
+        let mut delivered = [0u64; 4];
+        let mut delivered_contended = [0u64; 4];
+        let mut round = 0u64;
+        while round < ROUNDS || clients.iter().any(|c| c.3 > 0) {
+            let contended = round < ROUNDS;
+            for (client, _, tenant, in_flight) in clients.iter_mut() {
+                if contended && *in_flight < WINDOW {
+                    let query = Query::Component(r.below(g.n() as u64) as u32);
+                    client
+                        .send(&encode_frame(&Frame::Request { corr: round, query }))
+                        .unwrap();
+                    *in_flight += 1;
+                    submitted[*tenant] += 1;
+                }
+            }
+            fe.pump(&mut led);
+            let mut buf = [0u8; 1024];
+            for (client, rx, tenant, in_flight) in clients.iter_mut() {
+                while let Ok(n @ 1..) = client.recv(&mut buf) {
+                    rx.extend(&buf[..n]);
+                }
+                while let Some(f) = rx.next_frame() {
+                    assert!(matches!(f, Ok(Frame::Answer { .. })), "{f:?}");
+                    *in_flight -= 1;
+                    delivered[*tenant] += 1;
+                    if contended {
+                        delivered_contended[*tenant] += 1;
+                    }
+                }
+            }
+            round += 1;
+            assert!(round < ROUNDS + 1000, "drain stalled");
+        }
+
+        let total: u64 = delivered_contended.iter().sum();
+        let weight_total: u32 = weights.iter().sum();
+        for t in 0..4 {
+            let share = delivered_contended[t] as f64 / total as f64;
+            let fair = weights[t] as f64 / weight_total as f64;
+            assert!(
+                (share - fair).abs() <= 0.10 * fair,
+                "weights {weights:?}: tenant {t} delivered share {share:.4} vs fair {fair:.4}"
+            );
+            assert_eq!(
+                delivered[t], submitted[t],
+                "weights {weights:?}: tenant {t} completeness must be exactly 1.0"
+            );
+        }
+    }
 }
 
 /// Quotas bound *queued* submissions: the rejection is typed, consumes no

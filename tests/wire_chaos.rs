@@ -3,7 +3,8 @@
 //! 1. **exactly-once under byte faults** — a seeded 10‰ byte-fault plan
 //!    (short reads/writes, mid-frame disconnects, stalls, duplicated
 //!    delivery) over 1200+ wire queries from retrying clients completes
-//!    every request with exactly one answer per correlation id, and the
+//!    every request with exactly one answer per correlation id (while
+//!    fire-once clients over the same plan lose answers), and the
 //!    whole run — costs, frontend stats, client stats, every delivered
 //!    answer — is bit-reproducible across reruns (CI also pins it across
 //!    `WEC_THREADS ∈ {1, 2, 8, 16}` and in the fault matrix);
@@ -26,7 +27,7 @@ use wec::connectivity::{ConnectivityOracle, OracleBuildOpts};
 use wec::graph::{gen, Csr, Priorities};
 use wec::serve::{
     encode_frame, loopback_listener, loopback_pair, AdmissionPolicy, Answer, ChaosConnector,
-    ChaosTransport, ClientStats, Frame, FrameBuf, Frontend, FrontendStats, GoawayReason,
+    ChaosTransport, ClientStats, Connector, Frame, FrameBuf, Frontend, FrontendStats, GoawayReason,
     LifecyclePolicy, Query, RetryPolicy, ServeError, ShardedServer, StreamingServer, TenantId,
     Transport, TransportError, WireClient, WireFault, WireFaultPlan,
 };
@@ -146,6 +147,125 @@ fn chaos_run(
     (serve_led.costs(), fe.frontend_stats(), client_obs, outcomes)
 }
 
+/// The fire-once baseline over the same plans and queries as
+/// [`chaos_run`]: each client dials once, opens one session, sends each
+/// request as a raw frame exactly once and never reconnects or resubmits,
+/// so a fault that tears its connection loses every answer still in
+/// flight. A client that stops making progress for 300 rounds has lost
+/// its answers. Returns `(submitted, answered)`.
+fn fire_once_run(seed: u64, per_mille: u16, clients: usize, per_client: usize) -> (u64, u64) {
+    struct FireOnce {
+        transport: Option<Box<dyn Transport>>,
+        rx: FrameBuf,
+        queries: Vec<Query>,
+        next: usize,
+        /// Correlation ids sent and not yet answered.
+        in_flight: std::collections::BTreeSet<u64>,
+        answered: u64,
+    }
+    let (g, pri, verts) = oracle_fixture();
+    let mut led = Ledger::new(OMEGA);
+    let k = led.sqrt_omega();
+    let oracle =
+        ConnectivityOracle::build(&mut led, &g, &pri, &verts, k, 1, OracleBuildOpts::default());
+    let policy = AdmissionPolicy::builder()
+        .max_batch(8)
+        .max_queue(1 << 20)
+        .build();
+    let srv = StreamingServer::new(ShardedServer::new(oracle.query_handle(), 3), policy);
+    let mut fe = Frontend::new(srv).with_lifecycle(LifecyclePolicy {
+        max_strikes: 8,
+        ..LifecyclePolicy::default()
+    });
+    let (connector, listener) = loopback_listener();
+    let mut r = Lcg(seed | 1);
+    let mut workers: Vec<FireOnce> = (0..clients)
+        .map(|i| {
+            let plan = WireFaultPlan::seeded(seed ^ (i as u64) << 32).with_all(per_mille);
+            let mut transport = ChaosConnector::new(connector.clone(), plan).dial().ok();
+            let hello = Frame::Hello {
+                tenant: TenantId::DEFAULT,
+                credential: 0,
+                session: 0xf1e_0000 + i as u64,
+            };
+            if transport
+                .as_mut()
+                .is_some_and(|t| t.send(&encode_frame(&hello)).is_err())
+            {
+                transport = None;
+            }
+            let queries = (0..per_client)
+                .map(|_| {
+                    Query::Connected(r.below(g.n() as u64) as u32, r.below(g.n() as u64) as u32)
+                })
+                .collect();
+            FireOnce {
+                transport,
+                rx: FrameBuf::default(),
+                queries,
+                next: 0,
+                in_flight: Default::default(),
+                answered: 0,
+            }
+        })
+        .collect();
+
+    let mut serve_led = Ledger::new(OMEGA);
+    let mut stale = 0;
+    while stale < 300 {
+        while let Some(t) = listener.accept() {
+            fe.connect(Box::new(t));
+        }
+        let mut progress = 0;
+        for w in workers.iter_mut() {
+            let Some(t) = w.transport.as_mut() else {
+                continue;
+            };
+            let mut alive = true;
+            while alive && w.next < w.queries.len() && w.in_flight.len() < 8 {
+                let corr = w.next as u64;
+                let frame = Frame::Request {
+                    corr,
+                    query: w.queries[w.next],
+                };
+                alive = t.send(&encode_frame(&frame)).is_ok();
+                w.next += 1;
+                w.in_flight.insert(corr);
+            }
+            let mut buf = [0u8; 512];
+            while alive {
+                match t.recv(&mut buf) {
+                    Ok(0) => break,
+                    Ok(n) => w.rx.extend(&buf[..n]),
+                    Err(_) => alive = false,
+                }
+            }
+            while let Some(f) = w.rx.next_frame() {
+                // A duplicated answer frame counts once.
+                if let Ok(Frame::Answer { corr, .. }) = f {
+                    if w.in_flight.remove(&corr) {
+                        w.answered += 1;
+                        progress += 1;
+                    }
+                }
+            }
+            if !alive {
+                w.transport = None;
+            }
+        }
+        fe.pump(&mut serve_led);
+        let done = workers.iter().all(|w| {
+            w.transport.is_none() || (w.next == w.queries.len() && w.in_flight.is_empty())
+        });
+        if done {
+            break;
+        }
+        stale = if progress == 0 { stale + 1 } else { 0 };
+    }
+    let answered = workers.iter().map(|w| w.answered).sum();
+    ((clients * per_client) as u64, answered)
+}
+
 /// The tentpole acceptance: 4 retrying clients × 320 queries under a
 /// seeded 10‰ byte-fault plan. Every client observes exactly-once
 /// answers — completeness 1.0, zero duplicate deliveries to the
@@ -180,6 +300,19 @@ fn chaos_ten_per_mille_exactly_once_and_reproducible() {
     assert!(
         fstats.dup_requests_suppressed + fstats.dup_answers_replayed > 0,
         "the dedup window did real work"
+    );
+
+    // The fire-once baseline over the same 10‰ plans visibly loses
+    // answers: retries and the dedup window are what make it 1.0.
+    let (submitted, answered) = fire_once_run(0xc4a05, 10, 4, 320);
+    assert!(
+        answered < submitted,
+        "fire-once completeness {answered}/{submitted} must be < 1.0 at 10‰"
+    );
+    assert_eq!(
+        fire_once_run(0xc4a05, 10, 4, 320),
+        (submitted, answered),
+        "the fire-once leg is reproducible"
     );
 
     // Bit-reproducible: an identical rerun observes identical
