@@ -6,7 +6,7 @@
 //! counters and *depth*; [`Ledger::fork`] splits the task in two exactly like
 //! the `Fork` instruction of the Asymmetric NP model: the children's work is
 //! summed into the parent while the depth grows only by the larger child's
-//! depth. Above a grain threshold the two branches really run in parallel on
+//! depth. On a parallel ledger the two branches really run in parallel on
 //! the rayon pool — the accounted numbers do not change either way.
 //!
 //! # The split/merge ledger contract
@@ -27,23 +27,22 @@
 //!   thread ([`Ledger::sequential`]) or many ([`Ledger::new`]);
 //! * **bookkeeping** — [`Ledger::scoped_par`] additionally charges the
 //!   scheduler's split tree: `chunks − 1` unit operations of work and
-//!   `⌈log₂ chunks⌉` units of depth, mirroring what [`Ledger::par_for`]
-//!   charges for its binary splits.
+//!   `⌈log₂ chunks⌉` units of depth, one per binary split of that tree.
 //!
 //! # Accounting grain vs. execution grain
 //!
 //! `scoped_par`'s `grain` parameter is the **accounting grain**: it fixes
 //! the chunk structure — how many [`LedgerScope`]s exist, what each one
 //! charges, and therefore every number above. The **execution grain** — how
-//! many of those accounting chunks one forked task runs back-to-back — is a
-//! separate, cost-invisible choice controlled by a [`Grain`] policy
-//! ([`Ledger::scoped_par_grained`]). The default, [`Grain::AUTO`], sizes
-//! tasks at `max(grain, n / (threads × chunks_per_worker))` elements so a
-//! pass over a huge array forks `O(threads)` tasks instead of one per tiny
-//! chunk. Because every accounting chunk still runs on its own zeroed
-//! scope and the merge stays in chunk index order, the accounted
-//! `Costs`/depth are bit-identical across thread counts **and** across
-//! grain policies — only wall-clock fork overhead changes.
+//! many of those accounting chunks one forked task runs back-to-back — is
+//! one private, cost-invisible rule: tasks of
+//! `max(grain, n / (threads × 8))` elements, rounded up to whole chunks, so
+//! a pass over a huge array forks `O(threads)` tasks instead of one per tiny
+//! chunk, and the work-stealing pool keeps spare tasks to rebalance skewed
+//! chunk bodies. Because every accounting chunk still runs on its own
+//! zeroed scope and the merge stays in chunk index order, the accounted
+//! `Costs`/depth are bit-identical across thread counts — only wall-clock
+//! fork overhead changes.
 //!
 //! Loops whose per-element charges are known in advance should not charge
 //! inside the loop at all: the [`Charge`] helpers (`charge_reads(n)`, ...)
@@ -52,75 +51,18 @@
 use crate::cost::Costs;
 use crate::report::CostReport;
 
-/// Fork bodies smaller than this (estimated by the caller's `grain`
-/// parameters) run sequentially; `rayon::join` overhead is not worth paying
-/// for tiny tasks on any machine.
-pub const DEFAULT_GRAIN: usize = 2048;
+/// Forked tasks per pool thread in [`Ledger::scoped_par`]'s execution
+/// grain. Greater than 1 so the work-stealing scheduler can rebalance
+/// uneven chunk bodies; small enough that fork overhead stays `O(threads)`
+/// per pass.
+const TASKS_PER_WORKER: usize = 8;
 
-/// How many tasks per pool thread [`Grain::AUTO`] aims for. Greater than 1
-/// so the work-stealing scheduler can rebalance when chunk bodies are
-/// uneven; small enough that fork overhead stays `O(threads)` per pass.
-pub const DEFAULT_CHUNKS_PER_WORKER: usize = 4;
-
-/// Execution-grain policy for [`Ledger::scoped_par_grained`]: how many
-/// **elements** (rounded up to whole accounting chunks) each forked task
-/// runs sequentially.
-///
-/// The policy is deliberately invisible to the cost model — see
-/// "Accounting grain vs. execution grain" in the module docs. Both
-/// variants produce bit-identical `Costs`/depth for a given accounting
-/// grain; they differ only in how many real fork/join operations the
-/// scheduler performs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Grain {
-    /// Tasks of `k` elements. `Fixed(grain)` — one task per accounting
-    /// chunk — is the historical behavior; larger multiples batch chunks.
-    Fixed(usize),
-    /// Tasks of `max(grain, n / (threads × chunks_per_worker))` elements:
-    /// large inputs fork `≈ threads × chunks_per_worker` tasks instead of
-    /// `n / grain`, and inputs with fewer elements than that keep one task
-    /// per accounting chunk.
-    Auto {
-        /// Oversubscription factor (tasks per pool thread); see
-        /// [`DEFAULT_CHUNKS_PER_WORKER`].
-        chunks_per_worker: usize,
-    },
-}
-
-impl Grain {
-    /// The default policy: [`Grain::Auto`] with
-    /// [`DEFAULT_CHUNKS_PER_WORKER`].
-    pub const AUTO: Grain = Grain::Auto {
-        chunks_per_worker: DEFAULT_CHUNKS_PER_WORKER,
-    };
-
-    /// Preset for passes whose per-chunk work is heavily skewed (per-item
-    /// bodies of very different sizes — cluster listings, per-primary
-    /// secondary planting): twice the default task count, so the
-    /// work-stealing pool has spare tasks to rebalance stragglers with.
-    /// Like every policy, pure execution tuning — accounting unchanged.
-    pub const SKEWED: Grain = Grain::Auto {
-        chunks_per_worker: 2 * DEFAULT_CHUNKS_PER_WORKER,
-    };
-
-    /// Accounting chunks each forked task runs back-to-back, for an input
-    /// of `n` elements at accounting grain `grain` (both ≥ 1).
-    fn chunks_per_task(self, n: usize, grain: usize) -> usize {
-        let elems = match self {
-            Grain::Fixed(k) => k.max(grain),
-            Grain::Auto { chunks_per_worker } => {
-                let tasks = rayon::current_num_threads().max(1) * chunks_per_worker.max(1);
-                (n / tasks).max(grain)
-            }
-        };
-        elems.div_ceil(grain)
-    }
-}
-
-impl Default for Grain {
-    fn default() -> Self {
-        Grain::AUTO
-    }
+/// Accounting chunks one forked task of [`Ledger::scoped_par`] runs
+/// back-to-back, for an input of `n` elements at accounting grain `grain`
+/// (≥ 1): tasks of `max(grain, n / (threads × TASKS_PER_WORKER))` elements.
+fn chunks_per_task(n: usize, grain: usize) -> usize {
+    let tasks = rayon::current_num_threads().max(1) * TASKS_PER_WORKER;
+    (n / tasks).max(grain).div_ceil(grain)
 }
 
 /// Per-task cost accounting for the Asymmetric RAM / NP models.
@@ -288,38 +230,8 @@ impl Ledger {
     /// Fork two child tasks and join them: the NP model's `Fork`.
     ///
     /// Work (all counters) adds; depth grows by the *max* of the two branch
-    /// depths; the symmetric-memory peak is the max across branches. `size`
-    /// is a hint for how much real work the branches do — below
-    /// [`DEFAULT_GRAIN`] the branches run sequentially on this thread.
-    pub fn fork_sized<RA, RB>(
-        &mut self,
-        size: usize,
-        fa: impl FnOnce(&mut Ledger) -> RA + Send,
-        fb: impl FnOnce(&mut Ledger) -> RB + Send,
-    ) -> (RA, RB)
-    where
-        RA: Send,
-        RB: Send,
-    {
-        let mut la = self.child();
-        let mut lb = self.child();
-        let (ra, rb) = if self.parallel && size >= DEFAULT_GRAIN {
-            let (ra, rb) = rayon::join(move || (fa(&mut la), la), move || (fb(&mut lb), lb));
-            let (ra, la2) = ra;
-            let (rb, lb2) = rb;
-            self.absorb_pair(la2, lb2);
-            return (ra, rb);
-        } else {
-            let ra = fa(&mut la);
-            let rb = fb(&mut lb);
-            (ra, rb)
-        };
-        self.absorb_pair(la, lb);
-        (ra, rb)
-    }
-
-    /// [`Ledger::fork_sized`] with a size hint large enough to always go
-    /// through rayon when parallelism is enabled.
+    /// depths; the symmetric-memory peak is the max across branches. The
+    /// branches run through `rayon::join` when this ledger is parallel.
     pub fn fork<RA, RB>(
         &mut self,
         fa: impl FnOnce(&mut Ledger) -> RA + Send,
@@ -329,80 +241,15 @@ impl Ledger {
         RA: Send,
         RB: Send,
     {
-        self.fork_sized(usize::MAX, fa, fb)
-    }
-
-    /// Parallel loop over `0..n` with the given grain size: recursively
-    /// splits the index range via [`Ledger::fork_sized`], running `body`
-    /// sequentially within each grain. Each binary split charges one unit
-    /// operation (the scheduler bookkeeping of the model), so the loop
-    /// contributes `O(n/grain)` work and `O(log(n/grain))` depth on top of
-    /// the body costs.
-    pub fn par_for(&mut self, n: usize, grain: usize, body: &(impl Fn(usize, &mut Ledger) + Sync)) {
-        self.par_for_range(0, n, grain.max(1), body);
-    }
-
-    fn par_for_range(
-        &mut self,
-        lo: usize,
-        hi: usize,
-        grain: usize,
-        body: &(impl Fn(usize, &mut Ledger) + Sync),
-    ) {
-        if hi - lo <= grain {
-            for i in lo..hi {
-                body(i, self);
-            }
-            return;
-        }
-        let mid = lo + (hi - lo) / 2;
-        self.op(1);
-        self.fork_sized(
-            hi - lo,
-            move |l| l.par_for_range(lo, mid, grain, body),
-            move |l| l.par_for_range(mid, hi, grain, body),
-        );
-    }
-
-    /// Parallel map over `0..n` collecting results in index order. Accounting
-    /// matches [`Ledger::par_for`]. The result concatenation is harness-side
-    /// plumbing and is not charged; algorithms that build model-visible
-    /// output arrays must charge their own writes.
-    pub fn par_map<T: Send>(
-        &mut self,
-        n: usize,
-        grain: usize,
-        f: &(impl Fn(usize, &mut Ledger) -> T + Sync),
-    ) -> Vec<T> {
-        let mut out = Vec::with_capacity(n);
-        self.par_map_range(0, n, grain.max(1), f, &mut out);
-        out
-    }
-
-    fn par_map_range<T: Send>(
-        &mut self,
-        lo: usize,
-        hi: usize,
-        grain: usize,
-        f: &(impl Fn(usize, &mut Ledger) -> T + Sync),
-        out: &mut Vec<T>,
-    ) {
-        if hi - lo <= grain {
-            for i in lo..hi {
-                out.push(f(i, self));
-            }
-            return;
-        }
-        let mid = lo + (hi - lo) / 2;
-        self.op(1);
-        let (mut left, mut right) = (Vec::new(), Vec::new());
-        self.fork_sized(
-            hi - lo,
-            |l| l.par_map_range(lo, mid, grain, f, &mut left),
-            |l| l.par_map_range(mid, hi, grain, f, &mut right),
-        );
-        out.append(&mut left);
-        out.append(&mut right);
+        let mut la = self.child();
+        let mut lb = self.child();
+        let ((ra, la), (rb, lb)) = if self.parallel {
+            rayon::join(move || (fa(&mut la), la), move || (fb(&mut lb), lb))
+        } else {
+            ((fa(&mut la), la), (fb(&mut lb), lb))
+        };
+        self.absorb_pair(la, lb);
+        (ra, rb)
     }
 
     /// Run `body` against a scratch ledger whose *entire* activity is then
@@ -464,34 +311,17 @@ impl Ledger {
     /// its own [`LedgerScope`] — in parallel on the rayon pool when this
     /// ledger is parallel and more than one chunk exists — and merge the
     /// scopes deterministically. Returns the per-chunk results in chunk
-    /// order. Execution batches chunks per [`Grain::AUTO`]; use
-    /// [`Ledger::scoped_par_grained`] to pick the policy.
+    /// order. Execution batches chunks per task by the thread count (see
+    /// "Accounting grain vs. execution grain" in the module docs).
     ///
     /// Accounting (see module docs): chunk costs sum, depth takes
     /// `⌈log₂ chunks⌉ + max(chunk depth)`, plus `chunks − 1` unit
     /// operations for the scheduler's split tree — bit-identical between
-    /// parallel and sequential execution and across [`Grain`] policies.
+    /// parallel and sequential execution and across thread counts.
     pub fn scoped_par<T: Send>(
         &mut self,
         n: usize,
         grain: usize,
-        body: &(impl Fn(std::ops::Range<usize>, &mut LedgerScope) -> T + Sync),
-    ) -> Vec<T> {
-        self.scoped_par_grained(n, grain, Grain::AUTO, body)
-    }
-
-    /// [`Ledger::scoped_par`] with an explicit execution-[`Grain`] policy.
-    ///
-    /// `grain` (the accounting grain) fixes the chunk structure and every
-    /// charged number; `exec` only controls how many of those chunks one
-    /// forked task runs back-to-back, so it can be tuned freely — per call
-    /// site or adaptively from the thread count — without perturbing the
-    /// cost contract.
-    pub fn scoped_par_grained<T: Send>(
-        &mut self,
-        n: usize,
-        grain: usize,
-        exec: Grain,
         body: &(impl Fn(std::ops::Range<usize>, &mut LedgerScope) -> T + Sync),
     ) -> Vec<T> {
         let grain = grain.max(1);
@@ -499,20 +329,15 @@ impl Ledger {
             return Vec::new();
         }
         let chunks = n.div_ceil(grain);
-        let chunks_per_task = exec.chunks_per_task(n, grain);
+        let chunks_per_task = if self.parallel {
+            chunks_per_task(n, grain)
+        } else {
+            chunks
+        };
         let mut slots: Vec<Option<(T, LedgerScope)>> = Vec::new();
         slots.resize_with(chunks, || None);
         let proto = self.scope();
-        run_chunks(
-            self.parallel,
-            &proto,
-            &mut slots,
-            0,
-            grain,
-            n,
-            chunks_per_task,
-            body,
-        );
+        run_chunks(&proto, &mut slots, 0, grain, n, chunks_per_task, body);
         // Deterministic merge in chunk order, independent of execution
         // interleaving: exactly join_many, plus the split-tree bookkeeping.
         let mut out = Vec::with_capacity(chunks);
@@ -535,19 +360,7 @@ impl Ledger {
         grain: usize,
         map: &(impl Fn(usize, &mut LedgerScope) -> T + Sync),
     ) -> Vec<T> {
-        self.scoped_par_map_grained(n, grain, Grain::AUTO, map)
-    }
-
-    /// [`Ledger::scoped_par_map`] with an explicit execution-[`Grain`]
-    /// policy (see [`Ledger::scoped_par_grained`]).
-    pub fn scoped_par_map_grained<T: Send>(
-        &mut self,
-        n: usize,
-        grain: usize,
-        exec: Grain,
-        map: &(impl Fn(usize, &mut LedgerScope) -> T + Sync),
-    ) -> Vec<T> {
-        let parts = self.scoped_par_grained(n, grain, exec, &|range, scope| {
+        let parts = self.scoped_par(n, grain, &|range, scope| {
             let mut v = Vec::with_capacity(range.len());
             for i in range {
                 v.push(map(i, scope));
@@ -565,11 +378,9 @@ impl Ledger {
 /// Execute chunk `body`s over the slot array, recursively splitting with
 /// `rayon::join` down to tasks of `chunks_per_task` accounting chunks (run
 /// sequentially within a task, each on its own fresh scope). Only the
-/// *execution* is shaped by `parallel` and `chunks_per_task`; all
-/// accounting is derived from the filled slots afterwards.
-#[allow(clippy::too_many_arguments)]
+/// *execution* is shaped by `chunks_per_task`; all accounting is derived
+/// from the filled slots afterwards.
 fn run_chunks<T: Send>(
-    parallel: bool,
     proto: &LedgerScope,
     slots: &mut [Option<(T, LedgerScope)>],
     first_chunk: usize,
@@ -578,10 +389,7 @@ fn run_chunks<T: Send>(
     chunks_per_task: usize,
     body: &(impl Fn(std::ops::Range<usize>, &mut LedgerScope) -> T + Sync),
 ) {
-    if slots.is_empty() {
-        return;
-    }
-    if !parallel || slots.len() <= chunks_per_task {
+    if slots.len() <= chunks_per_task {
         for (offset, slot) in slots.iter_mut().enumerate() {
             let chunk = first_chunk + offset;
             let lo = chunk * grain;
@@ -595,21 +403,9 @@ fn run_chunks<T: Send>(
     let mid = slots.len() / 2;
     let (left, right) = slots.split_at_mut(mid);
     rayon::join(
+        || run_chunks(proto, left, first_chunk, grain, n, chunks_per_task, body),
         || {
             run_chunks(
-                parallel,
-                proto,
-                left,
-                first_chunk,
-                grain,
-                n,
-                chunks_per_task,
-                body,
-            )
-        },
-        || {
-            run_chunks(
-                parallel,
                 proto,
                 right,
                 first_chunk + mid,
@@ -749,71 +545,13 @@ impl Charge for LedgerScope {
     }
 }
 
-/// A deferred cost tally for **read-mostly batch passes** (oracle query
-/// serving, scans that rarely write): the pass notes per-item charges into
-/// plain counters — no ledger traffic, no depth updates per item — and
-/// flushes the total into a [`Charge`] sink once, at the point where the
-/// batch is accounted.
-///
-/// Because `read(n)`/`write(n)`/`op(n)` are linear in `n`, one flush of the
-/// summed tally charges *exactly* what the equivalent per-item calls would
-/// have charged (same `Costs`, same depth contribution), so deferring
-/// through a tally never perturbs the split/merge ledger contract — it only
-/// removes per-item accounting overhead from the hot loop.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct CostTally {
-    acc: Costs,
-}
-
-impl CostTally {
-    /// An empty tally.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Note `n` asymmetric-memory reads.
-    #[inline]
-    pub fn note_reads(&mut self, n: u64) {
-        self.acc.asym_reads += n;
-    }
-
-    /// Note `n` asymmetric-memory writes.
-    #[inline]
-    pub fn note_writes(&mut self, n: u64) {
-        self.acc.asym_writes += n;
-    }
-
-    /// Note `n` unit-cost operations.
-    #[inline]
-    pub fn note_ops(&mut self, n: u64) {
-        self.acc.sym_ops += n;
-    }
-
-    /// Note a pre-tallied [`Costs`] delta.
-    #[inline]
-    pub fn note(&mut self, c: Costs) {
-        self.acc += c;
-    }
-
-    /// The accumulated (not yet flushed) counters.
-    #[inline]
-    pub fn pending(&self) -> Costs {
-        self.acc
-    }
-
-    /// Charge the accumulated counters into `sink` and reset the tally.
-    pub fn flush(&mut self, sink: &mut impl Charge) {
-        sink.charge(self.acc);
-        self.acc = Costs::ZERO;
-    }
-}
-
 /// Deferred accounting for a **result cache** sitting in front of a
 /// read-only query path (see `wec-serve`'s streaming front end): every
 /// probe, hit, miss, and insertion is noted into plain counters and the
-/// accumulated [`Costs`] are flushed into a [`Charge`] sink once per batch,
-/// exactly like [`CostTally`] — one flush charges what the equivalent
-/// per-item calls would have (same `Costs`, same depth contribution).
+/// accumulated [`Costs`] are flushed into a [`Charge`] sink once per batch.
+/// Because `read(n)`/`write(n)`/`op(n)` are linear in `n`, one flush
+/// charges exactly what the equivalent per-item calls would have (same
+/// `Costs`, same depth contribution).
 ///
 /// The charge conventions this tally encodes (the serving layer's
 /// hit/miss cost contract builds on them):
@@ -988,52 +726,6 @@ mod tests {
     }
 
     #[test]
-    fn par_for_visits_every_index_once() {
-        let mut l = Ledger::sequential(2);
-        let hits = std::sync::Mutex::new(vec![0u32; 100]);
-        l.par_for(100, 8, &|i, led| {
-            led.op(1);
-            hits.lock().unwrap()[i] += 1;
-        });
-        assert!(hits.lock().unwrap().iter().all(|&h| h == 1));
-        // 100 body ops plus one op per binary split
-        assert!(l.costs().sym_ops >= 100);
-        assert!(l.costs().sym_ops <= 100 + 100 / 8 + 8);
-    }
-
-    #[test]
-    fn par_for_depth_is_logarithmic_in_tasks() {
-        let mut l = Ledger::sequential(2);
-        l.par_for(1 << 12, 1, &|_, led| led.op(1));
-        // depth ~ log2(4096) splits + 1 body op per level path
-        assert!(l.depth() < 64, "depth {} should be ~log n", l.depth());
-        assert!(l.costs().sym_ops >= 1 << 12);
-    }
-
-    #[test]
-    fn par_map_preserves_index_order() {
-        let mut l = Ledger::new(2);
-        let v = l.par_map(1000, 16, &|i, _| i * i);
-        assert_eq!(v.len(), 1000);
-        assert!(v.iter().enumerate().all(|(i, &x)| x == i * i));
-    }
-
-    #[test]
-    fn parallel_and_sequential_execution_agree_on_par_map_costs() {
-        let run = |mut l: Ledger| {
-            l.par_map(5000, 7, &|i, led| {
-                led.read(1);
-                if i % 3 == 0 {
-                    led.write(1);
-                }
-                i
-            });
-            (l.costs(), l.depth(), l.sym_peak())
-        };
-        assert_eq!(run(Ledger::new(16)), run(Ledger::sequential(16)));
-    }
-
-    #[test]
     fn sym_memory_high_water() {
         let mut l = Ledger::new(2);
         l.sym_alloc(10);
@@ -1190,96 +882,27 @@ mod tests {
             (out, l.costs(), l.depth(), l.sym_peak())
         };
         assert_eq!(run(Ledger::new(16)), run(Ledger::sequential(16)));
-    }
-
-    #[test]
-    fn grain_policies_never_change_accounting() {
-        // The execution grain batches chunks per task; the accounting grain
-        // fixes the charges. Every policy × parallelism combination must
-        // produce the same outputs and bit-identical accounting.
-        let body = |r: std::ops::Range<usize>, s: &mut LedgerScope| {
-            s.read(r.len() as u64);
-            if r.start.is_multiple_of(192) {
-                s.write(1);
-            }
-            r.len()
-        };
-        let baseline = {
-            let mut l = Ledger::sequential(16);
-            let out = l.scoped_par(10_000, 64, &body);
-            (out, l.costs(), l.depth(), l.sym_peak())
-        };
-        let policies = [
-            Grain::Fixed(1),          // clamped up to the accounting grain
-            Grain::Fixed(64),         // one task per chunk (historical behavior)
-            Grain::Fixed(1000),       // tasks of ⌈1000/64⌉ = 16 chunks
-            Grain::Fixed(usize::MAX), // everything in one task
-            Grain::AUTO,
-            Grain::Auto {
-                chunks_per_worker: 1,
-            },
-            Grain::Auto {
-                chunks_per_worker: 1024,
-            },
-        ];
-        for exec in policies {
-            for parallel in [false, true] {
-                let mut l = if parallel {
-                    Ledger::new(16)
-                } else {
-                    Ledger::sequential(16)
-                };
-                let out = l.scoped_par_grained(10_000, 64, exec, &body);
-                assert_eq!(
-                    (out, l.costs(), l.depth(), l.sym_peak()),
-                    baseline,
-                    "accounting drifted under {exec:?} (parallel={parallel})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn grain_policies_never_change_map_results_or_accounting() {
-        let map = |i: usize, s: &mut LedgerScope| {
-            s.op(1);
-            i * 3
-        };
-        let baseline = {
-            let mut l = Ledger::sequential(8);
-            let out = l.scoped_par_map(997, 16, &map);
+        let run_map = |mut l: Ledger| {
+            let out = l.scoped_par_map(997, 16, &|i, s| {
+                s.op(1);
+                i * 3
+            });
             (out, l.costs(), l.depth())
         };
-        for exec in [Grain::Fixed(16), Grain::Fixed(500), Grain::AUTO] {
-            let mut l = Ledger::new(8);
-            let out = l.scoped_par_map_grained(997, 16, exec, &map);
-            assert_eq!((out, l.costs(), l.depth()), baseline, "{exec:?}");
-        }
+        assert_eq!(run_map(Ledger::new(8)), run_map(Ledger::sequential(8)));
     }
 
     #[test]
-    fn auto_grain_batches_large_inputs_and_spares_small_ones() {
+    fn execution_grain_batches_large_inputs_and_spares_small_ones() {
         // chunks_per_task is an execution detail, but its arithmetic is the
         // contract the call sites rely on: small inputs keep one chunk per
         // task (full fan-out), huge inputs converge to ≈ threads ×
-        // chunks_per_worker tasks.
-        let threads = rayon::current_num_threads().max(1);
-        let auto = Grain::AUTO;
-        // Small input: n ≤ threads × cpw ⇒ one chunk per task (full
-        // fan-out).
-        assert_eq!(
-            auto.chunks_per_task(threads * DEFAULT_CHUNKS_PER_WORKER, 1),
-            1
-        );
-        // Large input: tasks of ~n/(threads × cpw) elements.
+        // TASKS_PER_WORKER tasks, and tasks are whole chunks.
+        let tasks = rayon::current_num_threads().max(1) * TASKS_PER_WORKER;
+        assert_eq!(chunks_per_task(tasks, 1), 1);
         let n = 1 << 20;
-        let expect = (n / (threads * DEFAULT_CHUNKS_PER_WORKER))
-            .max(64)
-            .div_ceil(64);
-        assert_eq!(auto.chunks_per_task(n, 64), expect);
-        // Fixed policy rounds up to whole chunks and never goes below one.
-        assert_eq!(Grain::Fixed(0).chunks_per_task(100, 10), 1);
-        assert_eq!(Grain::Fixed(25).chunks_per_task(100, 10), 3);
+        assert_eq!(chunks_per_task(n, 64), (n / tasks).max(64).div_ceil(64));
+        assert_eq!(chunks_per_task(100, 1000), 1);
     }
 
     #[test]
@@ -1396,46 +1019,5 @@ mod tests {
         direct.op(4);
         assert_eq!(led.costs(), direct.costs());
         assert_eq!(led.depth(), direct.depth());
-    }
-
-    #[test]
-    fn cost_tally_flush_equals_direct_charges() {
-        let mut tally = CostTally::new();
-        for _ in 0..100 {
-            tally.note_reads(2);
-            tally.note_ops(1);
-        }
-        tally.note_writes(3);
-        tally.note(Costs {
-            asym_reads: 1,
-            asym_writes: 0,
-            sym_ops: 4,
-        });
-        assert_eq!(
-            tally.pending(),
-            Costs {
-                asym_reads: 201,
-                asym_writes: 3,
-                sym_ops: 104
-            }
-        );
-        let mut via_tally = Ledger::new(8);
-        tally.flush(&mut via_tally);
-        assert_eq!(tally.pending(), Costs::ZERO, "flush resets the tally");
-        let mut direct = Ledger::new(8);
-        direct.read(201);
-        direct.write(3);
-        direct.op(104);
-        assert_eq!(via_tally.costs(), direct.costs());
-        assert_eq!(via_tally.depth(), direct.depth());
-        // Flushing into a scope charges identically.
-        let mut scope = Ledger::new(8).scope();
-        let mut tally2 = CostTally::new();
-        tally2.note_reads(201);
-        tally2.note_writes(3);
-        tally2.note_ops(104);
-        tally2.flush(&mut scope);
-        assert_eq!(scope.costs(), direct.costs());
-        assert_eq!(scope.depth(), direct.depth());
     }
 }

@@ -14,8 +14,9 @@
 //! This crate *is* that machine. Algorithms thread a [`Ledger`] through their
 //! control flow and charge `read`/`write`/`op` next to each memory access;
 //! [`Ledger::fork`] realizes the NP model's `Fork` instruction (executing via
-//! `rayon::join` when profitable) while accounting work as the sum and depth
-//! as the max of the two branches. The resulting counts are **structural**:
+//! `rayon::join` on a parallel ledger) while accounting work as the sum and
+//! depth as the max of the two branches. The resulting counts are
+//! **structural**:
 //! they are identical whether the program runs on one thread or many, which
 //! is what lets the benchmark harness reproduce the paper's model-cost
 //! tables deterministically.
@@ -30,22 +31,13 @@
 //!   counter scopes merged deterministically (work sums, depth maxes) so
 //!   parallel and sequential execution produce bit-identical costs. The
 //!   full contract is documented in the [`ledger`] module.
-//! * [`Grain`] — the execution-grain policy for `scoped_par`: how many
-//!   accounting chunks one forked task runs back-to-back. Invisible to the
-//!   cost model by construction (the chunk/scope structure is fixed by the
-//!   accounting grain); `Grain::AUTO` sizes tasks from the pool's thread
-//!   count so large passes stop over-forking tiny closures.
-//! * [`CostTally`] — a deferred tally for read-mostly batch passes (query
-//!   serving): note per-item charges into plain counters, flush once.
-//! * [`CacheTally`] — the result-cache variant: probe/hit/miss/insert
-//!   accounting with cumulative hit/miss counters, flushed the same way.
-//! * [`AsymArray`], [`AsymAtomicBitmap`] — asymmetric-memory containers that
-//!   charge the ledger on access.
+//! * [`CacheTally`] — deferred result-cache accounting: probe/hit/miss/insert
+//!   charges noted into plain counters and flushed into the ledger once per
+//!   batch, with cumulative hit/miss counters.
 //! * [`FxHashMap`]/[`FxHashSet`] — a local implementation of the FxHash
 //!   function (Rust perf-book recommendation) so no extra dependency is
 //!   needed for fast integer-keyed tables.
 
-pub mod array;
 pub mod cost;
 pub mod fusion;
 pub mod hash;
@@ -54,13 +46,10 @@ pub mod mutation;
 pub mod report;
 pub mod wire;
 
-pub use array::{AsymArray, AsymAtomicBitmap};
 pub use cost::Costs;
 pub use fusion::{FUSED_CONCAT_OPS, FUSED_EMIT_WRITES, FUSED_SLOT_OPS, FUSED_STAGE_OPS};
 pub use hash::{stable_combine, stable_mix64, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use ledger::{
-    CacheTally, Charge, CostTally, Grain, Ledger, LedgerScope, DEFAULT_CHUNKS_PER_WORKER,
-};
+pub use ledger::{CacheTally, Charge, Ledger, LedgerScope};
 pub use mutation::{
     DELTA_EDGE_WORDS, EPOCH_INSTALL_OPS, INVALIDATE_ENTRY_WRITES, INVALIDATE_SCAN_OPS,
     OVERLAY_ENTRY_WRITES, OVERLAY_FIND_OPS, OVERLAY_INDEX_WRITES, OVERLAY_LOOKUP_READS,

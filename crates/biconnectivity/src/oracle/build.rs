@@ -3,7 +3,7 @@
 use super::local::{analyze_local, build_local_graph, intra_path_bridge_free, ClusterCtx};
 use super::BiconnectivityOracle;
 use crate::labeling::NO_LABEL;
-use wec_asym::{FxHashMap, Grain, Ledger};
+use wec_asym::{FxHashMap, Ledger};
 use wec_baseline::UnionFind;
 use wec_core::{BuildOpts, ClustersGraph, ImplicitDecomposition};
 use wec_graph::{GraphView, Priorities, Vertex};
@@ -15,14 +15,11 @@ const KIND_UP: u32 = u32::MAX;
 
 /// Clusters per **accounting** chunk in the per-cluster passes (steps 2
 /// and 3): each cluster costs O(k²) operations, so small chunks keep the
-/// charged split tree fine-grained.
+/// charged split tree fine-grained. Cluster sizes are skewed;
+/// `scoped_par`'s execution grain forks several tasks per worker so the
+/// work-stealing pool rebalances them, and the accounted numbers come from
+/// this chunk structure alone.
 const STEP_GRAIN: usize = 16;
-
-/// Execution-grain policy for those passes: cluster sizes are skewed, so
-/// use the shared skew preset and let the work-stealing pool rebalance.
-/// Cost-invisible by the `Grain` contract — the accounted numbers come
-/// from [`STEP_GRAIN`]'s chunk structure alone.
-const STEP_EXEC: Grain = Grain::SKEWED;
 
 /// Build the oracle with cluster parameter `k` (callers pass `√ω`).
 /// O(n·k) expected operations, O(n/k) writes.
@@ -68,7 +65,7 @@ pub fn build_biconnectivity_oracle<'a, G: GraphView>(
         frontier.push(start);
         while !frontier.is_empty() {
             let (cg_ref, centers_ref, frontier_ref) = (&cg, &centers, &frontier);
-            let lists = led.scoped_par_map_grained(frontier.len(), 1, STEP_EXEC, &|i, s| {
+            let lists = led.scoped_par_map(frontier.len(), 1, &|i, s| {
                 cg_ref.neighbor_edges(s.ledger(), centers_ref[frontier_ref[i] as usize])
             });
             let mut next = Vec::new();
@@ -103,7 +100,7 @@ pub fn build_biconnectivity_oracle<'a, G: GraphView>(
         (&cg, &idx, &forest, &tour, &centers);
     #[allow(clippy::type_complexity)]
     let step2: Vec<(Vec<(u32, u32, u32)>, Vec<(u32, u32)>)> =
-        led.scoped_par_grained(nc, STEP_GRAIN, STEP_EXEC, &|r, s| {
+        led.scoped_par(nc, STEP_GRAIN, &|r, s| {
             let mut lows: Vec<(u32, u32, u32)> = Vec::new(); // (ci, low, high)
             let mut pairs: Vec<(u32, u32)> = Vec::new();
             for ci in r.start as u32..r.end as u32 {
@@ -211,48 +208,47 @@ pub fn build_biconnectivity_oracle<'a, G: GraphView>(
         }
         let ctx_ref = &ctx;
         let d_ref = &d;
-        let records: Vec<(u64, Vec<ChildRec>)> =
-            led.scoped_par_map_grained(nc, STEP_GRAIN, STEP_EXEC, &|i, sc| {
-                let ci = i as u32;
-                let l = sc.ledger();
-                let lg = build_local_graph(l, d_ref, ctx_ref, ci);
-                let bcc = analyze_local(l, &lg);
-                let internal = bcc.bcc_touches_parent.iter().filter(|&&up| !up).count() as u64;
-                l.write(1);
-                let ci_root = ctx_ref.witness_inner[ci as usize];
-                let mut kids = Vec::new();
-                for &cj in ctx_ref.forest.children(ci) {
-                    let xo = lg.child_outside(cj).expect("child outside vertex");
-                    let wo = ctx_ref.witness_outer[cj as usize];
-                    let pass_up = match lg.parent_outside {
-                        Some(po) => bcc.same_bcc(l, xo, po),
-                        None => true,
-                    };
-                    let bw = bcc.edge_is_bridge(l, &lg.csr, lg.index[&wo], xo);
-                    let sb = !ctx_ref.forest.is_root(ci)
-                        && !intra_path_bridge_free(l, &lg, &bcc, wo, ci_root);
-                    // Witness-edge BCC kind for label resolution.
-                    let pos = lg
-                        .csr
-                        .arc_position(lg.index[&wo], xo)
-                        .expect("witness edge present in local graph");
-                    let b = bcc.edge_bcc[lg.csr.neighbor_edge_ids(lg.index[&wo])[pos] as usize];
-                    let wk = if bcc.bcc_touches_parent[b as usize] {
-                        KIND_UP
-                    } else {
-                        bcc.internal_rank[b as usize]
-                    };
-                    l.write(4);
-                    kids.push(ChildRec {
-                        cj,
-                        pass_up,
-                        bridge_wit: bw,
-                        seg_bridge: sb,
-                        witness_kind: wk,
-                    });
-                }
-                (internal, kids)
-            });
+        let records: Vec<(u64, Vec<ChildRec>)> = led.scoped_par_map(nc, STEP_GRAIN, &|i, sc| {
+            let ci = i as u32;
+            let l = sc.ledger();
+            let lg = build_local_graph(l, d_ref, ctx_ref, ci);
+            let bcc = analyze_local(l, &lg);
+            let internal = bcc.bcc_touches_parent.iter().filter(|&&up| !up).count() as u64;
+            l.write(1);
+            let ci_root = ctx_ref.witness_inner[ci as usize];
+            let mut kids = Vec::new();
+            for &cj in ctx_ref.forest.children(ci) {
+                let xo = lg.child_outside(cj).expect("child outside vertex");
+                let wo = ctx_ref.witness_outer[cj as usize];
+                let pass_up = match lg.parent_outside {
+                    Some(po) => bcc.same_bcc(l, xo, po),
+                    None => true,
+                };
+                let bw = bcc.edge_is_bridge(l, &lg.csr, lg.index[&wo], xo);
+                let sb = !ctx_ref.forest.is_root(ci)
+                    && !intra_path_bridge_free(l, &lg, &bcc, wo, ci_root);
+                // Witness-edge BCC kind for label resolution.
+                let pos = lg
+                    .csr
+                    .arc_position(lg.index[&wo], xo)
+                    .expect("witness edge present in local graph");
+                let b = bcc.edge_bcc[lg.csr.neighbor_edge_ids(lg.index[&wo])[pos] as usize];
+                let wk = if bcc.bcc_touches_parent[b as usize] {
+                    KIND_UP
+                } else {
+                    bcc.internal_rank[b as usize]
+                };
+                l.write(4);
+                kids.push(ChildRec {
+                    cj,
+                    pass_up,
+                    bridge_wit: bw,
+                    seg_bridge: sb,
+                    witness_kind: wk,
+                });
+            }
+            (internal, kids)
+        });
         for (ci, (internal, kids)) in records.into_iter().enumerate() {
             count_internal[ci] = internal;
             for k in kids {

@@ -25,4 +25,4 @@ pub use delta::{ComponentOverlay, GraphDelta, OverlayStore, OverlayView, DELTA_S
 pub use oracle::{ComponentId, ConnQueryHandle, ConnectivityOracle, OracleBuildOpts};
 pub use par::{connectivity_csr, connectivity_general, ConnResult};
 pub use spanning::root_forest;
-pub use star::{star_connectivity, StarBuildOpts, StarOracle, StarQueryHandle};
+pub use star::{star_connectivity, StarOracle, StarQueryHandle};

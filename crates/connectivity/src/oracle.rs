@@ -10,7 +10,7 @@
 //! resolve to an implicit component id carried by the component's minimum
 //! vertex — nothing about them was ever written.
 
-use wec_asym::{FxHashMap, Grain, Ledger};
+use wec_asym::{FxHashMap, Ledger};
 use wec_baseline::UnionFind;
 use wec_core::{BuildOpts, Center, ClustersGraph, ImplicitDecomposition};
 use wec_graph::{GraphView, Priorities, Vertex};
@@ -18,14 +18,11 @@ use wec_prims::low_diameter_decomposition;
 
 /// Centers per **accounting** chunk when listing implicit clusters-graph
 /// edges: each listing costs O(k²) operations, so small chunks keep the
-/// charged split tree fine-grained and schedule-independent.
+/// charged split tree fine-grained and schedule-independent. Per-center
+/// work is skewed (cluster sizes vary around k); `scoped_par`'s execution
+/// grain forks several tasks per worker, so work stealing rebalances the
+/// stragglers without touching the accounted costs.
 const CLUSTER_LIST_GRAIN: usize = 16;
-
-/// Execution-grain policy for the cluster-listing passes: per-center work
-/// is skewed (cluster sizes vary around k), so use the shared skew preset
-/// and let work stealing rebalance stragglers. Pure execution tuning — the
-/// accounted costs are fixed by [`CLUSTER_LIST_GRAIN`].
-const CLUSTER_LIST_EXEC: Grain = Grain::SKEWED;
 
 /// A component identity returned by oracle queries. Two vertices are
 /// connected iff their `ComponentId`s are equal.
@@ -105,11 +102,8 @@ impl<'a, G: GraphView> ConnectivityOracle<'a, G> {
             // O(k²) edge enumeration runs on its own ledger scope (the
             // listing never writes, so the pass is embarrassingly parallel).
             let (cg_ref, ldd_ref, index_ref) = (&cg, &ldd, &index);
-            let listed: Vec<Vec<(u32, u32)>> = led.scoped_par_grained(
-                centers.len(),
-                CLUSTER_LIST_GRAIN,
-                CLUSTER_LIST_EXEC,
-                &|r, s| {
+            let listed: Vec<Vec<(u32, u32)>> =
+                led.scoped_par(centers.len(), CLUSTER_LIST_GRAIN, &|r, s| {
                     let mut local = Vec::new();
                     for &c in &centers[r] {
                         for e in cg_ref.neighbor_edges(s.ledger(), c) {
@@ -120,8 +114,7 @@ impl<'a, G: GraphView> ConnectivityOracle<'a, G> {
                         }
                     }
                     local
-                },
-            );
+                });
             cross.extend(listed.into_iter().flatten());
             led.read(2 * cross.len() as u64);
             let mut unions = 0u64;
@@ -135,11 +128,8 @@ impl<'a, G: GraphView> ConnectivityOracle<'a, G> {
             // sweep stays sequential with bulk charges.
             let cg_ref = &cg;
             let index_ref = &index;
-            let listed: Vec<Vec<(u32, u32)>> = led.scoped_par_grained(
-                centers.len(),
-                CLUSTER_LIST_GRAIN,
-                CLUSTER_LIST_EXEC,
-                &|r, s| {
+            let listed: Vec<Vec<(u32, u32)>> =
+                led.scoped_par(centers.len(), CLUSTER_LIST_GRAIN, &|r, s| {
                     let mut local = Vec::new();
                     for &c in &centers[r] {
                         for e in cg_ref.neighbor_edges(s.ledger(), c) {
@@ -147,8 +137,7 @@ impl<'a, G: GraphView> ConnectivityOracle<'a, G> {
                         }
                     }
                     local
-                },
-            );
+                });
             let mut unions = 0u64;
             let mut edges = 0u64;
             for (a, b) in listed.into_iter().flatten() {

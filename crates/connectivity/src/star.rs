@@ -59,21 +59,11 @@ const SAMPLE_K: usize = 2;
 /// Most vertices probed when picking the largest sampled component.
 const MAX_PROBES: usize = 1024;
 
-/// Build options for [`star_connectivity_with`].
-#[derive(Debug, Clone, Copy)]
-pub struct StarBuildOpts {
-    /// Safety cap on contraction rounds; if the coin flips are pathological
-    /// enough to exhaust it (never observed — expected rounds are
-    /// `O(log parts)`), the remaining edges fall back to a sequential
-    /// link-and-compress sweep so the result is always exact.
-    pub max_rounds: usize,
-}
-
-impl Default for StarBuildOpts {
-    fn default() -> Self {
-        StarBuildOpts { max_rounds: 64 }
-    }
-}
+/// Safety cap on contraction rounds; if the coin flips are pathological
+/// enough to exhaust it (never observed — expected rounds are
+/// `O(log parts)`), the remaining edges fall back to a sequential
+/// link-and-compress sweep so the result is always exact.
+const MAX_ROUNDS: usize = 64;
 
 /// Component labeling produced by the star fast path. Owns its (dense)
 /// per-vertex labels — there is no decomposition to keep alive, so the
@@ -134,24 +124,18 @@ fn heads(seed: u64, round: usize, node: u32) -> bool {
     stable_combine(seed, ((round as u64) << 32) ^ node as u64) & 1 == 1
 }
 
-/// Star connectivity on a CSR graph — default options.
+/// Star connectivity on a CSR graph.
 ///
 /// `_beta` is ignored: the build samples instead of decomposing, so there
 /// is no LDD parameter to set. It stays in the signature for existing
 /// callers. `seed` drives the contraction coins.
 pub fn star_connectivity(led: &mut Ledger, g: &Csr, _beta: f64, seed: u64) -> StarOracle {
-    star_connectivity_with(led, g, _beta, seed, StarBuildOpts::default())
+    build(led, g, seed, MAX_ROUNDS)
 }
 
-/// [`star_connectivity`] with explicit [`StarBuildOpts`] (`_beta` is
-/// ignored here too).
-pub fn star_connectivity_with(
-    led: &mut Ledger,
-    g: &Csr,
-    _beta: f64,
-    seed: u64,
-    opts: StarBuildOpts,
-) -> StarOracle {
+/// The star build with at most `max_rounds` contraction rounds before the
+/// fallback sweep.
+fn build(led: &mut Ledger, g: &Csr, seed: u64, max_rounds: usize) -> StarOracle {
     let n = g.n();
     if n == 0 {
         return StarOracle {
@@ -171,7 +155,7 @@ pub fn star_connectivity_with(
     // once ever (once linked it is relabeled out of the pair list), so
     // link writes ≤ num_parts total.
     let mut rounds = 0usize;
-    while !edges.is_empty() && rounds < opts.max_rounds {
+    while !edges.is_empty() && rounds < max_rounds {
         // Link pass: tails hook onto their minimum heads neighbor. Charges:
         // two coin evaluations + the min-merge op per edge (endpoints are
         // already in hand from the fused relabel pass), one write per root
@@ -431,8 +415,13 @@ mod tests {
     /// two agree on labels, `Costs` and depth and that the labels match
     /// union-find ground truth, and returns the oracle.
     fn checked_build(g: &Csr) -> StarOracle {
+        checked(g, &|led| star_connectivity(led, g, 1.0 / 16.0, 3))
+    }
+
+    /// [`checked_build`] over any build of `g`.
+    fn checked(g: &Csr, build: &dyn Fn(&mut Ledger) -> StarOracle) -> StarOracle {
         let run = |mut led: Ledger| {
-            let o = star_connectivity(&mut led, g, 1.0 / 16.0, 3);
+            let o = build(&mut led);
             (o, led.costs(), led.depth())
         };
         let (par, par_costs, par_depth) = run(Ledger::new(16));
@@ -582,6 +571,22 @@ mod tests {
             assert_eq!(o.num_parts(), 2, "k = {k}: the sample misses the join");
             assert_eq!(o.num_components(), 1);
             assert!(o.rounds() > 0, "k = {k}");
+        }
+    }
+
+    /// Capping contraction at 0 or 1 rounds leaves crossing pairs for the
+    /// fallback sweep, which must still produce the exact partition with
+    /// the same `Costs` and depth under either ledger.
+    #[test]
+    fn fallback_sweep_finishes_capped_contraction() {
+        let joined = two_cliques(5);
+        let many = disjoint_union(&[&joined; 50]);
+        for g in [many, two_cliques(4), two_cliques(9), two_cliques(40)] {
+            for cap in [0usize, 1] {
+                let o = checked(&g, &|led| build(led, &g, 3, cap));
+                assert!(o.rounds() <= cap);
+                assert!(o.num_parts() > o.num_components(), "cap {cap}");
+            }
         }
     }
 

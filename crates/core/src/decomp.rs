@@ -8,7 +8,7 @@ use crate::rho::{rho, RhoAnswer};
 use crate::secondary::{secondary_centers_overlay, secondary_centers_seq};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use wec_asym::{Charge, Grain, Ledger};
+use wec_asym::{Charge, Ledger};
 use wec_graph::{GraphView, Priorities, Vertex};
 
 /// Vertices per worker chunk in the center-less-component scan: each probe
@@ -136,13 +136,12 @@ impl<'a, G: GraphView> ImplicitDecomposition<'a, G> {
             // Lemma 3.7: distinct primaries plant their secondaries against
             // thread-local overlays of the shared base set — one heavy
             // O(k²)-ish task per primary, so the accounting grain is one
-            // and the execution grain uses the shared skew preset (cluster
-            // sizes vary; work stealing rebalances the stragglers).
+            // (cluster sizes vary; scoped_par forks several tasks per
+            // worker, so work stealing rebalances the stragglers).
             let base = &centers;
-            let locals: Vec<Vec<Vertex>> =
-                led.scoped_par_map_grained(primaries.len(), 1, Grain::SKEWED, &|i, scope| {
-                    secondary_centers_overlay(scope.ledger(), g, pri, base, primaries[i], k)
-                });
+            let locals: Vec<Vec<Vertex>> = led.scoped_par_map(primaries.len(), 1, &|i, scope| {
+                secondary_centers_overlay(scope.ledger(), g, pri, base, primaries[i], k)
+            });
             for local in locals {
                 for u in local {
                     stats.secondaries += 1;

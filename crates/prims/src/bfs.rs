@@ -32,10 +32,9 @@ pub const UNREACHED: u32 = u32::MAX;
 /// Accounting chunk size for parallel frontier processing: fixed, because
 /// the chunk structure determines the charged split-tree bookkeeping and
 /// the next frontier's concatenation order. How many of these chunks one
-/// forked task runs is a separate, cost-invisible choice — `scoped_par`'s
-/// default `Grain::AUTO` execution policy batches them by the pool's
-/// thread count, so a huge frontier no longer forks one closure per 128
-/// vertices.
+/// forked task runs is a separate, cost-invisible choice — `scoped_par`
+/// batches them by the pool's thread count, so a huge frontier does not
+/// fork one closure per 128 vertices.
 const FRONTIER_GRAIN: usize = 128;
 
 /// Accounting chunk size for parallel injection-source claiming (same

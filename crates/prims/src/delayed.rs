@@ -23,9 +23,9 @@
 //!
 //! Like the rest of the crate, the *accounting* grain is fixed
 //! ([`FUSED_BLOCK`]-slot chunks define the split/merge tree and the
-//! per-chunk charges) while the *execution* grain is a free policy knob
-//! ([`Grain`]): costs and output are bit-identical across thread counts
-//! and `Grain` choices by the `scoped_par` contract.
+//! per-chunk charges) while the *execution* grain follows the pool's
+//! thread count: costs and output are bit-identical across thread counts
+//! by the `scoped_par` contract.
 //!
 //! # Example
 //!
@@ -45,15 +45,13 @@
 //! ```
 
 use std::marker::PhantomData;
-use wec_asym::{
-    Grain, Ledger, FUSED_CONCAT_OPS, FUSED_EMIT_WRITES, FUSED_SLOT_OPS, FUSED_STAGE_OPS,
-};
+use wec_asym::{Ledger, FUSED_CONCAT_OPS, FUSED_EMIT_WRITES, FUSED_SLOT_OPS, FUSED_STAGE_OPS};
 
 /// Accounting block for fused terminals: the slot space is split into
 /// chunks of this many slots, each charged in its own ledger scope. Same
 /// block size as the materialized filter's [`crate::filter::FILTER_BLOCK`]
 /// so fused-vs-materialized cost comparisons line up chunk for chunk.
-/// Execution batches chunks per task under the [`Grain`] policy.
+/// Execution batches chunks per task by the pool's thread count.
 pub const FUSED_BLOCK: usize = 1024;
 
 /// A charged lazy sequence: `slots()` virtual positions, each of which
@@ -127,33 +125,24 @@ pub trait Delayed: Sync + Sized {
     /// Terminal: run the fused pass and materialize the surviving elements
     /// in slot order. Writes [`FUSED_EMIT_WRITES`] per emitted element —
     /// the only asymmetric writes of the pipeline — plus
-    /// [`FUSED_CONCAT_OPS`] per accounting chunk. Uses [`Grain::AUTO`]
-    /// execution.
+    /// [`FUSED_CONCAT_OPS`] per accounting chunk.
     fn collect(&self, led: &mut Ledger) -> Vec<Self::Item> {
-        self.collect_grained(led, Grain::AUTO)
-    }
-
-    /// [`Delayed::collect`] with an explicit execution-grain policy. The
-    /// policy affects task sizing only; output and costs are identical for
-    /// every `exec` by the `scoped_par` contract.
-    fn collect_grained(&self, led: &mut Ledger, exec: Grain) -> Vec<Self::Item> {
         let n = self.slots();
-        let parts: Vec<Vec<Self::Item>> =
-            led.scoped_par_grained(n, FUSED_BLOCK, exec, &|range, scope| {
-                let writes_before = scope.costs().asym_writes;
-                let mut out = Vec::new();
-                for slot in range {
-                    self.produce(slot, scope.ledger(), &mut |_l, item| out.push(item));
-                }
-                debug_assert_eq!(
-                    scope.costs().asym_writes,
-                    writes_before,
-                    "fused stages must not charge asymmetric writes; \
+        let parts: Vec<Vec<Self::Item>> = led.scoped_par(n, FUSED_BLOCK, &|range, scope| {
+            let writes_before = scope.costs().asym_writes;
+            let mut out = Vec::new();
+            for slot in range {
+                self.produce(slot, scope.ledger(), &mut |_l, item| out.push(item));
+            }
+            debug_assert_eq!(
+                scope.costs().asym_writes,
+                writes_before,
+                "fused stages must not charge asymmetric writes; \
                      writes happen only at the terminal"
-                );
-                scope.write(FUSED_EMIT_WRITES * out.len() as u64);
-                out
-            });
+            );
+            scope.write(FUSED_EMIT_WRITES * out.len() as u64);
+            out
+        });
         if parts.is_empty() {
             return Vec::new();
         }
@@ -471,20 +460,17 @@ mod tests {
     }
 
     #[test]
-    fn costs_deterministic_under_parallelism_and_grain() {
-        let run = |mut led: Ledger, exec: Grain| {
+    fn costs_deterministic_under_parallelism() {
+        let run = |mut led: Ledger| {
             let out = tabulate(30_000, |i, l| {
                 l.read(1);
                 i as u32
             })
             .filter(|&x, _| (x as usize * 2654435761).is_multiple_of(5))
             .map(|x, _| x ^ 0xabcd)
-            .collect_grained(&mut led, exec);
+            .collect(&mut led);
             (out, led.costs(), led.depth())
         };
-        let base = run(Ledger::new(8), Grain::AUTO);
-        assert_eq!(base, run(Ledger::sequential(8), Grain::AUTO));
-        assert_eq!(base, run(Ledger::new(8), Grain::Fixed(1)));
-        assert_eq!(base, run(Ledger::new(8), Grain::SKEWED));
+        assert_eq!(run(Ledger::new(8)), run(Ledger::sequential(8)));
     }
 }

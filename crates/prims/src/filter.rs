@@ -16,9 +16,8 @@ use wec_asym::Ledger;
 
 /// Default block size for the two-pass filter. This is the **accounting**
 /// block (it sets the per-block write charge and the split-tree
-/// bookkeeping); execution batches blocks per task under `scoped_par`'s
-/// `Grain::AUTO` policy, so a large input does not fork one closure per
-/// 1024 elements.
+/// bookkeeping); `scoped_par` batches blocks per task by the pool's thread
+/// count, so a large input does not fork one closure per 1024 elements.
 pub const FILTER_BLOCK: usize = 1024;
 
 /// Keep the indices `i ∈ 0..n` satisfying `pred`, in increasing order.

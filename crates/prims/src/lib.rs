@@ -2,12 +2,12 @@
 //!
 //! The paper leans on a toolbox from Ben-David et al. (SPAA 2016), "Parallel
 //! algorithms for asymmetric read-write costs": write-efficient BFS, ordered
-//! filter, reduce/scan, plus the classic Euler-tour technique for tree
+//! filter, block offsets, plus the classic Euler-tour technique for tree
 //! computations and the Miller–Peng–Xu low-diameter decomposition. None of
 //! that toolbox has public code, so this crate implements it from scratch on
 //! the `wec-asym` substrate:
 //!
-//! * [`scan`] — reduce and blocked prefix sums;
+//! * [`scan`] — per-block offsets, the write-efficient half of a scan;
 //! * [`filter`] — write-efficient pack: writes proportional to the *output*
 //!   size (plus one write per block), not the input size;
 //! * [`delayed`] — charged delayed sequences (iterator fusion): lazy
@@ -22,10 +22,8 @@
 //!   BFS (paper Theorem 4.1 / Appendix C);
 //! * [`euler`] — rooted forests, preorder/subtree intervals (`first`/`last`
 //!   in the paper's notation), depths;
-//! * [`tree_ops`] — leaffix-style subtree aggregates over preorder ranges
-//!   and nearest-marked-ancestor propagation;
-//! * [`lca`] — O(1)-query LCA via Euler tour + sparse table;
-//! * [`list_rank`] — sampled two-level list ranking with O(n) writes.
+//! * [`tree_ops`] — leaffix-style subtree aggregates over preorder ranges;
+//! * [`lca`] — O(1)-query LCA via Euler tour + sparse table.
 
 pub mod bfs;
 pub mod delayed;
@@ -33,7 +31,6 @@ pub mod euler;
 pub mod filter;
 pub mod lca;
 pub mod ldd;
-pub mod list_rank;
 pub mod scan;
 pub mod tree_ops;
 

@@ -1,89 +1,18 @@
-//! Reduce and blocked prefix sums with model charging.
+//! Blocked prefix offsets with model charging.
 //!
-//! The `block` parameters below are **accounting** blocks: they fix the
-//! per-block charges and the `scoped_par` split-tree bookkeeping. How many
-//! blocks one forked task processes is the scheduler's cost-invisible
-//! execution-grain choice (`wec_asym::Grain`), auto-sized from the pool's
-//! thread count.
+//! The `block` parameter is an **accounting** block: it fixes the per-block
+//! charges and the `scoped_par` split-tree bookkeeping. How many blocks one
+//! forked task processes is `scoped_par`'s cost-invisible execution grain,
+//! sized from the pool's thread count.
 //!
-//! These passes materialize their outputs (that is their job — a scan's
-//! result *is* an array). When a scan only exists to glue pipeline stages
-//! together — count, offset, then emit — the fused
-//! [`delayed`](crate::delayed) layer skips the intermediate arrays and
-//! their writes entirely; [`block_offsets`] remains the write-efficient
-//! backbone of the eager [`crate::filter`].
+//! When a scan only exists to glue pipeline stages together — count,
+//! offset, then emit — the fused [`delayed`](crate::delayed) layer skips
+//! the intermediate arrays and their writes entirely; [`block_offsets`]
+//! remains the write-efficient backbone of the eager [`crate::filter`].
 
 use wec_asym::Ledger;
 
-/// Sum of a charged asymmetric-memory array: one read per element, O(1)
-/// writes, `O(log n)` depth via balanced fork-join.
-pub fn reduce_sum(led: &mut Ledger, data: &[u64]) -> u64 {
-    fn go(led: &mut Ledger, data: &[u64]) -> u64 {
-        if data.len() <= 1024 {
-            led.read(data.len() as u64);
-            return data.iter().sum();
-        }
-        let (a, b) = data.split_at(data.len() / 2);
-        led.op(1);
-        let (sa, sb) = led.fork_sized(data.len(), |l| go(l, a), |l| go(l, b));
-        sa + sb
-    }
-    go(led, data)
-}
-
-/// Exclusive prefix sums: returns `out` of length `n + 1` with
-/// `out[i] = Σ_{j<i} data[j]`. Blocked two-pass: per-block sums, a scan of
-/// the block sums, then per-block output writes. Charges `n` reads and
-/// `n + 1 + #blocks` writes (the output itself is written to asymmetric
-/// memory — callers that only need block offsets should use
-/// [`block_offsets`]).
-pub fn exclusive_scan(led: &mut Ledger, data: &[u64], block: usize) -> Vec<u64> {
-    let n = data.len();
-    let block = block.max(1);
-    // Count pass: per-block sums, one flat parallel sweep with per-worker
-    // scopes (split/merge ledger) and a single bulk read charge per block.
-    let sums = if n == 0 {
-        vec![0u64]
-    } else {
-        led.scoped_par(n, block, &|r, s| {
-            s.read(r.len() as u64);
-            data[r].iter().sum::<u64>()
-        })
-    };
-    let nb = sums.len();
-    // Scan of block sums (small, sequential in symmetric memory).
-    let mut offsets = Vec::with_capacity(nb + 1);
-    let mut acc = 0u64;
-    led.op(nb as u64);
-    for &s in &sums {
-        offsets.push(acc);
-        acc += s;
-    }
-    offsets.push(acc);
-    // Emit: each block rescans its input and writes its outputs.
-    let mut out = vec![0u64; n + 1];
-    out[n] = acc;
-    led.write(1);
-    let offsets_ref = &offsets;
-    let chunks: Vec<(usize, Vec<u64>)> = led.scoped_par(n.max(1), block, &|r, s| {
-        let (lo, hi) = (r.start, r.end.min(n));
-        let mut cur = offsets_ref[lo / block];
-        let mut vals = Vec::with_capacity(hi - lo);
-        s.read((hi - lo) as u64);
-        s.write((hi - lo) as u64);
-        for &d in &data[lo..hi] {
-            vals.push(cur);
-            cur += d;
-        }
-        (lo, vals)
-    });
-    for (lo, vals) in chunks {
-        out[lo..lo + vals.len()].copy_from_slice(&vals);
-    }
-    out
-}
-
-/// Per-block exclusive offsets only (`#blocks + 1` entries): the
+/// Per-block exclusive offsets (`#blocks + 1` entries): the
 /// write-efficient half of a scan, used by [`crate::filter`] so that total
 /// writes stay proportional to output size. Charges `n` reads and
 /// `#blocks + 1` writes.
@@ -119,56 +48,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn reduce_matches_iterator_sum() {
-        let data: Vec<u64> = (0..10_000).map(|i| i % 97).collect();
-        let mut led = Ledger::new(8);
-        assert_eq!(reduce_sum(&mut led, &data), data.iter().sum::<u64>());
-        assert_eq!(led.costs().asym_reads, 10_000);
-        assert_eq!(led.costs().asym_writes, 0);
-    }
-
-    #[test]
-    fn reduce_depth_is_shallow() {
-        let data = vec![1u64; 1 << 16];
-        let mut led = Ledger::sequential(8);
-        reduce_sum(&mut led, &data);
-        // leaf blocks of 1024 reads dominate; log-many levels above
-        assert!(led.depth() < 1024 + 64, "depth {}", led.depth());
-    }
-
-    #[test]
-    fn scan_matches_naive() {
-        let data: Vec<u64> = (0..1000).map(|i| (i * 7) % 13).collect();
-        let mut led = Ledger::new(8);
-        let out = exclusive_scan(&mut led, &data, 64);
-        let mut acc = 0;
-        for i in 0..=1000 {
-            assert_eq!(out[i], acc);
-            if i < 1000 {
-                acc += data[i];
-            }
-        }
-    }
-
-    #[test]
-    fn scan_cost_bounds() {
-        let data = vec![3u64; 4096];
-        let mut led = Ledger::new(8);
-        exclusive_scan(&mut led, &data, 256);
-        let c = led.costs();
-        assert_eq!(c.asym_reads, 2 * 4096); // count pass + emit pass
-        assert!(c.asym_writes >= 4096);
-        assert!(c.asym_writes <= 4096 + 4096 / 256 + 8);
-    }
-
-    #[test]
-    fn scan_empty_and_single() {
-        let mut led = Ledger::new(8);
-        assert_eq!(exclusive_scan(&mut led, &[], 4), vec![0]);
-        assert_eq!(exclusive_scan(&mut led, &[5], 4), vec![0, 5]);
-    }
-
-    #[test]
     fn block_offsets_write_count_is_blocks_only() {
         let mut led = Ledger::new(8);
         let offs = block_offsets(&mut led, 1000, 100, &|lo, hi, l| {
@@ -179,15 +58,5 @@ mod tests {
         assert_eq!(offs[10], 1000);
         assert_eq!(led.costs().asym_writes, 11);
         assert_eq!(led.costs().asym_reads, 1000);
-    }
-
-    #[test]
-    fn parallel_and_sequential_costs_agree() {
-        let data: Vec<u64> = (0..5000).map(|i| i % 11).collect();
-        let run = |mut led: Ledger| {
-            exclusive_scan(&mut led, &data, 128);
-            (led.costs(), led.depth())
-        };
-        assert_eq!(run(Ledger::new(16)), run(Ledger::sequential(16)));
     }
 }

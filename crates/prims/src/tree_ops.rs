@@ -1,15 +1,11 @@
-//! Leaffix/rootfix-style tree computations over preorder numberings.
+//! Leaffix tree computations over preorder numberings.
 //!
 //! "Leaffix" in the paper (footnote 4): an aggregate computed from the
 //! leaves toward the root — here realized as a reverse-preorder sweep, which
-//! touches each vertex once (O(n) reads/writes). "Rootfix" computations
-//! propagate information *down* from the root — realized as a forward
-//! preorder sweep. Both are exposed in the shapes the connectivity and
-//! biconnectivity algorithms actually need.
+//! touches each vertex once (O(n) reads/writes).
 
 use crate::euler::{EulerTour, RootedForest};
 use wec_asym::Ledger;
-use wec_graph::Vertex;
 
 /// Leaffix: combine `init[v]` with the aggregates of `v`'s children, bottom
 /// up. Returns `agg` with `agg[v] = combine over subtree(v) of init`.
@@ -34,58 +30,6 @@ pub fn leaffix<T: Copy>(
         }
     }
     agg
-}
-
-/// Rootfix: `out[v] = f(out[parent(v)], v)` computed top-down, with
-/// `out[root] = root_value(root)`.
-pub fn rootfix<T: Copy + Default>(
-    led: &mut Ledger,
-    forest: &RootedForest,
-    tour: &EulerTour,
-    root_value: impl Fn(Vertex) -> T,
-    f: impl Fn(T, Vertex) -> T,
-) -> Vec<T> {
-    let mut out = vec![T::default(); forest.n()];
-    led.write(forest.n() as u64);
-    for &v in &tour.order {
-        led.read(1);
-        out[v as usize] = if forest.is_root(v) {
-            root_value(v)
-        } else {
-            f(out[forest.parent(v) as usize], v)
-        };
-        led.write(1);
-    }
-    out
-}
-
-/// For each in-forest vertex, the nearest **strict** ancestor `u` with
-/// `marked[u]` (`None` if no marked ancestor). The leaffix the paper's §5.3
-/// uses to locate, for each cluster, the closest enclosing "blocking"
-/// cluster on the way to the root.
-pub fn nearest_marked_ancestor(
-    led: &mut Ledger,
-    forest: &RootedForest,
-    tour: &EulerTour,
-    marked: &[bool],
-) -> Vec<Option<Vertex>> {
-    assert_eq!(marked.len(), forest.n());
-    let mut out: Vec<Option<Vertex>> = vec![None; forest.n()];
-    led.write(forest.n() as u64);
-    for &v in &tour.order {
-        if forest.is_root(v) {
-            continue;
-        }
-        let p = forest.parent(v);
-        led.read(2);
-        led.write(1);
-        out[v as usize] = if marked[p as usize] {
-            Some(p)
-        } else {
-            out[p as usize]
-        };
-    }
-    out
 }
 
 #[cfg(test)]
@@ -124,35 +68,5 @@ mod tests {
         assert_eq!(cnt[0], 7);
         assert_eq!(cnt[1], 3);
         assert_eq!(cnt[6], 1);
-    }
-
-    #[test]
-    fn rootfix_depth_reconstruction() {
-        let (f, t, mut led) = tree();
-        let depth = rootfix(&mut led, &f, &t, |_| 0u32, |pd, _| pd + 1);
-        assert_eq!(depth, t.depth);
-    }
-
-    #[test]
-    fn nearest_marked_ancestor_basics() {
-        let (f, t, mut led) = tree();
-        let mut marked = vec![false; 7];
-        marked[1] = true;
-        marked[0] = true;
-        let nm = nearest_marked_ancestor(&mut led, &f, &t, &marked);
-        assert_eq!(nm[4], Some(1));
-        assert_eq!(nm[5], Some(1));
-        assert_eq!(nm[1], Some(0));
-        assert_eq!(nm[6], None.or(nm[6])); // placeholder: checked below precisely
-        assert_eq!(nm[3], Some(0));
-        assert_eq!(nm[6], Some(0)); // 3 unmarked -> inherits 0
-        assert_eq!(nm[0], None); // root has no strict ancestor
-    }
-
-    #[test]
-    fn nearest_marked_none_when_clean() {
-        let (f, t, mut led) = tree();
-        let nm = nearest_marked_ancestor(&mut led, &f, &t, &[false; 7]);
-        assert!(nm.iter().all(|x| x.is_none()));
     }
 }

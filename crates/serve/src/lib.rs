@@ -30,10 +30,10 @@
 //! execution order. Consequently, for a fixed shard count the merged
 //! `Costs`, depth, and symmetric-memory peak are **bit-identical** whether
 //! the shards ran on one thread or many. (How many shards one forked task
-//! serves back-to-back is `scoped_par`'s execution-[`wec_asym::Grain`]
-//! decision — on a machine with fewer threads than shards the dispatch no
-//! longer forks one closure per shard — and is invisible to all of the
-//! charges below by the grain contract.)
+//! serves back-to-back is `scoped_par`'s execution grain, sized from the
+//! thread count — on a machine with fewer threads than shards the dispatch
+//! does not fork one closure per shard — and is invisible to all of the
+//! charges below by the split/merge contract.)
 //!
 //! Exactly three kinds of charges occur, all of them accounted:
 //!
@@ -125,20 +125,6 @@ pub use wec_asym::{
     SESSION_BIND_OPS, TENANT_ADMIT_OPS,
 };
 pub use wec_connectivity::{ComponentOverlay, GraphDelta, OverlayStore, OverlayView};
-
-/// The one stats-snapshot idiom: every cumulative counter family a server
-/// keeps is exposed as a cheap copyable stats struct behind a `*_stats`
-/// method, and the method is also reachable generically through this
-/// trait — `Snapshot::<CacheStats>::snapshot(&srv)` and
-/// `srv.cache_stats()` are the same call. Snapshots are read-only,
-/// poison-tolerant, and never charge a ledger. Implemented by
-/// [`StreamingServer`] for [`CacheStats`], [`RobustnessStats`],
-/// [`EpochStats`], and [`TenancyStats`], and by [`Frontend`] for
-/// [`FrontendStats`].
-pub trait Snapshot<S> {
-    /// Copy out the current counter values.
-    fn snapshot(&self) -> S;
-}
 
 use wec_asym::Ledger;
 use wec_biconnectivity::{BiconnQueryHandle, BiconnQueryKey};

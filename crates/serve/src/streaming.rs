@@ -45,7 +45,7 @@
 //! * Under [`FairShare::DeficitRoundRobin`] each tenant has its own
 //!   submission queue and micro-batches are composed by deficit round
 //!   robin: every composition round credits each backlogged tenant
-//!   `quantum × weight` deficit (visiting it charges [`DRR_VISIT_OPS`]
+//!   `weight` deficit (visiting it charges [`DRR_VISIT_OPS`]
 //!   unit operations on the flushing ledger) and takes its oldest
 //!   queries while deficit lasts, so sustained dispatch divides
 //!   proportionally to weight regardless of arrival skew. A tenant whose
@@ -66,8 +66,7 @@
 //!
 //! Every cumulative counter family the server keeps is exposed through
 //! one idiom: a cheap copyable stats struct returned by a `*_stats(&self)`
-//! method, unified under the [`crate::Snapshot`] trait —
-//! [`CacheStats`] ([`StreamingServer::cache_stats`], per shard via
+//! method — [`CacheStats`] ([`StreamingServer::cache_stats`], per shard via
 //! [`StreamingServer::shard_cache_stats`]), [`crate::RobustnessStats`],
 //! [`crate::EpochStats`], and [`crate::TenancyStats`]. Snapshots are
 //! read-only, poison-tolerant, and never charge the ledger.
@@ -305,7 +304,7 @@ use crate::epoch::{EpochStats, EpochTracker};
 use crate::fault::{BreakerState, FaultPlan, RecoveryPolicy, RobustnessStats, ShardHealth};
 use crate::handle::{DeltaOracle, NoBiconn, OracleHandle};
 use crate::tenant::{FairShare, TenancyStats, TenantId, TenantSpec, TenantStats};
-use crate::{Answer, Query, ServeError, ServeResult, ShardedServer, Snapshot, QUERY_WORDS};
+use crate::{Answer, Query, ServeError, ServeResult, ShardedServer, QUERY_WORDS};
 
 /// Asymmetric reads charged per result-cache probe (hash the key, inspect
 /// its bucket).
@@ -846,9 +845,7 @@ where
     pub fn queue_len(&self) -> usize {
         match self.policy.fair_share {
             FairShare::Fifo => self.queue.len(),
-            FairShare::DeficitRoundRobin { .. } => {
-                self.tenant_queues.iter().map(VecDeque::len).sum()
-            }
+            FairShare::DeficitRoundRobin => self.tenant_queues.iter().map(VecDeque::len).sum(),
         }
     }
 
@@ -939,7 +936,7 @@ where
         }
         match self.policy.fair_share {
             FairShare::Fifo => self.queue.push_back(entry),
-            FairShare::DeficitRoundRobin { .. } => self.tenant_queues[tidx].push_back(entry),
+            FairShare::DeficitRoundRobin => self.tenant_queues[tidx].push_back(entry),
         }
         if self.policy.overflow == Overflow::DispatchInline {
             while self.queue_len() >= self.policy.max_queue {
@@ -975,13 +972,10 @@ where
     /// queues, charging [`DRR_VISIT_OPS`] per queue visit on `led`.
     fn compose_batch(&mut self, led: &mut Ledger) -> Vec<Entry> {
         let omega = led.omega();
-        let quantum = match self.policy.fair_share {
-            FairShare::Fifo => {
-                let take = self.next_batch_size(omega);
-                return self.queue.drain(..take).collect();
-            }
-            FairShare::DeficitRoundRobin { quantum } => quantum.max(1) as u64,
-        };
+        if self.policy.fair_share == FairShare::Fifo {
+            let take = self.next_batch_size(omega);
+            return self.queue.drain(..take).collect();
+        }
         let mut batch = Vec::new();
         let mut visits = 0u64;
         let mut work = 0u64;
@@ -995,7 +989,7 @@ where
                     continue;
                 }
                 visits += 1;
-                self.deficits[ti] += quantum * u64::from(self.policy.tenants[ti].weight.max(1));
+                self.deficits[ti] += u64::from(self.policy.tenants[ti].weight.max(1));
                 while self.deficits[ti] > 0 {
                     let Some(front) = self.tenant_queues[ti].front() else {
                         break;
@@ -1494,28 +1488,6 @@ where
     }
 }
 
-/// The one stats-snapshot idiom (see the module docs): every counter
-/// family the server keeps is a [`Snapshot`] implementation delegating to
-/// its `*_stats` method.
-macro_rules! impl_snapshot {
-    ($stats:ty, $method:ident) => {
-        impl<C, B> Snapshot<$stats> for StreamingServer<C, B>
-        where
-            C: OracleHandle<Key = Vertex, Answer = ComponentId>,
-            B: OracleHandle<Key = BiconnQueryKey, Answer = bool>,
-        {
-            fn snapshot(&self) -> $stats {
-                self.$method()
-            }
-        }
-    };
-}
-
-impl_snapshot!(CacheStats, cache_stats);
-impl_snapshot!(RobustnessStats, robustness_stats);
-impl_snapshot!(EpochStats, epoch_stats);
-impl_snapshot!(TenancyStats, tenancy_stats);
-
 /// What one isolated shard chunk produced.
 enum ChunkOutcome {
     /// The chunk completed; results in group order.
@@ -1743,12 +1715,12 @@ mod tests {
             .skew_factor(0)
             .overflow(Overflow::Shed)
             .op_budget(99)
-            .fair_share(FairShare::DRR)
+            .fair_share(FairShare::DeficitRoundRobin)
             .tenant(TenantSpec::new(1).weight(3).quota(10))
             .tenant(TenantSpec::new(2))
             .build();
         assert_eq!((p.max_batch, p.max_queue, p.cache_capacity), (8, 32, 2));
-        assert_eq!(p.fair_share, FairShare::DeficitRoundRobin { quantum: 1 });
+        assert_eq!(p.fair_share, FairShare::DeficitRoundRobin);
         assert_eq!(p.tenants.len(), 2);
         assert_eq!(p.tenants[0].weight, 3);
         // The batching knobs clamp to at least 1 in the setters.

@@ -115,23 +115,13 @@ pub enum FairShare {
     /// delays everyone behind it.
     Fifo,
     /// Deficit round-robin over per-tenant queues: each composition round
-    /// credits every backlogged tenant `quantum × weight` deficit and
-    /// takes queries (oldest first) while deficit lasts, so sustained
-    /// throughput divides proportionally to weight no matter how skewed
-    /// the arrival rates are. A tenant whose queue empties forfeits its
-    /// remaining deficit (no banking while idle).
-    DeficitRoundRobin {
-        /// Base credit per round per unit weight (clamped to at least 1).
-        /// Larger quanta trade scheduling granularity for fewer
-        /// composition rounds per batch.
-        quantum: u32,
-    },
-}
-
-impl FairShare {
-    /// The default DRR policy: quantum 1, i.e. strict weighted
-    /// interleaving at single-query granularity.
-    pub const DRR: FairShare = FairShare::DeficitRoundRobin { quantum: 1 };
+    /// credits every backlogged tenant `weight` deficit and takes queries
+    /// (oldest first) while deficit lasts — strict weighted interleaving
+    /// at single-query granularity — so sustained throughput divides
+    /// proportionally to weight no matter how skewed the arrival rates
+    /// are. A tenant whose queue empties forfeits its remaining deficit
+    /// (no banking while idle).
+    DeficitRoundRobin,
 }
 
 /// Per-tenant admission counters
@@ -149,8 +139,7 @@ pub struct TenantStats {
 }
 
 /// Aggregate tenancy counters across all tenants
-/// ([`StreamingServer::tenancy_stats`](crate::StreamingServer::tenancy_stats);
-/// also the [`Snapshot`](crate::Snapshot) surface for tenancy).
+/// ([`StreamingServer::tenancy_stats`](crate::StreamingServer::tenancy_stats)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TenancyStats {
     /// Tenants registered on the policy.

@@ -105,7 +105,7 @@ use super::codec::{encode_frame, Frame, FrameBuf, GoawayReason, WireFault};
 use super::transport::{Transport, TransportError};
 use crate::streaming::StreamingServer;
 use crate::tenant::TenantId;
-use crate::{NoBiconn, OracleHandle, ServeError, ServeResult, Snapshot};
+use crate::{NoBiconn, OracleHandle, ServeError, ServeResult};
 
 /// Handle to one frontend connection, returned by [`Frontend::connect`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -939,15 +939,5 @@ fn answer_frame(corr: u64, result: ServeResult) -> Frame {
             corr: Some(corr),
             error,
         },
-    }
-}
-
-impl<C, B> Snapshot<FrontendStats> for Frontend<C, B>
-where
-    C: OracleHandle<Key = Vertex, Answer = ComponentId>,
-    B: OracleHandle<Key = BiconnQueryKey, Answer = bool>,
-{
-    fn snapshot(&self) -> FrontendStats {
-        self.frontend_stats()
     }
 }

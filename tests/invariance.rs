@@ -9,7 +9,7 @@
 //! on execution order — the exact bug class the split/merge architecture
 //! exists to rule out.
 
-use wec::asym::{Costs, Grain, Ledger, LedgerScope};
+use wec::asym::{Costs, Ledger, LedgerScope};
 use wec::biconnectivity::oracle::build_biconnectivity_oracle;
 use wec::connectivity::{connectivity_csr, ConnectivityOracle, OracleBuildOpts};
 use wec::core::{BuildOpts, ImplicitDecomposition};
@@ -124,12 +124,15 @@ fn connectivity_oracle_build_and_query_costs_invariant() {
 
 #[test]
 fn grain_policy_invariant_under_parallelism_and_thread_count() {
-    // The execution-grain policy batches accounting chunks per forked task
-    // using the *runtime thread count* — so this test, run across the CI
-    // WEC_THREADS matrix (1/2/8/16), proves the adaptive batching cannot
-    // leak into the accounted costs: every policy × parallelism combination
-    // must agree bit-for-bit, and the absolute numbers are pinned so
-    // different matrix legs cannot silently diverge from each other.
+    // `scoped_par` batches accounting chunks per forked task using the
+    // *runtime thread count* — so this test, run across the CI WEC_THREADS
+    // matrix (1/2/8/16), proves the batching cannot leak into the accounted
+    // costs: parallel and sequential execution must agree bit-for-bit, and
+    // the absolute numbers are pinned so different matrix legs cannot
+    // silently diverge from each other. Tasks hold
+    // `max(64, n / (threads × 8))` elements, so n = 500 (≤ 64 × 8) keeps
+    // one chunk per task at every thread count, and n = 50_000
+    // (> 64 × 8 × 16) batches chunks at every leg of the matrix.
     let body = |r: std::ops::Range<usize>, s: &mut LedgerScope| {
         s.read(r.len() as u64);
         if r.start.is_multiple_of(7 * 64) {
@@ -137,45 +140,41 @@ fn grain_policy_invariant_under_parallelism_and_thread_count() {
         }
         r.len() as u64
     };
-    let mut reference: Option<(Vec<u64>, Costs, u64, u64)> = None;
-    for exec in [
-        Grain::Fixed(64),
-        Grain::Fixed(4096),
-        Grain::AUTO,
-        Grain::Auto {
-            chunks_per_worker: 1,
-        },
-    ] {
-        for parallel in [false, true] {
-            let mut led = if parallel {
-                Ledger::new(OMEGA)
-            } else {
-                Ledger::sequential(OMEGA)
-            };
-            let out = led.scoped_par_grained(50_000, 64, exec, &body);
-            let got = (out, led.costs(), led.depth(), led.sym_peak());
-            match &reference {
-                None => reference = Some(got),
-                Some(want) => assert_eq!(
-                    &got, want,
-                    "accounting drifted under {exec:?} (parallel={parallel})"
-                ),
-            }
-        }
+    // (n, pinned Costs, pinned depth). Chunks of 64 write when their start
+    // is a multiple of 7 · 64; `chunks − 1` split-tree ops; depth =
+    // ⌈log₂ chunks⌉ + max chunk depth (64 reads + ω for chunks that write).
+    let cases = [
+        // 8 chunks: writes at chunks 0 and 7.
+        (
+            500,
+            Costs {
+                asym_reads: 500,
+                asym_writes: 2,
+                sym_ops: 7,
+            },
+            3 + 64 + OMEGA,
+        ),
+        // 782 chunks: 112 writes (every 7th chunk).
+        (
+            50_000,
+            Costs {
+                asym_reads: 50_000,
+                asym_writes: 112,
+                sym_ops: 781,
+            },
+            10 + 64 + OMEGA,
+        ),
+    ];
+    for (n, costs, depth) in cases {
+        let run = |mut led: Ledger| {
+            let out = led.scoped_par(n, 64, &body);
+            (out, led.costs(), led.depth(), led.sym_peak())
+        };
+        let par = run(Ledger::new(OMEGA));
+        assert_eq!(par, run(Ledger::sequential(OMEGA)), "n = {n}");
+        assert_eq!(par.0.iter().sum::<u64>(), n as u64);
+        assert_eq!((par.1, par.2), (costs, depth), "n = {n}");
     }
-    let (_, costs, depth, _) = reference.unwrap();
-    // 50_000 / 64 ⇒ 782 chunks: 50_000 reads, 112 writes (every 7th chunk),
-    // 781 split-tree ops; depth = ⌈log₂ 782⌉ + max chunk depth (64 reads +
-    // ω for chunks that write).
-    assert_eq!(
-        costs,
-        Costs {
-            asym_reads: 50_000,
-            asym_writes: 112,
-            sym_ops: 781
-        }
-    );
-    assert_eq!(depth, 10 + 64 + OMEGA);
 }
 
 #[test]

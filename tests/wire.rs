@@ -38,9 +38,9 @@ use wec::graph::{gen, Csr, Priorities};
 use wec::serve::{
     encode_frame, loopback_listener, loopback_pair, AdmissionPolicy, Answer, FairShare, Frame,
     FrameBuf, Frontend, GoawayReason, LifecyclePolicy, LoopbackTransport, Overflow, Query,
-    ServeError, ShardedServer, Snapshot, StreamingServer, TcpTransport, TenancyStats, TenantId,
-    TenantSpec, Transport, WireClient, WireFault, DEDUP_INSERT_WRITES, DEDUP_PROBE_OPS,
-    FRAME_DECODE_OPS, FRAME_ENCODE_OPS, MAX_FRAME_BYTES, SESSION_BIND_OPS,
+    ServeError, ShardedServer, StreamingServer, TcpTransport, TenancyStats, TenantId, TenantSpec,
+    Transport, WireClient, WireFault, DEDUP_INSERT_WRITES, DEDUP_PROBE_OPS, FRAME_DECODE_OPS,
+    FRAME_ENCODE_OPS, MAX_FRAME_BYTES, SESSION_BIND_OPS,
 };
 
 const OMEGA: u64 = 64;
@@ -387,7 +387,7 @@ fn fair_share_splits_contended_batches_equally() {
     let policy = AdmissionPolicy::builder()
         .max_batch(16)
         .max_queue(1 << 20)
-        .fair_share(FairShare::DRR)
+        .fair_share(FairShare::DeficitRoundRobin)
         .tenants([TenantSpec::new(1), TenantSpec::new(2)])
         .build();
     let mut srv = StreamingServer::new(ShardedServer::new(oracle.query_handle(), 3), policy);
@@ -416,7 +416,7 @@ fn fair_share_splits_contended_batches_equally() {
     while srv.queue_len() > 0 {
         srv.flush(&mut led);
     }
-    let stats: TenancyStats = Snapshot::<TenancyStats>::snapshot(&srv);
+    let stats: TenancyStats = srv.tenancy_stats();
     assert_eq!(stats.dispatched, 440);
     assert_eq!(stats.quota_rejections, 0);
 
@@ -446,7 +446,7 @@ fn weighted_fair_share_honors_weights() {
     let policy = AdmissionPolicy::builder()
         .max_batch(16)
         .max_queue(1 << 20)
-        .fair_share(FairShare::DRR)
+        .fair_share(FairShare::DeficitRoundRobin)
         .tenant(TenantSpec::new(1).weight(3))
         .tenant(TenantSpec::new(2).weight(1))
         .build();
@@ -487,7 +487,7 @@ fn wire_drr_delivers_weighted_fair_share_under_arrival_skew() {
             // round) cover its share of 16 under both weightings.
             .max_batch(16)
             .max_queue(1 << 20)
-            .fair_share(FairShare::DRR)
+            .fair_share(FairShare::DeficitRoundRobin)
             .tenants((0..4).map(|t| TenantSpec::new(t as u16).weight(weights[t])))
             .build();
         let srv = StreamingServer::new(ShardedServer::new(oracle.query_handle(), 3), policy);
@@ -641,7 +641,7 @@ fn frontend_serves_loopback_connections() {
     let policy = AdmissionPolicy::builder()
         .max_batch(8)
         .max_queue(1 << 20)
-        .fair_share(FairShare::DRR)
+        .fair_share(FairShare::DeficitRoundRobin)
         .tenant(TenantSpec::new(1).credential(0xfeed))
         .tenant(TenantSpec::new(2))
         .build();
@@ -1056,7 +1056,7 @@ fn wire_costs_equal_in_process_costs_plus_frame_ops() {
         AdmissionPolicy::builder()
             .max_batch(8)
             .max_queue(1 << 20)
-            .fair_share(FairShare::DRR)
+            .fair_share(FairShare::DeficitRoundRobin)
             .tenants([TenantSpec::new(1), TenantSpec::new(2)])
             .build()
     };
