@@ -45,8 +45,8 @@
 //! fork overhead changes.
 //!
 //! Loops whose per-element charges are known in advance should not charge
-//! inside the loop at all: the [`Charge`] helpers (`charge_reads(n)`, ...)
-//! make the bulk charge explicit at the point where the count is known.
+//! inside the loop at all: one `read(n)`/`write(n)`/`op(n)` at the point
+//! where the count is known charges exactly what `n` unit calls would.
 
 use crate::cost::Costs;
 use crate::report::CostReport;
@@ -423,10 +423,11 @@ fn run_chunks<T: Send>(
 /// by [`Ledger::scope`] / handed out by [`Ledger::scoped_par`]; absorbed by
 /// [`Ledger::join_many`].
 ///
-/// A scope exposes the same charge surface as a ledger ([`Charge`] plus
-/// [`LedgerScope::ledger`] for code written against `&mut Ledger`), but its
-/// internal ledger is always sequential: forks inside a worker run inline
-/// and only ever touch the worker's own counters.
+/// A scope exposes the same charge surface as a ledger (`read`/`write`/
+/// `op`, plus [`LedgerScope::ledger`] for code written against
+/// `&mut Ledger`), but its internal ledger is always sequential: forks
+/// inside a worker run inline and only ever touch the worker's own
+/// counters.
 #[derive(Debug)]
 pub struct LedgerScope {
     inner: Ledger,
@@ -483,72 +484,10 @@ impl LedgerScope {
     }
 }
 
-/// Batched charge surface shared by [`Ledger`] and [`LedgerScope`].
-///
-/// These are the bulk equivalents of per-element `op(1)`-style calls: when
-/// a loop's charge count is known up front (`n` reads of a scanned array,
-/// `len` writes of a packed output), charge it in one call at the point
-/// where the count is known instead of once per iteration.
-pub trait Charge {
-    /// Write-cost multiplier in force.
-    fn omega_w(&self) -> u64;
-    /// Charge `n` asymmetric-memory reads.
-    fn charge_reads(&mut self, n: u64);
-    /// Charge `n` asymmetric-memory writes.
-    fn charge_writes(&mut self, n: u64);
-    /// Charge `n` unit-cost operations.
-    fn charge_ops(&mut self, n: u64);
-
-    /// Charge a whole pre-tallied [`Costs`] delta.
-    fn charge(&mut self, c: Costs) {
-        self.charge_reads(c.asym_reads);
-        self.charge_writes(c.asym_writes);
-        self.charge_ops(c.sym_ops);
-    }
-}
-
-impl Charge for Ledger {
-    #[inline]
-    fn omega_w(&self) -> u64 {
-        self.omega()
-    }
-    #[inline]
-    fn charge_reads(&mut self, n: u64) {
-        self.read(n);
-    }
-    #[inline]
-    fn charge_writes(&mut self, n: u64) {
-        self.write(n);
-    }
-    #[inline]
-    fn charge_ops(&mut self, n: u64) {
-        self.op(n);
-    }
-}
-
-impl Charge for LedgerScope {
-    #[inline]
-    fn omega_w(&self) -> u64 {
-        self.omega()
-    }
-    #[inline]
-    fn charge_reads(&mut self, n: u64) {
-        self.read(n);
-    }
-    #[inline]
-    fn charge_writes(&mut self, n: u64) {
-        self.write(n);
-    }
-    #[inline]
-    fn charge_ops(&mut self, n: u64) {
-        self.op(n);
-    }
-}
-
 /// Deferred accounting for a **result cache** sitting in front of a
 /// read-only query path (see `wec-serve`'s streaming front end): every
 /// probe, hit, miss, and insertion is noted into plain counters and the
-/// accumulated [`Costs`] are flushed into a [`Charge`] sink once per batch.
+/// accumulated [`Costs`] are flushed into the ledger once per batch.
 /// Because `read(n)`/`write(n)`/`op(n)` are linear in `n`, one flush
 /// charges exactly what the equivalent per-item calls would have (same
 /// `Costs`, same depth contribution).
@@ -663,10 +602,12 @@ impl CacheTally {
         self.pending
     }
 
-    /// Charge the accumulated counters into `sink` and reset the pending
+    /// Charge the accumulated counters into `led` and reset the pending
     /// costs (hit/miss/insert counters are preserved).
-    pub fn flush(&mut self, sink: &mut impl Charge) {
-        sink.charge(self.pending);
+    pub fn flush(&mut self, led: &mut Ledger) {
+        led.read(self.pending.asym_reads);
+        led.write(self.pending.asym_writes);
+        led.op(self.pending.sym_ops);
         self.pending = Costs::ZERO;
     }
 }
@@ -923,34 +864,6 @@ mod tests {
         l.join_many([s]);
         assert_eq!(l.sym_peak(), 108);
         assert_eq!(l.sym_live(), 8);
-    }
-
-    #[test]
-    fn charge_helpers_equal_direct_calls() {
-        fn charged<C: Charge>(c: &mut C) {
-            c.charge_reads(3);
-            c.charge_writes(2);
-            c.charge_ops(5);
-            c.charge(Costs {
-                asym_reads: 1,
-                asym_writes: 0,
-                sym_ops: 1,
-            });
-        }
-        let mut l = Ledger::new(8);
-        charged(&mut l);
-        let mut direct = Ledger::new(8);
-        direct.read(3);
-        direct.write(2);
-        direct.op(5);
-        direct.read(1);
-        direct.op(1);
-        assert_eq!(l.costs(), direct.costs());
-        assert_eq!(l.depth(), direct.depth());
-        let mut s = Ledger::new(8).scope();
-        charged(&mut s);
-        assert_eq!(s.costs(), l.costs());
-        assert_eq!(s.depth(), l.depth());
     }
 
     #[test]

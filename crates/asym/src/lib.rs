@@ -26,8 +26,8 @@
 //! * [`Costs`], [`CostReport`] — raw counters and serializable summaries.
 //! * [`Ledger`] — per-task accounting: sequential charges, fork-join
 //!   composition, symmetric-memory high-water tracking.
-//! * [`LedgerScope`], [`Ledger::scoped_par`], [`Ledger::join_many`],
-//!   [`Charge`] — the split/merge architecture hot passes use: per-worker
+//! * [`LedgerScope`], [`Ledger::scoped_par`], [`Ledger::join_many`] —
+//!   the split/merge architecture hot passes use: per-worker
 //!   counter scopes merged deterministically (work sums, depth maxes) so
 //!   parallel and sequential execution produce bit-identical costs. The
 //!   full contract is documented in the [`ledger`] module.
@@ -49,7 +49,7 @@ pub mod wire;
 pub use cost::Costs;
 pub use fusion::{FUSED_CONCAT_OPS, FUSED_EMIT_WRITES, FUSED_SLOT_OPS, FUSED_STAGE_OPS};
 pub use hash::{stable_combine, stable_mix64, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use ledger::{CacheTally, Charge, Ledger, LedgerScope};
+pub use ledger::{CacheTally, Ledger, LedgerScope};
 pub use mutation::{
     DELTA_EDGE_WORDS, EPOCH_INSTALL_OPS, INVALIDATE_ENTRY_WRITES, INVALIDATE_SCAN_OPS,
     OVERLAY_ENTRY_WRITES, OVERLAY_FIND_OPS, OVERLAY_INDEX_WRITES, OVERLAY_LOOKUP_READS,

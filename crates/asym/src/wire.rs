@@ -56,5 +56,5 @@ pub const DEDUP_INSERT_WRITES: u64 = 1;
 /// client's exponential backoff: attempt `a` (1-based) charges
 /// `RECONNECT_BACKOFF_OPS << (a − 1)` operations before redialing, so
 /// the waiting is priced in model time exactly like the recovery
-/// ladder's `retry_backoff_ops`.
+/// ladder's backoff in the serving layer.
 pub const RECONNECT_BACKOFF_OPS: u64 = 1;

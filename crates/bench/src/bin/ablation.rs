@@ -24,18 +24,8 @@ fn main() {
     );
     for parallel in [false, true] {
         let mut led = Ledger::new(64);
-        let d = ImplicitDecomposition::build(
-            &mut led,
-            &g,
-            &pri,
-            &verts,
-            8,
-            3,
-            BuildOpts {
-                parallel,
-                ..Default::default()
-            },
-        );
+        let d =
+            ImplicitDecomposition::build(&mut led, &g, &pri, &verts, 8, 3, BuildOpts { parallel });
         println!(
             "{:>10} {:>10} {:>12} {:>12} {:>14}",
             if parallel { "parallel" } else { "seq" },

@@ -313,7 +313,6 @@ pub fn build_biconnectivity_oracle<'a, G: GraphView>(
         witness_inner,
         witness_outer,
         cg_label,
-        pass_up_v,
         blocked_v_depth,
         bridge_wit,
         blocked_e_depth,

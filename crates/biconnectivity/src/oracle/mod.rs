@@ -70,8 +70,6 @@ pub struct BiconnectivityOracle<'a, G: GraphView> {
     pub(crate) witness_outer: Vec<Vertex>,
     /// Clusters-graph BC label per dense id (NO_LABEL for roots).
     pub(crate) cg_label: Vec<u32>,
-    /// Vertex-cut transit bit per cluster (Definition 5).
-    pub(crate) pass_up_v: Vec<bool>,
     /// Depth of the deepest vertex-blocked cluster among ancestors-or-self
     /// (`u32::MAX` if none).
     pub(crate) blocked_v_depth: Vec<u32>,
@@ -458,38 +456,6 @@ impl<'a, G: GraphView> BiconnectivityOracle<'a, G> {
             self.root_label[ci as usize]
         } else {
             self.offset[ci as usize] + bcc.internal_rank[local_bcc as usize] as u64
-        }
-    }
-
-    /// Dump internal tables (debug/bench aid).
-    pub fn debug_dump(&self, led: &mut Ledger) {
-        eprintln!("centers: {:?}", self.centers);
-        for ci in 0..self.centers.len() as u32 {
-            let c = self.d.cluster(led, self.centers[ci as usize]);
-            eprintln!(
-                "cluster {ci} (center {}): members {:?} parent {} wit_in {} wit_out {} cg_label {} pass_v {} bridge_wit {} root_label {} offset {}",
-                self.centers[ci as usize],
-                c.members,
-                self.forest.parent(ci),
-                self.witness_inner[ci as usize],
-                self.witness_outer[ci as usize],
-                self.cg_label[ci as usize],
-                self.pass_up_v[ci as usize],
-                self.bridge_wit[ci as usize],
-                self.root_label[ci as usize],
-                self.offset[ci as usize],
-            );
-        }
-        for ci in 0..self.centers.len() as u32 {
-            let (lg, bcc) = self.local_of(led, ci);
-            eprintln!(
-                "local {ci}: verts {:?} n_members {} edges {:?} bridges {:?} artic {:?}",
-                lg.verts,
-                lg.n_members,
-                lg.csr.edges(),
-                bcc.bridge,
-                bcc.articulation
-            );
         }
     }
 }

@@ -73,7 +73,7 @@
 
 use wec_asym::FxHashMap;
 use wec_asym::{
-    Charge, Ledger, DELTA_EDGE_WORDS, OVERLAY_ENTRY_WRITES, OVERLAY_FIND_OPS, OVERLAY_INDEX_WRITES,
+    Ledger, DELTA_EDGE_WORDS, OVERLAY_ENTRY_WRITES, OVERLAY_FIND_OPS, OVERLAY_INDEX_WRITES,
     OVERLAY_LOOKUP_READS, OVERLAY_UNION_OPS,
 };
 use wec_baseline::UnionFind;
@@ -254,12 +254,12 @@ impl OverlayView<'_> {
     /// used on query paths; use [`OverlayView::peek`] for model-free
     /// inspection.
     #[inline]
-    pub fn canonical(&self, sink: &mut impl Charge, id: ComponentId) -> ComponentId {
+    pub fn canonical(&self, led: &mut Ledger, id: ComponentId) -> ComponentId {
         if self.is_empty() {
             return id;
         }
         let (c, stepped) = self.resolve(id);
-        sink.charge_reads(OVERLAY_LOOKUP_READS * (1 + stepped));
+        led.read(OVERLAY_LOOKUP_READS * (1 + stepped));
         c
     }
 
@@ -357,9 +357,9 @@ impl<G: GraphView + Sync> ConnQueryHandle<'_, '_, G> {
                 let mut out = Vec::with_capacity(range.len());
                 for &(u, v) in &edges[range] {
                     let a = self.component(scope.ledger(), u);
-                    let a = base.canonical(scope, a);
+                    let a = base.canonical(scope.ledger(), a);
                     let b = self.component(scope.ledger(), v);
-                    let b = base.canonical(scope, b);
+                    let b = base.canonical(scope.ledger(), b);
                     out.push((a, b));
                 }
                 out

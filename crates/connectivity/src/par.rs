@@ -16,8 +16,7 @@
 use wec_asym::Ledger;
 use wec_baseline::UnionFind;
 use wec_graph::{Csr, GraphView, Vertex};
-use wec_prims::delayed::{tabulate, Delayed};
-use wec_prims::low_diameter_decomposition;
+use wec_prims::{flat_collect, low_diameter_decomposition};
 
 /// Output of §4.2 connectivity.
 #[derive(Debug, Clone)]
@@ -57,19 +56,16 @@ pub fn connectivity_general(
     let part = ldd.part;
     let num_parts = ldd.centers.len();
 
-    // Step 3: pack cross-part edges (by part ids) in one fused
-    // delayed-sequence pass: `edge_at` and the part comparison run once per
-    // slot, and the only asymmetric writes are the surviving cross edges
-    // at the terminal `collect`.
+    // Step 3: pack cross-part edges (by part ids) in one fused pass:
+    // `edge_at` and the part comparison run once per slot, and the only
+    // asymmetric writes are the surviving cross edges.
     let part_ref = &part;
-    let cross: Vec<(u32, u32, u32)> = tabulate(num_edge_slots, |i, l| {
+    let cross: Vec<(u32, u32, u32)> = flat_collect(led, num_edge_slots, |i, l| {
         let (u, v) = edge_at(i, l)?;
         l.read(2);
         let (pu, pv) = (part_ref[u as usize], part_ref[v as usize]);
         (pu != pv).then_some((pu, pv, i as u32))
-    })
-    .flatten()
-    .collect(led);
+    });
 
     // Step 4: linear-work pass on the contracted graph (union-find). The
     // union sweep is inherently sequential; its reads are a known count and

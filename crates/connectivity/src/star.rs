@@ -5,8 +5,8 @@
 //! vertex to a couple of its neighbors, find the largest sampled component
 //! `L`, and only the edges of vertices *outside* `L` are left to resolve.
 //! This module is that pipeline on the charged substrate, finished with the
-//! parlaylib exemplar's randomized **star contraction** over the fused
-//! [`wec_prims::delayed`] layer:
+//! parlaylib exemplar's randomized **star contraction**, with its passes
+//! fused through [`wec_prims::flat_collect`]:
 //!
 //! 1. **sample** — each vertex unions itself with its first 2 CSR
 //!    neighbors (`SAMPLE_K`) through a charged union-find (smaller
@@ -14,12 +14,13 @@
 //!    onto its root so one read resolves its sampled component;
 //! 2. **largest component** — `L` is the most frequent root among at most
 //!    1,024 vertices (`MAX_PROBES`) probed at a fixed stride (reads only);
-//! 3. **finish** — one fused `tabulate → flatten → collect` pass over the
-//!    vertices: a vertex in `L` costs one label read, a vertex outside `L`
-//!    reads its adjacency and emits only the root pairs that cross sampled
-//!    components. An edge between `L` and the rest is seen from its outside
-//!    end, an edge between two outside vertices from its lower end, so
-//!    each crossing edge is written at most once;
+//! 3. **finish** — one fused `flat_collect` pass over the vertices: a
+//!    vertex in `L` costs one label read, a vertex outside `L` reads its
+//!    adjacency and emits only the root pairs that cross sampled
+//!    components, so only those pairs are written. An edge between `L`
+//!    and the rest is seen from its outside end, an edge between two
+//!    outside vertices from its lower end, so each crossing edge is
+//!    written at most once;
 //! 4. **contraction** — star-contraction rounds on the root multigraph:
 //!    each root flips a deterministic coin (hashed from `(seed, round,
 //!    root)`); every tails-root with a heads neighbor links to its
@@ -50,7 +51,7 @@
 use crate::oracle::ComponentId;
 use wec_asym::{stable_combine, FxHashMap, Ledger};
 use wec_graph::{Csr, Vertex};
-use wec_prims::delayed::{tabulate, Delayed};
+use wec_prims::flat_collect;
 
 /// Edges each vertex contributes to the sample: its first `SAMPLE_K`
 /// neighbors in CSR (ascending id) order.
@@ -179,14 +180,12 @@ fn build(led: &mut Ledger, g: &Csr, seed: u64, max_rounds: usize) -> StarOracle 
         let prev = std::mem::take(&mut edges);
         let prev_ref = &prev;
         let p_ref = &p;
-        edges = tabulate(prev_ref.len(), |i, l| {
+        edges = flat_collect(led, prev_ref.len(), |i, l| {
             l.read(2);
             let (u, v) = prev_ref[i];
             let (ru, rv) = (p_ref[u as usize], p_ref[v as usize]);
             (ru != rv).then_some((ru, rv))
-        })
-        .flatten()
-        .collect(led);
+        });
         rounds += 1;
     }
 
@@ -295,7 +294,7 @@ fn largest_root(led: &mut Ledger, p: &[u32]) -> u32 {
 /// one label read; any other vertex reads its offset, its neighbors and
 /// their labels. Writes only the emitted pairs.
 fn cross_pairs(led: &mut Ledger, g: &Csr, p: &[u32], big: u32) -> Vec<(u32, u32)> {
-    tabulate(g.n(), |i, l| {
+    flat_collect(led, g.n(), |i, l| {
         l.read(1);
         let (v, rv) = (i as u32, p[i]);
         let nbrs: &[Vertex] = if rv == big {
@@ -310,8 +309,6 @@ fn cross_pairs(led: &mut Ledger, g: &Csr, p: &[u32], big: u32) -> Vec<(u32, u32)
             (rw != rv && (rw == big || v < w)).then_some((rv, rw))
         })
     })
-    .flatten()
-    .collect(led)
 }
 
 /// Hook tail `t` onto head `h`, keeping the minimum head if `t` already

@@ -8,7 +8,7 @@ use crate::rho::{rho, RhoAnswer};
 use crate::secondary::{secondary_centers_overlay, secondary_centers_seq};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use wec_asym::{Charge, Ledger};
+use wec_asym::Ledger;
 use wec_graph::{GraphView, Priorities, Vertex};
 
 /// Vertices per worker chunk in the center-less-component scan: each probe
@@ -28,24 +28,10 @@ pub struct BuildStats {
 }
 
 /// Options for [`ImplicitDecomposition::build`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct BuildOpts {
-    /// Run the unconnected-graph pass (mark the minimum vertex of every
-    /// center-less component of size ≥ k as primary). Required for correct
-    /// size bounds on disconnected inputs; skippable when the input is
-    /// known connected.
-    pub ensure_components: bool,
     /// Use the parallel `SECONDARYCENTERS` variant (Lemma 3.7).
     pub parallel: bool,
-}
-
-impl Default for BuildOpts {
-    fn default() -> Self {
-        BuildOpts {
-            ensure_components: true,
-            parallel: false,
-        }
-    }
 }
 
 /// An implicit k-decomposition: the oracle state is exactly the center set
@@ -84,7 +70,7 @@ impl<'a, G: GraphView> ImplicitDecomposition<'a, G> {
         let mut stats = BuildStats::default();
         // Line 1: sample S0. The coin flips stay on the sequential rng
         // stream; the per-vertex unit op is a known count, charged in bulk.
-        led.charge_ops(n as u64);
+        led.op(n as u64);
         for &v in vertices {
             if rng.gen_range(0..k) == 0 {
                 centers.insert(led, v, CenterLabel::Primary);
@@ -97,33 +83,30 @@ impl<'a, G: GraphView> ImplicitDecomposition<'a, G> {
         // minimum per center-less component — does not depend on probe
         // order), so the searches run as one flat parallel pass with
         // per-worker ledger scopes; the few winners are inserted afterward.
-        if opts.ensure_components {
-            let base = &centers;
-            let winners: Vec<Vec<Vertex>> =
-                led.scoped_par(n, COMPONENT_SCAN_GRAIN, &|range, scope| {
-                    let l = scope.ledger();
-                    let mut found_mins = Vec::new();
-                    for &v in &vertices[range] {
-                        let mut s = DetSearch::new(l, g, pri, v);
-                        let found = loop {
-                            if s.first_in_frontier(l, base, CenterLabel::Primary).is_some() {
-                                break true;
-                            }
-                            if !s.advance(l) {
-                                break false;
-                            }
-                        };
-                        if !found && s.visited() >= k && s.min_priority_visited(l) == v {
-                            found_mins.push(v);
-                        }
-                        s.release(l);
+        let base = &centers;
+        let winners: Vec<Vec<Vertex>> = led.scoped_par(n, COMPONENT_SCAN_GRAIN, &|range, scope| {
+            let l = scope.ledger();
+            let mut found_mins = Vec::new();
+            for &v in &vertices[range] {
+                let mut s = DetSearch::new(l, g, pri, v);
+                let found = loop {
+                    if s.first_in_frontier(l, base, CenterLabel::Primary).is_some() {
+                        break true;
                     }
-                    found_mins
-                });
-            for v in winners.into_iter().flatten() {
-                centers.insert(led, v, CenterLabel::Primary);
-                stats.component_primaries += 1;
+                    if !s.advance(l) {
+                        break false;
+                    }
+                };
+                if !found && s.visited() >= k && s.min_priority_visited(l) == v {
+                    found_mins.push(v);
+                }
+                s.release(l);
             }
+            found_mins
+        });
+        for v in winners.into_iter().flatten() {
+            centers.insert(led, v, CenterLabel::Primary);
+            stats.component_primaries += 1;
         }
         // Lines 3–4: SECONDARYCENTERS per primary.
         let primaries: Vec<Vertex> = centers
@@ -131,7 +114,7 @@ impl<'a, G: GraphView> ImplicitDecomposition<'a, G> {
             .filter(|&(_, l)| l == CenterLabel::Primary)
             .map(|(v, _)| v)
             .collect();
-        led.charge_reads(primaries.len() as u64);
+        led.read(primaries.len() as u64);
         if opts.parallel {
             // Lemma 3.7: distinct primaries plant their secondaries against
             // thread-local overlays of the shared base set — one heavy
@@ -154,7 +137,7 @@ impl<'a, G: GraphView> ImplicitDecomposition<'a, G> {
             }
         }
         let center_list = centers.to_vec(led);
-        led.charge_writes(center_list.len() as u64);
+        led.write(center_list.len() as u64);
         ImplicitDecomposition {
             g,
             pri,
@@ -321,10 +304,7 @@ mod tests {
             &verts,
             5,
             3,
-            BuildOpts {
-                parallel: true,
-                ..Default::default()
-            },
+            BuildOpts { parallel: true },
         );
         validate(&g, &d, 5);
     }

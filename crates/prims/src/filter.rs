@@ -5,11 +5,11 @@
 //! input size. Reads remain linear in the input. This is what makes
 //! `O(n + βm)` write bounds possible when only `βm` elements survive.
 //!
-//! Since PR 9, §4.2 step 3 compacts cross-subset edges through the fused
-//! [`delayed`](crate::delayed) layer by default — one predicate pass,
-//! writes only for the survivors, no block-offset writes — and this
-//! two-pass materialized pack remains the eager general-purpose variant
-//! (and the A/B baseline `conn_writes` measures the fused pass against).
+//! The production passes (§4.2 step 3, the star build) use the fused
+//! [`flat_collect`](crate::fused::flat_collect) instead — one predicate
+//! pass, writes only for the survivors, no block-offset writes. This
+//! two-pass materialized pack is the reference the tests compare the
+//! fused pass against.
 
 use crate::scan::block_offsets;
 use wec_asym::Ledger;
@@ -20,27 +20,11 @@ use wec_asym::Ledger;
 /// count, so a large input does not fork one closure per 1024 elements.
 pub const FILTER_BLOCK: usize = 1024;
 
-/// Keep the indices `i ∈ 0..n` satisfying `pred`, in increasing order.
-///
-/// `pred` is evaluated twice per index (count pass + emit pass) and must be
-/// deterministic; it charges its own evaluation cost to the ledger it is
-/// handed. On top of that this function charges one write per emitted index
-/// and one write per block (the block offsets). When the double evaluation
-/// or the block writes matter, prefer the fused
-/// [`Delayed::pack_index`](crate::delayed::Delayed::pack_index), which runs
-/// the predicate once and writes only the emitted indices.
-pub fn filter_indices(
-    led: &mut Ledger,
-    n: usize,
-    pred: &(impl Fn(usize, &mut Ledger) -> bool + Sync),
-) -> Vec<u32> {
-    filter_map_collect(led, n, &|i, l| pred(i, l).then_some(i as u32))
-}
-
 /// Write-efficient filter-map: collect `f(i)` for `i ∈ 0..n` where `f`
-/// returns `Some`, in index order. Charges: `f`'s own costs twice (count +
-/// emit pass — the emit pass is skipped entirely when nothing survived),
-/// one write per emitted element, one write per block.
+/// returns `Some`, in index order. `f` must be deterministic. Charges:
+/// `f`'s own costs twice (count + emit pass — the emit pass is skipped
+/// entirely when nothing survived), one write per emitted element, one
+/// write per block (the block offsets).
 pub fn filter_map_collect<T: Send + Copy>(
     led: &mut Ledger,
     n: usize,
@@ -88,9 +72,9 @@ mod tests {
     #[test]
     fn filter_keeps_matching_indices_in_order() {
         let mut led = Ledger::new(8);
-        let kept = filter_indices(&mut led, 10_000, &|i, l| {
+        let kept = filter_map_collect(&mut led, 10_000, &|i, l| {
             l.read(1);
-            i % 7 == 0
+            i.is_multiple_of(7).then_some(i)
         });
         assert_eq!(kept.len(), 10_000 / 7 + 1);
         assert!(kept.windows(2).all(|w| w[0] < w[1]));
@@ -101,9 +85,9 @@ mod tests {
     fn writes_scale_with_output_not_input() {
         let n = 100_000;
         let mut led = Ledger::new(8);
-        let kept = filter_indices(&mut led, n, &|i, l| {
+        let kept = filter_map_collect(&mut led, n, &|i, l| {
             l.read(1);
-            i % 1000 == 0
+            i.is_multiple_of(1000).then_some(i)
         });
         assert_eq!(kept.len(), 100);
         let writes = led.costs().asym_writes;
@@ -126,16 +110,16 @@ mod tests {
     #[test]
     fn empty_input_and_empty_output() {
         let mut led = Ledger::new(8);
-        assert!(filter_indices(&mut led, 0, &|_, _| true).is_empty());
-        assert!(filter_indices(&mut led, 500, &|_, _| false).is_empty());
+        assert!(filter_map_collect(&mut led, 0, &|i, _| Some(i)).is_empty());
+        assert!(filter_map_collect(&mut led, 500, &|_, _| None::<usize>).is_empty());
     }
 
     #[test]
     fn costs_deterministic_under_parallelism() {
         let run = |mut led: Ledger| {
-            let kept = filter_indices(&mut led, 30_000, &|i, l| {
+            let kept = filter_map_collect(&mut led, 30_000, &|i, l| {
                 l.read(1);
-                (i * 2654435761) % 5 == 0
+                ((i * 2654435761) % 5 == 0).then_some(i)
             });
             (kept, led.costs(), led.depth())
         };

@@ -10,10 +10,9 @@
 //! * [`scan`] — per-block offsets, the write-efficient half of a scan;
 //! * [`filter`] — write-efficient pack: writes proportional to the *output*
 //!   size (plus one write per block), not the input size;
-//! * [`delayed`] — charged delayed sequences (iterator fusion): lazy
-//!   `tabulate → map → filter → flatten` views that evaluate as a single
-//!   ledger-charged pass with asymmetric writes only at the terminal
-//!   `collect`/`pack_index`;
+//! * [`fused`] — [`flat_collect`], the fused filter/flat-map: one charged
+//!   pass over `n` slots whose only asymmetric writes are the items it
+//!   emits;
 //! * [`bfs`] — level-synchronous multi-source BFS over any
 //!   [`wec_graph::GraphView`] with O(reached) writes, supporting per-round
 //!   source injection (what the LDD needs);
@@ -26,16 +25,16 @@
 //! * [`lca`] — O(1)-query LCA via Euler tour + sparse table.
 
 pub mod bfs;
-pub mod delayed;
 pub mod euler;
 pub mod filter;
+pub mod fused;
 pub mod lca;
 pub mod ldd;
 pub mod scan;
 pub mod tree_ops;
 
 pub use bfs::{multi_bfs, BfsResult, UNREACHED};
-pub use delayed::{tabulate, Delayed};
 pub use euler::{EulerTour, RootedForest};
+pub use fused::flat_collect;
 pub use lca::LcaIndex;
 pub use ldd::{low_diameter_decomposition, LddResult};

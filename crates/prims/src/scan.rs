@@ -5,10 +5,10 @@
 //! forked task processes is `scoped_par`'s cost-invisible execution grain,
 //! sized from the pool's thread count.
 //!
-//! When a scan only exists to glue pipeline stages together — count,
-//! offset, then emit — the fused [`delayed`](crate::delayed) layer skips
-//! the intermediate arrays and their writes entirely; [`block_offsets`]
-//! remains the write-efficient backbone of the eager [`crate::filter`].
+//! When a scan only exists to glue a count pass to an emit pass,
+//! [`flat_collect`](crate::fused::flat_collect) skips the offsets and
+//! their writes entirely; [`block_offsets`] remains the write-efficient
+//! backbone of the materialized [`crate::filter`].
 
 use wec_asym::Ledger;
 

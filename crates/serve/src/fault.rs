@@ -5,17 +5,17 @@
 //! how we prove it *survives* breaking. It contributes three pieces:
 //!
 //! * [`FaultPlan`] — a seeded, bit-reproducible schedule of injected
-//!   faults (shard panics, cache-lock poisoning, slow-shard stalls,
-//!   retry failures, queue-overflow bursts). Every decision is a pure
-//!   function of `(seed, dispatch sequence number, shard, attempt)`
-//!   through [`wec_asym::stable_combine`], so a fault run replays
-//!   identically across threads, machines, and reruns. The plan is
-//!   carried as an `Option` on the server: `None` is the production
-//!   configuration and costs nothing — not a branch is charged.
-//! * [`RecoveryPolicy`] — the knobs of the *always-on* recovery machinery
-//!   (bounded retry-with-backoff, the per-shard circuit breaker). These
-//!   apply to real panics exactly as to injected ones; fault injection is
-//!   merely how the tests exercise them deterministically.
+//!   faults (shard panics, cache-lock poisoning, retry failures). Every
+//!   decision is a pure function of `(seed, dispatch sequence number,
+//!   shard, attempt)` through [`wec_asym::stable_combine`], so a fault
+//!   run replays identically across threads, machines, and reruns. The
+//!   plan is carried as an `Option` on the server: `None` is the
+//!   production configuration and costs nothing — not a branch is
+//!   charged.
+//! * [`RecoveryPolicy`] — the knobs of the *always-on* per-shard circuit
+//!   breaker. The breaker, like the fixed retry-with-backoff ladder,
+//!   applies to real panics exactly as to injected ones; fault injection
+//!   is merely how the tests exercise them deterministically.
 //! * [`RobustnessStats`] / [`ShardHealth`] — the observability surface:
 //!   cumulative counters of everything the recovery machinery did, and
 //!   the per-shard circuit-breaker state.
@@ -31,31 +31,21 @@
 //! * a **poison** fault unwinds *while holding* the cache lock, genuinely
 //!   poisoning the `Mutex` — recovery must (and does) clear the poison
 //!   and reset the cache cold;
-//! * a **stall** sleeps wall-clock time without touching the ledger —
-//!   model costs stay bit-identical while wall-clock throughput degrades
-//!   (this is what `fault_bench` measures);
 //! * a **retry failure** makes a recovery attempt fail again, exercising
 //!   the backoff ladder; the final attempt of a bounded retry sequence
-//!   always runs with injection suppressed, so every query is answered;
-//! * a **burst** tells a load generator to submit extra queries at a
-//!   tick, exercising queue-overflow shedding (the serving layer never
-//!   consults it — see `FaultPlan::burst_extra`).
+//!   always runs with injection suppressed, so every query is answered.
 //!
 //! This module covers faults *inside* the serving stack. Its byte-level
 //! counterpart for the wire layer — short reads/writes, mid-frame
 //! disconnects, stalls, duplicated delivery, seeded the same way — is
 //! [`crate::wire::chaos`].
 
-use std::time::Duration;
-
 use wec_asym::stable_combine;
 
 /// Decision-kind salts: each fault family rolls an independent stream.
 const KIND_PANIC: u64 = 0x01;
 const KIND_POISON: u64 = 0x02;
-const KIND_STALL: u64 = 0x03;
 const KIND_RETRY: u64 = 0x04;
-const KIND_BURST: u64 = 0x05;
 
 /// A seeded, bit-reproducible fault-injection schedule. All probabilities
 /// are expressed per mille (‰): `per_mille = 10` injects with probability
@@ -71,20 +61,10 @@ pub struct FaultPlan {
     /// Per-(dispatch, shard) probability (‰) of a panic while *holding*
     /// the cache lock, poisoning the mutex.
     pub poison_per_mille: u32,
-    /// Per-(dispatch, shard) probability (‰) of a wall-clock stall.
-    pub stall_per_mille: u32,
-    /// Stall length in microseconds (0 disables stalls regardless of
-    /// `stall_per_mille`).
-    pub stall_micros: u32,
     /// Per-(dispatch, shard, attempt) probability (‰) that a recovery
     /// attempt fails again (the final bounded attempt is never failed).
     pub retry_fail_per_mille: u32,
-    /// Per-tick probability (‰) that a load generator should submit a
-    /// burst ([`FaultPlan::burst_extra`]).
-    pub burst_per_mille: u32,
-    /// Extra queries per burst.
-    pub burst_len: u32,
-    /// When set, panic/poison/stall/retry faults only fire on this shard
+    /// When set, panic/poison/retry faults only fire on this shard
     /// index — useful for deterministically tripping one circuit breaker.
     pub target_shard: Option<u32>,
 }
@@ -96,11 +76,7 @@ impl FaultPlan {
             seed,
             panic_per_mille: 0,
             poison_per_mille: 0,
-            stall_per_mille: 0,
-            stall_micros: 0,
             retry_fail_per_mille: 0,
-            burst_per_mille: 0,
-            burst_len: 0,
             target_shard: None,
         }
     }
@@ -117,23 +93,9 @@ impl FaultPlan {
         self
     }
 
-    /// The same plan with the given stall probability (‰) and length.
-    pub fn with_stall(mut self, per_mille: u32, micros: u32) -> Self {
-        self.stall_per_mille = per_mille;
-        self.stall_micros = micros;
-        self
-    }
-
     /// The same plan with the given retry-failure probability (‰).
     pub fn with_retry_fail_per_mille(mut self, per_mille: u32) -> Self {
         self.retry_fail_per_mille = per_mille;
-        self
-    }
-
-    /// The same plan with the given burst probability (‰) and length.
-    pub fn with_burst(mut self, per_mille: u32, len: u32) -> Self {
-        self.burst_per_mille = per_mille;
-        self.burst_len = len;
         self
     }
 
@@ -148,7 +110,6 @@ impl FaultPlan {
     /// answers identically.
     pub fn injects_anything(&self) -> bool {
         (self.panic_per_mille | self.poison_per_mille | self.retry_fail_per_mille) > 0
-            || (self.stall_per_mille > 0 && self.stall_micros > 0)
     }
 
     fn targets(&self, shard: u64) -> bool {
@@ -176,19 +137,6 @@ impl FaultPlan {
         self.targets(shard) && self.hits(self.poison_per_mille, KIND_POISON, dispatch, shard, 0)
     }
 
-    /// The wall-clock stall (if any) for `shard` in dispatch `dispatch`.
-    /// Stalls never touch the ledger: model costs stay bit-identical.
-    pub fn stall_for(&self, dispatch: u64, shard: u64) -> Option<Duration> {
-        if self.stall_micros > 0
-            && self.targets(shard)
-            && self.hits(self.stall_per_mille, KIND_STALL, dispatch, shard, 0)
-        {
-            Some(Duration::from_micros(self.stall_micros as u64))
-        } else {
-            None
-        }
-    }
-
     /// Does recovery attempt `attempt` (1-based) for `shard` in dispatch
     /// `dispatch` fail again? Callers suppress this on the final bounded
     /// attempt so recovery always terminates with an answer.
@@ -202,32 +150,13 @@ impl FaultPlan {
                 attempt as u64,
             )
     }
-
-    /// How many *extra* queries a load generator should submit at `tick`
-    /// (0 when no burst fires). The serving layer never calls this; it is
-    /// the workload half of the fault model, used by `fault_bench` and the
-    /// fault tests to provoke queue-overflow shedding deterministically.
-    pub fn burst_extra(&self, tick: u64) -> u32 {
-        if self.hits(self.burst_per_mille, KIND_BURST, tick, 0, 0) {
-            self.burst_len
-        } else {
-            0
-        }
-    }
 }
 
-/// Knobs of the always-on recovery machinery: bounded retry-with-backoff
-/// for quarantined shard groups and the per-shard circuit breaker. See
-/// the `StreamingServer` module docs for the exact recovery cost contract.
+/// Knobs of the always-on per-shard circuit breaker. The retry ladder
+/// for quarantined shard groups is fixed; see the `StreamingServer`
+/// module docs for the exact recovery cost contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryPolicy {
-    /// Maximum recovery attempts for a failed shard group (at least 1).
-    /// Each attempt charges a backoff before recomputing; injection is
-    /// suppressed on the last attempt so recovery always completes.
-    pub max_retries: u32,
-    /// Unit operations charged for the first retry backoff; attempt `a`
-    /// (1-based) charges `retry_backoff_ops << (a − 1)`.
-    pub retry_backoff_ops: u64,
     /// Consecutive shard failures that trip the circuit breaker (0
     /// disables the breaker entirely).
     pub breaker_threshold: u32,
@@ -239,8 +168,6 @@ pub struct RecoveryPolicy {
 impl Default for RecoveryPolicy {
     fn default() -> Self {
         RecoveryPolicy {
-            max_retries: 3,
-            retry_backoff_ops: 8,
             breaker_threshold: 3,
             breaker_cooldown: 8,
         }
@@ -248,18 +175,6 @@ impl Default for RecoveryPolicy {
 }
 
 impl RecoveryPolicy {
-    /// The same policy with a retry bound (clamped to at least 1).
-    pub fn with_max_retries(mut self, max_retries: u32) -> Self {
-        self.max_retries = max_retries.max(1);
-        self
-    }
-
-    /// The same policy with a base backoff charge.
-    pub fn with_retry_backoff_ops(mut self, ops: u64) -> Self {
-        self.retry_backoff_ops = ops;
-        self
-    }
-
     /// The same policy with a breaker trip threshold (0 disables).
     pub fn with_breaker_threshold(mut self, threshold: u32) -> Self {
         self.breaker_threshold = threshold;
@@ -270,14 +185,6 @@ impl RecoveryPolicy {
     pub fn with_breaker_cooldown(mut self, dispatches: u64) -> Self {
         self.breaker_cooldown = dispatches;
         self
-    }
-
-    /// Total backoff operations charged by `attempts` recovery attempts:
-    /// `Σ_{a=1..attempts} retry_backoff_ops << (a − 1)`.
-    pub fn backoff_total(&self, attempts: u32) -> u64 {
-        (1..=attempts)
-            .map(|a| self.retry_backoff_ops << (a - 1))
-            .sum()
     }
 }
 
@@ -356,10 +263,8 @@ mod tests {
             for s in 0..8u64 {
                 assert!(!p.injects_panic(d, s));
                 assert!(!p.injects_poison(d, s));
-                assert!(p.stall_for(d, s).is_none());
                 assert!(!p.retry_fails(d, s, 1));
             }
-            assert_eq!(p.burst_extra(d), 0);
         }
     }
 
@@ -412,14 +317,5 @@ mod tests {
                 assert!(!p.retry_fails(d, s, 1));
             }
         }
-    }
-
-    #[test]
-    fn backoff_ladder_doubles() {
-        let r = RecoveryPolicy::default().with_retry_backoff_ops(8);
-        assert_eq!(r.backoff_total(0), 0);
-        assert_eq!(r.backoff_total(1), 8);
-        assert_eq!(r.backoff_total(2), 8 + 16);
-        assert_eq!(r.backoff_total(3), 8 + 16 + 32);
     }
 }

@@ -236,9 +236,9 @@
 //! dispatching ledger, exactly:
 //!
 //! 1. the backoff ladder — attempt `a` (1-based, at most
-//!    [`crate::RecoveryPolicy::max_retries`]) charges
-//!    `retry_backoff_ops << (a − 1)` unit operations; injected retry
-//!    failures are suppressed on the final attempt, so recovery always
+//!    `MAX_RETRIES` = 3) charges `RETRY_BACKOFF_OPS << (a − 1)` unit
+//!    operations, with `RETRY_BACKOFF_OPS` = 8; injected retry failures
+//!    are suppressed on the final attempt, so recovery always
 //!    terminates;
 //! 2. per affected query, [`super::QUERY_WORDS`] asymmetric reads (the
 //!    re-scan) plus the full **uncached** one-by-one cost of
@@ -248,8 +248,7 @@
 //! Deterministic fault *injection* ([`crate::FaultPlan`]) is carried as
 //! an `Option` and consulted only when a plan with raised knobs is
 //! installed: the fault-free path executes the identical charge sequence
-//! as PR-5 (pinned by `costs_golden.json`), and injected stalls burn
-//! wall-clock time only, never model cost. Everything the recovery
+//! as PR-5 (pinned by `costs_golden.json`). Everything the recovery
 //! machinery does is counted in [`crate::RobustnessStats`].
 //!
 //! ## Epochs: serving through batched insertions
@@ -327,6 +326,15 @@ pub const CLOCK_TOUCH_OPS: u64 = 1;
 /// Unit operations charged per slot the CLOCK hand inspects while hunting
 /// a victim (reading the second-chance bit and clearing it when set).
 pub const CLOCK_SWEEP_OPS: u64 = 1;
+
+/// Most recovery attempts for a failed shard group. Each attempt charges
+/// a backoff before recomputing; injection is suppressed on the last
+/// attempt so recovery always completes.
+const MAX_RETRIES: u32 = 3;
+
+/// Unit operations charged for the first retry backoff; attempt `a`
+/// (1-based) charges `RETRY_BACKOFF_OPS << (a − 1)`.
+const RETRY_BACKOFF_OPS: u64 = 8;
 
 /// What [`StreamingServer::submit`] does when the queue sits at the
 /// policy's `max_queue` bound.
@@ -765,12 +773,9 @@ where
         self
     }
 
-    /// The same server with the given recovery/breaker knobs.
+    /// The same server with the given breaker knobs.
     pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
-        self.recovery = RecoveryPolicy {
-            max_retries: recovery.max_retries.max(1),
-            ..recovery
-        };
+        self.recovery = recovery;
         self
     }
 
@@ -819,7 +824,7 @@ where
         self.fault
     }
 
-    /// The recovery/breaker knobs in force.
+    /// The breaker knobs in force.
     pub fn recovery(&self) -> RecoveryPolicy {
         self.recovery
     }
@@ -1201,12 +1206,11 @@ where
         self.robust.panics_caught += 1;
         self.quarantine(shard);
         self.note_failure(seq, shard);
-        let max_retries = self.recovery.max_retries.max(1);
         let mut attempt = 1u32;
         loop {
             self.robust.retries += 1;
-            led.op(self.recovery.retry_backoff_ops << (attempt - 1));
-            let fails_again = attempt < max_retries
+            led.op(RETRY_BACKOFF_OPS << (attempt - 1));
+            let fails_again = attempt < MAX_RETRIES
                 && self
                     .fault
                     .is_some_and(|f| f.retry_fails(seq, shard as u64, attempt));
@@ -1522,10 +1526,6 @@ where
 {
     let ran = catch_unwind(AssertUnwindSafe(|| {
         if let Some(f) = fault {
-            if let Some(stall) = f.stall_for(seq, shard as u64) {
-                // Wall-clock only: the model's costs never see stalls.
-                std::thread::sleep(stall);
-            }
             if f.injects_panic(seq, shard as u64) {
                 panic!("injected shard panic (dispatch {seq}, shard {shard})");
             }
@@ -1554,7 +1554,7 @@ where
             };
             out.push((e.ticket, r));
         }
-        cache.tally.flush(scope);
+        cache.tally.flush(scope.ledger());
         out
     }));
     match ran {
@@ -1726,6 +1726,70 @@ mod tests {
         // The batching knobs clamp to at least 1 in the setters.
         let clamped = AdmissionPolicy::builder().max_batch(0).max_queue(0).build();
         assert_eq!((clamped.max_batch, clamped.max_queue), (1, 1));
+    }
+
+    /// Every recovery attempt charges its backoff rung on the dispatching
+    /// ledger and nothing else differs from the healthy path: with retries
+    /// always failing, each failed dispatch charges exactly 8 + 16 + 32
+    /// extra ops (and as much extra depth) over the same stream served
+    /// without faults.
+    #[test]
+    fn backoff_ladder_doubles() {
+        use wec_connectivity::{ConnectivityOracle, OracleBuildOpts};
+        use wec_graph::{gen, Priorities};
+
+        let g = gen::grid(6, 6);
+        let pri = Priorities::random(36, 1);
+        let verts: Vec<u32> = (0..36).collect();
+        let oracle = ConnectivityOracle::build(
+            &mut Ledger::new(16),
+            &g,
+            &pri,
+            &verts,
+            4,
+            1,
+            OracleBuildOpts::default(),
+        );
+        let run = |plan: Option<FaultPlan>| {
+            let policy = AdmissionPolicy::builder()
+                .max_batch(8)
+                .max_queue(32)
+                .cache_capacity(0)
+                .build();
+            let mut srv =
+                StreamingServer::new(ShardedServer::new(oracle.query_handle(), 1), policy)
+                    .with_recovery(RecoveryPolicy::default().with_breaker_threshold(0));
+            if let Some(plan) = plan {
+                srv = srv.with_fault_plan(plan);
+            }
+            let mut led = Ledger::new(16);
+            for v in 0..36u32 {
+                srv.submit(&mut led, Query::Component(v)).unwrap();
+            }
+            srv.drain(&mut led);
+            let answers = srv.take_ready();
+            (answers, led.costs(), led.depth(), srv.robustness_stats())
+        };
+        let healthy = run(None);
+        let faulty = run(Some(
+            FaultPlan::seeded(1)
+                .with_panic_per_mille(1000)
+                .with_retry_fail_per_mille(1000),
+        ));
+        let failed = faulty.3.panics_caught;
+        assert_eq!(failed, 5, "⌈36 / 8⌉ dispatches, every one failed");
+        assert_eq!(faulty.3.retries, MAX_RETRIES as u64 * failed);
+        assert_eq!(
+            faulty.0, healthy.0,
+            "recovery answers like the healthy path"
+        );
+        let ladder = 8 + 16 + 32;
+        let expect = wec_asym::Costs {
+            sym_ops: healthy.1.sym_ops + ladder * failed,
+            ..healthy.1
+        };
+        assert_eq!(faulty.1, expect);
+        assert_eq!(faulty.2, healthy.2 + ladder * failed);
     }
 
     #[test]

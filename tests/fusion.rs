@@ -1,4 +1,4 @@
-//! Differential lockdown of the PR-9 fused layer and the star fast path.
+//! Differential lockdown of the fused pass and the star fast path.
 //!
 //! Three families of properties, all replayable from the printed case
 //! context (seeded `SmallRng`, no proptest dependency):
@@ -10,12 +10,11 @@
 //!    §4.2 path's and to union-find ground truth; the star handle also
 //!    drops into the sharded serving stack and answers exactly like its
 //!    own one-by-one queries.
-//! 2. **Fusion output equivalence** — every fused pipeline
-//!    (`tabulate/map/filter/flatten/pack_index` compositions, including
-//!    empty inputs and all-pass/all-fail filters) is element-identical to
-//!    its materialized counterpart.
-//! 3. **Cost replays** — pinned exact `Costs` for a fixed fused pipeline
-//!    and its materialized counterpart (any drift in the fusion charge
+//! 2. **Fusion output equivalence** — `flat_collect` (including empty
+//!    inputs and all-pass/all-fail filters) is element-identical to the
+//!    materialized `filter_map_collect`.
+//! 3. **Cost replays** — pinned exact `Costs` for a fixed fused pass and
+//!    its materialized counterpart (any drift in the fusion charge
 //!    contract fails the literals), fused writes strictly below
 //!    materialized writes, star build writes/edge strictly below fused
 //!    §4.2 on seeded bounded-degree and dense graphs at ω = 64, and
@@ -28,8 +27,8 @@ use wec::asym::{Costs, Ledger};
 use wec::baseline::unionfind::{same_partition, uf_labels};
 use wec::connectivity::{connectivity_csr, star_connectivity, StarOracle};
 use wec::graph::{gen, Csr, Vertex};
-use wec::prims::delayed::{tabulate, Delayed};
-use wec::prims::filter::{filter_indices, filter_map_collect};
+use wec::prims::filter::filter_map_collect;
+use wec::prims::flat_collect;
 use wec::serve::{Answer, Query, ShardedServer};
 
 const CASES: usize = 32;
@@ -79,8 +78,9 @@ type Shape = (&'static str, fn(usize) -> bool);
 
 #[test]
 fn fused_pipelines_match_materialized_counterparts() {
-    // Representative compositions over a charged source, including the
-    // degenerate shapes: empty input, all-pass filter, all-fail filter.
+    // A charged filter-map over every slot-count edge of the accounting
+    // block, including the degenerate shapes: empty input, all-pass
+    // filter, all-fail filter.
     let shapes: [Shape; 3] = [
         ("mod7", |i| i % 7 == 0),
         ("all-pass", |_| true),
@@ -88,88 +88,54 @@ fn fused_pipelines_match_materialized_counterparts() {
     ];
     for n in [0usize, 1, 1023, 1024, 1025, 9000] {
         for (label, keep) in shapes {
-            // filter → map, fused vs materialized filter_map_collect.
-            let fused = {
-                let mut led = Ledger::new(OMEGA);
-                tabulate(n, |i, l| {
-                    l.read(1);
-                    i
-                })
-                .filter(move |&i, _| keep(i))
-                .map(|i, _| (i as u32) ^ 0x55aa)
-                .collect(&mut led)
+            let f = |i: usize, l: &mut Ledger| {
+                l.read(1);
+                keep(i).then_some((i as u32) ^ 0x55aa)
             };
-            let materialized = {
-                let mut led = Ledger::new(OMEGA);
-                filter_map_collect(&mut led, n, &|i, l| {
-                    l.read(1);
-                    keep(i).then_some((i as u32) ^ 0x55aa)
-                })
-            };
-            assert_eq!(fused, materialized, "n={n} {label}: filter+map");
-
-            // pack_index vs filter_indices.
-            let packed = {
-                let mut led = Ledger::new(OMEGA);
-                tabulate(n, move |i, _| keep(i)).pack_index(&mut led)
-            };
-            let indices = {
-                let mut led = Ledger::new(OMEGA);
-                filter_indices(&mut led, n, &|i, _| keep(i))
-            };
-            assert_eq!(packed, indices, "n={n} {label}: pack_index");
-
-            // Option-flatten (the §4.2 step-3 shape) vs filter_map.
-            let flattened = {
-                let mut led = Ledger::new(OMEGA);
-                tabulate(n, move |i, _| keep(i).then_some(i as u32))
-                    .flatten()
-                    .collect(&mut led)
-            };
-            let filter_mapped = {
-                let mut led = Ledger::new(OMEGA);
-                filter_map_collect(&mut led, n, &|i, _| keep(i).then_some(i as u32))
-            };
-            assert_eq!(flattened, filter_mapped, "n={n} {label}: flatten");
+            let mut fused_led = Ledger::new(OMEGA);
+            let fused = flat_collect(&mut fused_led, n, f);
+            let materialized = filter_map_collect(&mut Ledger::new(OMEGA), n, &f);
+            assert_eq!(fused, materialized, "n={n} {label}: filter-map");
+            assert_eq!(
+                fused_led.costs().asym_writes,
+                fused.len() as u64,
+                "n={n} {label}: fused writes only its survivors"
+            );
         }
     }
 }
 
-/// Pinned exact cost replay for one representative pipeline at n = 2500,
-/// ω = 16: `tabulate(read 1/slot) → filter(i % 3 == 0) → collect` against
-/// the materialized `filter_indices` on the same predicate. The literals
-/// encode the fusion charge contract — if any stage's pricing drifts,
-/// this fails before anything subtler does.
+/// Pinned exact cost replay for one representative pass at n = 2500,
+/// ω = 16: `flat_collect` of a slot function that reads once and keeps
+/// `i % 3 == 0`, against the materialized `filter_map_collect` on the same
+/// slot function. The literals encode the fusion charge contract — if any
+/// charge drifts, this fails before anything subtler does.
 #[test]
 fn pinned_cost_replay_fused_below_materialized() {
     let n = 2500usize;
     let survivors = 834u64; // ⌈2500 / 3⌉
     let chunks = 3u64; // ⌈2500 / 1024⌉
 
-    let mut fused_led = Ledger::new(OMEGA);
-    let fused = tabulate(n, |i, l| {
+    let f = |i: usize, l: &mut Ledger| {
         l.read(1);
-        i as u32
-    })
-    .filter(|&i, _| i % 3 == 0)
-    .collect(&mut fused_led);
+        i.is_multiple_of(3).then_some(i as u32)
+    };
+    let mut fused_led = Ledger::new(OMEGA);
+    let fused = flat_collect(&mut fused_led, n, f);
     assert_eq!(fused.len() as u64, survivors);
 
-    // Fused contract: 1 read/slot (user); ops = slot op + filter-stage op
-    // per slot, + 1 concat op per chunk + (chunks − 1) split ops; writes =
-    // emitted elements only.
+    // Fused contract: 1 read/slot (user); ops = slot op + stage op per
+    // slot, + 1 stage op per survivor, + 1 concat op per chunk +
+    // (chunks − 1) split ops; writes = emitted elements only.
     let expect_fused = Costs {
         asym_reads: n as u64,
         asym_writes: survivors,
-        sym_ops: 2 * n as u64 + chunks + (chunks - 1),
+        sym_ops: 2 * n as u64 + survivors + chunks + (chunks - 1),
     };
     assert_eq!(fused_led.costs(), expect_fused, "fused pipeline drifted");
 
     let mut mat_led = Ledger::new(OMEGA);
-    let materialized = filter_indices(&mut mat_led, n, &|i, l| {
-        l.read(1);
-        i % 3 == 0
-    });
+    let materialized = filter_map_collect(&mut mat_led, n, &f);
     assert_eq!(materialized.len() as u64, survivors);
 
     // Materialized two-pass filter: the predicate (and its read) runs

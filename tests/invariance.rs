@@ -38,7 +38,6 @@ fn decomposition_build_costs_invariant_under_parallelism() {
                 3,
                 BuildOpts {
                     parallel: parallel_variant,
-                    ..Default::default()
                 },
             );
             let mut centers = d.centers().to_vec();

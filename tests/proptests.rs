@@ -15,7 +15,7 @@ use wec::biconnectivity::{bc_labeling, oracle::build_biconnectivity_oracle};
 use wec::connectivity::{connectivity_csr, ConnectivityOracle, OracleBuildOpts};
 use wec::core::{BuildOpts, ImplicitDecomposition};
 use wec::graph::{Csr, Priorities, Vertex};
-use wec::prims::delayed::{tabulate, Delayed};
+use wec::prims::flat_collect;
 
 const CASES: usize = 48;
 
@@ -138,11 +138,7 @@ fn bc_labeling_matches_brute() {
     }
 }
 
-/// One randomly drawn lazy stage of a fused composition chain. Every
-/// variant is expressed as a `flat_map` so each chain level instantiates
-/// exactly one adapter type regardless of which stage was drawn — the
-/// depth ≤ 4 bound below then caps monomorphization at five pipeline
-/// shapes total.
+/// One randomly drawn stage of a fused composition chain.
 #[derive(Clone, Copy, Debug)]
 enum Stage {
     /// `x ↦ x ⊕ c` (one output per input).
@@ -179,41 +175,16 @@ impl Stage {
     }
 }
 
-/// The stage as a charged fused closure. Each call site of this function
-/// produces the *same* opaque closure type, which is what keeps the
-/// per-depth pipeline types finite.
-fn stage_fn(st: Stage) -> impl Fn(u64, &mut Ledger) -> Vec<u64> + Sync {
-    move |x, _| st.expand(x)
-}
-
-/// Evaluate a composition chain lazily (fused) at the given depth. The
-/// explicit per-depth arms are deliberate: a recursive generic over the
-/// growing adapter types would never finish monomorphizing.
+/// Evaluate a composition chain fused: the whole chain runs inside one
+/// slot closure, so each slot's items flow through every stage without
+/// touching the ledger, and only the chain's final output is written.
 fn run_fused(led: &mut Ledger, n: usize, stages: &[Stage]) -> Vec<u64> {
-    let base = tabulate(n, |i, l| {
+    flat_collect(led, n, |i, l| {
         l.read(1);
-        i as u64
-    });
-    match *stages {
-        [] => base.collect(led),
-        [a] => base.flat_map(stage_fn(a)).collect(led),
-        [a, b] => base
-            .flat_map(stage_fn(a))
-            .flat_map(stage_fn(b))
-            .collect(led),
-        [a, b, c] => base
-            .flat_map(stage_fn(a))
-            .flat_map(stage_fn(b))
-            .flat_map(stage_fn(c))
-            .collect(led),
-        [a, b, c, d] => base
-            .flat_map(stage_fn(a))
-            .flat_map(stage_fn(b))
-            .flat_map(stage_fn(c))
-            .flat_map(stage_fn(d))
-            .collect(led),
-        _ => unreachable!("composition depth is capped at 4"),
-    }
+        stages.iter().fold(vec![i as u64], |xs, st| {
+            xs.into_iter().flat_map(|x| st.expand(x)).collect()
+        })
+    })
 }
 
 /// The eager, uncharged reference: materialize every stage boundary with
