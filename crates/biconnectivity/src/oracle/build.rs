@@ -190,7 +190,6 @@ pub fn build_biconnectivity_oracle<'a, G: GraphView>(
             idx: &idx,
             forest: &forest,
             tour: &tour,
-            lca: &lca,
             witness_inner: &witness_inner,
             witness_outer: &witness_outer,
             cg_label: &cg_label,

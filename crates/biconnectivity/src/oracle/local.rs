@@ -29,7 +29,8 @@ use wec_asym::{FxHashMap, FxHashSet, Ledger};
 use wec_baseline::hopcroft_tarjan;
 use wec_core::ImplicitDecomposition;
 use wec_graph::{Csr, GraphView, Vertex};
-use wec_prims::{EulerTour, LcaIndex, RootedForest};
+use wec_prims::lca::child_toward;
+use wec_prims::{EulerTour, RootedForest};
 
 use crate::labeling::NO_LABEL;
 
@@ -143,8 +144,6 @@ pub struct ClusterCtx<'a> {
     pub forest: &'a RootedForest,
     /// Preorder of the clusters forest.
     pub tour: &'a EulerTour,
-    /// LCA index (for `child_toward` routing).
-    pub lca: &'a LcaIndex,
     /// Witness endpoint inside each cluster (its cluster root).
     pub witness_inner: &'a [Vertex],
     /// Witness endpoint inside each cluster's parent (`w_P`).
@@ -228,9 +227,7 @@ pub fn build_local_graph<G: GraphView>(
             let wd = ctx.idx[&wc];
             debug_assert_ne!(wd, ci);
             let vo = if ctx.tour.is_ancestor(ci, wd) {
-                let ch = ctx
-                    .lca
-                    .child_toward(led, ci, wd)
+                let ch = child_toward(led, ctx.forest, ctx.tour, ci, wd)
                     .expect("descendant routing must find a child");
                 if v == ctx.witness_outer[ch as usize] && w == ctx.witness_inner[ch as usize] {
                     continue; // the child witness edge, already added

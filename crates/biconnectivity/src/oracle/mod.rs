@@ -35,7 +35,7 @@ pub mod local;
 use wec_asym::{FxHashMap, Ledger};
 use wec_core::{Center, ImplicitDecomposition};
 use wec_graph::{GraphView, Vertex};
-use wec_prims::{EulerTour, LcaIndex, RootedForest};
+use wec_prims::{lca::child_toward, EulerTour, LcaIndex, RootedForest};
 
 use local::{
     analyze_local, build_local_graph, intra_path_bridge_free, ClusterCtx, LocalBcc, LocalGraph,
@@ -107,9 +107,27 @@ impl<'a, G: GraphView> BiconnectivityOracle<'a, G> {
         self.num_main_bcc
     }
 
-    /// Asymmetric-memory footprint in words (O(n/k)).
+    /// Asymmetric-memory footprint in words (O(n/k)): the decomposition,
+    /// every per-cluster array (two words per `idx` entry), the clusters
+    /// forest, its tour and the LCA index.
     pub fn storage_words(&self) -> usize {
-        self.d.storage_words() + 14 * self.centers.len()
+        let per_cluster = [
+            self.centers.len(),
+            2 * self.idx.len(),
+            self.witness_inner.len(),
+            self.witness_outer.len(),
+            self.cg_label.len(),
+            self.blocked_v_depth.len(),
+            self.bridge_wit.len(),
+            self.blocked_e_depth.len(),
+            self.root_label.len(),
+            self.offset.len(),
+        ];
+        self.d.storage_words()
+            + per_cluster.iter().sum::<usize>()
+            + self.forest.words()
+            + self.tour.words()
+            + self.lca.words()
     }
 
     pub(crate) fn ctx(&self) -> ClusterCtx<'_> {
@@ -118,11 +136,20 @@ impl<'a, G: GraphView> BiconnectivityOracle<'a, G> {
             idx: &self.idx,
             forest: &self.forest,
             tour: &self.tour,
-            lca: &self.lca,
             witness_inner: &self.witness_inner,
             witness_outer: &self.witness_outer,
             cg_label: &self.cg_label,
         }
+    }
+
+    /// LCA of two clusters in the clusters forest (`None` across trees).
+    fn cluster_lca(&self, led: &mut Ledger, a: u32, b: u32) -> Option<u32> {
+        self.lca.lca(led, &self.forest, &self.tour, a, b)
+    }
+
+    /// The child of cluster `c` toward its strict descendant `d`.
+    fn child_toward(&self, led: &mut Ledger, c: u32, d: u32) -> Option<u32> {
+        child_toward(led, &self.forest, &self.tour, c, d)
     }
 
     /// Build and analyze the local graph of a cluster (query-path tool,
@@ -178,7 +205,7 @@ impl<'a, G: GraphView> BiconnectivityOracle<'a, G> {
         match (self.cluster_of(led, u), self.cluster_of(led, v)) {
             (Resolved::Small(a), Resolved::Small(b)) => a == b,
             (Resolved::Cluster(a), Resolved::Cluster(b)) => {
-                a == b || self.lca.lca(led, a, b).is_some()
+                a == b || self.cluster_lca(led, a, b).is_some()
             }
             _ => false,
         }
@@ -204,7 +231,7 @@ impl<'a, G: GraphView> BiconnectivityOracle<'a, G> {
                     let (lg, bcc) = self.local_of(led, cu);
                     return bcc.same_bcc(led, lg.index[&u], lg.index[&v]);
                 }
-                let Some(lcad) = self.lca.lca(led, cu, cv) else {
+                let Some(lcad) = self.cluster_lca(led, cu, cv) else {
                     return false;
                 };
                 let lca_depth = self.tour.depth[lcad as usize];
@@ -237,7 +264,6 @@ impl<'a, G: GraphView> BiconnectivityOracle<'a, G> {
                         lg.index[&x]
                     } else {
                         let ch = self
-                            .lca
                             .child_toward(led, lcad, side)
                             .expect("endpoint cluster descends from the LCA cluster");
                         lg.child_outside(ch).expect("child outside vertex present")
@@ -271,7 +297,7 @@ impl<'a, G: GraphView> BiconnectivityOracle<'a, G> {
                     let (lg, bcc) = self.local_of(led, cu);
                     return intra_path_bridge_free(led, &lg, &bcc, u, v);
                 }
-                let Some(lcad) = self.lca.lca(led, cu, cv) else {
+                let Some(lcad) = self.cluster_lca(led, cu, cv) else {
                     return false;
                 };
                 let lca_depth = self.tour.depth[lcad as usize];
@@ -288,7 +314,6 @@ impl<'a, G: GraphView> BiconnectivityOracle<'a, G> {
                         return false;
                     }
                     let top_child = self
-                        .lca
                         .child_toward(led, lcad, side)
                         .expect("endpoint cluster descends from the LCA cluster");
                     led.read(1);
@@ -314,7 +339,6 @@ impl<'a, G: GraphView> BiconnectivityOracle<'a, G> {
                         x
                     } else {
                         let ch = self
-                            .lca
                             .child_toward(led, lcad, side)
                             .expect("endpoint cluster descends from the LCA cluster");
                         self.witness_outer[ch as usize]
@@ -425,7 +449,6 @@ impl<'a, G: GraphView> BiconnectivityOracle<'a, G> {
                 let (lg, bcc) = self.local_of(led, host);
                 let vo = if self.tour.is_ancestor(host, far) && host != far {
                     let ch = self
-                        .lca
                         .child_toward(led, host, far)
                         .expect("descendant routing");
                     lg.child_outside(ch).expect("child outside present")

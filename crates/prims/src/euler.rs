@@ -108,6 +108,11 @@ impl RootedForest {
     pub fn parent_array(&self) -> &[Vertex] {
         &self.parent
     }
+
+    /// Words of storage: parents, roots, child offsets and child lists.
+    pub fn words(&self) -> usize {
+        self.parent.len() + self.roots.len() + self.children_off.len() + self.children.len()
+    }
 }
 
 /// Preorder numbering of a rooted forest: `pre`, subtree `size`, `depth`,
@@ -200,6 +205,11 @@ impl EulerTour {
     /// Whether the forest is empty.
     pub fn is_empty(&self) -> bool {
         self.order.is_empty()
+    }
+
+    /// Words of storage: `pre`, `size`, `depth` and `order`.
+    pub fn words(&self) -> usize {
+        self.pre.len() + self.size.len() + self.depth.len() + self.order.len()
     }
 }
 

@@ -1,162 +1,284 @@
-//! O(1)-query LCA via Euler tour + sparse table, plus the
-//! "child of `c` toward descendant `d`" query the §5.3 local graphs need.
+//! O(1)-query LCA over a rooted forest's preorder, with O(n)-word
+//! preprocessing, plus the "child of `c` toward descendant `d`" query the
+//! §5.3 local graphs need.
 //!
-//! Substitution note: the paper cites O(n)-word LCA
-//! preprocessing [11, 42]; we use the textbook sparse table, which costs
-//! `O(n log n)` words of preprocessing but keeps the O(1) query. The oracle
-//! only builds this on the *clusters graph* (`O(n/k)` vertices), so the
-//! extra log factor never touches a headline bound.
+//! For `pre[u] < pre[v]` with `u` not an ancestor of `v`, every position in
+//! `(pre[u], pre[v]]` is a strict descendant of `w = lca(u, v)`, and the
+//! child of `w` toward `v` lies in that range; so the minimum-depth vertices
+//! of the range are children of `w`, and the answer is their parent. The
+//! range minimum runs over keys `(depth, parent)` packed into one word:
+//! the minimum key's low half is the answer, with no position to dereference.
+//!
+//! The index stores, over blocks of `B = ⌈log₂ n⌉` preorder positions, an
+//! in-block prefix minimum and suffix minimum per position (2n words) and a
+//! sparse table over the block minima only ((n/B)·log(n/B) words), so
+//! preprocessing is O(n) words — the bound of the linear-preprocessing LCA
+//! structures the paper cites [11, 42]. A query that spans blocks reads one
+//! suffix entry, one prefix entry and at most two table entries; a query
+//! inside one block scans at most `B` positions. The forest and its tour
+//! are borrowed at query time, not copied: the index holds only the range-
+//! minimum arrays.
 
+use crate::bfs::UNREACHED;
 use crate::euler::{EulerTour, RootedForest};
 use wec_asym::Ledger;
 use wec_graph::Vertex;
 
-/// LCA index over a rooted forest.
+/// Range-minimum index answering LCA queries over a [`RootedForest`] and
+/// its [`EulerTour`]; every query borrows the same forest and tour the
+/// index was built from.
 #[derive(Debug, Clone)]
 pub struct LcaIndex {
-    /// Euler walk (with revisits), as (depth, vertex).
-    walk: Vec<(u32, Vertex)>,
-    /// First occurrence of each vertex in the walk (`u32::MAX` if absent).
-    first_occ: Vec<u32>,
-    /// Sparse table: `table[j][i]` = index of min-depth entry in
-    /// `walk[i .. i + 2^j]`.
-    table: Vec<Vec<u32>>,
-    /// Children of each vertex sorted by preorder, for `child_toward`.
-    kids_by_pre: Vec<Vec<Vertex>>,
-    pre: Vec<u32>,
-    size: Vec<u32>,
+    /// Block width `B = ⌈log₂ n⌉` (at least 1), in preorder positions.
+    block: usize,
+    /// `prefix[i]`: minimum key over positions from `i`'s block start to `i`.
+    prefix: Vec<u64>,
+    /// `suffix[i]`: minimum key over positions from `i` to its block end.
+    suffix: Vec<u64>,
+    /// `table[j][b]`: minimum key over blocks `b .. b + 2^j`.
+    table: Vec<Vec<u64>>,
+}
+
+/// Range-minimum key of in-forest vertex `x`: depth in the high half, parent
+/// in the low half. Charged as 3 reads (`order` slot, depth, parent) by the
+/// callers, which read `x` from the preorder sequence.
+#[inline]
+fn key(forest: &RootedForest, tour: &EulerTour, x: Vertex) -> u64 {
+    (tour.depth[x as usize] as u64) << 32 | forest.parent(x) as u64
 }
 
 impl LcaIndex {
-    /// Build from a forest and its tour. Charges the Euler walk (O(n)
-    /// writes) and the sparse table (O(n log n) writes).
+    /// Build from a forest and its tour. Charges 3 reads per position for
+    /// its key, 2 writes per position (prefix and suffix minima), and the
+    /// block-minimum sparse table: at most `2n + (n/B)·(log₂(n/B) + 1)`
+    /// writes.
     pub fn new(led: &mut Ledger, forest: &RootedForest, tour: &EulerTour) -> Self {
-        let n = forest.n();
-        let mut walk: Vec<(u32, Vertex)> = Vec::with_capacity(2 * n);
-        let mut first_occ = vec![u32::MAX; n];
-        // Iterative Euler walk with revisits on return edges.
-        for &r in forest.roots() {
-            let mut stack: Vec<(Vertex, usize)> = vec![(r, 0)];
-            first_occ[r as usize] = walk.len() as u32;
-            walk.push((0, r));
-            led.write(2);
-            while let Some(&mut (v, ref mut ci)) = stack.last_mut() {
-                let kids = forest.children(v);
-                led.read(1);
-                if *ci < kids.len() {
-                    let c = kids[*ci];
-                    *ci += 1;
-                    first_occ[c as usize] = walk.len() as u32;
-                    walk.push((tour.depth[c as usize], c));
-                    led.write(2);
-                    stack.push((c, 0));
-                } else {
-                    stack.pop();
-                    if let Some(&(p, _)) = stack.last() {
-                        walk.push((tour.depth[p as usize], p));
-                        led.write(1);
-                    }
-                }
+        let n = tour.len();
+        let block = (n.next_power_of_two().ilog2() as usize).max(1);
+        let mut prefix = Vec::with_capacity(n);
+        let mut suffix = vec![0u64; n];
+        let mut mins = Vec::with_capacity(n.div_ceil(block));
+        let mut keys = Vec::with_capacity(block);
+        for (b, chunk) in tour.order.chunks(block).enumerate() {
+            keys.clear();
+            keys.extend(chunk.iter().map(|&x| key(forest, tour, x)));
+            led.read(3 * chunk.len() as u64);
+            let mut run = u64::MAX;
+            prefix.extend(keys.iter().map(|&k| {
+                run = run.min(k);
+                run
+            }));
+            let mut run = u64::MAX;
+            for (slot, &k) in suffix[b * block..].iter_mut().zip(&keys).rev() {
+                run = run.min(k);
+                *slot = run;
             }
+            mins.push(run);
+            led.write(2 * chunk.len() as u64 + 1);
         }
-        // Sparse table of argmin depth.
-        let m = walk.len();
-        let levels = if m <= 1 {
-            1
-        } else {
-            (usize::BITS - (m - 1).leading_zeros()) as usize + 1
-        };
-        let mut table: Vec<Vec<u32>> = Vec::with_capacity(levels);
-        table.push((0..m as u32).collect());
-        led.write(m as u64);
-        for j in 1..levels {
-            let half = 1usize << (j - 1);
-            let prev = &table[j - 1];
-            let width = m.saturating_sub((1 << j) - 1);
-            let mut row = Vec::with_capacity(width);
-            for i in 0..width {
-                let a = prev[i];
-                let b = prev[i + half];
-                row.push(if walk[a as usize].0 <= walk[b as usize].0 {
-                    a
-                } else {
-                    b
-                });
-            }
-            led.read(2 * width as u64);
-            led.write(width as u64);
+        let mut table = vec![mins];
+        let mut width = 1;
+        while 2 * width <= table[0].len() {
+            let prev = table.last().expect("level 0 is present");
+            let row: Vec<u64> = (0..prev.len() - width)
+                .map(|b| prev[b].min(prev[b + width]))
+                .collect();
+            led.read(2 * row.len() as u64);
+            led.write(row.len() as u64);
             table.push(row);
-        }
-        // Children sorted by preorder for descendant routing.
-        let mut kids_by_pre: Vec<Vec<Vertex>> = Vec::with_capacity(n);
-        for v in 0..n as u32 {
-            let mut ks = forest.children(v).to_vec();
-            ks.sort_unstable_by_key(|&c| tour.pre[c as usize]);
-            led.op(ks.len() as u64 + 1);
-            kids_by_pre.push(ks);
+            width *= 2;
         }
         LcaIndex {
-            walk,
-            first_occ,
+            block,
+            prefix,
+            suffix,
             table,
-            kids_by_pre,
-            pre: tour.pre.clone(),
-            size: tour.size.clone(),
         }
+    }
+
+    /// Words of storage the index holds.
+    pub fn words(&self) -> usize {
+        self.prefix.len() + self.suffix.len() + self.table.iter().map(Vec::len).sum::<usize>()
     }
 
     /// LCA of `u` and `v` (`None` if either is outside the forest or they
-    /// are in different trees). O(1) operations, charged as 4 reads.
-    pub fn lca(&self, led: &mut Ledger, u: Vertex, v: Vertex) -> Option<Vertex> {
-        led.read(4);
-        let (fu, fv) = (self.first_occ[u as usize], self.first_occ[v as usize]);
-        if fu == u32::MAX || fv == u32::MAX {
+    /// are in different trees). O(1) reads across blocks, at most `3B`
+    /// inside one block; charged as read.
+    pub fn lca(
+        &self,
+        led: &mut Ledger,
+        forest: &RootedForest,
+        tour: &EulerTour,
+        u: Vertex,
+        v: Vertex,
+    ) -> Option<Vertex> {
+        led.read(2);
+        let (pu, pv) = (tour.pre[u as usize], tour.pre[v as usize]);
+        if pu == UNREACHED || pv == UNREACHED {
             return None;
         }
-        let (lo, hi) = (fu.min(fv) as usize, fu.max(fv) as usize);
-        let len = hi - lo + 1;
-        let j = (usize::BITS - 1 - len.leading_zeros()) as usize;
-        let a = self.table[j][lo];
-        let b = self.table[j][hi + 1 - (1 << j)];
-        let best = if self.walk[a as usize].0 <= self.walk[b as usize].0 {
-            a
-        } else {
-            b
-        };
-        let cand = self.walk[best as usize].1;
-        // Different trees: candidate must actually be an ancestor of both.
-        (self.is_ancestor(cand, u) && self.is_ancestor(cand, v)).then_some(cand)
-    }
-
-    /// Whether `anc`'s subtree contains `v` (reflexive).
-    #[inline]
-    pub fn is_ancestor(&self, anc: Vertex, v: Vertex) -> bool {
-        let (p, q) = (self.pre[anc as usize], self.pre[v as usize]);
-        p != u32::MAX && q != u32::MAX && p <= q && q < p + self.size[anc as usize]
-    }
-
-    /// The child of `c` whose subtree contains the strict descendant `d`.
-    /// `O(log deg(c))` via binary search over preorder-sorted children —
-    /// the "constant cost after Euler-tour preprocessing" routing step of
-    /// Definition 4(3).
-    pub fn child_toward(&self, led: &mut Ledger, c: Vertex, d: Vertex) -> Option<Vertex> {
-        if c == d || !self.is_ancestor(c, d) {
-            return None;
+        let (a, lo, hi) = if pu <= pv { (u, pu, pv) } else { (v, pv, pu) };
+        led.read(1);
+        if hi < lo + tour.size[a as usize] {
+            return Some(a);
         }
-        let kids = &self.kids_by_pre[c as usize];
-        led.read((usize::BITS - kids.len().leading_zeros()) as u64 + 1);
-        let dp = self.pre[d as usize];
-        let i = kids.partition_point(|&k| self.pre[k as usize] <= dp);
-        let k = kids[i - 1];
-        debug_assert!(self.is_ancestor(k, d));
-        Some(k)
+        let cand = self.range_min(led, forest, tour, lo as usize + 1, hi as usize) as Vertex;
+        // Different trees: the range holds a later tree's root, whose
+        // "parent" is itself and an ancestor of neither endpoint.
+        led.read(2);
+        (tour.is_ancestor(cand, u) && tour.is_ancestor(cand, v)).then_some(cand)
     }
+
+    /// Minimum key over preorder positions `l..=r`.
+    fn range_min(
+        &self,
+        led: &mut Ledger,
+        forest: &RootedForest,
+        tour: &EulerTour,
+        l: usize,
+        r: usize,
+    ) -> u64 {
+        let (bl, br) = (l / self.block, r / self.block);
+        if bl == br {
+            led.read(3 * (r - l + 1) as u64);
+            return tour.order[l..=r]
+                .iter()
+                .map(|&x| key(forest, tour, x))
+                .min()
+                .expect("a non-empty range");
+        }
+        led.read(2);
+        let mut m = self.suffix[l].min(self.prefix[r]);
+        if br > bl + 1 {
+            let (lo, hi) = (bl + 1, br - 1);
+            let j = (hi - lo + 1).ilog2() as usize;
+            let far = hi + 1 - (1 << j);
+            led.read(1 + u64::from(far != lo));
+            m = m.min(self.table[j][lo]).min(self.table[j][far]);
+        }
+        m
+    }
+}
+
+/// The child of `c` whose subtree contains the strict descendant `d`.
+/// `O(log deg(c))` via binary search over `c`'s children, which
+/// [`EulerTour::new`] numbers in list order — the "constant cost after
+/// Euler-tour preprocessing" routing step of Definition 4(3).
+pub fn child_toward(
+    led: &mut Ledger,
+    forest: &RootedForest,
+    tour: &EulerTour,
+    c: Vertex,
+    d: Vertex,
+) -> Option<Vertex> {
+    if c == d || !tour.is_ancestor(c, d) {
+        return None;
+    }
+    let kids = forest.children(c);
+    debug_assert!(
+        kids.windows(2)
+            .all(|w| tour.pre[w[0] as usize] < tour.pre[w[1] as usize]),
+        "children of {c} are not in preorder"
+    );
+    led.read((usize::BITS - kids.len().leading_zeros()) as u64 + 1);
+    let dp = tour.pre[d as usize];
+    let i = kids.partition_point(|&k| tour.pre[k as usize] <= dp);
+    let k = kids[i - 1];
+    debug_assert!(tour.is_ancestor(k, d));
+    Some(k)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::euler::EulerTour;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// A forest, its tour and its index, built on one ledger.
+    struct Fixture {
+        parent: Vec<Vertex>,
+        forest: RootedForest,
+        tour: EulerTour,
+        idx: LcaIndex,
+        led: Ledger,
+    }
+
+    impl Fixture {
+        fn new(parent: Vec<Vertex>) -> Self {
+            let mut led = Ledger::new(8);
+            let forest = RootedForest::from_parents(&mut led, parent.clone());
+            let tour = EulerTour::new(&mut led, &forest);
+            let idx = LcaIndex::new(&mut led, &forest, &tour);
+            Fixture {
+                parent,
+                forest,
+                tour,
+                idx,
+                led,
+            }
+        }
+
+        fn lca(&mut self, u: Vertex, v: Vertex) -> Option<Vertex> {
+            self.idx.lca(&mut self.led, &self.forest, &self.tour, u, v)
+        }
+
+        fn child_toward(&mut self, c: Vertex, d: Vertex) -> Option<Vertex> {
+            child_toward(&mut self.led, &self.forest, &self.tour, c, d)
+        }
+
+        /// LCA by marking `u`'s ancestors and walking up from `v`.
+        fn brute(&self, mut u: Vertex, mut v: Vertex) -> Option<Vertex> {
+            let mut marked = vec![false; self.parent.len()];
+            loop {
+                marked[u as usize] = true;
+                if self.parent[u as usize] == u {
+                    break;
+                }
+                u = self.parent[u as usize];
+            }
+            loop {
+                if marked[v as usize] {
+                    return Some(v);
+                }
+                if self.parent[v as usize] == v {
+                    return None;
+                }
+                v = self.parent[v as usize];
+            }
+        }
+
+        /// Check every ordered pair against brute force; returns how many
+        /// pairs fell in the same block, adjacent blocks and farther apart.
+        fn check_all_pairs(&mut self) -> [usize; 3] {
+            let n = self.parent.len() as u32;
+            let mut spans = [0usize; 3];
+            for u in 0..n {
+                for v in 0..n {
+                    assert_eq!(self.lca(u, v), self.brute(u, v), "lca({u},{v}) n={n}");
+                    let gap = (self.tour.pre[u as usize] as usize / self.idx.block)
+                        .abs_diff(self.tour.pre[v as usize] as usize / self.idx.block);
+                    spans[gap.min(2)] += 1;
+                }
+            }
+            spans
+        }
+    }
+
+    /// Parent array of a random forest on `n` vertices: each vertex joins
+    /// a random earlier vertex, or starts a new tree with probability
+    /// `1/roots_every`.
+    fn random_forest(n: usize, roots_every: u32, seed: u64) -> Vec<Vertex> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        (0..n as u32)
+            .map(|v| {
+                if v == 0 || rng.gen_range(0..roots_every) == 0 {
+                    v
+                } else {
+                    rng.gen_range(0..v)
+                }
+            })
+            .collect()
+    }
 
     ///        0
     ///      / | \
@@ -165,81 +287,127 @@ mod tests {
     ///   4   5     6
     ///   |
     ///   7
-    fn build() -> (RootedForest, EulerTour, LcaIndex, Ledger) {
-        let mut led = Ledger::new(8);
-        let f = RootedForest::from_parents(&mut led, vec![0, 0, 0, 0, 1, 1, 3, 4]);
-        let t = EulerTour::new(&mut led, &f);
-        let idx = LcaIndex::new(&mut led, &f, &t);
-        (f, t, idx, led)
+    fn small() -> Fixture {
+        Fixture::new(vec![0, 0, 0, 0, 1, 1, 3, 4])
     }
 
     #[test]
     fn lca_pairs() {
-        let (_f, _t, idx, mut led) = build();
-        assert_eq!(idx.lca(&mut led, 4, 5), Some(1));
-        assert_eq!(idx.lca(&mut led, 7, 5), Some(1));
-        assert_eq!(idx.lca(&mut led, 7, 6), Some(0));
-        assert_eq!(idx.lca(&mut led, 2, 2), Some(2));
-        assert_eq!(idx.lca(&mut led, 1, 7), Some(1)); // ancestor case
+        let mut f = small();
+        assert_eq!(f.lca(4, 5), Some(1));
+        assert_eq!(f.lca(7, 5), Some(1));
+        assert_eq!(f.lca(7, 6), Some(0));
+        assert_eq!(f.lca(2, 2), Some(2));
+        assert_eq!(f.lca(1, 7), Some(1)); // ancestor case
     }
 
     #[test]
     fn lca_across_trees_is_none() {
-        let mut led = Ledger::new(8);
-        let f = RootedForest::from_parents(&mut led, vec![0, 0, 2, 2]);
-        let t = EulerTour::new(&mut led, &f);
-        let idx = LcaIndex::new(&mut led, &f, &t);
-        assert_eq!(idx.lca(&mut led, 1, 3), None);
-        assert_eq!(idx.lca(&mut led, 0, 1), Some(0));
+        let mut f = Fixture::new(vec![0, 0, 2, 2]);
+        assert_eq!(f.lca(1, 3), None);
+        assert_eq!(f.lca(0, 1), Some(0));
+    }
+
+    #[test]
+    fn lca_outside_the_forest_is_none() {
+        let mut f = Fixture::new(vec![0, 0, UNREACHED, 1]);
+        assert_eq!(f.lca(2, 3), None);
+        assert_eq!(f.lca(3, 2), None);
+        assert_eq!(f.lca(3, 1), Some(1));
     }
 
     #[test]
     fn child_toward_routes_correctly() {
-        let (_f, _t, idx, mut led) = build();
-        assert_eq!(idx.child_toward(&mut led, 0, 7), Some(1));
-        assert_eq!(idx.child_toward(&mut led, 0, 6), Some(3));
-        assert_eq!(idx.child_toward(&mut led, 1, 7), Some(4));
-        assert_eq!(idx.child_toward(&mut led, 0, 0), None);
-        assert_eq!(idx.child_toward(&mut led, 3, 5), None); // not a descendant
+        let mut f = small();
+        assert_eq!(f.child_toward(0, 7), Some(1));
+        assert_eq!(f.child_toward(0, 6), Some(3));
+        assert_eq!(f.child_toward(1, 7), Some(4));
+        assert_eq!(f.child_toward(0, 0), None);
+        assert_eq!(f.child_toward(3, 5), None); // not a descendant
     }
 
     #[test]
     fn lca_against_brute_force_on_random_tree() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        let n = 200usize;
+        let mut f = Fixture::new(random_forest(200, u32::MAX, 99));
         let mut rng = SmallRng::seed_from_u64(99);
-        let mut parent = vec![0u32; n];
-        for (v, slot) in parent.iter_mut().enumerate().skip(1) {
-            *slot = rng.gen_range(0..v) as u32;
-        }
-        let mut led = Ledger::new(8);
-        let f = RootedForest::from_parents(&mut led, parent.clone());
-        let t = EulerTour::new(&mut led, &f);
-        let idx = LcaIndex::new(&mut led, &f, &t);
-        let ancestors = |mut v: u32| {
-            let mut set = vec![v];
-            while parent[v as usize] != v {
-                v = parent[v as usize];
-                set.push(v);
-            }
-            set
-        };
         for _ in 0..300 {
-            let u = rng.gen_range(0..n) as u32;
-            let v = rng.gen_range(0..n) as u32;
-            let au = ancestors(u);
-            let expect = ancestors(v).into_iter().find(|a| au.contains(a));
-            assert_eq!(idx.lca(&mut led, u, v), expect, "lca({u},{v})");
+            let u = rng.gen_range(0..200u32);
+            let v = rng.gen_range(0..200u32);
+            assert_eq!(f.lca(u, v), f.brute(u, v), "lca({u},{v})");
         }
     }
 
     #[test]
+    fn every_size_up_to_70_crosses_every_block_boundary() {
+        let mut seen = [0usize; 3];
+        for n in 1..=70usize {
+            for (seed, roots_every) in [(n as u64, u32::MAX), (1000 + n as u64, 5)] {
+                let spans = Fixture::new(random_forest(n, roots_every, seed)).check_all_pairs();
+                for (s, c) in seen.iter_mut().zip(spans) {
+                    *s += c;
+                }
+            }
+        }
+        assert!(seen.iter().all(|&c| c > 0), "spans exercised: {seen:?}");
+    }
+
+    #[test]
+    fn multi_root_forests_match_brute_force() {
+        for seed in 0..4 {
+            let spans = Fixture::new(random_forest(150, 8, seed)).check_all_pairs();
+            assert!(spans.iter().all(|&c| c > 0), "spans exercised: {spans:?}");
+        }
+    }
+
+    #[test]
+    fn path_queries_cross_many_blocks() {
+        let n = 300u32;
+        let mut f = Fixture::new((0..n).map(|v| v.saturating_sub(1)).collect());
+        // On a path every pair is ancestor-related: the lower id wins.
+        for u in (0..n).step_by(7) {
+            for v in 0..n {
+                assert_eq!(f.lca(u, v), Some(u.min(v)));
+            }
+        }
+        // A path hanging off a second root keeps the range walk honest.
+        let mut parent: Vec<Vertex> = (0..n).map(|v| v.saturating_sub(1)).collect();
+        parent.extend((n..n + 90).map(|v| if v == n { v } else { v - 1 }));
+        parent.push(n + 40);
+        let mut f = Fixture::new(parent);
+        let spans = f.check_all_pairs();
+        assert!(spans.iter().all(|&c| c > 0), "spans exercised: {spans:?}");
+    }
+
+    #[test]
+    fn star_leaves_meet_at_the_center() {
+        let n = 257u32;
+        let mut f = Fixture::new(vec![0; n as usize]);
+        for u in 1..n {
+            for v in (1..n).step_by(11) {
+                let want = if u == v { u } else { 0 };
+                assert_eq!(f.lca(u, v), Some(want), "lca({u},{v})");
+            }
+        }
+        assert_eq!(f.child_toward(0, 200), Some(200));
+    }
+
+    #[test]
     fn single_vertex_forest() {
+        let mut f = Fixture::new(vec![0]);
+        assert_eq!(f.lca(0, 0), Some(0));
+    }
+
+    #[test]
+    fn build_writes_are_linear() {
+        let n = 1usize << 14;
+        let parent = random_forest(n, u32::MAX, 14);
         let mut led = Ledger::new(8);
-        let f = RootedForest::from_parents(&mut led, vec![0]);
-        let t = EulerTour::new(&mut led, &f);
-        let idx = LcaIndex::new(&mut led, &f, &t);
-        assert_eq!(idx.lca(&mut led, 0, 0), Some(0));
+        let forest = RootedForest::from_parents(&mut led, parent);
+        let tour = EulerTour::new(&mut led, &forest);
+        let w0 = led.costs().asym_writes;
+        let idx = LcaIndex::new(&mut led, &forest, &tour);
+        let w = led.costs().asym_writes - w0;
+        assert!(w <= 3 * n as u64 + 64, "LcaIndex::new wrote {w} > 3n + 64");
+        assert_eq!(idx.words() as u64, w, "one write per stored word");
     }
 }

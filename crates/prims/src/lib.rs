@@ -22,7 +22,8 @@
 //! * [`euler`] — rooted forests, preorder/subtree intervals (`first`/`last`
 //!   in the paper's notation), depths;
 //! * [`tree_ops`] — leaffix-style subtree aggregates over preorder ranges;
-//! * [`lca`] — O(1)-query LCA via Euler tour + sparse table.
+//! * [`lca`] — O(1)-query LCA via a blocked range minimum over the
+//!   preorder, with O(n) words of preprocessing.
 
 pub mod bfs;
 pub mod euler;
