@@ -93,6 +93,20 @@ fn main() {
     let bicon = build_biconnectivity_oracle(&mut led, &g, &pri, &verts, k, 9, BuildOpts::default());
     scenarios.push(record("biconn_oracle_build", &led));
 
+    // 1b–2b. The same builds on the parallel decomposition path (Lemma 3.7
+    // secondaries), the one every `wecbench` workload runs.
+    let par = BuildOpts { parallel: true };
+    let mut led = Ledger::new(OMEGA);
+    let opts = OracleBuildOpts {
+        decomp: par,
+        ..OracleBuildOpts::default()
+    };
+    ConnectivityOracle::build(&mut led, &g, &pri, &verts, k, 9, opts);
+    scenarios.push(record("conn_oracle_build_par", &led));
+    let mut led = Ledger::new(OMEGA);
+    build_biconnectivity_oracle(&mut led, &g, &pri, &verts, k, 9, par);
+    scenarios.push(record("biconn_oracle_build_par", &led));
+
     // 3. Sharded batch serving of a fixed mixed batch.
     let stream = golden_stream(n as u32, 200);
     let sharded =
