@@ -97,10 +97,7 @@ fn main() {
     // secondaries), the one every `wecbench` workload runs.
     let par = BuildOpts { parallel: true };
     let mut led = Ledger::new(OMEGA);
-    let opts = OracleBuildOpts {
-        decomp: par,
-        ..OracleBuildOpts::default()
-    };
+    let opts = OracleBuildOpts { decomp: par };
     ConnectivityOracle::build(&mut led, &g, &pri, &verts, k, 9, opts);
     scenarios.push(record("conn_oracle_build_par", &led));
     let mut led = Ledger::new(OMEGA);

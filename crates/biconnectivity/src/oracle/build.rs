@@ -44,47 +44,19 @@ pub fn build_biconnectivity_oracle<'a, G: GraphView>(
     led.op(nc as u64);
 
     // ---- Step 1: clusters spanning forest with witness edges. ----
-    // A BFS over the implicit clusters graph, level by level: a frontier's
-    // O(k²) edge listings are independent, so they fan out over worker
-    // scopes, one accounting chunk per listing (a level's depth is its
-    // longest listing). Parents and witnesses are then assigned in
-    // frontier order, which gives exactly the forest, witnesses and Step-1
-    // reads and writes of a FIFO queue.
+    // The level-parallel BFS over the implicit clusters graph; each
+    // discovered cluster records the crossing edge that found it.
     let cg = ClustersGraph::new(&d);
-    let mut cparent = vec![u32::MAX; nc];
     let mut witness_inner = vec![0 as Vertex; nc];
     let mut witness_outer = vec![0 as Vertex; nc];
-    led.write(3 * nc as u64);
-    let mut frontier: Vec<u32> = Vec::new();
-    for start in 0..nc as u32 {
-        led.read(1);
-        if cparent[start as usize] != u32::MAX {
-            continue;
+    led.write(2 * nc as u64);
+    let (cparent, _) = cg.spanning_forest(led, &centers, &idx, |led, yd, _, e, _| {
+        if let Some(e) = e {
+            witness_inner[yd as usize] = e.outer;
+            witness_outer[yd as usize] = e.inner;
+            led.write(2);
         }
-        cparent[start as usize] = start;
-        frontier.push(start);
-        while !frontier.is_empty() {
-            let (cg_ref, centers_ref, frontier_ref) = (&cg, &centers, &frontier);
-            let lists = led.scoped_par_map(frontier.len(), 1, &|i, s| {
-                cg_ref.neighbor_edges(s.ledger(), centers_ref[frontier_ref[i] as usize])
-            });
-            let mut next = Vec::new();
-            for (&xd, edges) in frontier.iter().zip(lists) {
-                for e in edges {
-                    let yd = idx[&e.center];
-                    led.read(1);
-                    if cparent[yd as usize] == u32::MAX {
-                        cparent[yd as usize] = xd;
-                        witness_inner[yd as usize] = e.outer;
-                        witness_outer[yd as usize] = e.inner;
-                        led.write(3);
-                        next.push(yd);
-                    }
-                }
-            }
-            frontier = next;
-        }
-    }
+    });
     let forest = RootedForest::from_parents(led, cparent);
     let tour = EulerTour::new(led, &forest);
     let lca = LcaIndex::new(led, &forest, &tour);

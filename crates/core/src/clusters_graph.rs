@@ -6,8 +6,12 @@
 //! boundary memo already holds every boundary neighbor's center, then
 //! rescans member adjacency and looks each crossing edge's far center up
 //! in that memo — one `ρ` per boundary vertex, O(k²) expected operations,
-//! no writes (Lemma 4.3). Implemented as a [`GraphView`] so the BFS / LDD /
-//! connectivity machinery runs on it unchanged (§4.3).
+//! no writes (Lemma 4.3).
+//!
+//! [`ClustersGraph::spanning_forest`] is the one traversal both oracles run
+//! over it: a level-parallel BFS whose trees are the connected components
+//! the §4.3 connectivity oracle labels, and whose parents and discovering
+//! edges are Step 1 of the §5.3 biconnectivity oracle (Algorithm 2).
 //!
 //! Center-less small components have no stored center and therefore no
 //! clusters-graph vertex; the connectivity/biconnectivity oracles resolve
@@ -15,7 +19,7 @@
 //! memory).
 
 use crate::decomp::ImplicitDecomposition;
-use wec_asym::{FxHashSet, Ledger};
+use wec_asym::{FxHashMap, FxHashSet, Ledger};
 use wec_graph::{GraphView, Vertex};
 
 /// Implicit clusters-graph view over a decomposition.
@@ -83,25 +87,69 @@ impl<'a, G: GraphView> ClustersGraph<'a, G> {
         led.sym_free(held);
         edges
     }
-}
 
-impl<G: GraphView> GraphView for ClustersGraph<'_, G> {
-    fn n(&self) -> usize {
-        // Center ids live in the original id space.
-        self.d.graph().n()
-    }
-
-    fn is_vertex(&self, v: Vertex) -> bool {
-        let mut scratch = Ledger::sequential(1);
-        self.d.center_label(&mut scratch, v).is_some()
-    }
-
-    fn neighbors_into(&self, led: &mut Ledger, v: Vertex, out: &mut Vec<Vertex>) {
-        out.extend(self.neighbor_edges(led, v).into_iter().map(|e| e.center));
-    }
-
-    fn degree_hint(&self, _v: Vertex) -> usize {
-        8
+    /// BFS spanning forest of the clusters graph, one tree per connected
+    /// component. Trees start at the undiscovered centers in `centers`
+    /// order and are numbered in that order, so tree `t` holds the
+    /// `t`-th component by first appearance in `centers`; `index` maps each
+    /// center to its position there. Returns the parent array (a root is
+    /// its own parent) and the number of trees.
+    ///
+    /// The forest is built level by level: a frontier's O(k²) edge listings
+    /// are independent, so they fan out over worker scopes, one accounting
+    /// chunk per listing (a level's depth is its longest listing). Parents
+    /// are then assigned in frontier order, which gives exactly the forest
+    /// of a FIFO queue. `discover(led, child, parent, edge, tree)` runs once
+    /// per center in discovery order: with `edge = None` and
+    /// `parent == child` when the center starts a tree, and with the
+    /// listing of `parent` that found it otherwise.
+    ///
+    /// Charges `n_c` writes to initialize the parent array, one write per
+    /// non-root parent, and one read per start and per listed edge, on top
+    /// of the listings and whatever `discover` charges.
+    pub fn spanning_forest(
+        &self,
+        led: &mut Ledger,
+        centers: &[Vertex],
+        index: &FxHashMap<Vertex, u32>,
+        mut discover: impl FnMut(&mut Ledger, u32, u32, Option<ClusterEdge>, u32),
+    ) -> (Vec<u32>, usize) {
+        let nc = centers.len();
+        let mut parent = vec![u32::MAX; nc];
+        led.write(nc as u64);
+        let mut trees = 0u32;
+        let mut frontier: Vec<u32> = Vec::new();
+        for start in 0..nc as u32 {
+            led.read(1);
+            if parent[start as usize] != u32::MAX {
+                continue;
+            }
+            parent[start as usize] = start;
+            discover(led, start, start, None, trees);
+            frontier.push(start);
+            while !frontier.is_empty() {
+                let frontier_ref = &frontier;
+                let lists = led.scoped_par_map(frontier.len(), 1, &|i, s| {
+                    self.neighbor_edges(s.ledger(), centers[frontier_ref[i] as usize])
+                });
+                let mut next = Vec::new();
+                for (&x, edges) in frontier.iter().zip(lists) {
+                    for e in edges {
+                        let y = index[&e.center];
+                        led.read(1);
+                        if parent[y as usize] == u32::MAX {
+                            parent[y as usize] = x;
+                            led.write(1);
+                            discover(led, y, x, Some(e), trees);
+                            next.push(y);
+                        }
+                    }
+                }
+                frontier = next;
+            }
+            trees += 1;
+        }
+        (parent, trees as usize)
     }
 }
 
@@ -112,7 +160,6 @@ mod tests {
     use wec_baseline::unionfind::same_partition;
     use wec_graph::gen::{bounded_degree_connected, grid, path};
     use wec_graph::{Priorities, Vertex};
-    use wec_prims::multi_bfs;
 
     fn build<'a>(
         led: &mut Ledger,
@@ -162,8 +209,8 @@ mod tests {
 
     #[test]
     fn bfs_over_clusters_graph_matches_component_structure() {
-        // Connectivity of the clusters graph == connectivity of G projected
-        // onto centers.
+        // The spanning forest's trees are G's connected components projected
+        // onto centers: two centers share a tree iff they share a component.
         let g = wec_graph::gen::disjoint_union(&[&grid(6, 6), &grid(5, 5)]);
         let n = g.n();
         let pri = Priorities::random(n, 4);
@@ -172,16 +219,30 @@ mod tests {
         let cg = ClustersGraph::new(&d);
         let centers = d.centers().to_vec();
         assert!(!centers.is_empty());
-        let r = multi_bfs(&mut led, &cg, &centers[..1]);
-        // centers reached = centers in the same G-component as centers[0]
+        let index: FxHashMap<Vertex, u32> = centers
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| (c, i as u32))
+            .collect();
+        let mut tree = vec![u32::MAX; centers.len()];
+        let (parent, trees) = cg.spanning_forest(&mut led, &centers, &index, |_, i, _, _, t| {
+            assert_eq!(tree[i as usize], u32::MAX, "center #{i} discovered twice");
+            tree[i as usize] = t;
+        });
         let (comp, _) = wec_graph::props::components(&g);
-        let c0 = comp[centers[0] as usize];
-        for &c in &centers {
-            assert_eq!(
-                r.reached(c),
-                comp[c as usize] == c0,
-                "clusters-graph reachability of center {c}"
-            );
+        assert_eq!(trees, 2);
+        for a in 0..centers.len() {
+            let p = parent[a] as usize;
+            assert_eq!(tree[p], tree[a], "center {} leaves its tree", centers[a]);
+            for b in 0..centers.len() {
+                assert_eq!(
+                    tree[a] == tree[b],
+                    comp[centers[a] as usize] == comp[centers[b] as usize],
+                    "centers {} and {}",
+                    centers[a],
+                    centers[b]
+                );
+            }
         }
     }
 

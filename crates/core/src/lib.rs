@@ -20,8 +20,9 @@
 //! * [`secondary`] — `SECONDARYCENTERS` with the balanced tree splitter
 //!   (Lemma 3.6) and its parallel variant (Lemma 3.7);
 //! * [`decomp`] — the [`ImplicitDecomposition`] oracle object;
-//! * [`clusters_graph`] — the implicit clusters-graph view (Definition 1,
-//!   Lemma 4.3) that §4.3/§5.3 run connectivity over.
+//! * [`clusters_graph`] — the implicit clusters graph (Definition 1,
+//!   Lemma 4.3) and its spanning-forest BFS, the one clusters pass of both
+//!   the §4.3 and the §5.3 oracle.
 //!
 //! The searches behind `ρ` and cluster enumeration reuse per-worker pooled
 //! buffers (the paper's reused symmetric scratchpad), so a steady stream

@@ -56,18 +56,6 @@ pub struct BfsResult {
     pub visited: usize,
     /// Number of frontier-expansion rounds executed.
     pub rounds: usize,
-    /// Unit operations charged for the **sequential** per-round
-    /// concatenation of per-chunk winner lists into the next frontier (one
-    /// per chunk, frontier expansion and injection claiming alike). This
-    /// instrumentation settled the ROADMAP "frontier concatenation"
-    /// question — measured at 0.11% of charged BFS ops on the n = 60k
-    /// graph, recorded as a no-go decision (a scan-based parallel pack
-    /// can't win unless thousands-of-rounds workloads appear). Kept so any
-    /// future high-diameter workload can re-check the ratio cheaply.
-    pub concat_ops: u64,
-    /// Elements moved by those sequential concats — the real (uncharged,
-    /// harness-side) copy work a scan-based pack would parallelize.
-    pub concat_elems: u64,
 }
 
 impl BfsResult {
@@ -126,8 +114,6 @@ pub fn bfs_with_injection(
     let mut frontier: Vec<Vertex> = Vec::new();
     let mut round = 0usize;
     let mut done = false;
-    let mut concat_ops = 0u64;
-    let mut concat_elems = 0u64;
     loop {
         if !done {
             let inj = inject(round, led);
@@ -188,10 +174,8 @@ pub fn bfs_with_injection(
                 // source order), same as the expansion's next-frontier
                 // concat.
                 led.op(parts.len() as u64);
-                concat_ops += parts.len() as u64;
                 for p in parts {
                     visited += p.len();
-                    concat_elems += p.len() as u64;
                     frontier.extend(p);
                 }
             }
@@ -266,9 +250,7 @@ pub fn bfs_with_injection(
         frontier = {
             let mut next = Vec::new();
             led.op(parts.len() as u64); // concatenation bookkeeping
-            concat_ops += parts.len() as u64;
             for p in parts {
-                concat_elems += p.len() as u64;
                 next.extend(p);
             }
             next
@@ -283,8 +265,6 @@ pub fn bfs_with_injection(
         source_of: source_of.into_iter().map(AtomicU32::into_inner).collect(),
         visited,
         rounds: round,
-        concat_ops,
-        concat_elems,
     }
 }
 
@@ -412,23 +392,6 @@ mod tests {
         assert_eq!(r.source_of[1], 0);
         assert_eq!(r.source_of[5], 5);
         assert_eq!(r.level[4], 3); // claimed by source 5 at round 2 + 1
-    }
-
-    #[test]
-    fn concat_counters_track_sequential_concat_work() {
-        let g = gnm(2000, 8000, 3);
-        let mut led = Ledger::new(8);
-        let r = multi_bfs(&mut led, &g, &[0, 5, 9]);
-        // Every visited vertex passes through exactly one sequential concat
-        // (sources via injection claiming, the rest via frontier expansion).
-        assert_eq!(r.concat_elems, r.visited as u64);
-        // One charged unit op per concatenated chunk, and every concat has
-        // at least one chunk per round that produced winners.
-        assert!(r.concat_ops >= 1);
-        assert!(
-            r.concat_ops <= led.costs().sym_ops,
-            "concat ops are a subset of the charged unit operations"
-        );
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //! * O(n) writes, O(m + ωn) work using the write-efficient BFS.
 //!
 //! The graph is any [`GraphView`]; the caller supplies the actual vertex
-//! list (for implicit views whose id space has holes, pass the real
-//! vertices — this is how §4.3 runs LDD on the implicit clusters graph).
+//! list (for views whose id space has holes, pass the real vertices).
 
 use crate::bfs::{bfs_with_injection, BfsResult, Injection, UNREACHED};
 use rand::rngs::SmallRng;

@@ -82,7 +82,7 @@ fn connectivity_oracle_build_and_query_costs_invariant() {
     let n = g.n();
     let pri = Priorities::random(n, 2);
     let verts: Vec<Vertex> = (0..n as u32).collect();
-    for parallel_clusters_pass in [false, true] {
+    for parallel in [false, true] {
         let run = |mut led: Ledger| {
             let k = led.sqrt_omega();
             let oracle = ConnectivityOracle::build(
@@ -93,8 +93,7 @@ fn connectivity_oracle_build_and_query_costs_invariant() {
                 k,
                 4,
                 OracleBuildOpts {
-                    parallel_clusters_pass,
-                    ..Default::default()
+                    decomp: BuildOpts { parallel },
                 },
             );
             let build_acc = snapshot(&led);
@@ -108,15 +107,15 @@ fn connectivity_oracle_build_and_query_costs_invariant() {
         let b = run(Ledger::sequential(OMEGA));
         assert_eq!(
             a.0, b.0,
-            "build accounting differs (pass={parallel_clusters_pass})"
+            "build accounting differs (parallel decomposition={parallel})"
         );
         assert_eq!(
             a.1, b.1,
-            "query accounting differs (pass={parallel_clusters_pass})"
+            "query accounting differs (parallel decomposition={parallel})"
         );
         assert_eq!(
             a.2, b.2,
-            "query answers differ (pass={parallel_clusters_pass})"
+            "query answers differ (parallel decomposition={parallel})"
         );
     }
 }
