@@ -484,134 +484,6 @@ impl LedgerScope {
     }
 }
 
-/// Deferred accounting for a **result cache** sitting in front of a
-/// read-only query path (see `wec-serve`'s streaming front end): every
-/// probe, hit, miss, and insertion is noted into plain counters and the
-/// accumulated [`Costs`] are flushed into the ledger once per batch.
-/// Because `read(n)`/`write(n)`/`op(n)` are linear in `n`, one flush
-/// charges exactly what the equivalent per-item calls would have (same
-/// `Costs`, same depth contribution).
-///
-/// The charge conventions this tally encodes (the serving layer's
-/// hit/miss cost contract builds on them):
-///
-/// * a **probe** charges its asymmetric reads whether it hits or misses —
-///   the cache is resident in asymmetric memory and probing it is a read;
-/// * a **hit** charges *nothing beyond the probe* — unless the eviction
-///   policy keeps recency state, in which case the hit additionally
-///   notes the policy's documented touch charge via [`CacheTally::touch`]
-///   (a CLOCK second-chance bit set is unit-cost symmetric-memory
-///   traffic);
-/// * a **miss** charges nothing here either — the caller re-runs the full
-///   query against the oracle, which charges its own ledger as usual;
-/// * an **insertion** charges its asymmetric writes (cache fills are real
-///   writes, each costing `ω` — the write-efficiency trade a cache makes);
-/// * an **eviction** ([`CacheTally::evict`]) charges the policy's victim
-///   scan as unit operations (for CLOCK: one op per slot the hand
-///   inspects, second-chance clears included) and *no asymmetric writes
-///   of its own* — the replacement record is written in place by the
-///   follow-up insertion, so an evict-then-fill still charges exactly one
-///   insertion's writes. Cache fills remain the only asymmetric writes a
-///   cache ever performs.
-///
-/// Hit/miss/insert/evict *counters* are cumulative across flushes (they
-/// feed the serving layer's hit-ratio reporting); only the pending
-/// [`Costs`] reset on flush.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct CacheTally {
-    pending: Costs,
-    hits: u64,
-    misses: u64,
-    inserts: u64,
-    evictions: u64,
-}
-
-impl CacheTally {
-    /// An empty tally.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Note a probe that hit, charging `probe_reads` asymmetric reads.
-    #[inline]
-    pub fn hit(&mut self, probe_reads: u64) {
-        self.hits += 1;
-        self.pending.asym_reads += probe_reads;
-    }
-
-    /// Note a probe that missed, charging `probe_reads` asymmetric reads.
-    /// The caller is responsible for charging the full query it now runs.
-    #[inline]
-    pub fn miss(&mut self, probe_reads: u64) {
-        self.misses += 1;
-        self.pending.asym_reads += probe_reads;
-    }
-
-    /// Note a cache fill of `write_words` asymmetric words.
-    #[inline]
-    pub fn insert(&mut self, write_words: u64) {
-        self.inserts += 1;
-        self.pending.asym_writes += write_words;
-    }
-
-    /// Note recency maintenance on a hit (e.g. setting a CLOCK
-    /// second-chance bit): `ops` unit-cost operations, no reads or writes.
-    #[inline]
-    pub fn touch(&mut self, ops: u64) {
-        self.pending.sym_ops += ops;
-    }
-
-    /// Note one eviction whose victim scan inspected `swept_slots` slots at
-    /// `ops_per_slot` unit operations each (for CLOCK: reading the slot's
-    /// second-chance bit, clearing it when set). The overwrite of the
-    /// victim's record is charged by the follow-up [`CacheTally::insert`],
-    /// never here.
-    #[inline]
-    pub fn evict(&mut self, swept_slots: u64, ops_per_slot: u64) {
-        self.evictions += 1;
-        self.pending.sym_ops += swept_slots * ops_per_slot;
-    }
-
-    /// Cumulative hits across the tally's lifetime.
-    #[inline]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Cumulative misses across the tally's lifetime.
-    #[inline]
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Cumulative insertions across the tally's lifetime.
-    #[inline]
-    pub fn inserts(&self) -> u64 {
-        self.inserts
-    }
-
-    /// Cumulative evictions across the tally's lifetime.
-    #[inline]
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// The accumulated, not-yet-flushed counters.
-    #[inline]
-    pub fn pending(&self) -> Costs {
-        self.pending
-    }
-
-    /// Charge the accumulated counters into `led` and reset the pending
-    /// costs (hit/miss/insert counters are preserved).
-    pub fn flush(&mut self, led: &mut Ledger) {
-        led.read(self.pending.asym_reads);
-        led.write(self.pending.asym_writes);
-        led.op(self.pending.sym_ops);
-        self.pending = Costs::ZERO;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -870,67 +742,5 @@ mod tests {
     #[should_panic(expected = "omega must be at least 1")]
     fn zero_omega_rejected() {
         let _ = Ledger::new(0);
-    }
-
-    #[test]
-    fn cache_tally_flush_equals_direct_charges() {
-        let mut t = CacheTally::new();
-        t.miss(1);
-        t.insert(1);
-        t.hit(2);
-        t.hit(2);
-        t.miss(1);
-        assert_eq!(t.hits(), 2);
-        assert_eq!(t.misses(), 2);
-        assert_eq!(t.inserts(), 1);
-        assert_eq!(
-            t.pending(),
-            Costs {
-                asym_reads: 6,
-                asym_writes: 1,
-                sym_ops: 0
-            }
-        );
-        let mut via = Ledger::new(8);
-        t.flush(&mut via);
-        assert_eq!(t.pending(), Costs::ZERO, "flush resets pending costs");
-        assert_eq!(t.hits(), 2, "flush preserves the hit/miss counters");
-        let mut direct = Ledger::new(8);
-        direct.read(6);
-        direct.write(1);
-        assert_eq!(via.costs(), direct.costs());
-        assert_eq!(via.depth(), direct.depth());
-    }
-
-    #[test]
-    fn cache_tally_touch_and_evict_charge_ops_only() {
-        let mut t = CacheTally::new();
-        t.hit(1);
-        t.touch(1); // CLOCK second-chance bit set on the hit
-        t.miss(1);
-        t.evict(3, 1); // hand inspected 3 slots to find a victim
-        t.insert(1); // the replacement record overwrites the victim
-        assert_eq!(
-            (t.hits(), t.misses(), t.inserts(), t.evictions()),
-            (1, 1, 1, 1)
-        );
-        assert_eq!(
-            t.pending(),
-            Costs {
-                asym_reads: 2,
-                asym_writes: 1,
-                sym_ops: 4
-            },
-            "evictions charge sweep ops, never writes"
-        );
-        let mut led = Ledger::new(8);
-        t.flush(&mut led);
-        assert_eq!(t.evictions(), 1, "flush preserves the eviction counter");
-        let mut direct = Ledger::new(8);
-        direct.read(2);
-        direct.write(1);
-        direct.op(4);
-        assert_eq!(led.costs(), direct.costs());
-        assert_eq!(led.depth(), direct.depth());
     }
 }

@@ -31,9 +31,6 @@
 //!   counter scopes merged deterministically (work sums, depth maxes) so
 //!   parallel and sequential execution produce bit-identical costs. The
 //!   full contract is documented in the [`ledger`] module.
-//! * [`CacheTally`] — deferred result-cache accounting: probe/hit/miss/insert
-//!   charges noted into plain counters and flushed into the ledger once per
-//!   batch, with cumulative hit/miss counters.
 //! * [`FxHashMap`]/[`FxHashSet`] — a local implementation of the FxHash
 //!   function (Rust perf-book recommendation) so no extra dependency is
 //!   needed for fast integer-keyed tables.
@@ -49,7 +46,7 @@ pub mod wire;
 pub use cost::Costs;
 pub use fusion::{FUSED_CONCAT_OPS, FUSED_EMIT_WRITES, FUSED_SLOT_OPS, FUSED_STAGE_OPS};
 pub use hash::{stable_combine, stable_mix64, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use ledger::{CacheTally, Ledger, LedgerScope};
+pub use ledger::{Ledger, LedgerScope};
 pub use mutation::{
     DELTA_EDGE_WORDS, EPOCH_INSTALL_OPS, INVALIDATE_ENTRY_WRITES, INVALIDATE_SCAN_OPS,
     OVERLAY_ENTRY_WRITES, OVERLAY_FIND_OPS, OVERLAY_INDEX_WRITES, OVERLAY_LOOKUP_READS,

@@ -111,6 +111,7 @@ fn main() {
     let mut led = Ledger::new(OMEGA);
     let answers = sharded.serve(&mut led, &stream[..120]);
     assert_eq!(answers.len(), 120);
+    assert!(answers.iter().all(Result::is_ok));
     scenarios.push(record("sharded_serve_mixed_120x3", &led));
 
     // 4. Streaming dispatch, cache-cold, under the default policy

@@ -8,7 +8,7 @@
 //! dependence, which is what makes the charges bit-identical across
 //! `WEC_THREADS` settings.
 
-use wec_asym::{CacheTally, FxHashMap};
+use wec_asym::{FxHashMap, Ledger};
 use wec_biconnectivity::BiconnQueryKey;
 use wec_connectivity::ComponentId;
 use wec_graph::Vertex;
@@ -50,17 +50,21 @@ struct Slot {
 }
 
 /// One shard's result cache: the slot store, its hash index, the CLOCK
-/// hand, and the deferred charge tally. Only the owning shard's worker
-/// ever touches it, and only for the duration of its own chunk.
+/// hand, and its cumulative counters. Only the owning shard's worker
+/// ever touches it, and only for the duration of its own chunk, charging
+/// that chunk's ledger at each call.
 #[derive(Debug, Default)]
 pub(crate) struct ShardCache {
     index: FxHashMap<CacheKey, usize>,
     slots: Vec<Slot>,
     hand: usize,
-    pub(crate) tally: CacheTally,
-    /// Entries removed by epoch-install invalidation sweeps (cumulative;
-    /// folded into the retired aggregate on quarantine like every other
-    /// counter).
+    // Cumulative counters, folded into the retired aggregate on
+    // quarantine. `invalidations` counts entries removed by epoch-install
+    // sweeps.
+    hits: u64,
+    misses: u64,
+    inserts: u64,
+    evictions: u64,
     invalidations: u64,
 }
 
@@ -70,19 +74,20 @@ impl ShardCache {
         self.slots.len()
     }
 
-    /// Probe for `key`, charging [`CACHE_PROBE_READS`] to the tally either
+    /// Probe for `key`, charging [`CACHE_PROBE_READS`] to `led` either
     /// way. A hit additionally sets the entry's second-chance bit and
     /// charges [`CLOCK_TOUCH_OPS`].
-    pub(crate) fn probe(&mut self, key: CacheKey) -> Option<CacheVal> {
+    pub(crate) fn probe(&mut self, led: &mut Ledger, key: CacheKey) -> Option<CacheVal> {
+        led.read(CACHE_PROBE_READS);
         match self.index.get(&key) {
             Some(&i) => {
-                self.tally.hit(CACHE_PROBE_READS);
+                self.hits += 1;
                 self.slots[i].referenced = true;
-                self.tally.touch(CLOCK_TOUCH_OPS);
+                led.op(CLOCK_TOUCH_OPS);
                 Some(self.slots[i].val)
             }
             None => {
-                self.tally.miss(CACHE_PROBE_READS);
+                self.misses += 1;
                 None
             }
         }
@@ -97,10 +102,11 @@ impl ShardCache {
     ///
     /// Callers must not invoke this with `capacity == 0`: the dispatch path
     /// bypasses the cache entirely in that configuration.
-    pub(crate) fn fill(&mut self, key: CacheKey, val: CacheVal, capacity: usize) {
+    pub(crate) fn fill(&mut self, led: &mut Ledger, key: CacheKey, val: CacheVal, capacity: usize) {
         debug_assert!(capacity > 0, "capacity-0 dispatch bypasses the cache");
+        self.inserts += 1;
+        led.write(CACHE_INSERT_WRITES);
         if self.slots.len() < capacity {
-            self.tally.insert(CACHE_INSERT_WRITES);
             self.index.insert(key, self.slots.len());
             self.slots.push(Slot {
                 key,
@@ -120,9 +126,9 @@ impl ShardCache {
                 break h;
             }
         };
-        self.tally.evict(swept, CLOCK_SWEEP_OPS);
+        self.evictions += 1;
+        led.op(swept * CLOCK_SWEEP_OPS);
         self.index.remove(&self.slots[victim].key);
-        self.tally.insert(CACHE_INSERT_WRITES);
         self.index.insert(key, victim);
         self.slots[victim] = Slot {
             key,
@@ -146,9 +152,9 @@ impl ShardCache {
     ///
     /// Returns `(swept, removed)`: slots scanned and entries removed. The
     /// caller prices the sweep ([`INVALIDATE_SCAN_OPS`] per swept slot,
-    /// [`INVALIDATE_ENTRY_WRITES`] per removed entry) on its own ledger —
-    /// not through the tally, because the sweep belongs to the mutation's
-    /// charge sequence, not to any dispatch.
+    /// [`INVALIDATE_ENTRY_WRITES`] per removed entry) on its own ledger,
+    /// because the sweep belongs to the mutation's charge sequence, not to
+    /// any dispatch.
     pub(crate) fn invalidate_stale(&mut self, stale: impl Fn(ComponentId) -> bool) -> (u64, u64) {
         let swept = self.slots.len() as u64;
         let before = self.slots.len();
@@ -168,12 +174,10 @@ impl ShardCache {
         (swept, removed)
     }
 
-    /// Quarantine reset: drop every resident entry, any pending deferred
-    /// charges, and the CLOCK hand, returning the cumulative counters the
-    /// cache had accrued so the owner can fold them into a retired
-    /// aggregate (keeping `cache_stats()` monotone across quarantines).
-    /// Pending charges belong to the failed attempt, which by the fault
-    /// model charged nothing — dropping them keeps the ledger honest.
+    /// Quarantine reset: drop every resident entry and the CLOCK hand,
+    /// returning the cumulative counters the cache had accrued so the
+    /// owner can fold them into a retired aggregate (keeping
+    /// `cache_stats()` monotone across quarantines).
     pub(crate) fn reset_cold(&mut self) -> CacheStats {
         let stats = self.stats();
         *self = ShardCache::default();
@@ -183,10 +187,10 @@ impl ShardCache {
     /// Cumulative counters snapshot.
     pub(crate) fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.tally.hits(),
-            misses: self.tally.misses(),
-            inserts: self.tally.inserts(),
-            evictions: self.tally.evictions(),
+            hits: self.hits,
+            misses: self.misses,
+            inserts: self.inserts,
+            evictions: self.evictions,
             invalidations: self.invalidations,
             entries: self.len() as u64,
         }
@@ -209,40 +213,42 @@ mod tests {
     #[test]
     fn clock_evicts_unreferenced_first() {
         let mut c = ShardCache::default();
+        let mut led = Ledger::new(16);
         for v in 0..3u32 {
-            c.probe(k(v));
-            c.fill(k(v), val(), 3);
+            c.probe(&mut led, k(v));
+            c.fill(&mut led, k(v), val(), 3);
         }
         // Reference 0 and 2; 1 stays clear.
-        c.probe(k(0));
-        c.probe(k(2));
+        c.probe(&mut led, k(0));
+        c.probe(&mut led, k(2));
         // Miss at capacity: hand starts at slot 0 (referenced — cleared),
         // slot 1 is clear → victim. Sweep inspected 2 slots.
-        c.probe(k(9));
-        c.fill(k(9), val(), 3);
-        assert_eq!(c.tally.evictions(), 1);
-        assert!(c.probe(k(1)).is_none(), "1 was evicted");
-        assert!(c.probe(k(0)).is_some(), "0 survived");
-        assert!(c.probe(k(2)).is_some(), "2 survived");
-        assert!(c.probe(k(9)).is_some(), "9 resident");
+        c.probe(&mut led, k(9));
+        c.fill(&mut led, k(9), val(), 3);
+        assert_eq!(c.stats().evictions, 1);
+        assert!(c.probe(&mut led, k(1)).is_none(), "1 was evicted");
+        assert!(c.probe(&mut led, k(0)).is_some(), "0 survived");
+        assert!(c.probe(&mut led, k(2)).is_some(), "2 survived");
+        assert!(c.probe(&mut led, k(9)).is_some(), "9 resident");
         assert_eq!(c.len(), 3);
     }
 
     #[test]
     fn clock_charges_exactly_probe_touch_sweep_insert() {
         let mut c = ShardCache::default();
+        let mut led = Ledger::new(16);
         // Two cold fills below capacity 2: 2 probes, 2 inserts.
         for v in 0..2u32 {
-            c.probe(k(v));
-            c.fill(k(v), val(), 2);
+            c.probe(&mut led, k(v));
+            c.fill(&mut led, k(v), val(), 2);
         }
         // One hit (probe + touch), then an eviction that must sweep past
         // the referenced slot 0: clears it (1 op), takes slot 1 (1 op).
-        c.probe(k(0));
-        c.probe(k(7));
-        c.fill(k(7), val(), 2);
+        c.probe(&mut led, k(0));
+        c.probe(&mut led, k(7));
+        c.fill(&mut led, k(7), val(), 2);
         assert_eq!(
-            c.tally.pending(),
+            led.costs(),
             Costs {
                 asym_reads: 4 * CACHE_PROBE_READS,
                 asym_writes: 3 * CACHE_INSERT_WRITES,
@@ -250,43 +256,53 @@ mod tests {
             },
             "exact per-probe / per-touch / per-evict charges"
         );
-        assert_eq!(c.tally.evictions(), 1);
+        let spent = led.costs();
+        assert_eq!(
+            led.depth(),
+            spent.asym_reads + 16 * spent.asym_writes + spent.sym_ops,
+            "charged sequentially at the call"
+        );
+        assert_eq!(c.stats().evictions, 1);
     }
 
     #[test]
     fn reset_cold_returns_history_and_empties_the_cache() {
         let mut c = ShardCache::default();
+        let mut led = Ledger::new(16);
         for v in 0..4u32 {
-            c.probe(k(v));
-            c.fill(k(v), val(), 8);
+            c.probe(&mut led, k(v));
+            c.fill(&mut led, k(v), val(), 8);
         }
-        c.probe(k(1)); // one hit
+        c.probe(&mut led, k(1)); // one hit
         let retired = c.reset_cold();
         assert_eq!((retired.hits, retired.misses), (1, 4));
         assert_eq!((retired.inserts, retired.entries), (4, 4));
         assert_eq!(c.len(), 0, "cold after reset");
-        assert_eq!(c.tally.pending(), Costs::ZERO, "pending charges dropped");
-        assert!(c.probe(k(1)).is_none(), "quarantined entries are gone");
+        assert!(
+            c.probe(&mut led, k(1)).is_none(),
+            "quarantined entries are gone"
+        );
         assert_eq!(c.stats().misses, 1, "counters restart from zero");
     }
 
     #[test]
     fn invalidate_stale_removes_exactly_stale_comp_entries() {
         let mut c = ShardCache::default();
+        let mut led = Ledger::new(16);
         for v in 0..3u32 {
-            c.probe(k(v));
-            c.fill(k(v), CacheVal::Comp(ComponentId::Labeled(v)), 8);
+            c.probe(&mut led, k(v));
+            c.fill(&mut led, k(v), CacheVal::Comp(ComponentId::Labeled(v)), 8);
         }
         let pkey = CacheKey::Pred(BiconnQueryKey::two_edge_connected(1, 2));
-        c.probe(pkey);
-        c.fill(pkey, CacheVal::Pred(true), 8);
+        c.probe(&mut led, pkey);
+        c.fill(&mut led, pkey, CacheVal::Pred(true), 8);
         let (swept, removed) = c.invalidate_stale(|id| id == ComponentId::Labeled(1));
         assert_eq!((swept, removed), (4, 1), "scan all slots, remove one");
-        assert!(c.probe(k(1)).is_none(), "stale memo gone");
-        assert!(c.probe(k(0)).is_some());
-        assert!(c.probe(k(2)).is_some());
+        assert!(c.probe(&mut led, k(1)).is_none(), "stale memo gone");
+        assert!(c.probe(&mut led, k(0)).is_some());
+        assert!(c.probe(&mut led, k(2)).is_some());
         assert!(
-            c.probe(pkey).is_some(),
+            c.probe(&mut led, pkey).is_some(),
             "predicate entries keep base-graph semantics and survive"
         );
         assert_eq!(c.stats().invalidations, 1);
@@ -300,16 +316,19 @@ mod tests {
     #[test]
     fn clock_capacity_one_churns_in_place() {
         let mut c = ShardCache::default();
+        let mut led = Ledger::new(16);
         for v in 0..10u32 {
-            assert!(c.probe(k(v)).is_none(), "all-distinct churn never hits");
-            c.fill(k(v), val(), 1);
+            assert!(
+                c.probe(&mut led, k(v)).is_none(),
+                "all-distinct churn never hits"
+            );
+            c.fill(&mut led, k(v), val(), 1);
             assert_eq!(c.len(), 1);
         }
         // First fill is an append; the other 9 each evict the lone
         // (never-referenced) entry with a single-slot sweep.
-        assert_eq!(c.tally.inserts(), 10);
-        assert_eq!(c.tally.evictions(), 9);
-        assert_eq!(c.tally.pending().sym_ops, 9 * CLOCK_SWEEP_OPS);
-        assert!(c.probe(k(9)).is_some(), "last key resident");
+        assert_eq!((c.stats().inserts, c.stats().evictions), (10, 9));
+        assert_eq!(led.costs().sym_ops, 9 * CLOCK_SWEEP_OPS);
+        assert!(c.probe(&mut led, k(9)).is_some(), "last key resident");
     }
 }

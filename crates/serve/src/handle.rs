@@ -14,10 +14,9 @@
 //!
 //! A server "without" a biconnectivity oracle is a server whose predicate
 //! handle is [`NoBiconn`] — the vacant implementation that reports itself
-//! unattached (so the streaming path can reject with a typed
-//! [`ServeError::UnsupportedQuery`](crate::ServeError) before charging
-//! anything) and panics with the documented message if the batch path
-//! forces an answer out of it.
+//! unattached, so every serving path rejects a predicate query with a
+//! typed [`ServeError::UnsupportedQuery`](crate::ServeError) before
+//! charging anything and never asks it for an answer.
 //!
 //! Connectivity handles that additionally support the PR-7 mutation path
 //! (folding a [`GraphDelta`] into an [`OverlayStore`]) implement
@@ -61,8 +60,7 @@ pub trait OracleHandle: Copy + Send + Sync {
 
     /// Whether a real oracle backs this handle. The vacant [`NoBiconn`]
     /// handle reports `false`, which is what turns a predicate query into
-    /// a typed rejection on the streaming path (and the documented panic
-    /// on the batch path).
+    /// a typed rejection on every serving path.
     fn attached(&self) -> bool {
         true
     }
@@ -119,9 +117,9 @@ impl<G: GraphView + Sync> OracleHandle for BiconnQueryHandle<'_, '_, G> {
 /// The vacant predicate handle: the type-level "no biconnectivity oracle
 /// attached". Routing still works (the canonical key hashes itself, so
 /// predicate queries keep a stable owner shard for shedding/rejection
-/// accounting), but answering panics with the documented message — the
-/// streaming path checks [`OracleHandle::attached`] first and never gets
-/// there.
+/// accounting), but it has no answers: every serving path checks
+/// [`OracleHandle::attached`] first and never calls
+/// [`OracleHandle::answer_key`] on it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NoBiconn;
 
@@ -135,7 +133,7 @@ impl OracleHandle for NoBiconn {
     }
 
     fn answer_key(&self, _led: &mut Ledger, _key: BiconnQueryKey) -> bool {
-        panic!("server was built without a biconnectivity oracle")
+        unreachable!("serving paths check `attached()` before answering a predicate")
     }
 
     fn attached(&self) -> bool {

@@ -12,13 +12,14 @@
 //! [`OracleHandle`] trait — one handle per query family: connectivity
 //! (`Key = Vertex`, `Answer = ComponentId`) and biconnectivity-class
 //! predicates (`Key = BiconnQueryKey`, `Answer = bool`) — and serves
-//! [`Query`] batches, returning [`Answer`]s **in input order**. The two
-//! paper oracles' handles ([`ConnQueryHandle`], [`BiconnQueryHandle`])
-//! implement the trait; a server without a biconnectivity oracle carries
-//! the vacant [`NoBiconn`] handle (the default type parameter), and a
-//! future oracle family drops in by implementing [`OracleHandle`] without
-//! touching dispatch. [`FullServer`] / [`FullStreamingServer`] name the
-//! fully-equipped conn+biconn configuration.
+//! [`Query`] batches, returning one [`ServeResult`] per query **in input
+//! order**. The two paper oracles' handles ([`ConnQueryHandle`],
+//! [`BiconnQueryHandle`]) implement the trait; a server without a
+//! biconnectivity oracle carries the vacant [`NoBiconn`] handle (the
+//! default type parameter), and a future oracle family drops in by
+//! implementing [`OracleHandle`] without touching dispatch.
+//! [`FullServer`] / [`FullStreamingServer`] name the fully-equipped
+//! conn+biconn configuration.
 //!
 //! ## The shard/merge cost contract
 //!
@@ -194,9 +195,11 @@ impl Answer {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ServeError {
     /// A biconnectivity-class query reached a server built without a
-    /// biconnectivity oracle. The batch path
-    /// ([`ShardedServer::answer_one`]) keeps its documented panic; the
-    /// streaming path returns this through the normal answer stream.
+    /// biconnectivity oracle. Every serving path returns this in the
+    /// query's result slot — [`ShardedServer::serve`] and
+    /// [`ShardedServer::try_answer_one`] directly, the streaming path
+    /// through the normal answer stream — having charged no oracle work
+    /// for it.
     UnsupportedQuery(Query),
     /// The submission was shed: the queue sits at the policy's
     /// `max_queue` bound and the overflow policy is
@@ -313,11 +316,11 @@ pub fn shard_chunks(n: usize, shards: usize) -> usize {
 /// // Sharded serving charges exactly the one-by-one costs plus the
 /// // documented input-scan reads and split bookkeeping — and no writes.
 /// let mut batch_led = Ledger::new(16);
-/// let answers = server.serve(&mut batch_led, &batch);
-/// assert_eq!(answers[0], Answer::Connected(true), "grid is connected");
+/// let results = server.serve(&mut batch_led, &batch);
+/// assert_eq!(results[0], Ok(Answer::Connected(true)), "grid is connected");
 /// let mut one = Ledger::new(16);
 /// for &q in &batch {
-///     server.answer_one(&mut one, q);
+///     assert!(server.try_answer_one(&mut one, q).is_ok());
 /// }
 /// let expect_reads = one.costs().asym_reads + batch.len() as u64 * QUERY_WORDS;
 /// let expect_ops = one.costs().sym_ops + shard_chunks(batch.len(), 3) as u64 - 1;
@@ -384,64 +387,37 @@ where
     }
 
     /// Answer one query exactly as a shard worker would, minus the batch
-    /// input-scan read ([`QUERY_WORDS`]) and scheduler bookkeeping.
+    /// input-scan read ([`QUERY_WORDS`]) and scheduler bookkeeping, or
+    /// return [`ServeError::UnsupportedQuery`] when a biconnectivity-class
+    /// query reaches a server without a biconnectivity oracle. The
+    /// rejection charges nothing: it is decided before any oracle work.
     ///
     /// Predicate keys are built with the **caller's** endpoint order (raw
     /// variants, not the canonicalizing constructors), so the charge
     /// sequence matches a direct oracle call with the same arguments —
     /// canonical-order answering belongs to the cache-miss path.
-    ///
-    /// # Panics
-    /// On 2-edge-connectivity / biconnectivity queries when the server was
-    /// built without [`ShardedServer::with_biconnectivity`].
-    pub fn answer_one(&self, led: &mut Ledger, q: Query) -> Answer {
-        match q {
+    pub fn try_answer_one(&self, led: &mut Ledger, q: Query) -> ServeResult {
+        // The identity epoch resolves every id for free.
+        self.try_answer_one_in(led, OverlayStore::new().view(0), q)
+    }
+
+    /// [`ShardedServer::try_answer_one`] against an epoch snapshot:
+    /// connectivity answers resolve through `overlay` (charging
+    /// [`OverlayView::canonical`]'s lookup per resolution; an identity
+    /// epoch charges nothing, keeping the read-only path bit-identical).
+    /// Predicate queries answer **base graph** semantics unchanged — the
+    /// insertion-only mutation model does not re-derive biconnectivity, a
+    /// documented limitation.
+    pub fn try_answer_one_in(
+        &self,
+        led: &mut Ledger,
+        overlay: OverlayView<'_>,
+        q: Query,
+    ) -> ServeResult {
+        Ok(match q {
             Query::Connected(u, v) => {
                 // Two component resolutions; the comparison is free, as in
                 // ConnQueryHandle::component_pair.
-                let a = self.conn.answer_key(led, u);
-                let b = self.conn.answer_key(led, v);
-                Answer::Connected(a == b)
-            }
-            Query::Component(v) => Answer::Component(self.conn.answer_key(led, v)),
-            Query::TwoEdgeConnected(u, v) => Answer::TwoEdgeConnected(
-                self.bicon
-                    .answer_key(led, BiconnQueryKey::TwoEdgeConnected(u, v)),
-            ),
-            Query::Biconnected(u, v) => Answer::Biconnected(
-                self.bicon
-                    .answer_key(led, BiconnQueryKey::Biconnected(u, v)),
-            ),
-        }
-    }
-
-    /// Answer one query like [`ShardedServer::answer_one`], but return a
-    /// typed [`ServeError::UnsupportedQuery`] instead of panicking when a
-    /// biconnectivity-class query reaches a server without a
-    /// biconnectivity oracle. The unsupported path charges nothing (the
-    /// query is rejected before any oracle work); the supported paths
-    /// charge identically to `answer_one`.
-    pub fn try_answer_one(&self, led: &mut Ledger, q: Query) -> ServeResult {
-        match q {
-            Query::TwoEdgeConnected(..) | Query::Biconnected(..) if !self.bicon.attached() => {
-                Err(ServeError::UnsupportedQuery(q))
-            }
-            _ => Ok(self.answer_one(led, q)),
-        }
-    }
-
-    /// [`ShardedServer::answer_one`] against an epoch snapshot:
-    /// connectivity answers resolve through `overlay` (charging
-    /// [`OverlayView::canonical`]'s lookup per resolution; an identity
-    /// epoch charges nothing, keeping the read-only path bit-identical). Predicate queries answer **base
-    /// graph** semantics unchanged — the insertion-only mutation model
-    /// does not re-derive biconnectivity, a documented limitation.
-    ///
-    /// # Panics
-    /// As [`ShardedServer::answer_one`].
-    pub fn answer_one_in(&self, led: &mut Ledger, overlay: OverlayView<'_>, q: Query) -> Answer {
-        match q {
-            Query::Connected(u, v) => {
                 let a = self.conn.answer_key(led, u);
                 let a = overlay.canonical(led, a);
                 let b = self.conn.answer_key(led, v);
@@ -452,47 +428,39 @@ where
                 let id = self.conn.answer_key(led, v);
                 Answer::Component(overlay.canonical(led, id))
             }
-            Query::TwoEdgeConnected(..) | Query::Biconnected(..) => self.answer_one(led, q),
-        }
-    }
-
-    /// [`ShardedServer::try_answer_one`] against an epoch snapshot; see
-    /// [`ShardedServer::answer_one_in`] for the overlay semantics.
-    pub fn try_answer_one_in(
-        &self,
-        led: &mut Ledger,
-        overlay: OverlayView<'_>,
-        q: Query,
-    ) -> ServeResult {
-        match q {
             Query::TwoEdgeConnected(..) | Query::Biconnected(..) if !self.bicon.attached() => {
-                Err(ServeError::UnsupportedQuery(q))
+                return Err(ServeError::UnsupportedQuery(q));
             }
-            _ => Ok(self.answer_one_in(led, overlay, q)),
-        }
+            Query::TwoEdgeConnected(u, v) => Answer::TwoEdgeConnected(
+                self.bicon
+                    .answer_key(led, BiconnQueryKey::TwoEdgeConnected(u, v)),
+            ),
+            Query::Biconnected(u, v) => Answer::Biconnected(
+                self.bicon
+                    .answer_key(led, BiconnQueryKey::Biconnected(u, v)),
+            ),
+        })
     }
 
     /// Serve a batch: partition it into [`shard_chunks`]`(batch.len(),
     /// shards)` contiguous chunks, answer every chunk on its own ledger
     /// scope (in parallel when `led` is parallel; the scheduler may run
     /// several chunks per forked task on thread-starved machines without
-    /// changing any charge), and return the answers in input order.
-    ///
-    /// # Panics
-    /// As [`ShardedServer::answer_one`], if the batch contains
-    /// biconnectivity-class queries and no biconnectivity oracle is
-    /// attached.
-    pub fn serve(&self, led: &mut Ledger, batch: &[Query]) -> Vec<Answer> {
+    /// changing any charge), and return the results in input order. A
+    /// predicate query on a server without a biconnectivity oracle
+    /// yields [`ServeError::UnsupportedQuery`] and charges only its share
+    /// of the input scan.
+    pub fn serve(&self, led: &mut Ledger, batch: &[Query]) -> Vec<ServeResult> {
         if batch.is_empty() {
             return Vec::new();
         }
         let grain = batch.len().div_ceil(self.shards);
-        let parts: Vec<Vec<Answer>> = led.scoped_par(batch.len(), grain, &|r, scope| {
+        let parts: Vec<Vec<ServeResult>> = led.scoped_par(batch.len(), grain, &|r, scope| {
             // The shard's input scan as one bulk charge.
             scope.read(r.len() as u64 * QUERY_WORDS);
             let mut out = Vec::with_capacity(r.len());
             for &q in &batch[r] {
-                out.push(self.answer_one(scope.ledger(), q));
+                out.push(self.try_answer_one(scope.ledger(), q));
             }
             out
         });
@@ -523,7 +491,7 @@ mod tests {
         ])
     }
 
-    fn serve_all(shards: usize, parallel: bool) -> (Vec<Answer>, Costs, u64) {
+    fn serve_all(shards: usize, parallel: bool) -> (Vec<ServeResult>, Costs, u64) {
         let g = build_graph();
         let n = g.n();
         let pri = Priorities::random(n, 5);
@@ -574,7 +542,7 @@ mod tests {
             let mut one = Ledger::new(OMEGA);
             assert_eq!(
                 got[i],
-                Answer::Connected(handle.connected(&mut one, u, v)),
+                Ok(Answer::Connected(handle.connected(&mut one, u, v))),
                 "answer {i} out of order or wrong"
             );
         }
@@ -648,15 +616,15 @@ mod tests {
         let w0 = qled.costs().asym_writes;
         for (q, a) in batch.iter().zip(&answers) {
             let mut one = Ledger::new(OMEGA);
-            assert_eq!(*a, server.answer_one(&mut one, *q));
+            assert_eq!(*a, server.try_answer_one(&mut one, *q));
+            assert!(a.is_ok());
             assert_eq!(one.costs().asym_writes, 0, "queries must not write");
         }
         assert_eq!(qled.costs().asym_writes, w0, "serving must not write");
     }
 
     #[test]
-    #[should_panic(expected = "without a biconnectivity oracle")]
-    fn biconnectivity_query_without_oracle_panics() {
+    fn serve_types_predicates_without_an_oracle() {
         let g = gen::grid(3, 3);
         let pri = Priorities::random(9, 1);
         let verts: Vec<Vertex> = (0..9).collect();
@@ -664,8 +632,31 @@ mod tests {
         let oracle =
             ConnectivityOracle::build(&mut led, &g, &pri, &verts, 2, 1, OracleBuildOpts::default());
         let server = ShardedServer::new(oracle.query_handle(), 2);
+        let batch = [
+            Query::Biconnected(0, 5),
+            Query::Connected(0, 8),
+            Query::TwoEdgeConnected(1, 2),
+            Query::Component(4),
+        ];
         let mut qled = Ledger::new(OMEGA);
-        let _ = server.serve(&mut qled, &[Query::Biconnected(0, 5)]);
+        let got = server.serve(&mut qled, &batch);
+        let mut one = Ledger::new(OMEGA);
+        for (&q, r) in batch.iter().zip(&got) {
+            match q {
+                Query::TwoEdgeConnected(..) | Query::Biconnected(..) => {
+                    assert_eq!(*r, Err(ServeError::UnsupportedQuery(q)));
+                }
+                _ => {
+                    assert!(r.is_ok(), "{q:?} still answers");
+                    assert_eq!(*r, server.try_answer_one(&mut one, q));
+                }
+            }
+        }
+        // Rejections charge only their share of the input scan.
+        let mut expect = one.costs();
+        expect.asym_reads += batch.len() as u64 * QUERY_WORDS;
+        expect.sym_ops += shard_chunks(batch.len(), 2) as u64 - 1;
+        assert_eq!(qled.costs(), expect);
     }
 
     #[test]
@@ -682,7 +673,7 @@ mod tests {
         assert_eq!(
             server.try_answer_one(&mut qled, q),
             Err(ServeError::UnsupportedQuery(q)),
-            "typed rejection instead of the answer_one panic"
+            "typed rejection"
         );
         assert_eq!(qled.costs(), Costs::ZERO, "rejection charges nothing");
         assert_eq!(

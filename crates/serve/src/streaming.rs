@@ -139,6 +139,9 @@
 //! * **open breakers** — the degraded routing of the fault-recovery
 //!   section below partitions contiguously over the surviving shards.
 //!
+//! Routing only chooses the `(shard, group)` pairs; one executor serves
+//! every pair as one accounting chunk of a single `scoped_par` pass.
+//!
 //! ## Eviction: what happens when a cache is full
 //!
 //! Full caches evict by deterministic CLOCK (second-chance): every
@@ -186,10 +189,9 @@
 //!    `shard_chunks(n, s) − 1` unit operations and `⌈log₂ chunks⌉`
 //!    depth.
 //!
-//! Probe/hit/miss/insert/evict charges are tallied per shard through
-//! [`wec_asym::CacheTally`] and flushed once per shard per dispatch, which
-//! charges exactly what the per-item calls would have (the tally's linear
-//! deferral contract).
+//! The serving shard charges items 2–5 inline on its own chunk's ledger
+//! scope as it scans, probes, answers and fills; the cache itself keeps
+//! only its hit/miss/insert/eviction counters.
 //!
 //! Because routing, grouping, and the merge all run in deterministic
 //! orders, the total `Costs`, depth, and symmetric-memory peak of any
@@ -231,8 +233,8 @@
 //! ### The recovery cost contract
 //!
 //! A failed shard attempt charges **nothing**: injected faults fire
-//! before the chunk makes any charge, and a quarantined cache drops its
-//! un-flushed tally. Recovery then charges, sequentially on the
+//! before the chunk's input scan and first probe, so the chunk has made
+//! no charge when it unwinds. Recovery then charges, sequentially on the
 //! dispatching ledger, exactly:
 //!
 //! 1. the backoff ladder — attempt `a` (1-based, at most
@@ -242,8 +244,8 @@
 //!    terminates;
 //! 2. per affected query, [`super::QUERY_WORDS`] asymmetric reads (the
 //!    re-scan) plus the full **uncached** one-by-one cost of
-//!    [`super::ShardedServer::try_answer_one`] — the degraded path
-//!    bypasses the (now cold) cache entirely.
+//!    [`super::ShardedServer::try_answer_one_in`] at the query's own
+//!    epoch — the degraded path bypasses the (now cold) cache entirely.
 //!
 //! Deterministic fault *injection* ([`crate::FaultPlan`]) is carried as
 //! an `Option` and consulted only when a plan with raised knobs is
@@ -1232,22 +1234,16 @@ where
         }
     }
 
-    /// Serve one micro-batch, parking results in the reorder buffer.
-    /// Healthy routing is affinity with the skew fallback (contiguous at
-    /// cache capacity 0); with any circuit breaker open, the batch
-    /// partitions contiguously over the surviving shards instead. Every
-    /// shard chunk runs behind a panic-isolation boundary; failed chunks
-    /// are recovered through [`StreamingServer::recover_group`].
-    fn dispatch(&mut self, led: &mut Ledger, batch: &[Entry]) {
-        self.dispatch_seq += 1;
-        let seq = self.dispatch_seq;
+    /// Choose the `(shard, group)` pairs one micro-batch is served as.
+    /// Affinity groups — exactly `s` of them, empty ones included, after
+    /// the charged routing scan — when every breaker is closed and the
+    /// cache is on. Otherwise `⌈n/|map|⌉`-sized contiguous chunks, chunk
+    /// `i` served by `map[i]`: the identity map at cache capacity 0 or on
+    /// the skew fallback (whose routing scan stays charged), the
+    /// surviving shards while any breaker is open.
+    fn route(&mut self, led: &mut Ledger, batch: &[Entry], seq: u64) -> Vec<(usize, Vec<Entry>)> {
         let n = batch.len();
         let s = self.server.shards();
-        // Entries submitted under an older epoch dispatch as stragglers:
-        // answered at their own retained epoch, uncached.
-        let current_epoch = self.epochs.current();
-        self.epochs.stats.straggler_answers +=
-            batch.iter().filter(|e| e.epoch != current_epoch).count() as u64;
         // Breaker maintenance: cooled-down shards re-enter as probes.
         if self.recovery.breaker_threshold > 0 {
             for h in &mut self.health {
@@ -1259,112 +1255,82 @@ where
                 }
             }
         }
-        let mut healthy: Vec<usize> = (0..s)
+        let mut map: Vec<usize> = (0..s)
             .filter(|&i| self.health[i].state != BreakerState::Open)
             .collect();
-        if healthy.len() < s {
-            if healthy.is_empty() {
-                // Every breaker is open: rather than deadlock, probe the
-                // whole fleet at once (recovery suppresses injection on
-                // final retries, so progress is guaranteed regardless).
-                for h in &mut self.health {
-                    h.state = BreakerState::HalfOpen;
-                    self.robust.half_open_probes += 1;
-                }
-                healthy = (0..s).collect();
+        // Decided before the all-open promotion below, which routes
+        // contiguously over the whole fleet.
+        let affinity = map.len() == s && self.policy.cache_capacity > 0;
+        if map.is_empty() {
+            // Every breaker is open: rather than deadlock, probe the
+            // whole fleet at once (recovery suppresses injection on
+            // final retries, so progress is guaranteed regardless).
+            for h in &mut self.health {
+                h.state = BreakerState::HalfOpen;
+                self.robust.half_open_probes += 1;
             }
-            self.dispatch_mapped(led, batch, &healthy, seq);
-            return;
+            map = (0..s).collect();
         }
-        if self.policy.cache_capacity == 0 {
-            let all: Vec<usize> = (0..s).collect();
-            self.dispatch_mapped(led, batch, &all, seq);
-            return;
-        }
-        // The routing scan: hash every query's canonical key once.
-        led.op(n as u64 * ROUTE_HASH_OPS);
-        let mut groups: Vec<Vec<Entry>> = (0..s).map(|_| Vec::new()).collect();
-        for &e in batch {
-            groups[self.owner_shard(e.q)].push(e);
-        }
-        let max_group = groups.iter().map(Vec::len).max().unwrap_or(0);
-        if max_group > self.policy.skew_factor as usize * n.div_ceil(s) {
+        if affinity {
+            // The routing scan: hash every query's canonical key once.
+            led.op(n as u64 * ROUTE_HASH_OPS);
+            let mut groups: Vec<(usize, Vec<Entry>)> = (0..s).map(|i| (i, Vec::new())).collect();
+            for &e in batch {
+                groups[self.owner_shard(e.q)].1.push(e);
+            }
+            let max_group = groups.iter().map(|(_, g)| g.len()).max().unwrap_or(0);
+            if max_group <= self.policy.skew_factor as usize * n.div_ceil(s) {
+                return groups;
+            }
             // Rebalancing fallback: this batch's keys are skewed past the
             // policy threshold, so affinity would serialize on one shard.
             // The routing ops above stay charged; everything else reverts
             // to the contiguous formula.
-            let all: Vec<usize> = (0..s).collect();
-            self.dispatch_mapped(led, batch, &all, seq);
-            return;
         }
-        let (server, caches, epochs) = (&self.server, &self.caches, &self.epochs);
-        let cap = self.policy.cache_capacity;
-        let fault = self.fault.filter(|f| f.injects_anything());
-        // Exactly s accounting chunks, chunk i = shard i serving its own
-        // group (execution may batch several shards per task on few-thread
-        // machines; each shard still runs under its own scope and lock, so
-        // hit/miss patterns and charges are unaffected).
-        let parts: Vec<ChunkOutcome> = led.scoped_par(s, 1, &|r, scope| {
-            let shard = r.start;
-            run_chunk(
-                server,
-                scope,
-                &caches[shard],
-                &groups[shard],
-                cap,
-                fault,
-                seq,
-                shard,
-                epochs,
-            )
-        });
-        for (shard, outcome) in parts.into_iter().enumerate() {
-            match outcome {
-                ChunkOutcome::Done(out) => {
-                    let served = out.len();
-                    for (t, r) in out {
-                        self.park(t, r);
-                    }
-                    self.note_success(shard, served);
-                }
-                ChunkOutcome::Panicked => {
-                    let group = std::mem::take(&mut groups[shard]);
-                    self.recover_group(led, seq, shard, &group);
-                }
-            }
-        }
+        let grain = n.div_ceil(map.len());
+        batch
+            .chunks(grain)
+            .zip(map)
+            .map(|(chunk, shard)| (shard, chunk.to_vec()))
+            .collect()
     }
 
-    /// Contiguous dispatch over an explicit shard map: the batch splits
-    /// into `⌈n/|map|⌉`-grained chunks and chunk `i` is served by shard
-    /// `map[i]` against cache `map[i]`. With the identity map this is
-    /// the contiguous partition (cache bypassed at capacity 0);
-    /// with a surviving-shards map it is the breaker's degraded routing.
-    fn dispatch_mapped(&mut self, led: &mut Ledger, batch: &[Entry], map: &[usize], seq: u64) {
-        let n = batch.len();
-        let grain = n.div_ceil(map.len());
+    /// Serve one micro-batch, parking results in the reorder buffer: the
+    /// groups [`StreamingServer::route`] chooses run as one accounting
+    /// chunk each, every chunk behind a panic-isolation boundary; failed
+    /// chunks are recovered through [`StreamingServer::recover_group`].
+    fn dispatch(&mut self, led: &mut Ledger, batch: &[Entry]) {
+        self.dispatch_seq += 1;
+        let seq = self.dispatch_seq;
+        // Entries submitted under an older epoch dispatch as stragglers:
+        // answered at their own retained epoch, uncached.
+        let current_epoch = self.epochs.current();
+        self.epochs.stats.straggler_answers +=
+            batch.iter().filter(|e| e.epoch != current_epoch).count() as u64;
+        let groups = self.route(led, batch, seq);
         let (server, caches, epochs) = (&self.server, &self.caches, &self.epochs);
         let cap = self.policy.cache_capacity;
         let fault = self.fault.filter(|f| f.injects_anything());
-        let parts: Vec<ChunkOutcome> = led.scoped_par(n, grain, &|r, scope| {
-            // Chunk i is shard map[i]: this worker is the only one
-            // touching that cache, so the lock never contends and
-            // hit/miss patterns stay schedule-independent.
-            let shard = map[r.start / grain];
+        // One accounting chunk per group, served by its own shard against
+        // its own cache: that worker is the only one touching the cache,
+        // so the lock never contends and hit/miss patterns stay
+        // schedule-independent. (Execution may batch several groups per
+        // task on few-thread machines without changing any charge.)
+        let parts: Vec<ChunkOutcome> = led.scoped_par(groups.len(), 1, &|r, scope| {
+            let (shard, group) = &groups[r.start];
             run_chunk(
                 server,
                 scope,
-                &caches[shard],
-                &batch[r],
+                &caches[*shard],
+                group,
                 cap,
                 fault,
                 seq,
-                shard,
+                *shard,
                 epochs,
             )
         });
-        for (i, outcome) in parts.into_iter().enumerate() {
-            let shard = map[i];
+        for ((shard, group), outcome) in groups.into_iter().zip(parts) {
             match outcome {
                 ChunkOutcome::Done(out) => {
                     let served = out.len();
@@ -1373,12 +1339,7 @@ where
                     }
                     self.note_success(shard, served);
                 }
-                ChunkOutcome::Panicked => {
-                    let lo = i * grain;
-                    let hi = ((i + 1) * grain).min(n);
-                    let group: Vec<Entry> = batch[lo..hi].to_vec();
-                    self.recover_group(led, seq, shard, &group);
-                }
+                ChunkOutcome::Panicked => self.recover_group(led, seq, shard, &group),
             }
         }
     }
@@ -1554,7 +1515,6 @@ where
             };
             out.push((e.ticket, r));
         }
-        cache.tally.flush(scope.ledger());
         out
     }));
     match ran {
@@ -1669,7 +1629,7 @@ fn memo_component<C>(
 where
     C: OracleHandle<Key = Vertex, Answer = ComponentId>,
 {
-    if let Some(hit) = cache.probe(CacheKey::Comp(v)) {
+    if let Some(hit) = cache.probe(led, CacheKey::Comp(v)) {
         let CacheVal::Comp(id) = hit else {
             unreachable!("component key holds a component value")
         };
@@ -1677,7 +1637,7 @@ where
     }
     let id = conn.answer_key(led, v);
     let id = overlay.canonical(led, id);
-    cache.fill(CacheKey::Comp(v), CacheVal::Comp(id), capacity);
+    cache.fill(led, CacheKey::Comp(v), CacheVal::Comp(id), capacity);
     id
 }
 
@@ -1691,14 +1651,14 @@ fn memo_pred<B>(
 where
     B: OracleHandle<Key = BiconnQueryKey, Answer = bool>,
 {
-    if let Some(hit) = cache.probe(CacheKey::Pred(key)) {
+    if let Some(hit) = cache.probe(led, CacheKey::Pred(key)) {
         let CacheVal::Pred(ans) = hit else {
             unreachable!("predicate key holds a predicate value")
         };
         return ans;
     }
     let ans = bicon.answer_key(led, key);
-    cache.fill(CacheKey::Pred(key), CacheVal::Pred(ans), capacity);
+    cache.fill(led, CacheKey::Pred(key), CacheVal::Pred(ans), capacity);
     ans
 }
 

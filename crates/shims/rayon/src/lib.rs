@@ -897,8 +897,9 @@ mod tests {
         // left, keeping ~DEPTH jobs outstanding at once — far past
         // DEQUE_CAPACITY. To make the overflow deterministic the 6 other
         // workers are pinned in spin jobs first (idle thieves would drain
-        // the tiny jobs as fast as the chain pushes them), so the chain's
-        // worker must reroute the excess to the injector.
+        // the tiny jobs as fast as the chain pushes them), and the chain
+        // starts only once all 6 spinners run on pool workers, so the
+        // chain's worker must reroute the excess to the injector.
         const DEPTH: usize = 3 * DEQUE_CAPACITY;
         const WORKERS: usize = 7; // WEC_THREADS(8) − 1
         fn chain(depth: usize, acc: &AtomicUsize) {
@@ -931,8 +932,15 @@ mod tests {
                 },
             );
         }
+        fn on_pool_worker() -> bool {
+            thread::current()
+                .name()
+                .unwrap_or("")
+                .starts_with("wec-rayon-")
+        }
         let _serial = stats_test_guard();
         let release = AtomicBool::new(false);
+        let pinned = AtomicUsize::new(0);
         let on_worker = AtomicBool::new(false);
         let acc = AtomicUsize::new(0);
         let before = scheduler_stats();
@@ -940,18 +948,29 @@ mod tests {
             for _ in 0..WORKERS - 1 {
                 s.spawn(|| {
                     run_remote(|| {
+                        if on_pool_worker() {
+                            pinned.fetch_add(1, Ordering::AcqRel);
+                        }
                         while !release.load(Ordering::Acquire) {
                             std::hint::spin_loop();
                         }
                     });
                 });
             }
+            let t0 = Instant::now();
+            while pinned.load(Ordering::Acquire) < WORKERS - 1 {
+                if t0.elapsed() > Duration::from_secs(5) {
+                    release.store(true, Ordering::Release);
+                    panic!(
+                        "only {} of {} spinners pinned on pool workers within 5 s",
+                        pinned.load(Ordering::Acquire),
+                        WORKERS - 1
+                    );
+                }
+                thread::yield_now();
+            }
             run_remote(|| {
-                if thread::current()
-                    .name()
-                    .unwrap_or("")
-                    .starts_with("wec-rayon-")
-                {
+                if on_pool_worker() {
                     on_worker.store(true, Ordering::Release);
                 }
                 chain(DEPTH, &acc);

@@ -430,7 +430,7 @@ fn capacity_one_churns_in_place_and_stays_correct() {
         let mut one = Ledger::new(OMEGA);
         assert_eq!(
             a.unwrap(),
-            server1.answer_one(&mut one, stream[i]),
+            server1.try_answer_one(&mut one, stream[i]).unwrap(),
             "answer {i}"
         );
     }

@@ -26,6 +26,10 @@
 //!    fault-free reference;
 //! 8. the op-budget admission knob sizes micro-batches by the documented
 //!    `query_work_estimate` formula.
+//! 9. the breaker-degraded route is priced exactly: with one breaker
+//!    open, a dispatch over the surviving shards answers and charges
+//!    exactly what a survivors-count `ShardedServer::serve` of the same
+//!    batch does — same answers, `Costs` and depth.
 //!
 //! CI runs this file under `WEC_THREADS ∈ {1, 2, 8, 16}`: every charge
 //! and every fault decision must be schedule-independent.
@@ -370,6 +374,76 @@ fn breaker_trips_excludes_and_reprobes_a_dead_shard() {
         stats.shards_quarantined,
         srv.dispatches()
     );
+}
+
+/// The degraded route partitions contiguously over the survivors: at
+/// capacity 0, with shard 0's breaker open, a 4-shard dispatch must equal
+/// a 3-shard `serve` of the same batch. Size 4 yields 2 chunks of grain 2
+/// for 3 survivors, so a router emitting one chunk per survivor shows up
+/// as one extra bookkeeping op.
+#[test]
+fn breaker_degraded_route_charges_a_survivors_serve() {
+    silence_panics();
+    let g = test_graph();
+    let n = g.n() as u32;
+    let pri = Priorities::random(n as usize, 11);
+    let verts: Vec<Vertex> = (0..n).collect();
+    let (conn, bicon) = build_oracles(&g, &pri, &verts);
+    for len in [4usize, 29] {
+        // All four query kinds, round-robin.
+        let batch: Vec<Query> = (0..len as u32)
+            .map(|i| {
+                let (a, b) = ((i * 7919) % n, (i * 104_729 + 13) % n);
+                match i % 4 {
+                    0 => Query::Connected(a, b),
+                    1 => Query::Component(a),
+                    2 => Query::TwoEdgeConnected(a, b),
+                    _ => Query::Biconnected(a, b),
+                }
+            })
+            .collect();
+        let policy = AdmissionPolicy::builder()
+            .max_batch(len)
+            .max_queue(len + 1)
+            .cache_capacity(0)
+            .build();
+        let recovery = RecoveryPolicy::default()
+            .with_breaker_threshold(1)
+            .with_breaker_cooldown(1_000);
+        let plan = FaultPlan::seeded(7)
+            .with_panic_per_mille(1000)
+            .with_target_shard(0);
+        let mut srv = streaming_server(&conn, &bicon, policy)
+            .with_recovery(recovery)
+            .with_fault_plan(plan);
+
+        // Dispatch 1 trips shard 0's breaker.
+        let mut led = Ledger::new(OMEGA);
+        for &q in &batch {
+            srv.submit(&mut led, q).unwrap();
+        }
+        srv.drain(&mut led);
+        assert_in_order(&srv.take_ready(), len);
+        assert_eq!(srv.shard_health(0).state, BreakerState::Open, "len {len}");
+
+        // Dispatch 2 routes around it, on a fresh ledger.
+        let mut led = Ledger::new(OMEGA);
+        for &q in &batch {
+            srv.submit(&mut led, q).unwrap();
+        }
+        srv.drain(&mut led);
+        let got: Vec<ServeResult> = srv.take_ready().into_iter().map(|(_, r)| r).collect();
+        assert_eq!(srv.robustness_stats().shards_quarantined, 1, "len {len}");
+
+        let survivors = ShardedServer::new(conn.query_handle(), SHARDS - 1)
+            .with_biconnectivity(bicon.query_handle());
+        let mut expect = Ledger::new(OMEGA);
+        let want = survivors.serve(&mut expect, &batch);
+        assert!(want.iter().all(Result::is_ok));
+        assert_eq!(got, want, "answers (len {len})");
+        assert_eq!(led.costs(), expect.costs(), "costs (len {len})");
+        assert_eq!(led.depth(), expect.depth(), "depth (len {len})");
+    }
 }
 
 /// An intermittently-failing shard is eventually restored: some half-open

@@ -196,14 +196,14 @@ fn star_handle_drops_into_sharded_serving() {
         let truth = uf_labels(&g);
         for (q, a) in batch.iter().zip(&par.0) {
             match (*q, *a) {
-                (Query::Connected(u, v), Answer::Connected(c)) => {
+                (Query::Connected(u, v), Ok(Answer::Connected(c))) => {
                     assert_eq!(
                         c,
                         truth[u as usize] == truth[v as usize],
                         "connected({u},{v}) shards={shards}"
                     );
                 }
-                (Query::Component(u), Answer::Component(id)) => {
+                (Query::Component(u), Ok(Answer::Component(id))) => {
                     let mut one = Ledger::new(OMEGA);
                     assert_eq!(id, star.component(&mut one, u), "component({u})");
                 }

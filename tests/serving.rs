@@ -21,7 +21,7 @@ use wec::biconnectivity::BiconnectivityOracle;
 use wec::connectivity::{ConnectivityOracle, OracleBuildOpts};
 use wec::core::BuildOpts;
 use wec::graph::{gen, Csr, Priorities, Vertex};
-use wec::serve::{shard_chunks, Answer, Query, ShardedServer, QUERY_WORDS};
+use wec::serve::{shard_chunks, Answer, Query, ServeResult, ShardedServer, QUERY_WORDS};
 
 const OMEGA: u64 = 64;
 const SHARD_COUNTS: [usize; 3] = [1, 2, 7];
@@ -81,10 +81,14 @@ fn randomized_batches_equal_one_by_one_answers_and_sequential_costs() {
         let server1 =
             ShardedServer::new(conn.query_handle(), 1).with_biconnectivity(bicon.query_handle());
         let mut one_led = Ledger::new(OMEGA);
-        let expected: Vec<Answer> = batch
+        let expected: Vec<ServeResult> = batch
             .iter()
-            .map(|&q| server1.answer_one(&mut one_led, q))
+            .map(|&q| server1.try_answer_one(&mut one_led, q))
             .collect();
+        assert!(
+            expected.iter().all(Result::is_ok),
+            "every kind is supported"
+        );
         let one_by_one = one_led.costs();
 
         for shards in SHARD_COUNTS {
@@ -155,7 +159,7 @@ fn component_ids_consistent_between_serving_and_oracle() {
         let mut one = Ledger::new(OMEGA);
         assert_eq!(
             answers[v as usize],
-            Answer::Component(conn.component(&mut one, v)),
+            Ok(Answer::Component(conn.component(&mut one, v))),
             "component of {v}"
         );
     }

@@ -195,7 +195,7 @@ fn answers_in_submission_order_and_match_one_by_one() {
         let mut one = Ledger::new(OMEGA);
         assert_eq!(
             a.unwrap(),
-            server1.answer_one(&mut one, stream[i]),
+            server1.try_answer_one(&mut one, stream[i]).unwrap(),
             "cached answer differs from the oracle at {i} ({:?})",
             stream[i]
         );
@@ -479,7 +479,7 @@ fn tiny_capacity_bounds_fills_but_not_correctness() {
         let mut one = Ledger::new(OMEGA);
         assert_eq!(
             a.unwrap(),
-            server1.answer_one(&mut one, stream[i]),
+            server1.try_answer_one(&mut one, stream[i]).unwrap(),
             "answer {i}"
         );
     }
