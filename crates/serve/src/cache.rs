@@ -53,7 +53,14 @@ struct Slot {
 /// hand, and its cumulative counters. Only the owning shard's worker
 /// ever touches it, and only for the duration of its own chunk, charging
 /// that chunk's ledger at each call.
+///
+/// Cache-line padded: the shards' caches sit side by side in one `Vec`,
+/// and workers serving neighbouring shards write their counters, CLOCK
+/// hands and index headers concurrently. Unpadded, which fields share a line depends on the
+/// heap offset the `Vec` happens to get, so the false sharing (and the
+/// serving latency) changed from one process to the next.
 #[derive(Debug, Default)]
+#[repr(align(128))]
 pub(crate) struct ShardCache {
     index: FxHashMap<CacheKey, usize>,
     slots: Vec<Slot>,
