@@ -118,9 +118,10 @@ impl EpochTracker {
     }
 
     /// Retire the old epochs delivery has fully passed: the oldest
-    /// retained epoch retires once `next_deliver` reaches its boundary.
-    pub(crate) fn prune(&mut self, next_deliver: u64) {
-        while self.ends.front().is_some_and(|&end| next_deliver >= end) {
+    /// retained epoch retires once the delivery `floor` (the oldest
+    /// undelivered ticket) reaches its boundary.
+    pub(crate) fn prune(&mut self, floor: u64) {
+        while self.ends.front().is_some_and(|&end| floor >= end) {
             self.ends.pop_front();
             self.store.retire_oldest();
             self.stats.retired_overlays += 1;

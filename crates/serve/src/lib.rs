@@ -105,9 +105,8 @@ pub use epoch::EpochStats;
 pub use fault::{BreakerState, FaultPlan, RecoveryPolicy, RobustnessStats, ShardHealth};
 pub use handle::{DeltaOracle, NoBiconn, OracleHandle};
 pub use streaming::{
-    query_work_estimate, AdmissionPolicy, AdmissionPolicyBuilder, CacheStats, Overflow,
-    StreamingServer, Ticket, CACHE_INSERT_WRITES, CACHE_PROBE_READS, CLOCK_SWEEP_OPS,
-    CLOCK_TOUCH_OPS, ROUTE_HASH_OPS,
+    AdmissionPolicy, AdmissionPolicyBuilder, CacheStats, Overflow, StreamingServer, Ticket,
+    CACHE_INSERT_WRITES, CACHE_PROBE_READS, CLOCK_SWEEP_OPS, CLOCK_TOUCH_OPS, ROUTE_HASH_OPS,
 };
 pub use tenant::{FairShare, TenancyStats, TenantId, TenantSpec, TenantStats};
 pub use wire::{

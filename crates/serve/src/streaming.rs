@@ -27,12 +27,12 @@
 //!
 //! ## Tenancy and fair-share composition
 //!
-//! Registering tenants on the builder
-//! ([`AdmissionPolicyBuilder::tenant`]) activates multi-tenant admission;
-//! with no tenants registered and [`FairShare::Fifo`] composition (the
-//! defaults) the tenancy machinery is completely inert and the server
-//! executes the exact pre-tenancy charge sequence (pinned by
-//! `costs_golden.json`). When active:
+//! The server admits through one table: a slot per tenant registered on
+//! the builder ([`AdmissionPolicyBuilder::tenant`]), in registration
+//! order, or one implicit [`TenantId::DEFAULT`] slot when none is, so
+//! submission, composition and delivery run one code path. Registering
+//! tenants switches on the tenant-facing contract; with none, nothing of
+//! it is charged or visible (pinned by `costs_golden.json`):
 //!
 //! * [`StreamingServer::submit_as`] names the submitting [`TenantId`]
 //!   (plain [`StreamingServer::submit`] maps to [`TenantId::DEFAULT`]).
@@ -42,25 +42,28 @@
 //!   sits at its [`TenantSpec::quota`] with
 //!   [`crate::ServeError::QuotaExceeded`] — both before a ticket is
 //!   issued, so rejections never perturb delivery order.
-//! * Under [`FairShare::DeficitRoundRobin`] each tenant has its own
-//!   submission queue and micro-batches are composed by deficit round
-//!   robin: every composition round credits each backlogged tenant
-//!   `weight` deficit (visiting it charges [`DRR_VISIT_OPS`]
-//!   unit operations on the flushing ledger) and takes its oldest
-//!   queries while deficit lasts, so sustained dispatch divides
-//!   proportionally to weight regardless of arrival skew. A tenant whose
-//!   queue empties forfeits its remaining deficit. The visit sequence —
-//!   and therefore every charge — is a pure function of the submission
-//!   sequence, bit-identical across `WEC_THREADS`.
-//! * In-order delivery becomes **per tenant**: [`StreamingServer::try_next`]
-//!   yields the smallest deliverable ticket whose tenant has no older
-//!   undelivered ticket, so each tenant observes its own submission order
-//!   while no tenant's backlog can block another tenant's answers.
-//!   (Single-tenant/inactive servers keep the global submission order —
-//!   the two coincide.)
+//! * Per-tenant counters surface through [`StreamingServer::tenant_stats`]
+//!   and the aggregate [`crate::TenancyStats`] snapshot; the implicit
+//!   slot never does.
 //!
-//! Per-tenant counters surface through [`StreamingServer::tenant_stats`]
-//! and the aggregate [`crate::TenancyStats`] snapshot.
+//! [`FairShare`] picks only the order micro-batches are composed in:
+//!
+//! * [`FairShare::Fifo`] takes the oldest submissions across all slots,
+//!   so a single slot is plain FIFO;
+//! * under [`FairShare::DeficitRoundRobin`] every composition round
+//!   credits each backlogged tenant `weight` deficit (visiting it charges
+//!   [`DRR_VISIT_OPS`] unit operations on the flushing ledger) and takes
+//!   its oldest queries while deficit lasts, so sustained dispatch
+//!   divides proportionally to weight regardless of arrival skew. A
+//!   tenant whose queue empties forfeits its remaining deficit. The
+//!   visit sequence — and therefore every charge — is a pure function of
+//!   the submission sequence, bit-identical across `WEC_THREADS`.
+//!
+//! In-order delivery is **per tenant**: [`StreamingServer::try_next`]
+//! yields the smallest ready ticket that is its tenant's oldest
+//! undelivered one, so each tenant observes its own submission order
+//! while no tenant's backlog can block another tenant's answers. With
+//! one slot this is exactly global submission order.
 //!
 //! ## Stats snapshots
 //!
@@ -225,10 +228,7 @@
 //!   [`crate::ServeError::Overloaded`] *before* a ticket is issued, so
 //!   shed traffic never perturbs delivery order. (The default
 //!   [`Overflow::DispatchInline`] keeps the PR-4 behaviour: the bound
-//!   triggers inline dispatch and `submit` never fails.) Independently,
-//!   [`AdmissionPolicy::op_budget`] caps each micro-batch's *estimated*
-//!   model work ([`query_work_estimate`]) — a deadline in model time —
-//!   by closing batches early; it never rejects.
+//!   triggers inline dispatch and `submit` never fails.)
 //!
 //! ### The recovery cost contract
 //!
@@ -352,20 +352,6 @@ pub enum Overflow {
     Shed,
 }
 
-/// Worst-case model work one query can charge through the cached dispatch
-/// path, used by [`AdmissionPolicy::op_budget`] to size micro-batches:
-/// [`super::QUERY_WORDS`] for the input scan, plus per probe (two for a
-/// [`Query::Connected`], one otherwise) the probe read, an `ω`-weighted
-/// fill write, and `ω` operations as the miss-recompute proxy (queries
-/// cost `O(√ω)`–`O(ω)` expected operations).
-pub fn query_work_estimate(q: Query, omega: u64) -> u64 {
-    let probes = match q {
-        Query::Connected(..) => 2,
-        Query::Component(_) | Query::TwoEdgeConnected(..) | Query::Biconnected(..) => 1,
-    };
-    QUERY_WORDS + probes * (CACHE_PROBE_READS + omega * CACHE_INSERT_WRITES + omega)
-}
-
 /// When micro-batches form, when affinity routing falls back to the
 /// contiguous partition, and how much each shard may cache. See the module
 /// docs for the exact semantics of each knob.
@@ -426,13 +412,8 @@ pub struct AdmissionPolicy {
     /// inline dispatch; [`Overflow::Shed`] turns the bound into a typed
     /// rejection).
     pub overflow: Overflow,
-    /// Per-micro-batch budget of *estimated* model work
-    /// ([`query_work_estimate`]); 0 disables. A non-zero budget closes a
-    /// micro-batch before the query that would exceed it (always admitting
-    /// at least one), acting as a per-batch deadline in model time.
-    pub op_budget: u64,
-    /// How micro-batches are composed from admitted submissions (default:
-    /// [`FairShare::Fifo`], the pre-tenancy single shared queue).
+    /// The order micro-batches are composed in across the admission
+    /// table's slots (default: [`FairShare::Fifo`], oldest first).
     pub fair_share: FairShare,
     /// The registered tenants, in deterministic fair-share visit order.
     /// Empty (the default) means tenancy is inactive — unless a non-FIFO
@@ -509,12 +490,6 @@ impl AdmissionPolicyBuilder {
         self
     }
 
-    /// Per-micro-batch budget of estimated model work (0 disables).
-    pub fn op_budget(mut self, op_budget: u64) -> Self {
-        self.policy.op_budget = op_budget;
-        self
-    }
-
     /// How micro-batches are composed from admitted submissions.
     pub fn fair_share(mut self, fair_share: FairShare) -> Self {
         self.policy.fair_share = fair_share;
@@ -557,7 +532,6 @@ impl Default for AdmissionPolicy {
             cache_capacity: 1 << 16,
             skew_factor: 4,
             overflow: Overflow::DispatchInline,
-            op_budget: 0,
             fair_share: FairShare::Fifo,
             tenants: Vec::new(),
         }
@@ -641,31 +615,14 @@ pub struct StreamingServer<C, B = NoBiconn> {
     server: ShardedServer<C, B>,
     policy: AdmissionPolicy,
     caches: Vec<Mutex<ShardCache>>,
-    /// The shared FIFO submission queue ([`FairShare::Fifo`]; always the
-    /// path when tenancy is inactive).
-    queue: VecDeque<Entry>,
-    /// Per-tenant submission queues ([`FairShare::DeficitRoundRobin`];
-    /// empty vec otherwise).
-    tenant_queues: Vec<VecDeque<Entry>>,
-    /// Per-tenant DRR deficit counters (parallel to `policy.tenants`).
-    deficits: Vec<u64>,
-    /// Per-tenant queued (admitted, undispatched) counts for quota
-    /// enforcement (parallel to `policy.tenants`; empty when inactive).
-    queued_per_tenant: Vec<usize>,
-    /// Per-tenant pending-delivery tickets in submission order (parallel
-    /// to `policy.tenants`; empty when inactive).
-    deliver_queues: Vec<VecDeque<u64>>,
-    /// Per-tenant admission counters (parallel to `policy.tenants`).
-    tenant_stats: Vec<TenantStats>,
+    /// The admission table: one slot per registered tenant, parallel to
+    /// `policy.tenants`, or one implicit [`TenantId::DEFAULT`] slot when
+    /// none is registered.
+    slots: Vec<Slot>,
     /// Cumulative DRR queue visits charged (`DRR_VISIT_OPS` each).
     drr_visits: u64,
     ready: BTreeMap<u64, ServeResult>,
     next_ticket: u64,
-    next_deliver: u64,
-    /// Answers delivered so far (equals `next_deliver` when tenancy is
-    /// inactive; under per-tenant delivery the global `next_deliver`
-    /// cursor no longer advances).
-    delivered_total: u64,
     fault: Option<FaultPlan>,
     recovery: RecoveryPolicy,
     health: Vec<ShardHealth>,
@@ -677,14 +634,24 @@ pub struct StreamingServer<C, B = NoBiconn> {
     epochs: EpochTracker,
 }
 
-/// One admitted submission: ticket, submission epoch, owning tenant
-/// (index into `policy.tenants`; 0 when tenancy is inactive), query.
+/// One admitted submission: ticket, submission epoch, query.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     ticket: u64,
     epoch: u64,
-    tenant: u16,
     q: Query,
+}
+
+/// One tenant's row of the admission table.
+#[derive(Default)]
+struct Slot {
+    /// Admitted, undispatched submissions, oldest first.
+    queue: VecDeque<Entry>,
+    /// Issued, undelivered tickets, oldest first.
+    pending: VecDeque<u64>,
+    /// Deficit-round-robin credit.
+    deficit: u64,
+    stats: TenantStats,
 }
 
 impl<C, B> StreamingServer<C, B>
@@ -705,8 +672,9 @@ where
         if policy.fair_share != FairShare::Fifo && policy.tenants.is_empty() {
             policy.tenants.push(TenantSpec::new(TenantId::DEFAULT.0));
         }
-        let tenants = policy.tenants.len();
-        let drr = policy.fair_share != FairShare::Fifo;
+        let slots = (0..policy.tenants.len().max(1))
+            .map(|_| Slot::default())
+            .collect();
         let shards = server.shards();
         let caches = (0..shards)
             .map(|_| Mutex::new(ShardCache::default()))
@@ -715,19 +683,10 @@ where
             server,
             policy,
             caches,
-            queue: VecDeque::new(),
-            tenant_queues: (0..if drr { tenants } else { 0 })
-                .map(|_| VecDeque::new())
-                .collect(),
-            deficits: vec![0; if drr { tenants } else { 0 }],
-            queued_per_tenant: vec![0; tenants],
-            deliver_queues: (0..tenants).map(|_| VecDeque::new()).collect(),
-            tenant_stats: vec![TenantStats::default(); tenants],
+            slots,
             drr_visits: 0,
             ready: BTreeMap::new(),
             next_ticket: 0,
-            next_deliver: 0,
-            delivered_total: 0,
             fault: None,
             recovery: RecoveryPolicy::default(),
             health: vec![ShardHealth::default(); shards],
@@ -786,17 +745,17 @@ where
         &self.policy
     }
 
-    /// Whether multi-tenant admission is active (at least one tenant in
-    /// the policy's table — possibly the auto-registered default under a
-    /// fair-share policy). Inactive tenancy is charge-free.
+    /// Whether multi-tenant admission is active (at least one tenant
+    /// registered — possibly the default one auto-registered under a
+    /// fair-share policy). Inactive tenancy is charge-free: the server
+    /// then admits everything into one implicit slot.
     pub fn tenancy_active(&self) -> bool {
         !self.policy.tenants.is_empty()
     }
 
     /// One tenant's admission counters; `None` for an unregistered id.
     pub fn tenant_stats(&self, tenant: TenantId) -> Option<TenantStats> {
-        let i = self.tenant_index(tenant)?;
-        Some(self.tenant_stats[i])
+        Some(self.slots[self.tenant_index(tenant)?].stats)
     }
 
     /// Aggregate tenancy counters across all registered tenants.
@@ -806,7 +765,9 @@ where
             drr_visits: self.drr_visits,
             ..TenancyStats::default()
         };
-        for s in &self.tenant_stats {
+        // Registered slots only: the implicit slot never surfaces.
+        for slot in &self.slots[..self.policy.tenants.len()] {
+            let s = slot.stats;
             agg.submitted += s.submitted;
             agg.quota_rejections += s.quota_rejections;
             agg.dispatched += s.dispatched;
@@ -847,13 +808,10 @@ where
         self.dispatch_seq
     }
 
-    /// Queries admitted but not yet dispatched (summed across tenant
-    /// queues under fair-share composition).
+    /// Queries admitted but not yet dispatched, summed across the
+    /// admission table's slots.
     pub fn queue_len(&self) -> usize {
-        match self.policy.fair_share {
-            FairShare::Fifo => self.queue.len(),
-            FairShare::DeficitRoundRobin => self.tenant_queues.iter().map(VecDeque::len).sum(),
-        }
+        self.slots.iter().map(|s| s.queue.len()).sum()
     }
 
     /// Answers computed but not yet delivered through [`Self::try_next`].
@@ -865,7 +823,7 @@ where
     /// queued, dispatched, or ready. This is the "anything still in
     /// flight?" predicate graceful shutdown drains to zero.
     pub fn undelivered(&self) -> u64 {
-        self.next_ticket - self.delivered_total
+        self.slots.iter().map(|s| s.pending.len() as u64).sum()
     }
 
     /// The owner shard of `q` under affinity routing: the pinned stable
@@ -912,8 +870,8 @@ where
                 return Err(ServeError::UnknownTenant(tenant));
             };
             let quota = self.policy.tenants[tidx].quota;
-            if quota > 0 && self.queued_per_tenant[tidx] >= quota as usize {
-                self.tenant_stats[tidx].quota_rejections += 1;
+            if quota > 0 && self.slots[tidx].queue.len() >= quota as usize {
+                self.slots[tidx].stats.quota_rejections += 1;
                 return Err(ServeError::QuotaExceeded { tenant, quota });
             }
             tidx
@@ -930,21 +888,15 @@ where
         }
         let t = self.next_ticket;
         self.next_ticket += 1;
-        let entry = Entry {
+        let epoch = self.epochs.current();
+        let slot = &mut self.slots[tidx];
+        slot.queue.push_back(Entry {
             ticket: t,
-            epoch: self.epochs.current(),
-            tenant: tidx as u16,
+            epoch,
             q,
-        };
-        if self.tenancy_active() {
-            self.queued_per_tenant[tidx] += 1;
-            self.tenant_stats[tidx].submitted += 1;
-            self.deliver_queues[tidx].push_back(t);
-        }
-        match self.policy.fair_share {
-            FairShare::Fifo => self.queue.push_back(entry),
-            FairShare::DeficitRoundRobin => self.tenant_queues[tidx].push_back(entry),
-        }
+        });
+        slot.pending.push_back(t);
+        slot.stats.submitted += 1;
         if self.policy.overflow == Overflow::DispatchInline {
             while self.queue_len() >= self.policy.max_queue {
                 self.flush(led);
@@ -953,71 +905,59 @@ where
         Ok(Ticket(t))
     }
 
-    /// How many queued queries the next FIFO micro-batch takes: up to
-    /// `max_batch`, shrunk further when a non-zero `op_budget` would be
-    /// exceeded (always at least one while the queue is non-empty).
-    fn next_batch_size(&self, omega: u64) -> usize {
-        let max = self.queue.len().min(self.policy.max_batch);
-        if self.policy.op_budget == 0 || max <= 1 {
-            return max;
-        }
-        let mut total = 0u64;
-        let mut take = 0usize;
-        for e in self.queue.iter().take(max) {
-            total = total.saturating_add(query_work_estimate(e.q, omega));
-            if take > 0 && total > self.policy.op_budget {
-                break;
-            }
-            take += 1;
-        }
-        take
-    }
-
-    /// Compose the next micro-batch per the policy's [`FairShare`]: FIFO
-    /// takes the oldest `next_batch_size` submissions off the shared
-    /// queue; deficit round robin assembles the batch across tenant
-    /// queues, charging [`DRR_VISIT_OPS`] per queue visit on `led`.
+    /// Compose the next micro-batch of up to `max_batch` queued queries
+    /// per the policy's [`FairShare`], counting each taken query as
+    /// dispatched by its slot. FIFO takes the oldest submissions across
+    /// slots a run at a time: the slot holding the oldest front gives up
+    /// its entries older than every other slot's front (with one slot, a
+    /// whole batch). Deficit round robin charges [`DRR_VISIT_OPS`] per
+    /// slot visit on `led`.
     fn compose_batch(&mut self, led: &mut Ledger) -> Vec<Entry> {
-        let omega = led.omega();
-        if self.policy.fair_share == FairShare::Fifo {
-            let take = self.next_batch_size(omega);
-            return self.queue.drain(..take).collect();
-        }
+        let max = self.policy.max_batch;
         let mut batch = Vec::new();
+        if self.policy.fair_share == FairShare::Fifo {
+            while batch.len() < max {
+                let fronts = (self.slots.iter().enumerate())
+                    .filter_map(|(i, s)| Some((s.queue.front()?.ticket, i)));
+                let Some((_, oldest)) = fronts.clone().min() else {
+                    break;
+                };
+                let bound = fronts.filter(|&(_, i)| i != oldest).min();
+                let slot = &mut self.slots[oldest];
+                let run = (slot.queue.iter().take(max - batch.len()))
+                    .take_while(|e| bound.is_none_or(|(t, _)| e.ticket < t))
+                    .count();
+                slot.stats.dispatched += run as u64;
+                batch.extend(slot.queue.drain(..run));
+            }
+            return batch;
+        }
         let mut visits = 0u64;
-        let mut work = 0u64;
-        'compose: while batch.len() < self.policy.max_batch {
+        'compose: while batch.len() < max {
             let mut progressed = false;
-            for ti in 0..self.tenant_queues.len() {
-                if self.tenant_queues[ti].is_empty() {
+            for (slot, spec) in self.slots.iter_mut().zip(&self.policy.tenants) {
+                if slot.queue.is_empty() {
                     // An idle tenant forfeits its deficit: no banking
                     // credit while there is nothing to schedule.
-                    self.deficits[ti] = 0;
+                    slot.deficit = 0;
                     continue;
                 }
                 visits += 1;
-                self.deficits[ti] += u64::from(self.policy.tenants[ti].weight.max(1));
-                while self.deficits[ti] > 0 {
-                    let Some(front) = self.tenant_queues[ti].front() else {
+                slot.deficit += u64::from(spec.weight.max(1));
+                while slot.deficit > 0 {
+                    let Some(e) = slot.queue.pop_front() else {
                         break;
                     };
-                    if self.policy.op_budget > 0 {
-                        let est = query_work_estimate(front.q, omega);
-                        if !batch.is_empty() && work.saturating_add(est) > self.policy.op_budget {
-                            break 'compose;
-                        }
-                        work = work.saturating_add(est);
-                    }
-                    let e = self.tenant_queues[ti].pop_front().expect("front checked");
-                    self.deficits[ti] -= 1;
+                    slot.deficit -= 1;
+                    slot.stats.dispatched += 1;
                     batch.push(e);
                     progressed = true;
-                    if batch.len() == self.policy.max_batch {
+                    if batch.len() == max {
                         break 'compose;
                     }
                 }
-                if self.tenant_queues[ti].is_empty() {
-                    self.deficits[ti] = 0;
+                if slot.queue.is_empty() {
+                    slot.deficit = 0;
                 }
             }
             if !progressed {
@@ -1032,21 +972,13 @@ where
     }
 
     /// Dispatch one micro-batch of up to `max_batch` queued queries (fewer
-    /// if the queue drains first, or if the policy's `op_budget` closes
-    /// the batch early), composed per the policy's [`FairShare`]. Returns
-    /// how many were dispatched.
+    /// if the queue drains first), composed per the policy's
+    /// [`FairShare`]. Returns how many were dispatched.
     pub fn flush(&mut self, led: &mut Ledger) -> usize {
         let batch = self.compose_batch(led);
-        if batch.is_empty() {
-            return 0;
+        if !batch.is_empty() {
+            self.dispatch(led, &batch);
         }
-        if self.tenancy_active() {
-            for e in &batch {
-                self.tenant_stats[e.tenant as usize].dispatched += 1;
-                self.queued_per_tenant[e.tenant as usize] -= 1;
-            }
-        }
-        self.dispatch(led, &batch);
         batch.len()
     }
 
@@ -1063,37 +995,26 @@ where
         }
     }
 
-    /// Deliver the next result **in submission order**: with tenancy
-    /// inactive, `Some` only when the result for the globally oldest
-    /// undelivered ticket has been computed. With tenancy active the
-    /// order is **per tenant**: the smallest deliverable ticket whose
-    /// tenant has no older undelivered ticket is yielded, so every tenant
-    /// observes its own submission order and no tenant's backlog blocks
-    /// another tenant's answers. Both orders are deterministic.
+    /// Deliver the next result in **per-tenant submission order**: the
+    /// smallest computed ticket that is its slot's oldest undelivered
+    /// one, so every tenant observes its own submission order and no
+    /// tenant's backlog blocks another tenant's answers. With no tenant
+    /// registered (one slot) this is exactly global submission order.
+    /// Deterministic either way.
     pub fn try_next(&mut self) -> Option<(Ticket, ServeResult)> {
-        if !self.tenancy_active() {
-            let a = self.ready.remove(&self.next_deliver)?;
-            let t = Ticket(self.next_deliver);
-            self.next_deliver += 1;
-            self.delivered_total += 1;
-            // Delivery advanced: epochs it has fully passed are
-            // unreachable and can be retired.
-            self.epochs.prune(self.next_deliver);
-            return Some((t, a));
-        }
-        let mut best: Option<(u64, usize)> = None;
-        for (ti, dq) in self.deliver_queues.iter().enumerate() {
-            if let Some(&t) = dq.front() {
-                if self.ready.contains_key(&t) && best.is_none_or(|(b, _)| t < b) {
-                    best = Some((t, ti));
-                }
-            }
-        }
-        let (t, ti) = best?;
-        self.deliver_queues[ti].pop_front();
-        let a = self.ready.remove(&t).expect("readiness checked");
-        self.tenant_stats[ti].delivered += 1;
-        self.delivered_total += 1;
+        let (t, i) = self
+            .slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| Some((*s.pending.front()?, i)))
+            .filter(|(t, _)| self.ready.contains_key(t))
+            .min()?;
+        let a = self.ready.remove(&t)?;
+        let slot = &mut self.slots[i];
+        slot.pending.pop_front();
+        slot.stats.delivered += 1;
+        // Delivery advanced: epochs it has fully passed are unreachable
+        // and can be retired.
         self.epochs.prune(self.delivery_floor());
         Some((Ticket(t), a))
     }
@@ -1102,12 +1023,9 @@ where
     /// below it has been delivered, so epochs entirely below the floor
     /// are unreachable.
     fn delivery_floor(&self) -> u64 {
-        if !self.tenancy_active() {
-            return self.next_deliver;
-        }
-        self.deliver_queues
+        self.slots
             .iter()
-            .filter_map(|q| q.front().copied())
+            .filter_map(|s| s.pending.front().copied())
             .min()
             .unwrap_or(self.next_ticket)
     }
@@ -1437,8 +1355,7 @@ where
         }
         self.epochs.stats.invalidation_swept_slots += swept_total;
         self.epochs.stats.invalidated_entries += removed_total;
-        let in_flight = self.next_ticket - self.delivered_total;
-        let epoch = self.epochs.install(self.next_ticket, in_flight);
+        let epoch = self.epochs.install(self.next_ticket, self.undelivered());
         self.epochs.prune(self.delivery_floor());
         Some(epoch)
     }
@@ -1674,7 +1591,6 @@ mod tests {
             .cache_capacity(2)
             .skew_factor(0)
             .overflow(Overflow::Shed)
-            .op_budget(99)
             .fair_share(FairShare::DeficitRoundRobin)
             .tenant(TenantSpec::new(1).weight(3).quota(10))
             .tenant(TenantSpec::new(2))

@@ -6,9 +6,11 @@
 //! [`AdmissionPolicy`](crate::AdmissionPolicy) builder
 //! ([`AdmissionPolicyBuilder::tenant`](crate::AdmissionPolicyBuilder::tenant)
 //! / [`fair_share`](crate::AdmissionPolicyBuilder::fair_share)) and is
-//! **inactive by default**: a policy with no tenants and FIFO composition
-//! runs the exact pre-tenancy code path and charge sequence (pinned by
-//! `costs_golden.json`).
+//! **inactive by default**. Either way the
+//! [`StreamingServer`](crate::StreamingServer) admits through one table of
+//! per-tenant slots; with no tenant registered it holds one implicit
+//! [`TenantId::DEFAULT`] slot that is neither charged nor visible in the
+//! counters (the charge sequence is pinned by `costs_golden.json`).
 //!
 //! With tenancy active:
 //!
@@ -19,9 +21,9 @@
 //!   *queued* submissions, rejected with
 //!   [`ServeError::QuotaExceeded`](crate::ServeError::QuotaExceeded)
 //!   before a ticket is issued;
-//! * micro-batches are composed per [`FairShare`]: plain FIFO over one
-//!   shared queue, or [`FairShare::DeficitRoundRobin`] over per-tenant
-//!   queues, so a hot tenant's backlog cannot starve the rest;
+//! * micro-batches are composed per [`FairShare`]: oldest first across
+//!   the tenants' queues, or [`FairShare::DeficitRoundRobin`] over them,
+//!   so a hot tenant's backlog cannot starve the rest;
 //! * in-order delivery becomes **per tenant**: each tenant's answers
 //!   arrive in that tenant's submission order, and
 //!   [`StreamingServer::try_next`](crate::StreamingServer::try_next)
@@ -110,9 +112,8 @@ impl TenantSpec {
 /// How micro-batches are composed from admitted submissions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FairShare {
-    /// One shared queue, batches take the oldest submissions first — the
-    /// pre-tenancy behaviour (and the default). A hot tenant's backlog
-    /// delays everyone behind it.
+    /// Batches take the oldest submissions across all tenants first (the
+    /// default). A hot tenant's backlog delays everyone behind it.
     Fifo,
     /// Deficit round-robin over per-tenant queues: each composition round
     /// credits every backlogged tenant `weight` deficit and takes queries

@@ -377,38 +377,39 @@ pub fn encode_frame(f: &Frame) -> Vec<u8> {
 /// A little cursor over one frame body; every getter fails typed instead
 /// of panicking.
 struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    rest: &'a [u8],
 }
 
 impl<'a> Cursor<'a> {
     fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
+        Cursor { rest: buf }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireFault> {
-        if self.pos + n > self.buf.len() {
-            return Err(WireFault::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+    /// The next `N` bytes, or [`WireFault::Truncated`] when the body ends
+    /// first.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireFault> {
+        let (head, rest) = self
+            .rest
+            .split_first_chunk::<N>()
+            .ok_or(WireFault::Truncated)?;
+        self.rest = rest;
+        Ok(*head)
     }
 
     fn u8(&mut self) -> Result<u8, WireFault> {
-        Ok(self.take(1)?[0])
+        Ok(u8::from_le_bytes(self.array()?))
     }
 
     fn u16(&mut self) -> Result<u16, WireFault> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
     fn u32(&mut self) -> Result<u32, WireFault> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     fn u64(&mut self) -> Result<u64, WireFault> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     fn bool(&mut self) -> Result<bool, WireFault> {
@@ -420,7 +421,7 @@ impl<'a> Cursor<'a> {
     }
 
     fn finish(&self) -> Result<(), WireFault> {
-        if self.pos == self.buf.len() {
+        if self.rest.is_empty() {
             Ok(())
         } else {
             Err(WireFault::TrailingBytes)
@@ -577,10 +578,7 @@ impl FrameBuf {
             self.pos = 0;
         }
         let avail = &self.buf[self.pos..];
-        if avail.len() < 4 {
-            return None;
-        }
-        let len = u32::from_le_bytes(avail[..4].try_into().unwrap());
+        let len = u32::from_le_bytes(*avail.first_chunk::<4>()?);
         if len as usize > MAX_FRAME_BYTES {
             // The prefix cannot be trusted, so neither can anything after
             // it: drop the buffer and report. The caller should close the

@@ -17,16 +17,13 @@
 //! 5. cache-lock poisoning (a panic thrown while holding the shard-cache
 //!    mutex) is recovered — poison cleared, cache reset cold, counter
 //!    incremented — instead of cascading `PoisonError` panics;
-//! 6. **satellite 3** — `Overflow::Shed` rejects at the `max_queue` bound
-//!    with a typed `ServeError::Overloaded` *before* a ticket is issued,
-//!    so shed traffic leaves ticketing dense and delivery in order;
-//! 7. **satellite 4** — a randomized interleaving of submits, partial
-//!    flushes, early consumption, and fault plans never reorders or
-//!    drops a ticket, and every delivered answer matches the
-//!    fault-free reference;
-//! 8. the op-budget admission knob sizes micro-batches by the documented
-//!    `query_work_estimate` formula.
-//! 9. the breaker-degraded route is priced exactly: with one breaker
+//! 6. `Overflow::Shed` rejects at the `max_queue` bound with a typed
+//!    `ServeError::Overloaded` *before* a ticket is issued, so shed
+//!    traffic leaves ticketing dense and delivery in order;
+//! 7. a randomized interleaving of submits, partial flushes, early
+//!    consumption, and fault plans never reorders or drops a ticket, and
+//!    every delivered answer matches the fault-free reference;
+//! 8. the breaker-degraded route is priced exactly: with one breaker
 //!    open, a dispatch over the surviving shards answers and charges
 //!    exactly what a survivors-count `ShardedServer::serve` of the same
 //!    batch does — same answers, `Costs` and depth.
@@ -43,9 +40,8 @@ use wec::connectivity::{ConnectivityOracle, OracleBuildOpts};
 use wec::core::BuildOpts;
 use wec::graph::{gen, Csr, Priorities, Vertex};
 use wec::serve::{
-    query_work_estimate, AdmissionPolicy, BreakerState, FaultPlan, FullStreamingServer, Overflow,
-    Query, RecoveryPolicy, RobustnessStats, ServeError, ServeResult, ShardedServer,
-    StreamingServer, Ticket,
+    AdmissionPolicy, BreakerState, FaultPlan, FullStreamingServer, Overflow, Query, RecoveryPolicy,
+    RobustnessStats, ServeError, ServeResult, ShardedServer, StreamingServer, Ticket,
 };
 
 const OMEGA: u64 = 64;
@@ -687,42 +683,4 @@ fn ticket_order_survives_random_interleavings_of_faults() {
             assert_eq!(*r, want, "case {case}: answer matches reference");
         }
     }
-}
-
-/// The op-budget admission knob sizes micro-batches so a batch's
-/// worst-case estimated work stays within budget: a budget of exactly
-/// three homogeneous queries' estimates yields ⌈n/3⌉ dispatches, and a
-/// starvation-proof budget smaller than one query still makes progress
-/// one query at a time.
-#[test]
-fn op_budget_sizes_batches_by_the_estimate() {
-    let g = test_graph();
-    let n = g.n() as u32;
-    let pri = Priorities::random(n as usize, 11);
-    let verts: Vec<Vertex> = (0..n).collect();
-    let (conn, bicon) = build_oracles(&g, &pri, &verts);
-
-    let per_query = query_work_estimate(Query::Component(0), OMEGA);
-    let stream: Vec<Query> = (0..10).map(|v| Query::Component(v % n)).collect();
-
-    let dispatches_with = |op_budget: u64| {
-        let policy = AdmissionPolicy::builder()
-            .max_batch(64)
-            .max_queue(64)
-            .cache_capacity(16)
-            .op_budget(op_budget)
-            .build();
-        let mut srv = streaming_server(&conn, &bicon, policy);
-        let mut led = Ledger::new(OMEGA);
-        for &q in &stream {
-            srv.submit(&mut led, q).unwrap();
-        }
-        srv.drain(&mut led);
-        assert_in_order(&srv.take_ready(), stream.len());
-        srv.dispatches()
-    };
-
-    assert_eq!(dispatches_with(3 * per_query), 4, "⌈10/3⌉ micro-batches");
-    assert_eq!(dispatches_with(1), 10, "a tiny budget still admits one");
-    assert_eq!(dispatches_with(0), 1, "budget 0 = unlimited (one batch)");
 }

@@ -16,7 +16,8 @@
 //!    statistical bounds. Through the wire, loopback clients at a 10:1
 //!    per-tenant arrival skew receive within ±10% of their weighted fair
 //!    share (equal and 4:2:1:1 weights) and every tenant's completeness is
-//!    exactly 1.0;
+//!    exactly 1.0. FIFO composition with tenants registered dispatches
+//!    and delivers in global submission order;
 //! 3. the loopback frontend serves end to end: hello credentials gate
 //!    session binding, a refused hello fails each later request with the
 //!    refusal's error, per-session windows reject the overflow request
@@ -461,6 +462,73 @@ fn weighted_fair_share_honors_weights() {
     let a = srv.tenant_stats(TenantId(1)).unwrap().dispatched;
     let b = srv.tenant_stats(TenantId(2)).unwrap().dispatched;
     assert_eq!((a, b), (12, 4), "weight 3:1 ⇒ 12/4 in a contended batch");
+}
+
+/// FIFO composition with tenants registered takes the oldest submissions
+/// across tenants: under a 10:1 skew every flush dispatches exactly the
+/// next 16 tickets, so each tenant's dispatched count equals its share of
+/// the submission prefix and delivery follows global submission order.
+/// With no tenant registered the implicit admission slot never surfaces
+/// in the tenancy counters.
+#[test]
+fn fifo_with_tenants_dispatches_in_submission_order() {
+    const N: u64 = 440;
+    let (g, pri, verts) = oracle_fixture();
+    let mut led = Ledger::new(OMEGA);
+    let k = led.sqrt_omega();
+    let oracle =
+        ConnectivityOracle::build(&mut led, &g, &pri, &verts, k, 1, OracleBuildOpts::default());
+    let (hot, cold) = (TenantId(1), TenantId(2));
+    let tenant_of = |i: u64| if i % 11 == 10 { cold } else { hot };
+    let policy = AdmissionPolicy::builder()
+        .max_batch(16)
+        .max_queue(1 << 20)
+        .tenants([TenantSpec::new(1), TenantSpec::new(2)])
+        .build();
+    assert_eq!(policy.fair_share, FairShare::Fifo);
+    let mut srv = StreamingServer::new(ShardedServer::new(oracle.query_handle(), 3), policy);
+
+    let mut r = Lcg(11);
+    for i in 0..N {
+        let v = r.below(g.n() as u64) as u32;
+        srv.submit_as(&mut led, tenant_of(i), Query::Component(v))
+            .unwrap();
+    }
+    let mut flushes = 0u64;
+    let mut delivered = Vec::new();
+    while srv.flush(&mut led) > 0 {
+        flushes += 1;
+        let prefix = (16 * flushes).min(N);
+        let cold_share = (0..prefix).filter(|&i| tenant_of(i) == cold).count() as u64;
+        assert_eq!(
+            srv.tenant_stats(cold).unwrap().dispatched,
+            cold_share,
+            "flush {flushes}: cold tenant's share of the first {prefix} tickets"
+        );
+        assert_eq!(
+            srv.tenant_stats(hot).unwrap().dispatched,
+            prefix - cold_share,
+            "flush {flushes}: hot tenant's share of the first {prefix} tickets"
+        );
+        delivered.extend(srv.take_ready().into_iter().map(|(t, _)| t.id()));
+    }
+    assert_eq!(flushes, N.div_ceil(16));
+    assert_eq!(delivered, (0..N).collect::<Vec<_>>(), "submission order");
+
+    // No tenant registered: the implicit slot stays invisible.
+    let policy = AdmissionPolicy::builder()
+        .max_batch(16)
+        .max_queue(1 << 20)
+        .build();
+    let mut srv = StreamingServer::new(ShardedServer::new(oracle.query_handle(), 3), policy);
+    for v in 0..64u32 {
+        srv.submit(&mut led, Query::Component(v)).unwrap();
+    }
+    srv.drain(&mut led);
+    assert_eq!(srv.take_ready().len(), 64);
+    assert_eq!(srv.undelivered(), 0);
+    assert_eq!(srv.tenant_stats(TenantId::DEFAULT), None);
+    assert_eq!(srv.tenancy_stats(), TenancyStats::default());
 }
 
 /// DRR fair share through the wire: loopback clients split over four
