@@ -45,11 +45,16 @@ fn recurse(
     led.write(4 * edges.len() as u64 + n as u64); // materialize CSR arrays
     let ldd = low_diameter_decomposition(led, &g, vertices, SHUN_BETA, seed ^ level as u64);
     let parts = ldd.num_parts();
+    // The contraction relabels every vertex with its dense part id, read
+    // through the LDD's center table; that array is this baseline's own.
+    led.read(n as u64);
+    led.write(n as u64);
+    let part: Vec<u32> = (0..n as u32).map(|v| ldd.part(v)).collect();
     // Relabel surviving cross-part edges into the contracted id space.
     let mut next_edges = Vec::new();
     led.read(2 * edges.len() as u64);
     for &(u, v) in edges {
-        let (pu, pv) = (ldd.part[u as usize], ldd.part[v as usize]);
+        let (pu, pv) = (part[u as usize], part[v as usize]);
         if pu != pv {
             next_edges.push((pu, pv));
             led.write(1);
@@ -74,7 +79,7 @@ fn recurse(
     led.read(n as u64);
     led.write(n as u64);
     (0..n as u32)
-        .map(|v| sub[ldd.part[v as usize] as usize])
+        .map(|v| sub[part[v as usize] as usize])
         .collect()
 }
 

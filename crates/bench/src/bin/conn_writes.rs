@@ -39,7 +39,7 @@ fn theorem42_table(n: usize) {
             );
         }
     }
-    println!("\nexpected shape: as m grows 16x, our writes stay ~c·n + βm (c ≈ 8 array constants)");
+    println!("\nexpected shape: as m grows 16x, our writes stay ~c·n + βm (c ≈ 7 words/vertex)");
     println!("while the contracting prior work scales linearly with m.");
 }
 

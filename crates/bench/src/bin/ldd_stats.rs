@@ -3,7 +3,7 @@
 
 use wec_asym::Ledger;
 use wec_graph::{gen, Vertex};
-use wec_prims::{low_diameter_decomposition, UNREACHED};
+use wec_prims::low_diameter_decomposition;
 
 fn main() {
     let n = 20_000usize;
@@ -37,15 +37,10 @@ fn main() {
             cut_total += g
                 .edges()
                 .iter()
-                .filter(|&&(u, v)| r.part[u as usize] != r.part[v as usize])
+                .filter(|&&(u, v)| r.bfs.source_of[u as usize] != r.bfs.source_of[v as usize])
                 .count();
-            radius_max = radius_max.max(
-                (0..n)
-                    .filter(|&v| r.bfs.level[v] != UNREACHED)
-                    .map(|v| r.bfs.level[v])
-                    .max()
-                    .unwrap(),
-            );
+            // uncharged parent-chain depth: the BFS records no distances
+            radius_max = radius_max.max((0..n as u32).map(|v| r.bfs.depth(v)).max().unwrap());
         }
         let cut = cut_total as f64 / seeds as f64;
         println!(

@@ -2,13 +2,15 @@
 //!
 //! The four steps of the paper:
 //!
-//! 1. one low-diameter decomposition with parameter β;
+//! 1. one low-diameter decomposition with parameter β; a part is named by
+//!    its center's vertex id, so the only per-vertex words it writes are
+//!    the BFS records;
 //! 2. spanning trees per part — already produced by the LDD's internal
 //!    write-efficient BFS (its parent array);
 //! 3. write-efficient **filter** of the cross-part edges into a compacted
 //!    array (writes proportional to the `O(βm)` output);
 //! 4. any linear-work spanning-forest/connectivity pass on the contracted
-//!    graph (size `O(n/1 + βm)`), here union-find.
+//!    graph (size `O(n/1 + βm)`), here union-find over dense part ids.
 //!
 //! With `β = 1/ω`: `O(n + m/ω)` expected writes, `O(m + ωn)` expected work
 //! (Theorem 4.2).
@@ -29,8 +31,6 @@ pub struct ConnResult {
     /// Spanning forest as an edge list: LDD tree edges plus the lifted
     /// cross edges chosen on the contracted graph.
     pub forest_edges: Vec<(Vertex, Vertex)>,
-    /// The LDD part id per vertex (diagnostics / tests).
-    pub part: Vec<u32>,
     /// Number of LDD parts.
     pub num_parts: usize,
 }
@@ -53,18 +53,22 @@ pub fn connectivity_general(
     let n_ids = view.n();
     // Step 1 + 2: decompose; parents of the LDD BFS are per-part trees.
     let ldd = low_diameter_decomposition(led, view, vertices, beta, seed);
-    let part = ldd.part;
-    let num_parts = ldd.centers.len();
+    let num_parts = ldd.num_parts();
+    let source_of = &ldd.bfs.source_of;
 
-    // Step 3: pack cross-part edges (by part ids) in one fused pass:
-    // `edge_at` and the part comparison run once per slot, and the only
-    // asymmetric writes are the surviving cross edges.
-    let part_ref = &part;
+    // Step 3: pack cross-part edges in one fused pass: `edge_at` and the
+    // comparison of the endpoints' centers run once per slot, only the
+    // surviving cross edges read their parts' dense ids, and the only
+    // asymmetric writes are those survivors.
+    let center_id = &ldd.center_id;
     let cross: Vec<(u32, u32, u32)> = flat_collect(led, num_edge_slots, |i, l| {
         let (u, v) = edge_at(i, l)?;
         l.read(2);
-        let (pu, pv) = (part_ref[u as usize], part_ref[v as usize]);
-        (pu != pv).then_some((pu, pv, i as u32))
+        let (cu, cv) = (source_of[u as usize], source_of[v as usize]);
+        (cu != cv).then(|| {
+            l.read(2);
+            (center_id[cu as usize], center_id[cv as usize], i as u32)
+        })
     });
 
     // Step 4: linear-work pass on the contracted graph (union-find). The
@@ -80,19 +84,24 @@ pub fn connectivity_general(
         }
     }
     led.write(lifted.len() as u64);
-    let part_labels = {
-        led.read(num_parts as u64);
-        led.write(num_parts as u64);
-        uf.labels()
-    };
     let num_components = uf.components();
 
-    // Project labels to vertices (O(n) writes — allowed at this tier).
+    // Each part's component label overwrites its center's dense id, so the
+    // center table now maps a center straight to its component.
+    let mut center_label = ldd.center_id;
+    led.read(num_parts as u64);
+    led.write(num_parts as u64);
+    for (&c, label) in ldd.centers.iter().zip(uf.labels()) {
+        center_label[c as usize] = label;
+    }
+
+    // Project labels to vertices through their centers (O(n) writes —
+    // allowed at this tier).
     let mut labels = vec![u32::MAX; n_ids];
     led.read(vertices.len() as u64);
     led.write(vertices.len() as u64);
     for &v in vertices {
-        labels[v as usize] = part_labels[part[v as usize] as usize];
+        labels[v as usize] = center_label[source_of[v as usize] as usize];
     }
 
     // Spanning forest: LDD tree edges + lifted cross edges, with the edge
@@ -116,7 +125,6 @@ pub fn connectivity_general(
         labels,
         num_components,
         forest_edges,
-        part,
         num_parts,
     }
 }
@@ -147,7 +155,13 @@ mod tests {
     use wec_graph::gen::{disjoint_union, gnm, grid, path, random_regular, torus};
 
     fn check_forest(g: &Csr, r: &ConnResult) {
-        // forest edges are real edges, acyclic, and span each component
+        let all: Vec<Vertex> = (0..g.n() as u32).collect();
+        check_forest_on(g, r, &all);
+    }
+
+    /// Forest edges are real edges, acyclic, and span each component of
+    /// `vertices`; ids outside `vertices` stay untouched singletons.
+    fn check_forest_on(g: &Csr, r: &ConnResult, vertices: &[Vertex]) {
         let mut uf = UnionFind::new(g.n());
         for &(u, v) in &r.forest_edges {
             assert!(
@@ -156,8 +170,14 @@ mod tests {
             );
             assert!(uf.union(u, v), "cycle in forest at ({u},{v})");
         }
-        assert_eq!(uf.components(), r.num_components);
-        assert!(same_partition(&uf.labels(), &r.labels));
+        let holes = g.n() - vertices.len();
+        assert_eq!(uf.components(), r.num_components + holes);
+        let forest = uf.labels();
+        let (want, got): (Vec<u32>, Vec<u32>) = vertices
+            .iter()
+            .map(|&v| (forest[v as usize], r.labels[v as usize]))
+            .unzip();
+        assert!(same_partition(&want, &got));
     }
 
     #[test]
@@ -187,7 +207,8 @@ mod tests {
         let r = connectivity_csr(&mut led, &g, 1.0 / omega as f64, 5);
         assert_eq!(r.num_components, 1);
         let w = led.costs().asym_writes;
-        let bound = 12 * 1000 + 4 * (40_000 / omega) + 40_000 / 1024 + 64;
+        // per vertex: bucket slot + 4 BFS words + label + forest edge
+        let bound = 7 * 1000 + 4 * (40_000 / omega) + 40_000 / 1024 + 64;
         assert!(w <= bound, "writes {w} > O(n + βm) bound {bound}");
         // the Shun et al. baseline pays ≥ m writes on the same input
         let mut led2 = Ledger::new(omega);
@@ -243,6 +264,62 @@ mod tests {
         assert_eq!(r.labels[3], r.labels[5]);
         assert_ne!(r.labels[0], r.labels[3]);
         check_forest(&g, &r);
+    }
+
+    #[test]
+    fn view_with_holes_labels_only_its_vertices() {
+        // Odd ids are holes, as the BC labeling's auxiliary view leaves its
+        // forest roots out: edges join even ids only, and the odd ids never
+        // appear in `vertices`.
+        let base = disjoint_union(&[&gnm(150, 220, 6), &grid(6, 5), &path(20)]);
+        let n = base.n();
+        let spread: Vec<(Vertex, Vertex)> =
+            base.edges().iter().map(|&(u, v)| (2 * u, 2 * v)).collect();
+        let g = Csr::from_edges(2 * n, &spread);
+        let vertices: Vec<Vertex> = (0..n as u32).map(|v| 2 * v).collect();
+        let edges = g.edges();
+        let (beta, seed) = (0.2, 8);
+        let run = |mut led: Ledger| {
+            let r = connectivity_general(
+                &mut led,
+                &g,
+                &vertices,
+                edges.len(),
+                &|i, l| {
+                    l.read(1);
+                    Some(edges[i])
+                },
+                beta,
+                seed,
+            );
+            (r, led.costs())
+        };
+        let (r, costs) = run(Ledger::new(16));
+        let (r_seq, costs_seq) = run(Ledger::sequential(16));
+        assert_eq!(costs, costs_seq);
+        assert_eq!(r.labels, r_seq.labels);
+        assert_eq!(r.forest_edges, r_seq.forest_edges);
+        let truth = uf_labels(&base);
+        for res in [&r, &r_seq] {
+            assert!((1..2 * n).step_by(2).all(|v| res.labels[v] == u32::MAX));
+            let got: Vec<u32> = vertices.iter().map(|&v| res.labels[v as usize]).collect();
+            assert!(same_partition(&truth, &got));
+            check_forest_on(&g, res, &vertices);
+        }
+        // The same decomposition names each part by its center: a vertex's
+        // dense part id is its center's position in `centers`.
+        let mut led = Ledger::new(16);
+        let ldd = low_diameter_decomposition(&mut led, &g, &vertices, beta, seed);
+        assert_eq!(ldd.num_parts(), r.num_parts);
+        for v in 0..2 * n as u32 {
+            let s = ldd.bfs.source_of[v as usize];
+            if v % 2 == 1 {
+                assert_eq!((s, ldd.part(v)), (u32::MAX, u32::MAX));
+                continue;
+            }
+            let pos = ldd.centers.iter().position(|&c| c == s).unwrap();
+            assert_eq!(ldd.part(v), pos as u32, "part of {v}");
+        }
     }
 
     #[test]

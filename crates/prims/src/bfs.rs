@@ -1,11 +1,12 @@
 //! Write-efficient level-synchronous BFS over any [`GraphView`].
 //!
-//! Writes are O(number of reached vertices) — three words per vertex
-//! (parent, level, owning source) plus the reservation slot and the packed
-//! frontier arrays — while reads are linear in the edges examined. This
-//! mirrors the write-efficient BFS of Ben-David et al. that the paper plugs
-//! into the Miller–Peng–Xu decomposition (Theorem 4.1) and into §4.2
-//! step 2.
+//! Writes are O(number of reached vertices) — four words per vertex: the
+//! two record words (parent, owning source), the reservation slot and the
+//! packed frontier slot — while reads are linear in the edges examined.
+//! This mirrors the write-efficient BFS of Ben-David et al. that the paper
+//! plugs into the Miller–Peng–Xu decomposition (Theorem 4.1) and into §4.2
+//! step 2. Hop distances are not recorded: nothing downstream reads them,
+//! and a caller that wants one walks the parent chain.
 //!
 //! **Priority-write accounting.** Frontier claims use a priority write
 //! (atomic `fetch_min`). Following the write-efficient literature's
@@ -26,7 +27,7 @@ use wec_graph::{GraphView, Vertex};
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
-/// Marker for unvisited vertices in [`BfsResult::parent`] / levels.
+/// Marker for unvisited vertices in [`BfsResult::parent`] / `source_of`.
 pub const UNREACHED: u32 = u32::MAX;
 
 /// Accounting chunk size for parallel frontier processing: fixed, because
@@ -48,8 +49,6 @@ pub struct BfsResult {
     /// never visited. Any claimed parent is at the previous level, so this
     /// is a valid BFS forest even under concurrent claims.
     pub parent: Vec<Vertex>,
-    /// Hop distance from the owning source ([`UNREACHED`] if unvisited).
-    pub level: Vec<u32>,
     /// Which source's search claimed the vertex (`= v` for sources).
     pub source_of: Vec<Vertex>,
     /// Number of vertices visited.
@@ -63,6 +62,18 @@ impl BfsResult {
     #[inline]
     pub fn reached(&self, v: Vertex) -> bool {
         self.parent[v as usize] != UNREACHED
+    }
+
+    /// Hop count from reached vertex `v` up its parent chain to its source.
+    /// Uncharged: the search records no distances, so tests and stats bins
+    /// recover them here.
+    pub fn depth(&self, mut v: Vertex) -> u32 {
+        let mut d = 0;
+        while self.parent[v as usize] != v {
+            v = self.parent[v as usize];
+            d += 1;
+        }
+        d
     }
 }
 
@@ -101,11 +112,10 @@ pub fn bfs_with_injection(
     inject: &mut dyn FnMut(usize, &mut Ledger) -> Injection,
 ) -> BfsResult {
     let n = g.n();
-    // Parent/source/level records live in asymmetric memory; the arrays are
+    // Parent/source records live in asymmetric memory; the arrays are
     // allocated but a slot is only *written* (and charged) when claimed.
     let parent: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNREACHED)).collect();
     let source_of: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNREACHED)).collect();
-    let level: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNREACHED)).collect();
     // Reservation slots: winning proposer's frontier position per vertex.
     // A slot is only ever used in the round that claims the vertex.
     let claim: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(u32::MAX)).collect();
@@ -129,9 +139,7 @@ pub fn bfs_with_injection(
                 let srcs_ref = &srcs;
                 let parent_ref = &parent;
                 let source_ref = &source_of;
-                let level_ref = &level;
                 let claim_ref = &claim;
-                let this_level = round as u32;
                 // Phase A — propose: check visitedness (charged read) and
                 // reserve still-unreached sources with fetch_min of the
                 // source position.
@@ -150,7 +158,7 @@ pub fn bfs_with_injection(
                     });
                 // Phase B — install winners (reservation still carries the
                 // proposer's own position). Charges mirror frontier
-                // expansion: one unit op per proposal, and per winner the 3
+                // expansion: one unit op per proposal, and per winner the 2
                 // record words + frontier slot + winner-charged reservation
                 // write.
                 let parts: Vec<Vec<Vertex>> = led.scoped_par(proposals.len(), 1, &|r, s| {
@@ -162,11 +170,10 @@ pub fn bfs_with_injection(
                             if claim_ref[v as usize].load(Ordering::Relaxed) == i {
                                 parent_ref[v as usize].store(v, Ordering::Relaxed);
                                 source_ref[v as usize].store(v, Ordering::Relaxed);
-                                level_ref[v as usize].store(this_level, Ordering::Relaxed);
                                 out.push(v);
                             }
                         }
-                        s.write(5 * (out.len() - won_before) as u64);
+                        s.write(4 * (out.len() - won_before) as u64);
                     }
                     out
                 });
@@ -191,9 +198,7 @@ pub fn bfs_with_injection(
         let fr = &frontier;
         let parent_ref = &parent;
         let source_ref = &source_of;
-        let level_ref = &level;
         let claim_ref = &claim;
-        let next_level = round as u32 + 1;
         // Phase A — propose: each chunk (own ledger scope) enumerates its
         // frontier vertices' neighbors, charging the reads, and reserves
         // every still-unreached neighbor with fetch_min of the proposer's
@@ -223,7 +228,7 @@ pub fn bfs_with_injection(
         // unique per vertex, so the record writes race-free; the next
         // frontier concatenates per-chunk winner lists in chunk order —
         // fully deterministic. One unit op per proposal (reservation
-        // bookkeeping); per winner: 3 record words + 1 frontier slot + the
+        // bookkeeping); per winner: 2 record words + 1 frontier slot + the
         // winner-charged priority write of the reservation slot itself
         // (see module docs).
         let parts: Vec<Vec<Vertex>> = led.scoped_par(proposals.len(), 1, &|r, s| {
@@ -239,11 +244,10 @@ pub fn bfs_with_injection(
                         parent_ref[w as usize].store(v, Ordering::Relaxed);
                         let src = source_ref[v as usize].load(Ordering::Relaxed);
                         source_ref[w as usize].store(src, Ordering::Relaxed);
-                        level_ref[w as usize].store(next_level, Ordering::Relaxed);
                         out.push(w);
                     }
                 }
-                s.write(5 * (out.len() - won_before) as u64);
+                s.write(4 * (out.len() - won_before) as u64);
             }
             out
         });
@@ -261,7 +265,6 @@ pub fn bfs_with_injection(
 
     BfsResult {
         parent: parent.into_iter().map(AtomicU32::into_inner).collect(),
-        level: level.into_iter().map(AtomicU32::into_inner).collect(),
         source_of: source_of.into_iter().map(AtomicU32::into_inner).collect(),
         visited,
         rounds: round,
@@ -284,18 +287,21 @@ mod tests {
                 assert!(dist_all.iter().all(|d| d[v as usize] == u32::MAX));
                 continue;
             }
-            // level must equal the min distance over all sources
+            // the tree depth is the min distance over all sources, and the
+            // owning source attains it
             let best = dist_all.iter().map(|d| d[v as usize]).min().unwrap();
-            assert_eq!(r.level[v as usize], best, "level of {v}");
+            assert_eq!(r.depth(v), best, "depth of {v}");
+            let owner = sources.iter().position(|&s| s == r.source_of[v as usize]);
+            assert_eq!(dist_all[owner.unwrap()][v as usize], best, "owner of {v}");
             let p = r.parent[v as usize];
-            if sources.contains(&v) && r.level[v as usize] == 0 {
-                assert_eq!(p, v);
-            } else {
+            if p != v {
                 assert!(
                     g.neighbors(v).contains(&p),
                     "parent {p} must be a neighbor of {v}"
                 );
-                assert_eq!(r.level[p as usize] + 1, r.level[v as usize]);
+                assert_eq!(r.source_of[p as usize], r.source_of[v as usize]);
+            } else {
+                assert!(sources.contains(&v));
             }
         }
     }
@@ -315,7 +321,7 @@ mod tests {
         let mut led = Ledger::new(8);
         let r = multi_bfs(&mut led, &g, &[0, 99]);
         check_valid_bfs_forest(&g, &r, &[0, 99]);
-        assert_eq!(r.level[50], 49);
+        assert_eq!(r.depth(50), 49);
         assert_eq!(r.source_of[10], 0);
         assert_eq!(r.source_of[90], 99);
     }
@@ -336,11 +342,11 @@ mod tests {
         let mut led = Ledger::new(16);
         let r = multi_bfs(&mut led, &g, &[0]);
         let writes = led.costs().asym_writes;
-        // ≤ 5 writes per visited vertex (3 record words + frontier slot +
+        // ≤ 4 writes per visited vertex (2 record words + frontier slot +
         // winner-charged reservation slot — sources pay the same via the
         // injection-claiming pass)
         assert!(
-            writes <= 5 * r.visited as u64 + 64,
+            writes <= 4 * r.visited as u64 + 64,
             "writes {writes} vs visited {}",
             r.visited
         );
@@ -365,10 +371,14 @@ mod tests {
                 done: false,
             },
         });
-        assert_eq!(r.level[0], 0);
-        assert_eq!(r.level[10], 3); // started at round 3
-        assert_eq!(r.level[15], 8);
+        assert_eq!(r.parent[0], 0);
+        assert_eq!(r.parent[10], 10); // started at round 3
+        assert_eq!(r.source_of[15], 10);
+        assert_eq!(r.depth(15), 5);
         assert_eq!(r.visited, 20);
+        // the late search reaches vertex 19 nine levels after round 3, and
+        // one more round finds its frontier empty
+        assert_eq!(r.rounds, 3 + 9 + 1);
     }
 
     #[test]
@@ -391,7 +401,8 @@ mod tests {
         });
         assert_eq!(r.source_of[1], 0);
         assert_eq!(r.source_of[5], 5);
-        assert_eq!(r.level[4], 3); // claimed by source 5 at round 2 + 1
+        assert_eq!(r.source_of[4], 5); // claimed by source 5 at round 2 + 1
+        assert_eq!(r.depth(4), 1);
     }
 
     #[test]
@@ -437,7 +448,6 @@ mod tests {
             });
             (
                 r.parent,
-                r.level,
                 r.source_of,
                 r.visited,
                 r.rounds,

@@ -3,12 +3,15 @@
 //! Each vertex draws an exponential shift `δ_v ~ Exp(β)`; on iteration `i`,
 //! BFS's start from still-unexplored vertices with `δ_v ∈ [i, i+1)`, and all
 //! live frontiers advance one level. Vertices claimed by the same source
-//! form one part. Properties (Theorem 4.1, verified statistically in
+//! form one part, and a part is named by its center's vertex id (as in
+//! parlaylib's `ldd_connectivity` and ConnectIt), so no per-vertex label is
+//! written. Properties (Theorem 4.1, verified statistically in
 //! tests/benches):
 //!
 //! * parts have (strong) diameter `O(log n / β)` whp;
 //! * at most `βm` edges cross parts in expectation;
-//! * O(n) writes, O(m + ωn) work using the write-efficient BFS.
+//! * O(n) writes — exactly `|vertices|` bucket slots, 4 per vertex in the
+//!   write-efficient BFS, and one dense id per center — and O(m + ωn) work.
 //!
 //! The graph is any [`GraphView`]; the caller supplies the actual vertex
 //! list (for views whose id space has holes, pass the real vertices).
@@ -23,20 +26,30 @@ use wec_graph::{GraphView, Vertex};
 #[derive(Debug, Clone)]
 pub struct LddResult {
     /// Underlying multi-source BFS: `source_of[v]` is the center whose part
-    /// owns `v`; `parent` is a spanning tree of each part rooted at its
-    /// center; `level` is the distance to the center.
+    /// owns `v`, which names the part; `parent` is a spanning tree of each
+    /// part rooted at its center.
     pub bfs: BfsResult,
-    /// Dense part ids: `part[v] ∈ 0..centers.len()` (`u32::MAX` for vertices
-    /// outside `vertices`).
-    pub part: Vec<u32>,
     /// Center vertex of each part, indexed by dense part id.
     pub centers: Vec<Vertex>,
+    /// Center → dense part id: `center_id[c]` is `c`'s index in `centers`.
+    /// Written only at the centers; every other slot holds [`UNREACHED`].
+    pub center_id: Vec<u32>,
 }
 
 impl LddResult {
     /// Number of parts.
     pub fn num_parts(&self) -> usize {
         self.centers.len()
+    }
+
+    /// Dense part id of `v` (`u32::MAX` for vertices outside `vertices`).
+    /// Uncharged: for tests, stats bins and baselines; a charged caller
+    /// reads `bfs.source_of` and `center_id` itself.
+    pub fn part(&self, v: Vertex) -> u32 {
+        match self.bfs.source_of[v as usize] {
+            UNREACHED => UNREACHED,
+            s => self.center_id[s as usize],
+        }
     }
 }
 
@@ -82,27 +95,23 @@ pub fn low_diameter_decomposition(
             done: round + 1 >= last_bucket,
         }
     });
-    // Dense part ids for the centers that actually started.
-    let mut part = vec![u32::MAX; g.n()];
+    // Dense ids for the centers that actually started, written only at the
+    // centers. A center is a vertex that claimed itself as its own BFS root.
+    let mut center_id = vec![UNREACHED; g.n()];
     let mut centers = Vec::new();
     led.read(vertices.len() as u64);
     for &v in vertices {
-        // A center is a vertex that claimed itself as its own BFS root
-        // (sources injected at later rounds have level = their round).
         if bfs.parent[v as usize] == v {
-            part[v as usize] = centers.len() as u32;
+            center_id[v as usize] = centers.len() as u32;
             centers.push(v);
         }
     }
-    led.write(centers.len() as u64); // dense center ids
-    led.write(vertices.len() as u64); // part labels
-    for &v in vertices {
-        let s = bfs.source_of[v as usize];
-        if s != UNREACHED {
-            part[v as usize] = part[s as usize];
-        }
+    led.write(centers.len() as u64);
+    LddResult {
+        bfs,
+        centers,
+        center_id,
     }
-    LddResult { bfs, part, centers }
 }
 
 #[cfg(test)]
@@ -118,13 +127,14 @@ mod tests {
 
     fn check_partition(g: &Csr, r: &LddResult) {
         // every vertex assigned, every part connected, centers consistent
-        assert!((0..g.n()).all(|v| r.part[v] != u32::MAX));
+        assert!((0..g.n() as u32).all(|v| r.part(v) != u32::MAX));
         for (pid, &c) in r.centers.iter().enumerate() {
-            assert_eq!(r.part[c as usize], pid as u32);
+            assert_eq!(r.part(c), pid as u32);
+            assert_eq!(r.bfs.source_of[c as usize], c);
         }
         for pid in 0..r.num_parts() {
             let members: Vec<Vertex> = (0..g.n() as u32)
-                .filter(|&v| r.part[v as usize] == pid as u32)
+                .filter(|&v| r.part(v) == pid as u32)
                 .collect();
             assert!(
                 props::induced_connected(g, &members),
@@ -157,7 +167,7 @@ mod tests {
                 total_cut += g
                     .edges()
                     .iter()
-                    .filter(|&&(u, v)| r.part[u as usize] != r.part[v as usize])
+                    .filter(|&&(u, v)| r.part(u) != r.part(v))
                     .count();
             }
             let avg = total_cut as f64 / seeds as f64;
@@ -175,15 +185,10 @@ mod tests {
         let beta = 0.1;
         let mut led = Ledger::new(8);
         let r = low_diameter_decomposition(&mut led, &g, &all_vertices(&g), beta, 5);
-        let max_level = (0..g.n())
-            .filter(|&v| r.bfs.level[v] != UNREACHED)
-            .map(|v| r.bfs.level[v])
-            .max();
+        // every vertex is reached, so each has a parent chain to its center
+        let radius = (0..g.n() as u32).map(|v| r.bfs.depth(v)).max().unwrap();
         let bound = (4.0 * (g.n() as f64).ln() / beta) as u32;
-        assert!(
-            max_level.unwrap() <= bound,
-            "radius {max_level:?} > bound {bound}"
-        );
+        assert!(radius <= bound, "radius {radius} > bound {bound}");
     }
 
     #[test]
@@ -199,12 +204,12 @@ mod tests {
     fn writes_linear_in_n_not_m() {
         let g = gnm(1000, 20_000, 11);
         let mut led = Ledger::new(16);
-        let _r = low_diameter_decomposition(&mut led, &g, &all_vertices(&g), 0.125, 3);
-        let w = led.costs().asym_writes;
-        assert!(
-            w <= 8 * 1000 + 200,
-            "LDD writes {w} should be O(n), m = 20k"
-        );
+        let r = low_diameter_decomposition(&mut led, &g, &all_vertices(&g), 0.125, 3);
+        // bucket slots + 4 per BFS winner + one dense id per center:
+        // nothing proportional to m = 20k
+        let expected = 1000 + 4 * r.bfs.visited + r.num_parts();
+        assert_eq!(r.bfs.visited, 1000);
+        assert_eq!(led.costs().asym_writes, expected as u64);
     }
 
     #[test]
@@ -220,7 +225,9 @@ mod tests {
         let g = grid(10, 10);
         let run = |seed| {
             let mut led = Ledger::sequential(8);
-            low_diameter_decomposition(&mut led, &g, &all_vertices(&g), 0.2, seed).part
+            low_diameter_decomposition(&mut led, &g, &all_vertices(&g), 0.2, seed)
+                .bfs
+                .source_of
         };
         assert_eq!(run(4), run(4));
         assert_ne!(run(4), run(5));

@@ -281,31 +281,26 @@ impl WireClient {
         // Send: unacknowledged requests in correlation order, up to the
         // window.
         let window = self.policy.window.max(1);
-        let mut on_wire = self.pending.values().filter(|s| s.sent).count();
-        let to_send: Vec<u64> = self
+        let on_wire = self.pending.values().filter(|s| s.sent).count();
+        let to_send: Vec<(u64, Query)> = self
             .pending
             .iter()
             .filter(|(_, s)| !s.sent)
-            .map(|(&c, _)| c)
+            .map(|(&c, s)| (c, s.query))
+            .take(window.saturating_sub(on_wire))
             .collect();
-        for corr in to_send {
-            if on_wire >= window || self.transport.is_none() {
+        for (corr, query) in to_send {
+            if self.transport.is_none() || !self.send_frame(led, &Frame::Request { corr, query }) {
                 break;
             }
-            let (query, ever_sent) = {
-                let st = &self.pending[&corr];
-                (st.query, st.ever_sent)
-            };
-            if self.send_frame(led, &Frame::Request { corr, query }) {
-                if ever_sent {
+            // Nothing in this loop removes a pending entry, so the lookup
+            // always hits.
+            if let Some(st) = self.pending.get_mut(&corr) {
+                if st.ever_sent {
                     self.stats.resubmitted += 1;
                 }
-                let st = self.pending.get_mut(&corr).expect("still pending");
                 st.sent = true;
                 st.ever_sent = true;
-                on_wire += 1;
-            } else {
-                break;
             }
         }
 

@@ -663,11 +663,17 @@ where
                         stats.hellos_accepted += 1;
                     }
                     Ok(Frame::Request { corr, query }) => {
-                        let Binding {
-                            tenant,
-                            session: sid,
-                        } = match conn.binding {
-                            Ok(binding) => binding,
+                        // A binding always finds its session: `Hello`
+                        // inserts it when it binds, and sessions are never
+                        // removed. A miss is answered like an unbound
+                        // connection's request.
+                        let bound = conn.binding.and_then(|b| {
+                            let unbound = ServeError::MalformedFrame(WireFault::UnexpectedFrame);
+                            let sess = sessions.get_mut(&b.session).ok_or(unbound)?;
+                            Ok((b.tenant, b.session, sess))
+                        });
+                        let (tenant, sid, sess) = match bound {
+                            Ok(bound) => bound,
                             Err(error) => {
                                 // Requests require a session; one without
                                 // is a protocol violation, answered with
@@ -678,7 +684,6 @@ where
                                 continue;
                             }
                         };
-                        let sess = sessions.get_mut(&sid).expect("bound sessions exist");
                         led.op(DEDUP_PROBE_OPS);
                         match sess.dedup.get(&corr) {
                             Some(DedupState::Pending) => {

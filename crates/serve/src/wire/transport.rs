@@ -123,8 +123,8 @@ impl Transport for LoopbackTransport {
     fn recv(&mut self, buf: &mut [u8]) -> Result<usize, TransportError> {
         let mut q = self.rx.q.lock().unwrap_or_else(PoisonError::into_inner);
         let n = q.len().min(buf.len());
-        for slot in buf.iter_mut().take(n) {
-            *slot = q.pop_front().expect("n <= q.len()");
+        for (slot, byte) in buf.iter_mut().zip(q.drain(..n)) {
+            *slot = byte;
         }
         if n == 0 && !self.rx.open.load(Ordering::Acquire) {
             return Err(TransportError::Closed);
