@@ -23,6 +23,7 @@ use wec_asym::report::json;
 use wec_asym::{Costs, Ledger};
 use wec_biconnectivity::bc_labeling;
 use wec_biconnectivity::oracle::build_biconnectivity_oracle;
+use wec_biconnectivity::tecc::two_edge_connectivity;
 use wec_connectivity::{connectivity_csr, star_connectivity, ConnectivityOracle, OracleBuildOpts};
 use wec_core::BuildOpts;
 use wec_graph::{gen, Csr, Priorities, Vertex};
@@ -149,9 +150,10 @@ fn main() {
     assert_eq!(srv.take_ready().len(), stream.len());
     scenarios.push(record("streaming_warm_200", &led));
 
-    // 6–8. The standalone builds the oracles never reach, each of which
+    // 6–9. The standalone builds the oracles never reach, each of which
     // runs the fused pass: §4.2 step 3's cross-edge pack, the star build's
-    // finish and relabel passes, and BC labeling (which starts with §4.2).
+    // finish and relabel passes, BC labeling (which starts with §4.2), and
+    // 2-edge-connectivity from that labeling (bridge masking, then §4.2).
     let beta = 1.0 / OMEGA as f64;
     let mut led = Ledger::new(OMEGA);
     connectivity_csr(&mut led, &g, beta, 9);
@@ -162,6 +164,10 @@ fn main() {
     let mut led = Ledger::new(OMEGA);
     bc_labeling(&mut led, &g, beta, 9);
     scenarios.push(record("bc_labeling", &led));
+    let mut led = Ledger::new(OMEGA);
+    let bc = bc_labeling(&mut led, &g, beta, 9);
+    two_edge_connectivity(&mut led, &g, &bc, beta, 9);
+    scenarios.push(record("tecc", &led));
 
     let doc = json::Obj::new()
         .num("omega", OMEGA)
