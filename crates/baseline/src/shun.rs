@@ -47,6 +47,10 @@ fn recurse(
     let parts = ldd.num_parts();
     // The contraction relabels every vertex with its dense part id, read
     // through the LDD's center table; that array is this baseline's own.
+    // Lookup convention: one read per vertex for a two-word lookup (its
+    // `source_of` word, then its center's table slot; below, `part[v]`
+    // then `sub[part]`), matching §4.2's projection. Charging the second
+    // word would add one read per vertex.
     led.read(n as u64);
     led.write(n as u64);
     let part: Vec<u32> = (0..n as u32).map(|v| ldd.part(v)).collect();

@@ -45,17 +45,16 @@ pub fn build_biconnectivity_oracle<'a, G: GraphView>(
 
     // ---- Step 1: clusters spanning forest with witness edges. ----
     // The level-parallel BFS over the implicit clusters graph; each
-    // discovered cluster records the crossing edge that found it.
+    // discovered cluster records the crossing edge that found it, and each
+    // root records 0 for both words, so every slot is written once.
     let cg = ClustersGraph::new(&d);
     let mut witness_inner = vec![0 as Vertex; nc];
     let mut witness_outer = vec![0 as Vertex; nc];
-    led.write(2 * nc as u64);
     let (cparent, _) = cg.spanning_forest(led, &centers, &idx, |led, yd, _, e, _| {
-        if let Some(e) = e {
-            witness_inner[yd as usize] = e.outer;
-            witness_outer[yd as usize] = e.inner;
-            led.write(2);
-        }
+        let (inner, outer) = e.map_or((0, 0), |e| (e.outer, e.inner));
+        witness_inner[yd as usize] = inner;
+        witness_outer[yd as usize] = outer;
+        led.write(2);
     });
     let forest = RootedForest::from_parents(led, cparent);
     let tour = EulerTour::new(led, &forest);
@@ -64,47 +63,43 @@ pub fn build_biconnectivity_oracle<'a, G: GraphView>(
     // ---- Step 2: clusters-graph BC labeling (aux union-find). ----
     // Each center's O(k²) implicit edge listing and its low/high fold touch
     // only that center's slots, so the whole sweep fans out over per-worker
-    // ledger scopes (split/merge contract) and merges in index order.
-    let mut w_low: Vec<u32> = (0..nc).map(|i| tour.pre[i]).collect();
-    let mut w_high = w_low.clone();
-    led.write(2 * nc as u64);
+    // ledger scopes (split/merge contract) and merges in index order. `lo`
+    // and `hi` are registers; each cluster writes its `w_low`/`w_high` pair
+    // once, and one word per non-tree pair it lists.
     let (cg_ref, idx_ref, forest_ref, tour_ref, centers_ref) =
         (&cg, &idx, &forest, &tour, &centers);
-    #[allow(clippy::type_complexity)]
-    let step2: Vec<(Vec<(u32, u32, u32)>, Vec<(u32, u32)>)> =
-        led.scoped_par(nc, STEP_GRAIN, &|r, s| {
-            let mut lows: Vec<(u32, u32, u32)> = Vec::new(); // (ci, low, high)
-            let mut pairs: Vec<(u32, u32)> = Vec::new();
-            for ci in r.start as u32..r.end as u32 {
-                let (mut lo, mut hi) = (tour_ref.pre[ci as usize], tour_ref.pre[ci as usize]);
-                let mut updated = false;
-                for e in cg_ref.neighbor_edges(s.ledger(), centers_ref[ci as usize]) {
-                    let yd = idx_ref[&e.center];
-                    s.op(2);
-                    let tree = forest_ref.parent(yd) == ci || forest_ref.parent(ci) == yd;
-                    if tree {
-                        continue;
-                    }
-                    lo = lo.min(tour_ref.pre[yd as usize]);
-                    hi = hi.max(tour_ref.pre[yd as usize]);
-                    updated = true;
-                    s.write(1);
-                    if ci < yd && !tour_ref.is_ancestor(ci, yd) && !tour_ref.is_ancestor(yd, ci) {
-                        pairs.push((ci, yd));
-                        s.write(1);
-                    }
+    let step2 = led.scoped_par(nc, STEP_GRAIN, &|r, s| {
+        let mut w = Vec::with_capacity(r.len());
+        let mut pairs = Vec::new();
+        for ci in r.start as u32..r.end as u32 {
+            let pre = tour_ref.pre[ci as usize];
+            let (mut lo, mut hi) = (pre, pre);
+            for e in cg_ref.neighbor_edges(s.ledger(), centers_ref[ci as usize]) {
+                let yd = idx_ref[&e.center];
+                s.op(2);
+                let tree = forest_ref.parent(yd) == ci || forest_ref.parent(ci) == yd;
+                if tree {
+                    continue;
                 }
-                if updated {
-                    lows.push((ci, lo, hi));
+                lo = lo.min(tour_ref.pre[yd as usize]);
+                hi = hi.max(tour_ref.pre[yd as usize]);
+                if ci < yd && !tour_ref.is_ancestor(ci, yd) && !tour_ref.is_ancestor(yd, ci) {
+                    pairs.push((ci, yd));
+                    s.write(1);
                 }
             }
-            (lows, pairs)
-        });
+            w.push((lo, hi));
+        }
+        s.write(2 * r.len() as u64);
+        (w, pairs)
+    });
+    let mut w_low = Vec::with_capacity(nc);
+    let mut w_high = Vec::with_capacity(nc);
     let mut nontree_pairs: Vec<(u32, u32)> = Vec::new();
-    for (lows, pairs) in step2 {
-        for (ci, lo, hi) in lows {
-            w_low[ci as usize] = lo;
-            w_high[ci as usize] = hi;
+    for (w, pairs) in step2 {
+        for (lo, hi) in w {
+            w_low.push(lo);
+            w_high.push(hi);
         }
         nontree_pairs.extend(pairs);
     }
@@ -150,13 +145,18 @@ pub fn build_biconnectivity_oracle<'a, G: GraphView>(
     }
 
     // ---- Step 3: per-cluster local pass. ----
-    let mut pass_up_v = vec![true; nc];
-    let mut bridge_wit = vec![false; nc];
-    let mut seg_bridge = vec![false; nc]; // bridge on intra-parent segment
-    let mut witness_kind = vec![KIND_UP; nc];
-    let mut count_internal = vec![0u64; nc];
-    led.write(5 * nc as u64);
-    {
+    // Every cluster's local-graph build + Hopcroft–Tarjan analysis is
+    // independent. Its record holds its count of internal BCCs and one
+    // `ChildRec` per cluster-tree child, in `forest.children` order; Step 4
+    // reads the records where they lie, so nothing is scattered into
+    // per-cluster arrays.
+    struct ChildRec {
+        pass_up: bool,
+        bridge_wit: bool,
+        seg_bridge: bool,
+        witness_kind: u32,
+    }
+    let records: Vec<(u64, Vec<ChildRec>)> = {
         let ctx = ClusterCtx {
             centers: &centers,
             idx: &idx,
@@ -166,20 +166,9 @@ pub fn build_biconnectivity_oracle<'a, G: GraphView>(
             witness_outer: &witness_outer,
             cg_label: &cg_label,
         };
-        // Per-cluster record computed on a worker scope: every cluster's
-        // local-graph build + Hopcroft–Tarjan analysis is independent, and a
-        // cluster only produces values for its own id and its cluster-tree
-        // children — disjoint slots, applied after the merge.
-        struct ChildRec {
-            cj: u32,
-            pass_up: bool,
-            bridge_wit: bool,
-            seg_bridge: bool,
-            witness_kind: u32,
-        }
         let ctx_ref = &ctx;
         let d_ref = &d;
-        let records: Vec<(u64, Vec<ChildRec>)> = led.scoped_par_map(nc, STEP_GRAIN, &|i, sc| {
+        led.scoped_par_map(nc, STEP_GRAIN, &|i, sc| {
             let ci = i as u32;
             let l = sc.ledger();
             let lg = build_local_graph(l, d_ref, ctx_ref, ci);
@@ -211,7 +200,6 @@ pub fn build_biconnectivity_oracle<'a, G: GraphView>(
                 };
                 l.write(4);
                 kids.push(ChildRec {
-                    cj,
                     pass_up,
                     bridge_wit: bw,
                     seg_bridge: sb,
@@ -219,59 +207,62 @@ pub fn build_biconnectivity_oracle<'a, G: GraphView>(
                 });
             }
             (internal, kids)
-        });
-        for (ci, (internal, kids)) in records.into_iter().enumerate() {
-            count_internal[ci] = internal;
-            for k in kids {
-                pass_up_v[k.cj as usize] = k.pass_up;
-                bridge_wit[k.cj as usize] = k.bridge_wit;
-                seg_bridge[k.cj as usize] = k.seg_bridge;
-                witness_kind[k.cj as usize] = k.witness_kind;
-            }
-        }
-    }
+        })
+    };
 
     // ---- Step 4: offsets, labels, blocked depths (top-down). ----
     let mut offset = vec![0u64; nc];
     let mut acc = 0u64;
     led.write(nc as u64 + 1);
-    for ci in 0..nc {
+    for (ci, &(internal, _)) in records.iter().enumerate() {
         offset[ci] = acc;
-        acc += count_internal[ci];
+        acc += internal;
     }
     let num_main_bcc = acc;
-    let mut root_label = vec![u64::MAX; nc];
-    let mut blocked_v_depth = vec![u32::MAX; nc];
-    let mut blocked_e_depth = vec![u32::MAX; nc];
-    led.write(3 * nc as u64);
-    for &d_id in &tour.order {
-        let p = forest.parent(d_id);
-        if p == d_id {
-            continue; // root cluster
-        }
-        led.read(4);
-        root_label[d_id as usize] = if witness_kind[d_id as usize] == KIND_UP {
-            root_label[p as usize]
-        } else {
-            offset[p as usize] + witness_kind[d_id as usize] as u64
-        };
-        // "Blocked" bits describe the transit through parent(d): they only
-        // apply when the parent is itself a non-root cluster (paths never
-        // transit upward through a forest root).
+    // In preorder, a root writes its own slots with the defaults, and each
+    // cluster writes its children's slots from its Step 3 record. A
+    // cluster's slots are final before its children read them, and each
+    // slot is written once.
+    let mut root_label = vec![0u64; nc];
+    let mut blocked_v_depth = vec![0u32; nc];
+    let mut blocked_e_depth = vec![0u32; nc];
+    let mut bridge_wit = vec![false; nc];
+    for &p in &tour.order {
+        let pu = p as usize;
+        // "Blocked" bits describe the transit through `p`: they only apply
+        // when `p` is itself a non-root cluster (paths never transit upward
+        // through a forest root).
         let parent_transits = !forest.is_root(p);
-        let marked_v = parent_transits && !pass_up_v[d_id as usize];
-        let marked_e = parent_transits && (bridge_wit[d_id as usize] || seg_bridge[d_id as usize]);
-        blocked_v_depth[d_id as usize] = if marked_v {
-            tour.depth[d_id as usize]
-        } else {
-            blocked_v_depth[p as usize]
-        };
-        blocked_e_depth[d_id as usize] = if marked_e {
-            tour.depth[d_id as usize]
-        } else {
-            blocked_e_depth[p as usize]
-        };
-        led.write(3);
+        if !parent_transits {
+            root_label[pu] = u64::MAX;
+            blocked_v_depth[pu] = u32::MAX;
+            blocked_e_depth[pu] = u32::MAX;
+            bridge_wit[pu] = false;
+            led.write(4);
+        }
+        for (&c, rec) in forest.children(p).iter().zip(&records[pu].1) {
+            let cu = c as usize;
+            led.read(4);
+            root_label[cu] = if rec.witness_kind == KIND_UP {
+                root_label[pu]
+            } else {
+                offset[pu] + rec.witness_kind as u64
+            };
+            let marked_v = parent_transits && !rec.pass_up;
+            let marked_e = parent_transits && (rec.bridge_wit || rec.seg_bridge);
+            blocked_v_depth[cu] = if marked_v {
+                tour.depth[cu]
+            } else {
+                blocked_v_depth[pu]
+            };
+            blocked_e_depth[cu] = if marked_e {
+                tour.depth[cu]
+            } else {
+                blocked_e_depth[pu]
+            };
+            bridge_wit[cu] = rec.bridge_wit;
+            led.write(4);
+        }
     }
 
     BiconnectivityOracle {

@@ -8,12 +8,13 @@
 use super::build::build_biconnectivity_oracle;
 use wec_asym::{FxHashMap, Ledger};
 use wec_baseline::{brute, hopcroft_tarjan};
-use wec_core::{BuildOpts, ClustersGraph};
+use wec_core::{BuildOpts, ClustersGraph, ImplicitDecomposition};
 use wec_graph::gen::{
     bounded_degree_connected, caterpillar, cycle, disjoint_union, grid, ladder, path,
     random_regular,
 };
 use wec_graph::{Csr, Priorities, Vertex};
+use wec_prims::{EulerTour, LcaIndex, RootedForest};
 
 fn check_oracle(g: &Csr, k: usize, seed: u64) {
     let n = g.n();
@@ -349,5 +350,77 @@ fn storage_words_is_o_n_over_k() {
         if k >= 48 {
             assert!(words < n, "storage {words} must be o(n) once k ≫ constants");
         }
+    }
+}
+
+#[test]
+fn build_writes_each_oracle_word_once() {
+    // Beyond the decomposition, the clusters forest, its tour and its LCA
+    // index, the build charges an exact count. With n_c clusters, r roots,
+    // c = n_c − r tree children, P non-tree pairs and U successful unions:
+    //   forest parents n_c + c, witnesses 2·n_c,
+    //   Step 2: w_low/w_high 2·n_c + P, two leaffix passes 2·n_c,
+    //     critical bits n_c/64 + 1, union-find n_c + U, cg_label n_c,
+    //   Step 3 records: n_c + 4·c,
+    //   Step 4: offsets n_c + 1, labels, blocked depths, bridge bits 4·n_c.
+    // A second pass over any per-cluster array breaks the equality.
+    let g = disjoint_union(&[
+        &bounded_degree_connected(300, 4, 70, 8),
+        &grid(8, 9),
+        &cycle(12),
+        &path(3),
+        &bounded_degree_connected(90, 4, 20, 9),
+    ]);
+    let n = g.n();
+    let pri = Priorities::random(n, 6);
+    let verts: Vec<Vertex> = (0..n as u32).collect();
+    let k = 4;
+    for opts in [BuildOpts::default(), BuildOpts { parallel: true }] {
+        let mut led = Ledger::new(16);
+        let oracle = build_biconnectivity_oracle(&mut led, &g, &pri, &verts, k, 3, opts);
+        let total = led.costs().asym_writes;
+
+        let mut l = Ledger::new(16);
+        ImplicitDecomposition::build(&mut l, &g, &pri, &verts, k, 3, opts);
+        let decomp = l.costs().asym_writes;
+        let nc = oracle.centers.len() as u64;
+        let parents = (0..nc as u32).map(|c| oracle.forest.parent(c)).collect();
+        let mut l = Ledger::new(16);
+        let forest = RootedForest::from_parents(&mut l, parents);
+        let tour = EulerTour::new(&mut l, &forest);
+        LcaIndex::new(&mut l, &forest, &tour);
+        let shared = l.costs().asym_writes;
+
+        let roots = oracle.forest.roots().len() as u64;
+        assert!(
+            roots >= 3,
+            "several centered components expected, got {roots}"
+        );
+        let children = nc - roots;
+        let cg = ClustersGraph::new(oracle.decomposition());
+        let mut pairs = 0u64;
+        for ci in 0..nc as u32 {
+            for e in cg.neighbor_edges(&mut l, oracle.centers[ci as usize]) {
+                let yd = oracle.idx[&e.center];
+                let tree = oracle.forest.parent(yd) == ci || oracle.forest.parent(ci) == yd;
+                let unrelated =
+                    !oracle.tour.is_ancestor(ci, yd) && !oracle.tour.is_ancestor(yd, ci);
+                pairs += u64::from(!tree && ci < yd && unrelated);
+            }
+        }
+        // Roots stay singletons, so the union-find ends with r sets plus one
+        // per distinct label among the children.
+        let labels: std::collections::HashSet<u32> = (0..nc as usize)
+            .filter(|&ci| !oracle.forest.is_root(ci as u32))
+            .map(|ci| oracle.cg_label[ci])
+            .collect();
+        let unions = children - labels.len() as u64;
+
+        let expected = 15 * nc + 5 * children + pairs + unions + nc / 64 + 2;
+        assert_eq!(
+            total - decomp - shared,
+            expected,
+            "{opts:?}: n_c {nc}, roots {roots}, pairs {pairs}, unions {unions}"
+        );
     }
 }

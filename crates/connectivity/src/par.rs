@@ -96,7 +96,10 @@ pub fn connectivity_general(
     }
 
     // Project labels to vertices through their centers (O(n) writes —
-    // allowed at this tier).
+    // allowed at this tier). Lookup convention: each vertex is charged one
+    // read for a two-word lookup (its `source_of` word, then its center's
+    // table slot); the second word goes uncharged, as in the Shun baseline's
+    // projection. Charging it would add one read per vertex.
     let mut labels = vec![u32::MAX; n_ids];
     led.read(vertices.len() as u64);
     led.write(vertices.len() as u64);

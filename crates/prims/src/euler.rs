@@ -26,9 +26,15 @@ pub struct RootedForest {
 
 impl RootedForest {
     /// Build children lists by counting sort. Charges O(n) reads/writes.
+    ///
+    /// Shifted offsets: `p`'s child count goes to `children_off[p + 2]`;
+    /// after the prefix sum `children_off[p + 1]` is where `p`'s children
+    /// start, and placing through it as a cursor leaves it at their end,
+    /// which is where `p + 1`'s children start. No separate degree or cursor
+    /// array.
     pub fn from_parents(led: &mut Ledger, parent: Vec<Vertex>) -> Self {
         let n = parent.len();
-        let mut deg = vec![0u32; n];
+        let mut children_off = vec![0u32; n + 2];
         let mut roots = Vec::new();
         led.read(n as u64);
         for v in 0..n as u32 {
@@ -39,24 +45,24 @@ impl RootedForest {
             if p == v {
                 roots.push(v);
             } else {
-                deg[p as usize] += 1;
+                children_off[p as usize + 2] += 1;
             }
         }
         led.write(n as u64); // degree counters
-        let mut children_off = vec![0u32; n + 1];
-        for i in 0..n {
-            children_off[i + 1] = children_off[i] + deg[i];
+        for i in 2..n + 2 {
+            children_off[i] += children_off[i - 1];
         }
         led.write(n as u64 + 1);
-        let mut children = vec![0 as Vertex; children_off[n] as usize];
-        let mut cursor: Vec<u32> = children_off[..n].to_vec();
+        let mut children = vec![0 as Vertex; children_off[n + 1] as usize];
         for v in 0..n as u32 {
             let p = parent[v as usize];
             if p != UNREACHED && p != v {
-                children[cursor[p as usize] as usize] = v;
-                cursor[p as usize] += 1;
+                let slot = &mut children_off[p as usize + 1];
+                children[*slot as usize] = v;
+                *slot += 1;
             }
         }
+        children_off.pop();
         led.write(children.len() as u64);
         RootedForest {
             parent,
@@ -102,11 +108,6 @@ impl RootedForest {
             self.children_off[v as usize + 1] as usize,
         );
         &self.children[lo..hi]
-    }
-
-    /// Raw parent array.
-    pub fn parent_array(&self) -> &[Vertex] {
-        &self.parent
     }
 
     /// Words of storage: parents, roots, child offsets and child lists.
