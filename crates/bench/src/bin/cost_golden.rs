@@ -150,7 +150,7 @@ fn main() {
     assert_eq!(srv.take_ready().len(), stream.len());
     scenarios.push(record("streaming_warm_200", &led));
 
-    // 6–9. The standalone builds the oracles never reach, each of which
+    // 6–10. The standalone builds the oracles never reach, each of which
     // runs the fused pass: §4.2 step 3's cross-edge pack, the star build's
     // finish and relabel passes, BC labeling (which starts with §4.2), and
     // 2-edge-connectivity from that labeling (bridge masking, then §4.2).
@@ -168,6 +168,13 @@ fn main() {
     let bc = bc_labeling(&mut led, &g, beta, 9);
     two_edge_connectivity(&mut led, &g, &bc, beta, 9);
     scenarios.push(record("tecc", &led));
+
+    // 10. §4.2 on a dense graph (average degree 64): the LDD's covering
+    // rounds meet frontiers whose arcs mostly point at visited vertices.
+    let dense = gen::gnm(2000, 64_000, 9);
+    let mut led = Ledger::new(OMEGA);
+    connectivity_csr(&mut led, &dense, beta, 9);
+    scenarios.push(record("sec42_dense", &led));
 
     let doc = json::Obj::new()
         .num("omega", OMEGA)
