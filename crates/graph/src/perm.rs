@@ -68,16 +68,6 @@ impl Priorities {
     pub fn beats(&self, a: Vertex, b: Vertex) -> bool {
         self.rank[a as usize] < self.rank[b as usize]
     }
-
-    /// The higher-priority of two vertices.
-    #[inline]
-    pub fn min_by_priority(&self, a: Vertex, b: Vertex) -> Vertex {
-        if self.beats(a, b) {
-            a
-        } else {
-            b
-        }
-    }
 }
 
 #[cfg(test)]
@@ -89,7 +79,6 @@ mod tests {
         let p = Priorities::identity(5);
         assert_eq!(p.rank(3), 3);
         assert!(p.beats(1, 2));
-        assert_eq!(p.min_by_priority(4, 2), 2);
     }
 
     #[test]

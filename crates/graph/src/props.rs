@@ -54,34 +54,6 @@ pub fn bfs_distances(g: &Csr, src: Vertex) -> Vec<u32> {
     dist
 }
 
-/// Eccentricity-based diameter of the subgraph induced by `verts` (exact,
-/// O(|verts|·edges); only for small validation inputs).
-pub fn induced_diameter(g: &Csr, verts: &[Vertex]) -> usize {
-    use wec_asym::FxHashSet;
-    let inside: FxHashSet<Vertex> = verts.iter().copied().collect();
-    let mut best = 0usize;
-    for &s in verts {
-        let mut dist: wec_asym::FxHashMap<Vertex, usize> = Default::default();
-        dist.insert(s, 0);
-        let mut queue = VecDeque::new();
-        queue.push_back(s);
-        while let Some(v) = queue.pop_front() {
-            let dv = dist[&v];
-            best = best.max(dv);
-            for &w in g.neighbors(v) {
-                if inside.contains(&w) && !dist.contains_key(&w) {
-                    dist.insert(w, dv + 1);
-                    queue.push_back(w);
-                }
-            }
-        }
-        if dist.len() != verts.len() {
-            return usize::MAX; // induced subgraph disconnected
-        }
-    }
-    best
-}
-
 /// Whether the subgraph induced by `verts` is connected.
 pub fn induced_connected(g: &Csr, verts: &[Vertex]) -> bool {
     if verts.len() <= 1 {
@@ -101,15 +73,6 @@ pub fn induced_connected(g: &Csr, verts: &[Vertex]) -> bool {
         }
     }
     seen.len() == verts.len()
-}
-
-/// Degree histogram (index = degree).
-pub fn degree_histogram(g: &Csr) -> Vec<usize> {
-    let mut hist = vec![0usize; g.max_degree() + 1];
-    for v in 0..g.n() as u32 {
-        hist[g.degree(v)] += 1;
-    }
-    hist
 }
 
 #[cfg(test)]
@@ -139,15 +102,5 @@ mod tests {
         let g = grid(3, 3);
         assert!(induced_connected(&g, &[0, 1, 2]));
         assert!(!induced_connected(&g, &[0, 8]));
-        assert_eq!(induced_diameter(&g, &[0, 1, 2]), 2);
-        assert_eq!(induced_diameter(&g, &[0, 8]), usize::MAX);
-    }
-
-    #[test]
-    fn histogram_sums_to_n() {
-        let g = grid(4, 4);
-        let h = degree_histogram(&g);
-        assert_eq!(h.iter().sum::<usize>(), 16);
-        assert_eq!(h[2], 4); // corners
     }
 }

@@ -10,11 +10,21 @@
 //!
 //! * parts have (strong) diameter `O(log n / β)` whp;
 //! * at most `βm` edges cross parts in expectation;
-//! * O(n) writes — exactly `|vertices|` bucket slots, 4 per vertex in the
-//!   write-efficient BFS, and one dense id per center — and O(m + ωn) work.
+//! * O(n) writes — exactly `|vertices|` bucket slots, 4 per vertex the
+//!   write-efficient BFS claims top-down or as a source, 3 per vertex it
+//!   claims bottom-up, and one dense id per center:
+//!   `|V| + 4·(visited − bottom_up_claims) + 3·bottom_up_claims + parts` —
+//!   and O(m + ωn) work.
+//!
+//! The BFS is direction-optimizing (see [`crate::bfs`]): a round goes
+//! bottom-up iff `|V| + n_u + 2·m_u < |F| + 2·m_f`, i.e. iff the worst case
+//! of a scan of the unvisited vertices reads less than the frontier's arcs
+//! would. On a dense graph the covering rounds, whose arcs mostly point at
+//! visited vertices, go bottom-up.
 //!
 //! The graph is any [`GraphView`]; the caller supplies the actual vertex
-//! list (for views whose id space has holes, pass the real vertices).
+//! list (for views whose id space has holes, pass the real vertices). The
+//! BFS's bottom-up rounds scan only that list, so holes are never claimed.
 
 use crate::bfs::{bfs_with_injection, BfsResult, Injection, UNREACHED};
 use rand::rngs::SmallRng;
@@ -88,7 +98,7 @@ pub fn low_diameter_decomposition(
     }
     let last_bucket = buckets.len();
     let mut bucket_iter = buckets.into_iter();
-    let bfs = bfs_with_injection(led, g, &mut |round, _| {
+    let bfs = bfs_with_injection(led, g, vertices, &mut |round, _| {
         let sources = bucket_iter.next().unwrap_or_default();
         Injection {
             sources,
@@ -205,10 +215,13 @@ mod tests {
         let g = gnm(1000, 20_000, 11);
         let mut led = Ledger::new(16);
         let r = low_diameter_decomposition(&mut led, &g, &all_vertices(&g), 0.125, 3);
-        // bucket slots + 4 per BFS winner + one dense id per center:
-        // nothing proportional to m = 20k
-        let expected = 1000 + 4 * r.bfs.visited + r.num_parts();
+        // bucket slots + 4 per top-down or injected BFS winner + 3 per
+        // bottom-up winner + one dense id per center: nothing proportional
+        // to m = 20k
+        let bottom_up = r.bfs.bottom_up_claims;
+        let expected = 1000 + 4 * (r.bfs.visited - bottom_up) + 3 * bottom_up + r.num_parts();
         assert_eq!(r.bfs.visited, 1000);
+        assert!(bottom_up > 0, "the covering rounds go bottom-up");
         assert_eq!(led.costs().asym_writes, expected as u64);
     }
 
