@@ -185,15 +185,6 @@ impl Ledger {
         self.sym_cur = self.sym_cur.saturating_sub(words);
     }
 
-    /// Run `body` with `words` of symmetric memory reserved, releasing them
-    /// afterwards.
-    pub fn sym_scope<R>(&mut self, words: u64, body: impl FnOnce(&mut Ledger) -> R) -> R {
-        self.sym_alloc(words);
-        let r = body(self);
-        self.sym_free(words);
-        r
-    }
-
     /// High-water mark of symmetric-memory words over this task and all
     /// completed children.
     #[inline]
@@ -542,9 +533,9 @@ mod tests {
     fn sym_memory_high_water() {
         let mut l = Ledger::new(2);
         l.sym_alloc(10);
-        l.sym_scope(5, |l| {
-            assert_eq!(l.sym_live(), 15);
-        });
+        l.sym_alloc(5);
+        assert_eq!(l.sym_live(), 15);
+        l.sym_free(5);
         assert_eq!(l.sym_live(), 10);
         assert_eq!(l.sym_peak(), 15);
         l.sym_free(10);
@@ -556,7 +547,13 @@ mod tests {
     fn children_inherit_live_symmetric_memory() {
         let mut l = Ledger::new(2);
         l.sym_alloc(8);
-        l.fork(|a| a.sym_alloc(4), |b| b.sym_scope(100, |_| ()));
+        l.fork(
+            |a| a.sym_alloc(4),
+            |b| {
+                b.sym_alloc(100);
+                b.sym_free(100);
+            },
+        );
         // child peaks: 12 and 108; parent live stays 8
         assert_eq!(l.sym_peak(), 108);
         assert_eq!(l.sym_live(), 8);
@@ -732,7 +729,8 @@ mod tests {
         let mut l = Ledger::new(2);
         l.sym_alloc(8);
         let mut s = l.scope();
-        s.ledger().sym_scope(100, |_| ());
+        s.ledger().sym_alloc(100);
+        s.ledger().sym_free(100);
         l.join_many([s]);
         assert_eq!(l.sym_peak(), 108);
         assert_eq!(l.sym_live(), 8);

@@ -1,11 +1,9 @@
 //! Serializable cost summaries for the benchmark harness.
 //!
-//! The harness emits machine-readable JSON (e.g. `BENCH_PR1.json`) without
-//! an external serialization dependency: [`CostReport::to_json`] renders the
-//! flat report shape directly, and [`json::Obj`] is the tiny builder the
-//! bench binaries use for their own envelopes.
+//! The harness emits machine-readable JSON without an external
+//! serialization dependency: [`json::Obj`] is the tiny builder the bench
+//! binaries use for their own envelopes.
 
-use crate::cost::Costs;
 use crate::ledger::Ledger;
 
 /// A labeled snapshot of everything a [`Ledger`] measured. The bench harness
@@ -47,37 +45,6 @@ impl CostReport {
             depth: led.depth(),
             sym_peak_words: led.sym_peak(),
         }
-    }
-
-    /// Build a report from a phase delta (costs measured between two
-    /// snapshots) when ledger-level depth is not meaningful for the phase.
-    pub fn from_costs(label: String, omega: u64, costs: Costs) -> Self {
-        CostReport {
-            label,
-            omega,
-            asym_reads: costs.asym_reads,
-            asym_writes: costs.asym_writes,
-            sym_ops: costs.sym_ops,
-            operations: costs.operations(),
-            work: costs.work(omega),
-            depth: 0,
-            sym_peak_words: 0,
-        }
-    }
-
-    /// Render as a flat JSON object.
-    pub fn to_json(&self) -> String {
-        json::Obj::new()
-            .str("label", &self.label)
-            .num("omega", self.omega)
-            .num("asym_reads", self.asym_reads)
-            .num("asym_writes", self.asym_writes)
-            .num("sym_ops", self.sym_ops)
-            .num("operations", self.operations)
-            .num("work", self.work)
-            .num("depth", self.depth)
-            .num("sym_peak_words", self.sym_peak_words)
-            .finish()
     }
 
     /// One-line human-readable rendering used by the harness binaries.
@@ -152,17 +119,6 @@ pub mod json {
             self
         }
 
-        /// Add a float field (finite values only; non-finite renders null).
-        pub fn float(mut self, k: &str, v: f64) -> Self {
-            self.key(k);
-            if v.is_finite() {
-                self.body.push_str(&format!("{v:.6}"));
-            } else {
-                self.body.push_str("null");
-            }
-            self
-        }
-
         /// Add a raw pre-rendered JSON value (object, array, ...).
         pub fn raw(mut self, k: &str, v: &str) -> Self {
             self.key(k);
@@ -205,52 +161,25 @@ mod tests {
     }
 
     #[test]
-    fn json_has_every_field_and_escapes_labels() {
-        let mut led = Ledger::new(4);
-        led.write(5);
-        let mut r = led.report("x\"y\\z");
-        r.label = "x\"y\\z".into();
-        let s = r.to_json();
-        for field in [
-            "\"label\":\"x\\\"y\\\\z\"",
-            "\"omega\":4",
-            "\"asym_writes\":5",
-            "\"work\":20",
-            "\"depth\":20",
-            "\"sym_peak_words\":0",
-        ] {
-            assert!(s.contains(field), "{s} missing {field}");
-        }
-        assert!(s.starts_with('{') && s.ends_with('}'));
-    }
-
-    #[test]
     fn json_builder_composes_nested_values() {
         let inner = json::Obj::new().num("a", 1).finish();
         let outer = json::Obj::new()
             .str("name", "t")
-            .float("ratio", 0.5)
             .raw("inner", &inner)
             .raw("list", &json::array(vec!["1".into(), "2".into()]))
             .finish();
-        assert_eq!(
-            outer,
-            "{\"name\":\"t\",\"ratio\":0.500000,\"inner\":{\"a\":1},\"list\":[1,2]}"
-        );
+        assert_eq!(outer, "{\"name\":\"t\",\"inner\":{\"a\":1},\"list\":[1,2]}");
+        let escaped = json::Obj::new().str("x\"y\\z", "a\nb").finish();
+        assert_eq!(escaped, r#"{"x\"y\\z":"a\nb"}"#);
     }
 
     #[test]
     fn render_contains_key_fields() {
-        let r = CostReport::from_costs(
-            "lbl".into(),
-            8,
-            Costs {
-                asym_reads: 1,
-                asym_writes: 2,
-                sym_ops: 3,
-            },
-        );
-        let s = r.render();
+        let mut led = Ledger::new(8);
+        led.read(1);
+        led.write(2);
+        led.op(3);
+        let s = led.report("lbl").render();
         assert!(s.contains("lbl"));
         assert!(s.contains("writes=2"));
     }

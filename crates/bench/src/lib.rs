@@ -74,17 +74,6 @@ pub fn header(title: &str) -> String {
     )
 }
 
-/// Geometric size sweep helper.
-pub fn geometric(from: usize, to: usize, factor: usize) -> Vec<usize> {
-    let mut v = Vec::new();
-    let mut x = from;
-    while x <= to {
-        v.push(x);
-        x *= factor;
-    }
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,10 +87,5 @@ mod tests {
         assert_eq!(x, 42);
         assert_eq!(r.asym_writes, 3);
         assert_eq!(r.work, 24);
-    }
-
-    #[test]
-    fn geometric_sweep() {
-        assert_eq!(geometric(10, 80, 2), vec![10, 20, 40, 80]);
     }
 }

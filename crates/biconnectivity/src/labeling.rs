@@ -28,7 +28,7 @@
 
 use crate::lowhigh::{low_high, LowHigh};
 use wec_asym::Ledger;
-use wec_connectivity::{connectivity_csr, connectivity_general, root_forest};
+use wec_connectivity::{connectivity_csr, connectivity_general};
 use wec_graph::{Csr, EdgeId, GraphView, Vertex};
 
 /// Marker for "no label" (roots of the spanning forest, out-of-forest ids).
@@ -120,10 +120,18 @@ impl GraphView for AuxView<'_> {
 /// Full §5.2 pipeline: §4.2 connectivity → rooted spanning forest →
 /// low/high → auxiliary connectivity → labels/heads. `beta` is forwarded
 /// to both connectivity passes (use `1/ω`).
+///
+/// The rooted forest is §4.2's own: the LDD's per-part BFS trees, re-rooted
+/// in place along the lifted cross edges ([`wec_connectivity::ConnResult::reroot`]),
+/// so each tree is rooted at an LDD center. When every component is one
+/// part, that costs nothing.
 pub fn bc_labeling(led: &mut Ledger, g: &Csr, beta: f64, seed: u64) -> BcLabeling {
-    let conn = connectivity_csr(led, g, beta, seed);
-    let parent = root_forest(led, g.n(), &conn.forest_edges, &[]);
-    bc_labeling_with_forest(led, g, parent, beta, seed)
+    let mut conn = connectivity_csr(led, g, beta, seed);
+    conn.reroot(led, &|i, l| {
+        l.read(1);
+        Some(g.edge(i as EdgeId))
+    });
+    bc_labeling_with_forest(led, g, conn.parent, beta, seed)
 }
 
 /// §5.2 with a caller-provided rooted spanning forest (parent array).
@@ -244,32 +252,6 @@ impl BcLabeling {
             b
         };
         self.label[deeper as usize]
-    }
-
-    /// The block-cut tree: for every BCC `c`, the articulation points on
-    /// its boundary. Returned as `(bcc -> articulation vertices)` lists.
-    /// O(n) work (harness/test helper).
-    pub fn block_cut_tree(&self, led: &mut Ledger) -> Vec<Vec<Vertex>> {
-        let n = self.label.len();
-        let mut out: Vec<Vec<Vertex>> = vec![Vec::new(); self.num_bcc];
-        led.read(2 * n as u64);
-        for v in 0..n as u32 {
-            if !self.is_articulation(led, v) {
-                continue;
-            }
-            // v touches: the component it is a member of (if any), plus
-            // every component it heads.
-            let lv = self.label[v as usize];
-            if lv != NO_LABEL {
-                out[lv as usize].push(v);
-            }
-            for (c, &h) in self.head.iter().enumerate() {
-                if h == v {
-                    out[c].push(v);
-                }
-            }
-        }
-        out
     }
 }
 
@@ -429,18 +411,5 @@ mod tests {
         }
         let _ = bc.same_bcc(&mut led, 0, 39);
         assert_eq!(led.costs().asym_writes, w0);
-    }
-
-    #[test]
-    fn block_cut_tree_shape_on_barbell() {
-        let g = Csr::from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)]);
-        let mut led = Ledger::new(8);
-        let bc = bc_labeling(&mut led, &g, 0.25, 2);
-        assert_eq!(bc.num_bcc, 3);
-        let bct = bc.block_cut_tree(&mut led);
-        // the bridge BCC touches both articulation points; triangles one each
-        let mut sizes: Vec<usize> = bct.iter().map(|x| x.len()).collect();
-        sizes.sort_unstable();
-        assert_eq!(sizes, vec![1, 1, 2]);
     }
 }

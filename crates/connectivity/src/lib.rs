@@ -8,7 +8,9 @@
 //!   spanning trees from the LDD's own BFS, a write-efficient filter of the
 //!   cross edges, and a linear-work pass over the (small) contracted graph.
 //!   Unlike prior work it never contracts recursively, so it never pays
-//!   `Θ(m)` writes.
+//!   `Θ(m)` writes. Its spanning forest is the LDD's parent array plus the
+//!   lifted cross edges; [`ConnResult::reroot`] makes it one rooted forest
+//!   in place.
 //! * [`oracle`] (§4.3): a connectivity **oracle in sublinear writes** for
 //!   bounded-degree graphs — `O(n/√ω)` writes, `O(√ω·n)` work to build;
 //!   `O(√ω)` expected work per query and no writes. Built by running
@@ -18,11 +20,9 @@
 pub mod delta;
 pub mod oracle;
 pub mod par;
-pub mod spanning;
 pub mod star;
 
 pub use delta::{ComponentOverlay, GraphDelta, OverlayStore, OverlayView, DELTA_SAMPLE_GRAIN};
 pub use oracle::{ComponentId, ConnQueryHandle, ConnectivityOracle, OracleBuildOpts};
 pub use par::{connectivity_csr, connectivity_general, ConnResult};
-pub use spanning::root_forest;
 pub use star::{star_connectivity, StarOracle, StarQueryHandle};

@@ -173,11 +173,6 @@ impl<'a, G: GraphView> ImplicitDecomposition<'a, G> {
         self.center_list.len()
     }
 
-    /// The membership structure.
-    pub fn center_set(&self) -> &CenterSet {
-        &self.centers
-    }
-
     /// Construction statistics.
     pub fn stats(&self) -> &BuildStats {
         &self.stats

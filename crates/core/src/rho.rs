@@ -115,28 +115,6 @@ pub fn rho<G: GraphView>(
     answer
 }
 
-/// `ρ0(v)` alone (`None` for center-less components), mainly for tests and
-/// the construction's component pass.
-pub fn rho0<G: GraphView>(
-    led: &mut Ledger,
-    g: &G,
-    pri: &Priorities,
-    centers: &impl CenterLookup,
-    v: Vertex,
-) -> Option<Vertex> {
-    let mut s = DetSearch::new(led, g, pri, v);
-    let found = loop {
-        if let Some(u) = s.first_in_frontier(led, centers, CenterLabel::Primary) {
-            break Some(u);
-        }
-        if !s.advance(led) {
-            break None;
-        }
-    };
-    s.release(led);
-    found
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,9 +217,6 @@ mod tests {
         let b = rho(&mut led, &g, &pri, &cs, 0);
         assert_eq!(b.center, Center::ImplicitMin(0));
         assert_eq!(b.dist, 0);
-        // rho0 agrees on exhaustion
-        assert_eq!(rho0(&mut led, &g, &pri, &cs, 2), None);
-        assert_eq!(rho0(&mut led, &g, &pri, &cs, 5), Some(6));
     }
 
     #[test]

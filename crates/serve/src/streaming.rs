@@ -782,11 +782,6 @@ where
         self.policy.tenants.iter().position(|s| s.id == tenant)
     }
 
-    /// The installed fault-injection plan, if any.
-    pub fn fault_plan(&self) -> Option<FaultPlan> {
-        self.fault
-    }
-
     /// The breaker knobs in force.
     pub fn recovery(&self) -> RecoveryPolicy {
         self.recovery

@@ -62,13 +62,13 @@ fn section42_connectivity_costs_invariant_under_parallelism() {
     let g = gen::gnm(2500, 20_000, 5);
     let run = |mut led: Ledger| {
         let r = connectivity_csr(&mut led, &g, 1.0 / OMEGA as f64, 9);
-        (r.labels, r.num_components, r.forest_edges, snapshot(&led))
+        (r.labels, r.num_components, r.parent, snapshot(&led))
     };
     let a = run(Ledger::new(OMEGA));
     let b = run(Ledger::sequential(OMEGA));
     assert_eq!(a.0, b.0, "component labels differ");
     assert_eq!(a.1, b.1, "component count differs");
-    assert_eq!(a.2, b.2, "spanning forest differs");
+    assert_eq!(a.2, b.2, "LDD parent arrays differ");
     assert_eq!(a.3, b.3, "accounting differs");
 }
 

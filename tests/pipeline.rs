@@ -4,9 +4,11 @@
 //! asserted (the Table-1 "shape" as a test).
 
 use wec::asym::Ledger;
-use wec::baseline::{hopcroft_tarjan, seq_connectivity, shun_connectivity, unionfind};
+use wec::baseline::{
+    hopcroft_tarjan, seq_connectivity, seq_spanning_forest, shun_connectivity, unionfind,
+};
 use wec::biconnectivity::{bc_labeling, oracle::build_biconnectivity_oracle, tecc};
-use wec::connectivity::{connectivity_csr, root_forest, ConnectivityOracle, OracleBuildOpts};
+use wec::connectivity::{connectivity_csr, ConnectivityOracle, OracleBuildOpts};
 use wec::core::BuildOpts;
 use wec::graph::{gen, Priorities, Vertex};
 
@@ -176,16 +178,28 @@ fn table1_write_ordering_holds_as_a_test() {
 
 #[test]
 fn forest_rooting_composes_with_labeling() {
-    // §4.2 forest → root_forest → BC labeling with that exact forest: the
-    // labeling must accept any valid spanning forest.
+    // The labeling must accept any valid spanning forest: §4.2's own,
+    // re-rooted along its lifted edges at LDD centers, and a sequential BFS
+    // forest rooted at the lowest id of each component.
     let g = gen::add_random_edges(&gen::grid(15, 15), 60, 9);
     let mut led = Ledger::new(16);
-    let conn = connectivity_csr(&mut led, &g, 0.125, 4);
-    let parent = root_forest(&mut led, g.n(), &conn.forest_edges, &[0]);
-    let bc = wec::biconnectivity::bc_labeling_with_forest(&mut led, &g, parent, 0.125, 4);
+    let mut conn = connectivity_csr(&mut led, &g, 0.5, 4);
+    assert!(
+        !conn.lifted.is_empty(),
+        "the re-root must have parts to join"
+    );
+    conn.reroot(&mut led, &|i, l| {
+        l.read(1);
+        Some(g.edge(i as u32))
+    });
+    let lowest = seq_spanning_forest(&mut led, &g);
+    assert_eq!(lowest[0], 0);
     let ht = hopcroft_tarjan(&mut led, &g);
-    for v in 0..g.n() as u32 {
-        assert_eq!(bc.is_articulation(&mut led, v), ht.articulation[v as usize]);
+    for parent in [conn.parent, lowest] {
+        let bc = wec::biconnectivity::bc_labeling_with_forest(&mut led, &g, parent, 0.125, 4);
+        for v in 0..g.n() as u32 {
+            assert_eq!(bc.is_articulation(&mut led, v), ht.articulation[v as usize]);
+        }
+        assert_eq!(bc.num_bcc, ht.num_bcc);
     }
-    assert_eq!(bc.num_bcc, ht.num_bcc);
 }
