@@ -107,8 +107,7 @@ fn main() {
 
     // 3. Sharded batch serving of a fixed mixed batch.
     let stream = golden_stream(n as u32, 200);
-    let sharded =
-        ShardedServer::new(conn.query_handle(), 3).with_biconnectivity(bicon.query_handle());
+    let sharded = ShardedServer::new(&conn, 3).with_biconnectivity(&bicon);
     let mut led = Ledger::new(OMEGA);
     let answers = sharded.serve(&mut led, &stream[..120]);
     assert_eq!(answers.len(), 120);
@@ -121,8 +120,7 @@ fn main() {
     // submissions auto-flush at the queue threshold, the tail drains
     // explicitly.
     let make_streaming = || {
-        let sharded =
-            ShardedServer::new(conn.query_handle(), 3).with_biconnectivity(bicon.query_handle());
+        let sharded = ShardedServer::new(&conn, 3).with_biconnectivity(&bicon);
         StreamingServer::new(
             sharded,
             AdmissionPolicy::builder()

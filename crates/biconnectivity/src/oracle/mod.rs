@@ -88,13 +88,13 @@ pub struct BiconnectivityOracle<'a, G: GraphView> {
 }
 
 impl<'a, G: GraphView> BiconnectivityOracle<'a, G> {
-    /// A cheap copyable read-only view for serving queries, shareable
-    /// across shard workers (see `wec-serve`). Every query entry point of
-    /// the oracle is available on the handle; all of them are read-only, so
-    /// any number of handles may serve concurrently, each charging its own
-    /// ledger.
+    /// The serving view: the oracle itself, borrowed. Queries re-derive
+    /// `ρ` and rebuild at most three local graphs in symmetric memory —
+    /// they never write asymmetric memory — so one shared borrow serves
+    /// any number of shard workers concurrently, each charging its own
+    /// [`Ledger`] / [`wec_asym::LedgerScope`].
     pub fn query_handle(&self) -> BiconnQueryHandle<'_, 'a, G> {
-        BiconnQueryHandle { oracle: self }
+        self
     }
 
     /// The underlying decomposition.
@@ -352,6 +352,17 @@ impl<'a, G: GraphView> BiconnectivityOracle<'a, G> {
         }
     }
 
+    /// Answer a predicate query by its canonical [`BiconnQueryKey`]:
+    /// charges exactly what the corresponding direct call with the
+    /// canonicalized argument order would charge. This is the miss path of
+    /// key-addressed result caches.
+    pub fn answer_key(&self, led: &mut Ledger, key: BiconnQueryKey) -> bool {
+        match key {
+            BiconnQueryKey::TwoEdgeConnected(u, v) => self.two_edge_connected(led, u, v),
+            BiconnQueryKey::Biconnected(u, v) => self.biconnected(led, u, v),
+        }
+    }
+
     /// Whether `v` is an articulation point of the graph. O(ω) expected
     /// operations, no writes.
     pub fn is_articulation(&self, led: &mut Ledger, v: Vertex) -> bool {
@@ -534,78 +545,9 @@ impl BiconnQueryKey {
     }
 }
 
-/// A borrowed, copyable query view over a built [`BiconnectivityOracle`].
-///
-/// Queries re-derive `ρ` and rebuild at most three local graphs in
-/// symmetric memory — they never write asymmetric memory — so handles can
-/// be copied freely across shard workers, each charging its own [`Ledger`]
-/// / [`wec_asym::LedgerScope`]. The handle is `Copy` and one word wide.
-pub struct BiconnQueryHandle<'o, 'g, G: GraphView> {
-    oracle: &'o BiconnectivityOracle<'g, G>,
-}
-
-impl<G: GraphView> Clone for BiconnQueryHandle<'_, '_, G> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<G: GraphView> Copy for BiconnQueryHandle<'_, '_, G> {}
-
-impl<'o, 'g, G: GraphView> BiconnQueryHandle<'o, 'g, G> {
-    /// The oracle this handle serves from.
-    pub fn oracle(&self) -> &'o BiconnectivityOracle<'g, G> {
-        self.oracle
-    }
-
-    /// Whether `u` and `v` are connected (same component).
-    pub fn connected(&self, led: &mut Ledger, u: Vertex, v: Vertex) -> bool {
-        self.oracle.connected(led, u, v)
-    }
-
-    /// Whether `u` and `v` lie in a common biconnected component.
-    pub fn biconnected(&self, led: &mut Ledger, u: Vertex, v: Vertex) -> bool {
-        self.oracle.biconnected(led, u, v)
-    }
-
-    /// Whether `u` and `v` are 2-edge-connected.
-    pub fn two_edge_connected(&self, led: &mut Ledger, u: Vertex, v: Vertex) -> bool {
-        self.oracle.two_edge_connected(led, u, v)
-    }
-
-    /// Answer a predicate query by its canonical [`BiconnQueryKey`]:
-    /// charges exactly what the corresponding direct call with the
-    /// canonicalized argument order would charge. This is the miss path of
-    /// key-addressed result caches.
-    pub fn answer_key(&self, led: &mut Ledger, key: BiconnQueryKey) -> bool {
-        match key {
-            BiconnQueryKey::TwoEdgeConnected(u, v) => self.oracle.two_edge_connected(led, u, v),
-            BiconnQueryKey::Biconnected(u, v) => self.oracle.biconnected(led, u, v),
-        }
-    }
-
-    /// Stable routing hash of a canonical predicate key — delegates to
-    /// [`BiconnQueryKey::route_hash`]; see there for the affinity contract.
-    #[inline]
-    pub fn route_hash(&self, key: BiconnQueryKey) -> u64 {
-        key.route_hash()
-    }
-
-    /// Whether `v` is an articulation point.
-    pub fn is_articulation(&self, led: &mut Ledger, v: Vertex) -> bool {
-        self.oracle.is_articulation(led, v)
-    }
-
-    /// Whether existing edge `{u, v}` is a bridge.
-    pub fn is_bridge(&self, led: &mut Ledger, u: Vertex, v: Vertex) -> bool {
-        self.oracle.is_bridge(led, u, v)
-    }
-
-    /// Globally unique biconnected-component id of existing edge `{u, v}`.
-    pub fn edge_bcc(&self, led: &mut Ledger, u: Vertex, v: Vertex) -> BccId {
-        self.oracle.edge_bcc(led, u, v)
-    }
-}
+/// The serving view of a [`BiconnectivityOracle`]: a shared borrow, `Copy`
+/// and one word wide. The name is kept for callers that spell the type.
+pub type BiconnQueryHandle<'o, 'g, G> = &'o BiconnectivityOracle<'g, G>;
 
 enum Resolved {
     Cluster(u32),

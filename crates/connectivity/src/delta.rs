@@ -36,7 +36,7 @@
 //! endpoint classes, the finish phase performs `u` successful unions, `ℓ`
 //! classes lose their canonical id and `c` base ids change canonical id
 //! in total (each losing class's old canonical id and all its members),
-//! [`ConnQueryHandle::extend_overlay`] charges exactly:
+//! [`ConnectivityOracle::extend_overlay`] charges exactly:
 //!
 //! * sample — `⌈m/G⌉ − 1` ops + `⌈log₂⌈m/G⌉⌉` depth of `scoped_par`
 //!   bookkeeping (`G =` [`DELTA_SAMPLE_GRAIN`]), and per chunk:
@@ -79,7 +79,7 @@ use wec_asym::{
 use wec_baseline::UnionFind;
 use wec_graph::{GraphView, Vertex};
 
-use crate::oracle::{ComponentId, ConnQueryHandle};
+use crate::oracle::{ComponentId, ConnectivityOracle};
 
 /// Accounting grain of the sample phase: one [`wec_asym::LedgerScope`]
 /// chunk per `DELTA_SAMPLE_GRAIN` delta edges. Part of the charge
@@ -90,7 +90,7 @@ pub const DELTA_SAMPLE_GRAIN: usize = 16;
 /// A batch of edge insertions to fold into the connectivity oracle.
 ///
 /// Deltas are plain data — building one charges nothing; the fold
-/// ([`ConnQueryHandle::extend_overlay`]) charges for reading the edges.
+/// ([`ConnectivityOracle::extend_overlay`]) charges for reading the edges.
 /// Duplicate edges and edges within one component are legal and simply
 /// produce no-op unions.
 #[derive(Debug, Clone, Default)]
@@ -134,7 +134,7 @@ impl GraphDelta {
 /// every live epoch at once (see the [module docs](self)).
 ///
 /// Epochs `oldest()..=current()` are readable; epoch `current() + 1` is
-/// the staged one, written by [`ConnQueryHandle::extend_overlay`] and
+/// the staged one, written by [`ConnectivityOracle::extend_overlay`] and
 /// made current by [`OverlayStore::install`]. The store itself charges
 /// nothing: staging charges through `extend_overlay`, lookups through
 /// [`OverlayView::canonical`], and the caller prices the install.
@@ -233,7 +233,7 @@ impl OverlayStore {
     }
 }
 
-/// An [`OverlayStore`] read at one epoch — the handle query paths resolve
+/// An [`OverlayStore`] read at one epoch — what query paths resolve
 /// component ids through. Cheap to copy.
 #[derive(Debug, Clone, Copy)]
 pub struct OverlayView<'a> {
@@ -286,53 +286,18 @@ impl OverlayView<'_> {
         (c, stepped as u64)
     }
 
-    /// An owned copy of this epoch's remap table, for tests and
-    /// diagnostics; not charged.
-    pub fn snapshot(&self) -> ComponentOverlay {
-        let map = self
-            .store
-            .versions
-            .keys()
+    /// This epoch's remap: every base id whose canonical id differs from
+    /// its own, with that canonical id (a fixed point), in no particular
+    /// order. Reads the store in place; for tests and diagnostics, not
+    /// charged.
+    pub fn remapped(&self) -> impl Iterator<Item = (ComponentId, ComponentId)> + '_ {
+        (self.store.versions.keys())
             .map(|&k| (k, self.peek(k)))
             .filter(|&(k, c)| k != c)
-            .collect();
-        ComponentOverlay { map }
     }
 }
 
-/// An owned snapshot of one epoch's remap: exactly the base ids whose
-/// canonical id differs from their own, each mapped to a fixed point.
-/// Produced by [`OverlayView::snapshot`] for tests and diagnostics; query
-/// paths read the [`OverlayStore`] through an [`OverlayView`] instead.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ComponentOverlay {
-    map: FxHashMap<ComponentId, ComponentId>,
-}
-
-impl ComponentOverlay {
-    /// The canonical id of `id` in this snapshot.
-    pub fn peek(&self, id: ComponentId) -> ComponentId {
-        self.map.get(&id).copied().unwrap_or(id)
-    }
-
-    /// Number of remapped ids (base ids whose canonical id changed).
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether this is the identity remap.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// The remapped `(base id, canonical id)` pairs, in no particular
-    /// order.
-    pub fn remapped(&self) -> impl Iterator<Item = (ComponentId, ComponentId)> + '_ {
-        self.map.iter().map(|(&k, &v)| (k, v))
-    }
-}
-
-impl<G: GraphView + Sync> ConnQueryHandle<'_, '_, G> {
+impl<G: GraphView + Sync> ConnectivityOracle<'_, G> {
     /// Fold a batch of edge insertions into `store`'s staged epoch
     /// (`current() + 1`), composing with anything staged there already.
     /// ConnectIt-style sample-then-finish, writing only the mappings this
@@ -433,7 +398,8 @@ impl<G: GraphView + Sync> ConnQueryHandle<'_, '_, G> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::{ConnectivityOracle, OracleBuildOpts};
+    use crate::oracle::OracleBuildOpts;
+    use std::collections::BTreeMap;
     use wec_graph::gen::{disjoint_union, path};
     use wec_graph::{Csr, Priorities};
 
@@ -442,16 +408,21 @@ mod tests {
         ConnectivityOracle::build(led, g, pri, &verts, 4, 0x5eed, OracleBuildOpts::default())
     }
 
+    /// The remap at `view`'s epoch, ordered for comparison.
+    fn table(view: OverlayView<'_>) -> BTreeMap<ComponentId, ComponentId> {
+        view.remapped().collect()
+    }
+
     /// Whether `u` and `v` are connected at `view`'s epoch.
     fn connected_in(
-        h: &ConnQueryHandle<'_, '_, Csr>,
+        oracle: &ConnectivityOracle<'_, Csr>,
         led: &mut Ledger,
         view: OverlayView<'_>,
         u: Vertex,
         v: Vertex,
     ) -> bool {
-        let a = h.component(led, u);
-        let b = h.component(led, v);
+        let a = oracle.component(led, u);
+        let b = oracle.component(led, v);
         view.canonical(led, a) == view.canonical(led, b)
     }
 
@@ -464,20 +435,19 @@ mod tests {
         let pri = Priorities::identity(g.n());
         let mut led = Ledger::new(wec_asym::DEFAULT_OMEGA);
         let oracle = build(&mut led, &g, &pri);
-        let h = oracle.query_handle();
         let mut store = OverlayStore::new();
 
-        h.extend_overlay(&mut led, &mut store, &GraphDelta::from_edges(vec![(3, 12)]));
+        oracle.extend_overlay(&mut led, &mut store, &GraphDelta::from_edges(vec![(3, 12)]));
         assert!(
-            !connected_in(&h, &mut led, store.view(0), 0, 8),
+            !connected_in(&oracle, &mut led, store.view(0), 0, 8),
             "staged only"
         );
         assert_eq!(store.install(), 1);
-        let ov = store.view(1).snapshot();
-        assert_eq!(ov.len(), 1);
-        assert!(connected_in(&h, &mut led, store.view(1), 0, 8));
-        assert!(connected_in(&h, &mut led, store.view(1), 7, 15));
-        assert!(!connected_in(&h, &mut led, store.view(0), 0, 8));
+        let ov = store.view(1);
+        assert_eq!(ov.remapped().count(), 1);
+        assert!(connected_in(&oracle, &mut led, store.view(1), 0, 8));
+        assert!(connected_in(&oracle, &mut led, store.view(1), 7, 15));
+        assert!(!connected_in(&oracle, &mut led, store.view(0), 0, 8));
         for (_, v) in ov.remapped() {
             assert_eq!(ov.peek(v), v, "values are fixed points");
         }
@@ -492,14 +462,13 @@ mod tests {
         let pri = Priorities::identity(g.n());
         let mut led = Ledger::new(wec_asym::DEFAULT_OMEGA);
         let oracle = build(&mut led, &g, &pri);
-        let h = oracle.query_handle();
 
         let d1 = GraphDelta::from_edges(vec![(0, 6), (12, 18)]);
         let d2 = GraphDelta::from_edges(vec![(5, 13)]);
         let mut store = OverlayStore::new();
-        h.extend_overlay(&mut led, &mut store, &d1);
+        oracle.extend_overlay(&mut led, &mut store, &d1);
         store.install();
-        h.extend_overlay(&mut led, &mut store, &d2);
+        oracle.extend_overlay(&mut led, &mut store, &d2);
         store.install();
 
         let mut big = GraphDelta::new();
@@ -507,17 +476,17 @@ mod tests {
             big.insert(u, v);
         }
         let mut one = OverlayStore::new();
-        h.extend_overlay(&mut led, &mut one, &big);
+        oracle.extend_overlay(&mut led, &mut one, &big);
         one.install();
-        assert_eq!(store.view(2).snapshot(), one.view(1).snapshot());
+        assert_eq!(table(store.view(2)), table(one.view(1)));
 
         let before = store.version_count();
         store.retire_oldest();
         store.retire_oldest();
         assert!(store.version_count() < before, "a superseded version went");
-        assert_eq!(store.view(2).snapshot(), one.view(1).snapshot());
+        assert_eq!(table(store.view(2)), table(one.view(1)));
         for u in 0..24u32 {
-            assert!(connected_in(&h, &mut led, store.view(2), 0, u));
+            assert!(connected_in(&oracle, &mut led, store.view(2), 0, u));
         }
     }
 
@@ -529,18 +498,18 @@ mod tests {
         let pri = Priorities::identity(g.n());
         let mut led = Ledger::new(wec_asym::DEFAULT_OMEGA);
         let oracle = build(&mut led, &g, &pri);
-        let h = oracle.query_handle();
         // Merge the two largest ids, then the smallest in: the largest id
         // loses in epoch 1 and, as a member, is remapped again in epoch 2.
-        let mut blocks: Vec<(ComponentId, Vertex)> =
-            [0, 4, 8].map(|v| (h.component(&mut led, v), v)).to_vec();
+        let mut blocks: Vec<(ComponentId, Vertex)> = [0, 4, 8]
+            .map(|v| (oracle.component(&mut led, v), v))
+            .to_vec();
         blocks.sort();
         let [(_, lo), (_, mid), (id, hi)] = blocks[..] else {
             unreachable!("three blocks")
         };
         let mut store = OverlayStore::new();
         for d in [(mid, hi), (lo, mid)] {
-            h.extend_overlay(&mut led, &mut store, &GraphDelta::from_edges(vec![d]));
+            oracle.extend_overlay(&mut led, &mut store, &GraphDelta::from_edges(vec![d]));
             store.install();
         }
         let reads = |epoch: u64| {
@@ -561,15 +530,14 @@ mod tests {
         let pri = Priorities::identity(g.n());
         let mut build_led = Ledger::new(wec_asym::DEFAULT_OMEGA);
         let oracle = build(&mut build_led, &g, &pri);
-        let h = oracle.query_handle();
         let mut led = Ledger::new(wec_asym::DEFAULT_OMEGA);
         let mut store = OverlayStore::new();
         // Same component already.
-        h.extend_overlay(&mut led, &mut store, &GraphDelta::from_edges(vec![(2, 9)]));
+        oracle.extend_overlay(&mut led, &mut store, &GraphDelta::from_edges(vec![(2, 9)]));
         assert!(store.view(1).is_empty());
         assert_eq!(led.costs().asym_writes, 0);
         let before = led.costs();
-        h.extend_overlay(&mut led, &mut store, &GraphDelta::new());
+        oracle.extend_overlay(&mut led, &mut store, &GraphDelta::new());
         assert_eq!(led.costs(), before);
     }
 
@@ -587,15 +555,14 @@ mod tests {
         let run = |parallel: bool| {
             let mut build_led = Ledger::new(wec_asym::DEFAULT_OMEGA);
             let oracle = build(&mut build_led, &g, &pri);
-            let h = oracle.query_handle();
             let mut led = if parallel {
                 Ledger::new(wec_asym::DEFAULT_OMEGA)
             } else {
                 Ledger::sequential(wec_asym::DEFAULT_OMEGA)
             };
             let mut store = OverlayStore::new();
-            h.extend_overlay(&mut led, &mut store, &delta);
-            (led.costs(), led.depth(), store.view(1).snapshot())
+            oracle.extend_overlay(&mut led, &mut store, &delta);
+            (led.costs(), led.depth(), table(store.view(1)))
         };
         assert_eq!(run(true), run(false));
     }

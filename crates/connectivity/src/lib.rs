@@ -22,7 +22,7 @@ pub mod oracle;
 pub mod par;
 pub mod star;
 
-pub use delta::{ComponentOverlay, GraphDelta, OverlayStore, OverlayView, DELTA_SAMPLE_GRAIN};
+pub use delta::{GraphDelta, OverlayStore, OverlayView, DELTA_SAMPLE_GRAIN};
 pub use oracle::{ComponentId, ConnQueryHandle, ConnectivityOracle, OracleBuildOpts};
 pub use par::{connectivity_csr, connectivity_general, ConnResult};
 pub use star::{star_connectivity, StarOracle, StarQueryHandle};

@@ -103,96 +103,34 @@ impl<'a, G: GraphView> ConnectivityOracle<'a, G> {
         self.decomp.storage_words() + 2 * self.labels.len()
     }
 
-    /// A cheap copyable read-only view for serving queries, shareable
-    /// across shard workers (see `wec-serve`). All query entry points live
-    /// on the handle; the oracle's own query methods delegate to it.
+    /// The serving view: the oracle itself, borrowed. Queries are
+    /// read-only (they re-derive `ρ` and read stored labels), so one
+    /// shared borrow serves any number of shard workers concurrently,
+    /// each charging its own [`Ledger`] / [`wec_asym::LedgerScope`].
     pub fn query_handle(&self) -> ConnQueryHandle<'_, 'a, G> {
-        ConnQueryHandle { oracle: self }
+        self
     }
 
     /// Component of `v`: O(k) expected operations, **no writes**.
     pub fn component(&self, led: &mut Ledger, v: Vertex) -> ComponentId {
-        self.query_handle().component(led, v)
-    }
-
-    /// Whether `u` and `v` are connected: two `ρ` queries + label compare.
-    pub fn connected(&self, led: &mut Ledger, u: Vertex, v: Vertex) -> bool {
-        self.query_handle().connected(led, u, v)
-    }
-}
-
-/// A borrowed, copyable query view over a built [`ConnectivityOracle`].
-///
-/// Queries are read-only (they re-derive `ρ` and compare stored labels), so
-/// any number of handles can serve concurrently from different shards, each
-/// charging its own [`Ledger`] / [`wec_asym::LedgerScope`]. The handle is
-/// `Copy` and one word wide — cloning it costs nothing and implies no model
-/// charges.
-pub struct ConnQueryHandle<'o, 'g, G: GraphView> {
-    oracle: &'o ConnectivityOracle<'g, G>,
-}
-
-impl<G: GraphView> Clone for ConnQueryHandle<'_, '_, G> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<G: GraphView> Copy for ConnQueryHandle<'_, '_, G> {}
-
-impl<'o, 'g, G: GraphView> ConnQueryHandle<'o, 'g, G> {
-    /// The oracle this handle serves from.
-    pub fn oracle(&self) -> &'o ConnectivityOracle<'g, G> {
-        self.oracle
-    }
-
-    /// Component of `v`: O(k) expected operations, **no writes**.
-    pub fn component(&self, led: &mut Ledger, v: Vertex) -> ComponentId {
-        match self.oracle.decomp.rho(led, v).center {
+        match self.decomp.rho(led, v).center {
             Center::Stored(c) => {
                 led.read(1);
-                ComponentId::Labeled(self.oracle.labels[&c])
+                ComponentId::Labeled(self.labels[&c])
             }
             Center::ImplicitMin(c) => ComponentId::Implicit(c),
         }
     }
 
-    /// The [`ComponentId`] pair of `(u, v)` — the cacheable form of a
-    /// [`ConnQueryHandle::connected`] query. `ComponentId` is `Copy + Hash`,
-    /// so result caches (see `wec-serve`'s streaming front end) memoize the
-    /// per-vertex ids and derive pair answers by comparing cached pairs
-    /// instead of re-running `ρ`; the comparison itself is free in the
-    /// model, so splitting the query this way never changes its cost.
-    pub fn component_pair(
-        &self,
-        led: &mut Ledger,
-        u: Vertex,
-        v: Vertex,
-    ) -> (ComponentId, ComponentId) {
-        (self.component(led, u), self.component(led, v))
-    }
-
     /// Whether `u` and `v` are connected: two `ρ` queries + label compare.
     pub fn connected(&self, led: &mut Ledger, u: Vertex, v: Vertex) -> bool {
-        let (a, b) = self.component_pair(led, u, v);
-        a == b
-    }
-
-    /// Stable routing hash of a per-vertex cache key — the affinity surface
-    /// result caches shard on (see `wec-serve`'s streaming front end).
-    ///
-    /// The owner shard of vertex `v` under `s` shards is
-    /// `route_hash(v) % s`. The hash is [`wec_asym::stable_mix64`], pinned
-    /// across runs, platforms, and versions: golden cost files record
-    /// charges that depend on this placement, so the mapping is a
-    /// documented contract, not an implementation detail. Hashing is pure
-    /// compute on a value already in hand; the serving layer charges its
-    /// own per-query routing operation.
-    #[inline]
-    pub fn route_hash(&self, v: Vertex) -> u64 {
-        wec_asym::stable_mix64(v as u64)
+        self.component(led, u) == self.component(led, v)
     }
 }
+
+/// The serving view of a [`ConnectivityOracle`]: a shared borrow, `Copy`
+/// and one word wide. The name is kept for callers that spell the type.
+pub type ConnQueryHandle<'o, 'g, G> = &'o ConnectivityOracle<'g, G>;
 
 #[cfg(test)]
 mod tests {

@@ -42,9 +42,9 @@
 //! decomposition) this never materializes a spanning forest, so its build
 //! writes sit strictly below §4.2's. The price is losing the forest
 //! output: [`StarOracle`] answers component queries only, which is exactly
-//! the serving stack's contract ([`StarQueryHandle`] mirrors
-//! [`ConnQueryHandle`](crate::ConnQueryHandle)'s query surface, so it drops
-//! into `wec-serve`'s sharded front end unchanged). Prefer the star path
+//! the serving stack's contract (its `component`/`connected` mirror
+//! [`ConnectivityOracle`](crate::ConnectivityOracle)'s, so it drops into
+//! `wec-serve`'s sharded front end unchanged). Prefer the star path
 //! when only component labels are needed and writes are at a premium;
 //! prefer §4.2 when the spanning forest matters (biconnectivity needs it).
 
@@ -100,22 +100,28 @@ impl StarOracle {
         &self.labels
     }
 
-    /// A cheap copyable read-only view for serving queries — same shape as
-    /// [`ConnQueryHandle`](crate::ConnQueryHandle).
+    /// The serving view: the oracle itself, borrowed — same shape as
+    /// [`ConnectivityOracle::query_handle`](crate::ConnectivityOracle::query_handle).
     pub fn query_handle(&self) -> StarQueryHandle<'_> {
-        StarQueryHandle { oracle: self }
+        self
     }
 
     /// Component of `v`: one charged label read, **no writes**.
     pub fn component(&self, led: &mut Ledger, v: Vertex) -> ComponentId {
-        self.query_handle().component(led, v)
+        led.read(1);
+        ComponentId::Labeled(self.labels[v as usize])
     }
 
     /// Whether `u` and `v` are connected.
     pub fn connected(&self, led: &mut Ledger, u: Vertex, v: Vertex) -> bool {
-        self.query_handle().connected(led, u, v)
+        self.component(led, u) == self.component(led, v)
     }
 }
+
+/// The serving view of a [`StarOracle`]: a shared borrow, `Copy` and one
+/// word wide. Queries are read-only — one charged label read per vertex,
+/// no `ρ` re-derivation (the labels are dense).
+pub type StarQueryHandle<'o> = &'o StarOracle;
 
 /// Deterministic coin for `(seed, round, node)`: `true` = heads. Pure
 /// compute from the pinned stable hash, so contraction is reproducible
@@ -345,60 +351,6 @@ fn root_compress(led: &mut Ledger, p: &mut [u32], v: u32) -> u32 {
     }
     led.write(rewrites);
     r
-}
-
-/// A borrowed, copyable query view over a built [`StarOracle`] — the
-/// serving-stack surface. Queries are read-only: one charged label read
-/// per vertex, no `ρ` re-derivation (the labels are dense), and the same
-/// pinned routing hash as every connectivity handle.
-pub struct StarQueryHandle<'o> {
-    oracle: &'o StarOracle,
-}
-
-impl Clone for StarQueryHandle<'_> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl Copy for StarQueryHandle<'_> {}
-
-impl<'o> StarQueryHandle<'o> {
-    /// The oracle this handle serves from.
-    pub fn oracle(&self) -> &'o StarOracle {
-        self.oracle
-    }
-
-    /// Component of `v`: one charged label read, **no writes**.
-    pub fn component(&self, led: &mut Ledger, v: Vertex) -> ComponentId {
-        led.read(1);
-        ComponentId::Labeled(self.oracle.labels[v as usize])
-    }
-
-    /// The [`ComponentId`] pair of `(u, v)` — the cacheable form, same
-    /// contract as [`ConnQueryHandle::component_pair`](crate::ConnQueryHandle::component_pair).
-    pub fn component_pair(
-        &self,
-        led: &mut Ledger,
-        u: Vertex,
-        v: Vertex,
-    ) -> (ComponentId, ComponentId) {
-        (self.component(led, u), self.component(led, v))
-    }
-
-    /// Whether `u` and `v` are connected.
-    pub fn connected(&self, led: &mut Ledger, u: Vertex, v: Vertex) -> bool {
-        let (a, b) = self.component_pair(led, u, v);
-        a == b
-    }
-
-    /// Stable routing hash — [`wec_asym::stable_mix64`], the pinned
-    /// contract shared with [`ConnQueryHandle`](crate::ConnQueryHandle) so
-    /// the star path routes identically under the sharded front end.
-    #[inline]
-    pub fn route_hash(&self, v: Vertex) -> u64 {
-        wec_asym::stable_mix64(v as u64)
-    }
 }
 
 #[cfg(test)]

@@ -13,11 +13,14 @@
 //! (`Key = Vertex`, `Answer = ComponentId`) and biconnectivity-class
 //! predicates (`Key = BiconnQueryKey`, `Answer = bool`) — and serves
 //! [`Query`] batches, returning one [`ServeResult`] per query **in input
-//! order**. The two paper oracles' handles ([`ConnQueryHandle`],
-//! [`BiconnQueryHandle`]) implement the trait; a server without a
-//! biconnectivity oracle carries the vacant [`NoBiconn`] handle (the
-//! default type parameter), and a future oracle family drops in by
-//! implementing [`OracleHandle`] without touching dispatch.
+//! order**. The paper oracles serve as plain shared borrows
+//! (`&ConnectivityOracle`, `&StarOracle`, `&BiconnectivityOracle`
+//! implement the trait); a server without a biconnectivity oracle
+//! carries the vacant [`NoBiconn`] handle (the default type parameter),
+//! and a future oracle family drops in by implementing [`OracleHandle`]
+//! without touching dispatch. A query naming a vertex outside the graph
+//! is rejected with [`ServeError::UnsupportedQuery`] on every path,
+//! before any charge.
 //! [`FullServer`] / [`FullStreamingServer`] name the fully-equipped
 //! conn+biconn configuration.
 //!
@@ -38,7 +41,7 @@
 //!
 //! Exactly three kinds of charges occur, all of them accounted:
 //!
-//! 1. each query's own oracle charges (identical to calling the handle
+//! 1. each query's own oracle charges (identical to calling the oracle
 //!    directly with the same ledger);
 //! 2. [`QUERY_WORDS`] asymmetric reads per query for scanning the batch
 //!    input, charged as one bulk read per shard;
@@ -124,20 +127,20 @@ pub use wec_asym::{
     FRAME_ENCODE_OPS, INVALIDATE_ENTRY_WRITES, INVALIDATE_SCAN_OPS, RECONNECT_BACKOFF_OPS,
     SESSION_BIND_OPS, TENANT_ADMIT_OPS,
 };
-pub use wec_connectivity::{ComponentOverlay, GraphDelta, OverlayStore, OverlayView};
+pub use wec_connectivity::{GraphDelta, OverlayStore, OverlayView};
 
 use wec_asym::Ledger;
-use wec_biconnectivity::{BiconnQueryHandle, BiconnQueryKey};
-use wec_connectivity::{ComponentId, ConnQueryHandle};
+use wec_biconnectivity::{BiconnQueryKey, BiconnectivityOracle};
+use wec_connectivity::{ComponentId, ConnectivityOracle};
 use wec_graph::Vertex;
 
 /// The fully-equipped sharded server over the two paper oracles.
 pub type FullServer<'o, 'g, G> =
-    ShardedServer<ConnQueryHandle<'o, 'g, G>, BiconnQueryHandle<'o, 'g, G>>;
+    ShardedServer<&'o ConnectivityOracle<'g, G>, &'o BiconnectivityOracle<'g, G>>;
 
 /// The fully-equipped streaming front end over the two paper oracles.
 pub type FullStreamingServer<'o, 'g, G> =
-    StreamingServer<ConnQueryHandle<'o, 'g, G>, BiconnQueryHandle<'o, 'g, G>>;
+    StreamingServer<&'o ConnectivityOracle<'g, G>, &'o BiconnectivityOracle<'g, G>>;
 
 /// Asymmetric-memory words charged for reading one [`Query`] out of a
 /// batch: one word packs the discriminant with the first vertex, the
@@ -193,12 +196,16 @@ impl Answer {
 /// the error-frame payload, so clients see one error surface end to end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ServeError {
-    /// A biconnectivity-class query reached a server built without a
-    /// biconnectivity oracle. Every serving path returns this in the
-    /// query's result slot — [`ShardedServer::serve`] and
-    /// [`ShardedServer::try_answer_one`] directly, the streaming path
-    /// through the normal answer stream — having charged no oracle work
-    /// for it.
+    /// The query cannot be answered by this server: it names a vertex
+    /// outside the served graph, or it is a biconnectivity-class query
+    /// and no biconnectivity oracle is attached. Neither charges any
+    /// oracle work. An out-of-range query is refused at admission
+    /// ([`StreamingServer::submit`](streaming::StreamingServer::submit)
+    /// consumes no ticket; on the wire the request gets an error frame)
+    /// and in its result slot on the batch paths
+    /// ([`ShardedServer::serve`], [`ShardedServer::try_answer_one`]). A
+    /// predicate without an oracle is delivered in its result slot on
+    /// every path, the streaming one through the normal answer stream.
     UnsupportedQuery(Query),
     /// The submission was shed: the queue sits at the policy's
     /// `max_queue` bound and the overflow policy is
@@ -249,7 +256,7 @@ impl std::fmt::Display for ServeError {
             ServeError::UnsupportedQuery(q) => {
                 write!(
                     f,
-                    "unsupported query {q:?}: no biconnectivity oracle attached"
+                    "unsupported query {q:?}: vertex out of range or no biconnectivity oracle attached"
                 )
             }
             ServeError::Overloaded {
@@ -309,7 +316,7 @@ pub fn shard_chunks(n: usize, shards: usize) -> usize {
 /// # let mut led = Ledger::new(16);
 /// # let oracle = ConnectivityOracle::build(
 /// #     &mut led, &g, &pri, &verts, 4, 1, OracleBuildOpts::default());
-/// let server = ShardedServer::new(oracle.query_handle(), 3);
+/// let server = ShardedServer::new(&oracle, 3);
 /// let batch = vec![Query::Connected(0, 35), Query::Component(7)];
 ///
 /// // Sharded serving charges exactly the one-by-one costs plus the
@@ -385,11 +392,24 @@ where
         self.bicon.attached().then_some(self.bicon)
     }
 
+    /// Whether every endpoint of `q` is a vertex of the served graph: one
+    /// uncharged [`OracleHandle::is_vertex`] check per endpoint, through
+    /// the connectivity handle (both handles serve the same graph).
+    pub(crate) fn names_vertices(&self, q: Query) -> bool {
+        match q {
+            Query::Component(v) => self.conn.is_vertex(v),
+            Query::Connected(u, v) | Query::TwoEdgeConnected(u, v) | Query::Biconnected(u, v) => {
+                self.conn.is_vertex(u) && self.conn.is_vertex(v)
+            }
+        }
+    }
+
     /// Answer one query exactly as a shard worker would, minus the batch
     /// input-scan read ([`QUERY_WORDS`]) and scheduler bookkeeping, or
-    /// return [`ServeError::UnsupportedQuery`] when a biconnectivity-class
-    /// query reaches a server without a biconnectivity oracle. The
-    /// rejection charges nothing: it is decided before any oracle work.
+    /// return [`ServeError::UnsupportedQuery`] when the query names a
+    /// vertex outside the graph or a biconnectivity-class query reaches a
+    /// server without a biconnectivity oracle. The rejection charges
+    /// nothing: it is decided before any oracle work.
     ///
     /// Predicate keys are built with the **caller's** endpoint order (raw
     /// variants, not the canonicalizing constructors), so the charge
@@ -413,10 +433,12 @@ where
         overlay: OverlayView<'_>,
         q: Query,
     ) -> ServeResult {
+        if !self.names_vertices(q) {
+            return Err(ServeError::UnsupportedQuery(q));
+        }
         Ok(match q {
             Query::Connected(u, v) => {
-                // Two component resolutions; the comparison is free, as in
-                // ConnQueryHandle::component_pair.
+                // Two component resolutions; the comparison is free.
                 let a = self.conn.answer_key(led, u);
                 let a = overlay.canonical(led, a);
                 let b = self.conn.answer_key(led, v);
@@ -446,9 +468,10 @@ where
     /// scope (in parallel when `led` is parallel; the scheduler may run
     /// several chunks per forked task on thread-starved machines without
     /// changing any charge), and return the results in input order. A
-    /// predicate query on a server without a biconnectivity oracle
-    /// yields [`ServeError::UnsupportedQuery`] and charges only its share
-    /// of the input scan.
+    /// query naming a vertex outside the graph, or a predicate query on a
+    /// server without a biconnectivity oracle, yields
+    /// [`ServeError::UnsupportedQuery`] and charges only its share of the
+    /// input scan.
     pub fn serve(&self, led: &mut Ledger, batch: &[Query]) -> Vec<ServeResult> {
         if batch.is_empty() {
             return Vec::new();
@@ -507,7 +530,7 @@ mod tests {
                 }
             })
             .collect();
-        let server = ShardedServer::new(oracle.query_handle(), shards);
+        let server = ShardedServer::new(&oracle, shards);
         let mut qled = if parallel {
             Ledger::new(OMEGA)
         } else {
@@ -529,11 +552,10 @@ mod tests {
         let batch: Vec<Query> = (0..n as u32)
             .map(|v| Query::Connected(v, (v + 13) % n as u32))
             .collect();
-        let server = ShardedServer::new(oracle.query_handle(), 5);
+        let server = ShardedServer::new(&oracle, 5);
         let mut qled = Ledger::new(OMEGA);
         let got = server.serve(&mut qled, &batch);
         assert_eq!(got.len(), batch.len());
-        let handle = oracle.query_handle();
         for (i, q) in batch.iter().enumerate() {
             let Query::Connected(u, v) = *q else {
                 unreachable!()
@@ -541,7 +563,7 @@ mod tests {
             let mut one = Ledger::new(OMEGA);
             assert_eq!(
                 got[i],
-                Ok(Answer::Connected(handle.connected(&mut one, u, v))),
+                Ok(Answer::Connected(oracle.connected(&mut one, u, v))),
                 "answer {i} out of order or wrong"
             );
         }
@@ -583,7 +605,7 @@ mod tests {
         let mut led = Ledger::new(OMEGA);
         let oracle =
             ConnectivityOracle::build(&mut led, &g, &pri, &verts, 2, 1, OracleBuildOpts::default());
-        let server = ShardedServer::new(oracle.query_handle(), 4);
+        let server = ShardedServer::new(&oracle, 4);
         let mut qled = Ledger::new(OMEGA);
         assert!(server.serve(&mut qled, &[]).is_empty());
         assert_eq!(qled.costs(), Costs::ZERO);
@@ -600,8 +622,7 @@ mod tests {
             ConnectivityOracle::build(&mut led, &g, &pri, &verts, 4, 2, OracleBuildOpts::default());
         let bic =
             build_biconnectivity_oracle(&mut led, &g, &pri, &verts, 4, 2, BuildOpts::default());
-        let server =
-            ShardedServer::new(conn.query_handle(), 3).with_biconnectivity(bic.query_handle());
+        let server = ShardedServer::new(&conn, 3).with_biconnectivity(&bic);
         let batch: Vec<Query> = (0..60u32)
             .map(|i| match i % 4 {
                 0 => Query::Connected(i, (i + 31) % n as u32),
@@ -630,7 +651,7 @@ mod tests {
         let mut led = Ledger::new(OMEGA);
         let oracle =
             ConnectivityOracle::build(&mut led, &g, &pri, &verts, 2, 1, OracleBuildOpts::default());
-        let server = ShardedServer::new(oracle.query_handle(), 2);
+        let server = ShardedServer::new(&oracle, 2);
         let batch = [
             Query::Biconnected(0, 5),
             Query::Connected(0, 8),
@@ -666,7 +687,7 @@ mod tests {
         let mut led = Ledger::new(OMEGA);
         let oracle =
             ConnectivityOracle::build(&mut led, &g, &pri, &verts, 2, 1, OracleBuildOpts::default());
-        let server = ShardedServer::new(oracle.query_handle(), 2);
+        let server = ShardedServer::new(&oracle, 2);
         let mut qled = Ledger::new(OMEGA);
         let q = Query::Biconnected(0, 5);
         assert_eq!(

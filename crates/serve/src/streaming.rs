@@ -80,8 +80,8 @@
 //! connectivity answers resolve through **`ComponentId` pairs**:
 //!
 //! * connectivity-class queries go through a per-vertex memo
-//!   `Vertex → ComponentId` ([`wec_connectivity::ConnQueryHandle::component_pair`]
-//!   is the cacheable surface): a [`Query::Component`] probes one key, a
+//!   `Vertex → ComponentId` (the oracle's `component` is the cacheable
+//!   surface): a [`Query::Component`] probes one key, a
 //!   [`Query::Connected`] probes both endpoints and derives its answer by
 //!   comparing the memoized `ComponentId` pair — the comparison is free in
 //!   the model, exactly as in the uncached query;
@@ -104,8 +104,8 @@
 //! shards instead of duplicated:
 //!
 //! - [`Query::Component`]`(v)` routes by
-//!   [`wec_connectivity::ConnQueryHandle::route_hash`]`(v)`;
-//! - [`Query::Connected`]`(u, v)` routes by `route_hash(min(u, v))` —
+//!   [`wec_asym::stable_mix64`]`(v)`;
+//! - [`Query::Connected`]`(u, v)` routes by `stable_mix64(min(u, v))` —
 //!   the canonical endpoint — so `(u, v)` and `(v, u)` co-locate. The
 //!   non-canonical endpoint's memo is cached on (and only useful to)
 //!   that owner shard: a vertex appearing as the larger endpoint of
@@ -293,11 +293,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use wec_asym::{
-    Ledger, LedgerScope, DRR_VISIT_OPS, EPOCH_INSTALL_OPS, INVALIDATE_ENTRY_WRITES,
+    stable_mix64, Ledger, LedgerScope, DRR_VISIT_OPS, EPOCH_INSTALL_OPS, INVALIDATE_ENTRY_WRITES,
     INVALIDATE_SCAN_OPS, TENANT_ADMIT_OPS,
 };
 use wec_biconnectivity::BiconnQueryKey;
-use wec_connectivity::{ComponentId, ComponentOverlay, GraphDelta, OverlayView};
+use wec_connectivity::{ComponentId, GraphDelta, OverlayView};
 use wec_graph::Vertex;
 
 use crate::cache::{CacheKey, CacheVal, ShardCache};
@@ -378,7 +378,7 @@ pub enum Overflow {
 ///     .build();
 /// assert_eq!(policy.skew_factor, 4);
 ///
-/// let sharded = ShardedServer::new(oracle.query_handle(), 2);
+/// let sharded = ShardedServer::new(&oracle, 2);
 /// let mut srv = StreamingServer::new(sharded, policy);
 /// let mut qled = Ledger::new(16);
 /// for phase in 0u32..4 {
@@ -599,7 +599,7 @@ impl CacheStats {
 /// # let mut led = Ledger::new(16);
 /// # let oracle = ConnectivityOracle::build(
 /// #     &mut led, &g, &pri, &verts, 4, 1, OracleBuildOpts::default());
-/// let sharded = ShardedServer::new(oracle.query_handle(), 2);
+/// let sharded = ShardedServer::new(&oracle, 2);
 /// let policy = AdmissionPolicy::builder().max_batch(8).max_queue(32).build();
 /// let mut srv = StreamingServer::new(sharded, policy);
 ///
@@ -716,7 +716,7 @@ where
     /// #     &mut led, &g, &pri, &verts, 4, 1, OracleBuildOpts::default());
     /// # std::panic::set_hook(Box::new(|_| {})); // silence injected panics
     /// // Shard 0 panics on every dispatch; every query is still answered.
-    /// let sharded = ShardedServer::new(oracle.query_handle(), 2);
+    /// let sharded = ShardedServer::new(&oracle, 2);
     /// let policy = AdmissionPolicy::builder().max_batch(8).max_queue(32).build();
     /// let mut srv = StreamingServer::new(sharded, policy)
     ///     .with_fault_plan(FaultPlan::seeded(1).with_panic_per_mille(1000).with_target_shard(0));
@@ -823,13 +823,15 @@ where
 
     /// The owner shard of `q` under affinity routing: the pinned stable
     /// hash of the query's canonical cache key, modulo the shard count.
-    /// Pure compute; the dispatch path charges [`ROUTE_HASH_OPS`] per
-    /// query for the routing scan.
+    /// Vertex keys hash with [`stable_mix64`], predicate keys with
+    /// [`BiconnQueryKey::route_hash`]; both mappings are a cost contract
+    /// (golden cost files depend on the placement). Pure compute; the
+    /// dispatch path charges [`ROUTE_HASH_OPS`] per query for the routing
+    /// scan.
     pub fn owner_shard(&self, q: Query) -> usize {
-        let conn = self.server.conn_handle();
         let h = match q {
-            Query::Component(v) => conn.route_hash(v),
-            Query::Connected(u, v) => conn.route_hash(u.min(v)),
+            Query::Component(v) => stable_mix64(v as u64),
+            Query::Connected(u, v) => stable_mix64(u.min(v) as u64),
             Query::TwoEdgeConnected(u, v) => BiconnQueryKey::two_edge_connected(u, v).route_hash(),
             Query::Biconnected(u, v) => BiconnQueryKey::biconnected(u, v).route_hash(),
         };
@@ -842,7 +844,10 @@ where
     /// the threshold again. Under [`Overflow::Shed`] a queue already at
     /// `max_queue` rejects the submission with
     /// [`ServeError::Overloaded`] — no ticket is consumed, so accepted
-    /// submissions keep consecutive tickets and in-order delivery.
+    /// submissions keep consecutive tickets and in-order delivery. A query
+    /// naming a vertex outside the graph is rejected the same way, with
+    /// [`ServeError::UnsupportedQuery`], under every policy and before
+    /// any charge.
     pub fn submit(&mut self, led: &mut Ledger, q: Query) -> Result<Ticket, ServeError> {
         self.submit_as(led, TenantId::DEFAULT, q)
     }
@@ -859,6 +864,9 @@ where
         tenant: TenantId,
         q: Query,
     ) -> Result<Ticket, ServeError> {
+        if !self.server.names_vertices(q) {
+            return Err(ServeError::UnsupportedQuery(q));
+        }
         let tidx = if self.tenancy_active() {
             led.op(TENANT_ADMIT_OPS);
             let Some(tidx) = self.tenant_index(tenant) else {
@@ -1274,11 +1282,12 @@ where
         self.epochs.live_epochs()
     }
 
-    /// An owned snapshot of the current epoch's component remap
-    /// (identity — empty — at epoch 0), for tests and diagnostics;
-    /// uncharged.
-    pub fn current_overlay(&self) -> ComponentOverlay {
-        self.epochs.view(self.epochs.current()).snapshot()
+    /// The component remap at the serving epoch (identity at epoch 0),
+    /// read in place; lookups through it charge as documented on
+    /// [`OverlayView`], and [`OverlayView::peek`] /
+    /// [`OverlayView::remapped`] inspect it for free.
+    pub fn current_view(&self) -> OverlayView<'_> {
+        self.epochs.view(self.epochs.current())
     }
 }
 
@@ -1496,7 +1505,7 @@ where
         ))),
         Query::Connected(u, v) => {
             // The answer is derived from the memoized ComponentId pair; the
-            // comparison is free, as in ConnQueryHandle::component_pair.
+            // comparison is free, as in the oracle's `connected`.
             let a = memo_component(server.conn_handle(), led, cache, capacity, overlay, u);
             let b = memo_component(server.conn_handle(), led, cache, capacity, overlay, v);
             Ok(Answer::Connected(a == b))
@@ -1627,9 +1636,8 @@ mod tests {
                 .max_queue(32)
                 .cache_capacity(0)
                 .build();
-            let mut srv =
-                StreamingServer::new(ShardedServer::new(oracle.query_handle(), 1), policy)
-                    .with_recovery(RecoveryPolicy::default().with_breaker_threshold(0));
+            let mut srv = StreamingServer::new(ShardedServer::new(&oracle, 1), policy)
+                .with_recovery(RecoveryPolicy::default().with_breaker_threshold(0));
             if let Some(plan) = plan {
                 srv = srv.with_fault_plan(plan);
             }

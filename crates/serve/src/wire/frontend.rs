@@ -421,7 +421,7 @@ fn strike(conn: &mut Conn, led: &mut Ledger, stats: &mut FrontendStats, policy: 
 /// # let oracle = ConnectivityOracle::build(
 /// #     &mut led, &g, &pri, &verts, 2, 1, OracleBuildOpts::default());
 /// let server = StreamingServer::new(
-///     ShardedServer::new(oracle.query_handle(), 2),
+///     ShardedServer::new(&oracle, 2),
 ///     AdmissionPolicy::builder().build(),
 /// );
 /// let mut fe = Frontend::new(server);

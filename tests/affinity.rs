@@ -57,8 +57,7 @@ fn streaming_server<'o, 'g>(
     bicon: &'o BiconnectivityOracle<'g, Csr>,
     policy: AdmissionPolicy,
 ) -> FullStreamingServer<'o, 'g, Csr> {
-    let sharded =
-        ShardedServer::new(conn.query_handle(), SHARDS).with_biconnectivity(bicon.query_handle());
+    let sharded = ShardedServer::new(conn, SHARDS).with_biconnectivity(bicon);
     StreamingServer::new(sharded, policy)
 }
 
@@ -250,8 +249,7 @@ fn affinity_clock_contract_exact_cold_then_warm() {
             .skew_factor(skew)
             .build(),
     );
-    let server1 =
-        ShardedServer::new(conn.query_handle(), 1).with_biconnectivity(bicon.query_handle());
+    let server1 = ShardedServer::new(&conn, 1).with_biconnectivity(&bicon);
 
     // Cold pass.
     let mut cold = Ledger::new(OMEGA);
@@ -374,8 +372,7 @@ fn capacity_zero_bypasses_cache_even_under_affinity_clock() {
 
     // Nothing to hit => routing is forced contiguous and the dispatch
     // charges exactly the plain sharded batch path.
-    let sharded =
-        ShardedServer::new(conn.query_handle(), SHARDS).with_biconnectivity(bicon.query_handle());
+    let sharded = ShardedServer::new(&conn, SHARDS).with_biconnectivity(&bicon);
     let mut expect = Ledger::new(OMEGA);
     for chunk in stream.chunks(max_batch) {
         sharded.serve(&mut expect, chunk);
@@ -424,8 +421,7 @@ fn capacity_one_churns_in_place_and_stays_correct() {
     }
     assert!(total_entries > 0, "something must be resident");
 
-    let server1 =
-        ShardedServer::new(conn.query_handle(), 1).with_biconnectivity(bicon.query_handle());
+    let server1 = ShardedServer::new(&conn, 1).with_biconnectivity(&bicon);
     for (i, (_, a)) in delivered.iter().enumerate() {
         let mut one = Ledger::new(OMEGA);
         assert_eq!(
@@ -513,8 +509,7 @@ fn skew_fallback_charges_contiguous_plus_routing_scan() {
     srv.drain(&mut led);
     assert_eq!(srv.take_ready().len(), stream.len());
 
-    let server1 =
-        ShardedServer::new(conn.query_handle(), 1).with_biconnectivity(bicon.query_handle());
+    let server1 = ShardedServer::new(&conn, 1).with_biconnectivity(&bicon);
     let mut sims: Vec<SimClock> = (0..SHARDS).map(|_| SimClock::default()).collect();
     let expect = replay_affinity_clock(&server1, &stream, max_batch, capacity, skew, &mut sims);
     assert_eq!(

@@ -43,7 +43,7 @@ use wec::baseline::UnionFind;
 use wec::biconnectivity::oracle::build_biconnectivity_oracle;
 
 use wec::connectivity::{
-    ComponentId, ConnQueryHandle, ConnectivityOracle, GraphDelta, OracleBuildOpts, OverlayStore,
+    ComponentId, ConnectivityOracle, GraphDelta, OracleBuildOpts, OverlayStore,
 };
 use wec::core::BuildOpts;
 use wec::graph::{gen, Csr, Priorities, Vertex};
@@ -117,10 +117,7 @@ fn stragglers_resolve_with_submission_epoch_answers() {
     let pri = Priorities::random(g.n(), 7);
     let verts: Vec<Vertex> = (0..N).collect();
     let conn = build_conn(&g, &pri, &verts);
-    let mut srv = StreamingServer::new(
-        ShardedServer::new(conn.query_handle(), SHARDS),
-        manual_policy(1 << 12),
-    );
+    let mut srv = StreamingServer::new(ShardedServer::new(&conn, SHARDS), manual_policy(1 << 12));
     let mut led = Ledger::new(OMEGA);
 
     // Ticket 0 submitted under epoch 0, left undispatched across the
@@ -173,10 +170,7 @@ fn mutated_answers_match_dynamic_union_find_reference() {
     let pri = Priorities::random(g.n(), 11);
     let verts: Vec<Vertex> = (0..N).collect();
     let conn = build_conn(&g, &pri, &verts);
-    let mut srv = StreamingServer::new(
-        ShardedServer::new(conn.query_handle(), SHARDS),
-        manual_policy(1 << 12),
-    );
+    let mut srv = StreamingServer::new(ShardedServer::new(&conn, SHARDS), manual_policy(1 << 12));
     let mut led = Ledger::new(OMEGA);
 
     let mut reference = UnionFind::new(N as usize);
@@ -260,10 +254,7 @@ fn install_charges_exactly_the_priced_invalidation_sweep() {
     let pri = Priorities::random(g.n(), 13);
     let verts: Vec<Vertex> = (0..N).collect();
     let conn = build_conn(&g, &pri, &verts);
-    let mut srv = StreamingServer::new(
-        ShardedServer::new(conn.query_handle(), SHARDS),
-        manual_policy(1 << 12),
-    );
+    let mut srv = StreamingServer::new(ShardedServer::new(&conn, SHARDS), manual_policy(1 << 12));
     let mut led = Ledger::new(OMEGA);
 
     // Cold pass: memoize every vertex. Capacity is ample, so entries ==
@@ -290,15 +281,15 @@ fn install_charges_exactly_the_priced_invalidation_sweep() {
 
     // Hand-compute `removed`: a cached id (epoch-0 canonical, i.e. the
     // oracle's base id) is stale iff the new overlay remaps it.
-    let overlay = srv.current_overlay().clone();
+    let overlay = srv.current_view();
     let mut probe_led = Ledger::new(OMEGA);
-    let handle = conn.query_handle();
-    let removed = (0..N)
-        .filter(|&v| {
-            let id = handle.component(&mut probe_led, v);
+    let stale: Vec<bool> = (0..N)
+        .map(|v| {
+            let id = conn.component(&mut probe_led, v);
             overlay.peek(id) != id
         })
-        .count() as u64;
+        .collect();
+    let removed = stale.iter().filter(|&&s| s).count() as u64;
     assert!(removed > 0, "the merge must remap someone");
     assert!(
         removed < N as u64,
@@ -344,13 +335,10 @@ fn install_charges_exactly_the_priced_invalidation_sweep() {
     // misses' one-by-one costs plus one overlay lookup each; checking the
     // lookup reads alone keeps this robust to per-vertex query costs.
     let mut miss_reads = 0u64;
-    for v in 0..N {
-        let id = handle.component(&mut probe_led, v);
-        if overlay.peek(id) != id {
-            let mut one = Ledger::new(OMEGA);
-            handle.component(&mut one, v);
-            miss_reads += one.costs().asym_reads + OVERLAY_LOOKUP_READS;
-        }
+    for v in (0..N).filter(|&v| stale[v as usize]) {
+        let mut one = Ledger::new(OMEGA);
+        conn.component(&mut one, v);
+        miss_reads += one.costs().asym_reads + OVERLAY_LOOKUP_READS;
     }
     let warm_reads = warm_led.costs().asym_reads;
     // warm pass reads = per-query input scan + per-query probe + miss
@@ -371,10 +359,7 @@ fn mutation_costs_bit_identical_across_parallelism() {
     let conn = build_conn(&g, &pri, &verts);
 
     let run = |mut led: Ledger| {
-        let mut srv = StreamingServer::new(
-            ShardedServer::new(conn.query_handle(), SHARDS),
-            manual_policy(64),
-        );
+        let mut srv = StreamingServer::new(ShardedServer::new(&conn, SHARDS), manual_policy(64));
         for v in 0..N {
             srv.submit(&mut led, Query::Component(v)).unwrap();
         }
@@ -421,10 +406,7 @@ fn staged_batches_compose_and_empty_delta_is_free() {
     let pri = Priorities::random(g.n(), 19);
     let verts: Vec<Vertex> = (0..N).collect();
     let conn = build_conn(&g, &pri, &verts);
-    let mut srv = StreamingServer::new(
-        ShardedServer::new(conn.query_handle(), SHARDS),
-        manual_policy(1 << 10),
-    );
+    let mut srv = StreamingServer::new(ShardedServer::new(&conn, SHARDS), manual_policy(1 << 10));
     let mut led = Ledger::new(OMEGA);
 
     // Two staged batches, one install: both merges land in epoch 1.
@@ -464,7 +446,7 @@ fn predicates_keep_base_graph_semantics_across_installs() {
         ConnectivityOracle::build(&mut led, &g, &pri, &verts, k, 5, OracleBuildOpts::default());
     let bicon = build_biconnectivity_oracle(&mut led, &g, &pri, &verts, k, 5, BuildOpts::default());
     let mut srv = StreamingServer::new(
-        ShardedServer::new(conn.query_handle(), SHARDS).with_biconnectivity(bicon.query_handle()),
+        ShardedServer::new(&conn, SHARDS).with_biconnectivity(&bicon),
         manual_policy(1 << 10),
     );
 
@@ -548,7 +530,7 @@ struct StoreRun {
 /// every stage's writes and every live and staged epoch against the
 /// reference after each step.
 fn versioned_store_run(
-    h: &ConnQueryHandle<'_, '_, Csr>,
+    h: &ConnectivityOracle<'_, Csr>,
     mut led: Ledger,
     seed: u64,
     steps: usize,
@@ -650,10 +632,9 @@ fn versioned_store_matches_per_epoch_union_find() {
     let pri = Priorities::random(g.n(), 29);
     let verts: Vec<Vertex> = (0..g.n() as Vertex).collect();
     let conn = build_conn(&g, &pri, &verts);
-    let h = conn.query_handle();
     for seed in [1u64, 2, 3, 0xfeed] {
-        let par = versioned_store_run(&h, Ledger::new(OMEGA), seed, 160, false);
-        let seq = versioned_store_run(&h, Ledger::sequential(OMEGA), seed, 160, false);
+        let par = versioned_store_run(&conn, Ledger::new(OMEGA), seed, 160, false);
+        let seq = versioned_store_run(&conn, Ledger::sequential(OMEGA), seed, 160, false);
         assert_eq!(par, seq, "seed {seed}: store charges differ across ledgers");
         assert!(par.installs > 0 && par.stage_writes > 0);
     }
@@ -665,7 +646,7 @@ fn versioned_store_writes_below_the_cumulative_table_on_64_installs() {
     let pri = Priorities::random(g.n(), 31);
     let verts: Vec<Vertex> = (0..g.n() as Vertex).collect();
     let conn = build_conn(&g, &pri, &verts);
-    let run = versioned_store_run(&conn.query_handle(), Ledger::new(OMEGA), 64, 64, true);
+    let run = versioned_store_run(&conn, Ledger::new(OMEGA), 64, 64, true);
     assert_eq!(run.installs, 64);
     assert!(
         run.stage_writes < run.cumulative_table_writes,
@@ -699,7 +680,7 @@ fn staged_window_keeps_answering_and_installs_never_block() {
     let verts: Vec<Vertex> = (0..n).collect();
     let conn = build_conn(&g, &pri, &verts);
     let mut srv = StreamingServer::new(
-        ShardedServer::new(conn.query_handle(), SHARDS),
+        ShardedServer::new(&conn, SHARDS),
         AdmissionPolicy::builder()
             .max_batch(MAX_BATCH)
             .max_queue(MAX_BATCH)
@@ -775,7 +756,7 @@ fn staged_window_keeps_answering_and_installs_never_block() {
 /// Deliver every ready answer, checking ticket order and each answer
 /// against `expected[ticket]`; returns how many were delivered.
 fn deliver_in_order(
-    srv: &mut StreamingServer<ConnQueryHandle<'_, '_, Csr>>,
+    srv: &mut StreamingServer<&ConnectivityOracle<'_, Csr>>,
     expected: &[bool],
     next_ticket: &mut u64,
 ) -> u64 {

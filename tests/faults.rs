@@ -26,7 +26,11 @@
 //! 8. the breaker-degraded route is priced exactly: with one breaker
 //!    open, a dispatch over the surviving shards answers and charges
 //!    exactly what a survivors-count `ShardedServer::serve` of the same
-//!    batch does — same answers, `Costs` and depth.
+//!    batch does — same answers, `Costs` and depth;
+//! 9. a query naming a vertex outside the graph — any endpoint, any
+//!    kind — is a typed `ServeError::UnsupportedQuery`, never a panic:
+//!    admission refuses it before a ticket is issued, and the batch path
+//!    fails its slot only.
 //!
 //! CI runs this file under `WEC_THREADS ∈ {1, 2, 8, 16}`: every charge
 //! and every fault decision must be schedule-independent.
@@ -40,8 +44,9 @@ use wec::connectivity::{ConnectivityOracle, OracleBuildOpts};
 use wec::core::BuildOpts;
 use wec::graph::{gen, Csr, Priorities, Vertex};
 use wec::serve::{
-    AdmissionPolicy, BreakerState, FaultPlan, FullStreamingServer, Overflow, Query, RecoveryPolicy,
-    RobustnessStats, ServeError, ServeResult, ShardedServer, StreamingServer, Ticket,
+    shard_chunks, AdmissionPolicy, BreakerState, FaultPlan, FullStreamingServer, Overflow, Query,
+    RecoveryPolicy, RobustnessStats, ServeError, ServeResult, ShardedServer, StreamingServer,
+    Ticket, QUERY_WORDS,
 };
 
 const OMEGA: u64 = 64;
@@ -91,8 +96,7 @@ fn streaming_server<'o, 'g>(
     bicon: &'o BiconnectivityOracle<'g, Csr>,
     policy: AdmissionPolicy,
 ) -> FullStreamingServer<'o, 'g, Csr> {
-    let sharded =
-        ShardedServer::new(conn.query_handle(), SHARDS).with_biconnectivity(bicon.query_handle());
+    let sharded = ShardedServer::new(conn, SHARDS).with_biconnectivity(bicon);
     StreamingServer::new(sharded, policy)
 }
 
@@ -245,8 +249,7 @@ fn seeded_panic_plan_answers_everything_in_order() {
     );
 
     // Every delivered answer matches the fault-free reference server.
-    let reference =
-        ShardedServer::new(conn.query_handle(), SHARDS).with_biconnectivity(bicon.query_handle());
+    let reference = ShardedServer::new(&conn, SHARDS).with_biconnectivity(&bicon);
     let mut scratch = Ledger::new(OMEGA);
     for (i, (_, r)) in out.iter().enumerate() {
         let want = reference.try_answer_one(&mut scratch, stream[i]);
@@ -431,8 +434,7 @@ fn breaker_degraded_route_charges_a_survivors_serve() {
         let got: Vec<ServeResult> = srv.take_ready().into_iter().map(|(_, r)| r).collect();
         assert_eq!(srv.robustness_stats().shards_quarantined, 1, "len {len}");
 
-        let survivors = ShardedServer::new(conn.query_handle(), SHARDS - 1)
-            .with_biconnectivity(bicon.query_handle());
+        let survivors = ShardedServer::new(&conn, SHARDS - 1).with_biconnectivity(&bicon);
         let mut expect = Ledger::new(OMEGA);
         let want = survivors.serve(&mut expect, &batch);
         assert!(want.iter().all(Result::is_ok));
@@ -597,8 +599,7 @@ fn shed_overflow_rejects_without_consuming_tickets() {
         accepted.len(),
         "exactly the accepted set delivers"
     );
-    let reference =
-        ShardedServer::new(conn.query_handle(), SHARDS).with_biconnectivity(bicon.query_handle());
+    let reference = ShardedServer::new(&conn, SHARDS).with_biconnectivity(&bicon);
     let mut scratch = Ledger::new(OMEGA);
     for (i, ((t, r), (t_acc, q))) in out.iter().zip(&accepted).enumerate() {
         assert_eq!(t.id(), i as u64, "accepted tickets are dense from 0");
@@ -620,8 +621,7 @@ fn ticket_order_survives_random_interleavings_of_faults() {
     let pri = Priorities::random(n as usize, 11);
     let verts: Vec<Vertex> = (0..n).collect();
     let (conn, bicon) = build_oracles(&g, &pri, &verts);
-    let reference =
-        ShardedServer::new(conn.query_handle(), SHARDS).with_biconnectivity(bicon.query_handle());
+    let reference = ShardedServer::new(&conn, SHARDS).with_biconnectivity(&bicon);
 
     for case in 0..12u64 {
         let mut rng = SmallRng::seed_from_u64(0xFA171E ^ case);
@@ -682,5 +682,114 @@ fn ticket_order_survives_random_interleavings_of_faults() {
             let want = reference.try_answer_one(&mut scratch, accepted[i]);
             assert_eq!(*r, want, "case {case}: answer matches reference");
         }
+    }
+}
+
+/// The batch path types an out-of-range vertex instead of indexing past
+/// the graph: every slot naming one — any endpoint, all four kinds —
+/// holds `Err(UnsupportedQuery)`, the rest of the batch answers as one
+/// by one, and the rejected slots charge only their share of the input
+/// scan.
+#[test]
+fn out_of_range_vertices_fail_their_batch_slot_only() {
+    let g = test_graph();
+    let n = g.n() as u32;
+    let pri = Priorities::random(n as usize, 11);
+    let verts: Vec<Vertex> = (0..n).collect();
+    let (conn, bicon) = build_oracles(&g, &pri, &verts);
+    let server = ShardedServer::new(&conn, SHARDS).with_biconnectivity(&bicon);
+
+    // (query, whether every vertex it names is in range)
+    let cases = [
+        (Query::Component(0), true),
+        (Query::Component(n), false),
+        (Query::Connected(1, n + 3), false),
+        (Query::Connected(2, 9), true),
+        (Query::TwoEdgeConnected(u32::MAX, 4), false),
+        (Query::Biconnected(5, n), false),
+        (Query::Biconnected(6, 7), true),
+        (Query::TwoEdgeConnected(8, 10), true),
+    ];
+    let batch: Vec<Query> = cases.iter().map(|&(q, _)| q).collect();
+    let mut led = Ledger::new(OMEGA);
+    let got = server.serve(&mut led, &batch);
+    let mut one = Ledger::new(OMEGA);
+    for (&(q, in_range), r) in cases.iter().zip(&got) {
+        let before = one.costs();
+        assert_eq!(*r, server.try_answer_one(&mut one, q), "{q:?}");
+        if in_range {
+            assert!(r.is_ok(), "{q:?} still answers");
+        } else {
+            assert_eq!(*r, Err(ServeError::UnsupportedQuery(q)), "{q:?}");
+            assert_eq!(one.costs(), before, "{q:?}: rejection charges nothing");
+        }
+    }
+    let mut expect = one.costs();
+    expect.asym_reads += batch.len() as u64 * QUERY_WORDS;
+    expect.sym_ops += shard_chunks(batch.len(), SHARDS) as u64 - 1;
+    assert_eq!(led.costs(), expect);
+}
+
+/// Admission refuses a query naming a vertex outside the graph before a
+/// ticket is issued, like a shed: nothing is charged, nothing is queued,
+/// and the next accepted submission takes the next consecutive ticket.
+/// A predicate with one bad endpoint is refused the same way.
+#[test]
+fn out_of_range_submissions_are_rejected_without_consuming_tickets() {
+    let g = test_graph();
+    let n = g.n() as u32;
+    let pri = Priorities::random(n as usize, 11);
+    let verts: Vec<Vertex> = (0..n).collect();
+    let (conn, bicon) = build_oracles(&g, &pri, &verts);
+    let mut srv = streaming_server(&conn, &bicon, AdmissionPolicy::builder().build());
+    let mut led = Ledger::new(OMEGA);
+
+    let good = [
+        Query::Component(3),
+        Query::Connected(0, n - 1),
+        Query::Biconnected(1, 2),
+    ];
+    let bad = [
+        Query::Component(n),
+        Query::Connected(n + 1, 0),
+        Query::TwoEdgeConnected(4, u32::MAX),
+        Query::Biconnected(n, 5),
+    ];
+    let mut accepted = Vec::new();
+    for (i, &q) in good.iter().enumerate() {
+        let t = srv.submit(&mut led, q).expect("in-range query admits");
+        assert_eq!(t.id(), i as u64, "tickets stay consecutive");
+        accepted.push(q);
+        if let Some(&b) = bad.get(i) {
+            let before = (led.costs(), srv.queue_len(), srv.undelivered());
+            assert_eq!(
+                srv.submit(&mut led, b),
+                Err(ServeError::UnsupportedQuery(b))
+            );
+            assert_eq!(
+                (led.costs(), srv.queue_len(), srv.undelivered()),
+                before,
+                "{b:?}: refused before any charge or ticket"
+            );
+        }
+    }
+    let last = bad[good.len()];
+    assert_eq!(
+        srv.submit(&mut led, last),
+        Err(ServeError::UnsupportedQuery(last))
+    );
+
+    srv.drain(&mut led);
+    let out = srv.take_ready();
+    assert_eq!(
+        out.len(),
+        accepted.len(),
+        "exactly the accepted set delivers"
+    );
+    let reference = ShardedServer::new(&conn, SHARDS).with_biconnectivity(&bicon);
+    let mut scratch = Ledger::new(OMEGA);
+    for (i, ((t, r), &q)) in out.iter().zip(&accepted).enumerate() {
+        assert_eq!(t.id(), i as u64);
+        assert_eq!(*r, reference.try_answer_one(&mut scratch, q));
     }
 }

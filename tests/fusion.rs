@@ -183,7 +183,7 @@ fn star_handle_drops_into_sharded_serving() {
 
     for shards in [1usize, 2, 7] {
         let run = |mut led: Ledger| {
-            let server = ShardedServer::new(star.query_handle(), shards);
+            let server = ShardedServer::new(&star, shards);
             let answers = server.serve(&mut led, &batch);
             (answers, led.costs(), led.depth())
         };

@@ -78,8 +78,7 @@ fn randomized_batches_equal_one_by_one_answers_and_sequential_costs() {
 
         // Ground truth: one query at a time on a plain ledger, summing the
         // per-query charges.
-        let server1 =
-            ShardedServer::new(conn.query_handle(), 1).with_biconnectivity(bicon.query_handle());
+        let server1 = ShardedServer::new(&conn, 1).with_biconnectivity(&bicon);
         let mut one_led = Ledger::new(OMEGA);
         let expected: Vec<ServeResult> = batch
             .iter()
@@ -92,8 +91,7 @@ fn randomized_batches_equal_one_by_one_answers_and_sequential_costs() {
         let one_by_one = one_led.costs();
 
         for shards in SHARD_COUNTS {
-            let server = ShardedServer::new(conn.query_handle(), shards)
-                .with_biconnectivity(bicon.query_handle());
+            let server = ShardedServer::new(&conn, shards).with_biconnectivity(&bicon);
             let mut led = Ledger::new(OMEGA);
             let answers = server.serve(&mut led, &batch);
             assert_eq!(
@@ -129,8 +127,7 @@ fn batch_serving_costs_invariant_under_parallelism() {
 
     for shards in SHARD_COUNTS {
         let run = |mut led: Ledger| {
-            let server = ShardedServer::new(conn.query_handle(), shards)
-                .with_biconnectivity(bicon.query_handle());
+            let server = ShardedServer::new(&conn, shards).with_biconnectivity(&bicon);
             let answers = server.serve(&mut led, &batch);
             (answers, led.costs(), led.depth(), led.sym_peak())
         };
@@ -152,7 +149,7 @@ fn component_ids_consistent_between_serving_and_oracle() {
     let (conn, _bicon) = build_oracles(&g, &pri, &verts);
 
     let batch: Vec<Query> = (0..n as u32).map(Query::Component).collect();
-    let server = ShardedServer::new(conn.query_handle(), 7);
+    let server = ShardedServer::new(&conn, 7);
     let mut led = Ledger::new(OMEGA);
     let answers = server.serve(&mut led, &batch);
     for v in 0..n as u32 {

@@ -80,8 +80,7 @@ fn streaming_server<'o, 'g>(
     bicon: &'o BiconnectivityOracle<'g, Csr>,
     policy: AdmissionPolicy,
 ) -> FullStreamingServer<'o, 'g, Csr> {
-    let sharded =
-        ShardedServer::new(conn.query_handle(), SHARDS).with_biconnectivity(bicon.query_handle());
+    let sharded = ShardedServer::new(conn, SHARDS).with_biconnectivity(bicon);
     StreamingServer::new(sharded, policy)
 }
 
@@ -188,8 +187,7 @@ fn answers_in_submission_order_and_match_one_by_one() {
     let delivered = srv.take_ready();
     assert_eq!(delivered.len(), stream.len());
 
-    let server1 =
-        ShardedServer::new(conn.query_handle(), 1).with_biconnectivity(bicon.query_handle());
+    let server1 = ShardedServer::new(&conn, 1).with_biconnectivity(&bicon);
     for (i, (t, a)) in delivered.iter().enumerate() {
         assert_eq!(*t, tickets[i], "delivery out of submission order at {i}");
         let mut one = Ledger::new(OMEGA);
@@ -230,8 +228,7 @@ fn hit_miss_cost_contract_exact_cold_then_warm() {
             .skew_factor(0)
             .build(),
     );
-    let server1 =
-        ShardedServer::new(conn.query_handle(), 1).with_biconnectivity(bicon.query_handle());
+    let server1 = ShardedServer::new(&conn, 1).with_biconnectivity(&bicon);
 
     // Cold pass.
     let mut cold = Ledger::new(OMEGA);
@@ -422,8 +419,7 @@ fn capacity_zero_charges_exactly_the_sharded_batch_path() {
     assert_eq!((stats.hits, stats.misses, stats.inserts), (0, 0, 0));
 
     // The same micro-batches through the plain sharded path.
-    let sharded =
-        ShardedServer::new(conn.query_handle(), SHARDS).with_biconnectivity(bicon.query_handle());
+    let sharded = ShardedServer::new(&conn, SHARDS).with_biconnectivity(&bicon);
     let mut expect = Ledger::new(OMEGA);
     for chunk in stream.chunks(max_batch) {
         sharded.serve(&mut expect, chunk);
@@ -473,8 +469,7 @@ fn tiny_capacity_bounds_fills_but_not_correctness() {
         );
         assert!(s.inserts <= s.misses, "fills cannot exceed misses");
     }
-    let server1 =
-        ShardedServer::new(conn.query_handle(), 1).with_biconnectivity(bicon.query_handle());
+    let server1 = ShardedServer::new(&conn, 1).with_biconnectivity(&bicon);
     for (i, (_, a)) in delivered.iter().enumerate() {
         let mut one = Ledger::new(OMEGA);
         assert_eq!(

@@ -23,8 +23,9 @@
 //!    refusal's error, per-session windows reject the overflow request
 //!    with a typed `Overloaded` error frame (never a dropped byte), quota
 //!    rejections travel as error frames, each session's answers arrive
-//!    in its own submission order, and retired v1 frames are refused
-//!    typed;
+//!    in its own submission order, retired v1 frames are refused typed,
+//!    and a request naming a vertex outside the graph gets a typed
+//!    `UnsupportedQuery` error frame on a connection that keeps serving;
 //! 4. wire-served costs are **bit-identical** to the in-process path plus
 //!    exactly the priced wire work: `FRAME_DECODE_OPS` per inbound frame,
 //!    `FRAME_ENCODE_OPS` per outbound frame, `SESSION_BIND_OPS` per
@@ -391,7 +392,7 @@ fn fair_share_splits_contended_batches_equally() {
         .fair_share(FairShare::DeficitRoundRobin)
         .tenants([TenantSpec::new(1), TenantSpec::new(2)])
         .build();
-    let mut srv = StreamingServer::new(ShardedServer::new(oracle.query_handle(), 3), policy);
+    let mut srv = StreamingServer::new(ShardedServer::new(&oracle, 3), policy);
 
     // 10:1 interleaved arrivals: 400 hot, 40 cold.
     let mut r = Lcg(7);
@@ -451,7 +452,7 @@ fn weighted_fair_share_honors_weights() {
         .tenant(TenantSpec::new(1).weight(3))
         .tenant(TenantSpec::new(2).weight(1))
         .build();
-    let mut srv = StreamingServer::new(ShardedServer::new(oracle.query_handle(), 3), policy);
+    let mut srv = StreamingServer::new(ShardedServer::new(&oracle, 3), policy);
 
     for i in 0..160u32 {
         let t = TenantId(1 + (i % 2) as u16);
@@ -486,7 +487,7 @@ fn fifo_with_tenants_dispatches_in_submission_order() {
         .tenants([TenantSpec::new(1), TenantSpec::new(2)])
         .build();
     assert_eq!(policy.fair_share, FairShare::Fifo);
-    let mut srv = StreamingServer::new(ShardedServer::new(oracle.query_handle(), 3), policy);
+    let mut srv = StreamingServer::new(ShardedServer::new(&oracle, 3), policy);
 
     let mut r = Lcg(11);
     for i in 0..N {
@@ -520,7 +521,7 @@ fn fifo_with_tenants_dispatches_in_submission_order() {
         .max_batch(16)
         .max_queue(1 << 20)
         .build();
-    let mut srv = StreamingServer::new(ShardedServer::new(oracle.query_handle(), 3), policy);
+    let mut srv = StreamingServer::new(ShardedServer::new(&oracle, 3), policy);
     for v in 0..64u32 {
         srv.submit(&mut led, Query::Component(v)).unwrap();
     }
@@ -558,7 +559,7 @@ fn wire_drr_delivers_weighted_fair_share_under_arrival_skew() {
             .fair_share(FairShare::DeficitRoundRobin)
             .tenants((0..4).map(|t| TenantSpec::new(t as u16).weight(weights[t])))
             .build();
-        let srv = StreamingServer::new(ShardedServer::new(oracle.query_handle(), 3), policy);
+        let srv = StreamingServer::new(ShardedServer::new(&oracle, 3), policy);
         let mut fe = Frontend::new(srv);
         // (transport, inbound frames, tenant, requests in flight)
         let mut clients: Vec<(LoopbackTransport, FrameBuf, usize, usize)> = Vec::new();
@@ -646,7 +647,7 @@ fn quotas_bound_queued_submissions() {
         .overflow(Overflow::Shed)
         .tenant(TenantSpec::new(1).quota(3))
         .build();
-    let mut srv = StreamingServer::new(ShardedServer::new(oracle.query_handle(), 3), policy);
+    let mut srv = StreamingServer::new(ShardedServer::new(&oracle, 3), policy);
 
     let t = TenantId(1);
     for _ in 0..3 {
@@ -713,7 +714,7 @@ fn frontend_serves_loopback_connections() {
         .tenant(TenantSpec::new(1).credential(0xfeed))
         .tenant(TenantSpec::new(2))
         .build();
-    let srv = StreamingServer::new(ShardedServer::new(oracle.query_handle(), 3), policy);
+    let srv = StreamingServer::new(ShardedServer::new(&oracle, 3), policy);
     let mut fe = Frontend::new(srv).with_window(4);
 
     let (mut alice, fe_a) = loopback_pair();
@@ -833,7 +834,7 @@ fn refused_hello_fails_requests_with_the_refusal_reason() {
         .max_queue(1 << 10)
         .tenant(TenantSpec::new(1).credential(0xfeed))
         .build();
-    let srv = StreamingServer::new(ShardedServer::new(oracle.query_handle(), 3), policy);
+    let srv = StreamingServer::new(ShardedServer::new(&oracle, 3), policy);
     let mut fe = Frontend::new(srv);
 
     let (connector, listener) = loopback_listener();
@@ -911,7 +912,7 @@ fn frontend_refuses_retired_v1_frames_typed() {
     let oracle =
         ConnectivityOracle::build(&mut led, &g, &pri, &verts, k, 1, OracleBuildOpts::default());
     let srv = StreamingServer::new(
-        ShardedServer::new(oracle.query_handle(), 3),
+        ShardedServer::new(&oracle, 3),
         AdmissionPolicy::builder().build(),
     );
     let mut fe = Frontend::new(srv).with_lifecycle(LifecyclePolicy {
@@ -972,7 +973,7 @@ fn frontend_answers_double_hello_with_typed_rebind() {
         .max_queue(1 << 10)
         .tenants([TenantSpec::new(1), TenantSpec::new(2)])
         .build();
-    let srv = StreamingServer::new(ShardedServer::new(oracle.query_handle(), 3), policy);
+    let srv = StreamingServer::new(ShardedServer::new(&oracle, 3), policy);
     let mut fe = Frontend::new(srv);
 
     let (mut client, server_end) = loopback_pair();
@@ -1008,6 +1009,71 @@ fn frontend_answers_double_hello_with_typed_rebind() {
     assert!(!fe.conn_closed(conn));
 }
 
+/// A request naming a vertex outside the graph is answered with a typed
+/// `UnsupportedQuery` error frame for its `corr` — admission refuses it,
+/// nothing panics — and the connection stays bound and answers the next
+/// request.
+#[test]
+fn frontend_answers_out_of_range_vertices_with_an_error_frame() {
+    let (g, pri, verts) = oracle_fixture();
+    let n = g.n() as u32;
+    let mut led = Ledger::new(OMEGA);
+    let k = led.sqrt_omega();
+    let oracle =
+        ConnectivityOracle::build(&mut led, &g, &pri, &verts, k, 1, OracleBuildOpts::default());
+    let policy = AdmissionPolicy::builder()
+        .max_batch(8)
+        .max_queue(1 << 10)
+        .tenants([TenantSpec::new(1)])
+        .build();
+    let srv = StreamingServer::new(ShardedServer::new(&oracle, 3), policy);
+    let mut fe = Frontend::new(srv);
+
+    let (mut client, server_end) = loopback_pair();
+    let conn = fe.connect(Box::new(server_end));
+    let mut rx = FrameBuf::default();
+    client_send(&mut client, &hello(1, 0, 5));
+    let bad = [Query::Component(n), Query::Connected(0, n + 40)];
+    for (corr, &query) in bad.iter().enumerate() {
+        client_send(
+            &mut client,
+            &Frame::Request {
+                corr: corr as u64,
+                query,
+            },
+        );
+    }
+    fe.pump(&mut led);
+    let expect: Vec<Frame> = (bad.iter().enumerate())
+        .map(|(corr, &q)| Frame::Error {
+            corr: Some(corr as u64),
+            error: ServeError::UnsupportedQuery(q),
+        })
+        .collect();
+    assert_eq!(client_recv_all(&mut client, &mut rx), expect);
+    assert_eq!(fe.frontend_stats().rejected_admission, bad.len() as u64);
+    assert_eq!(fe.frontend_stats().admitted, 0);
+
+    // Still bound: the next request is admitted and answered.
+    client_send(
+        &mut client,
+        &Frame::Request {
+            corr: 9,
+            query: Query::Connected(0, n - 1),
+        },
+    );
+    fe.drain(&mut led);
+    assert_eq!(
+        client_recv_all(&mut client, &mut rx),
+        vec![Frame::Answer {
+            corr: 9,
+            answer: Answer::Connected(true),
+        }]
+    );
+    assert_eq!(fe.frontend_stats().sessions_bound, 1);
+    assert!(!fe.conn_closed(conn));
+}
+
 /// Graceful shutdown: `begin_shutdown` announces `Goaway` on every live
 /// connection, everything already admitted drains to a delivered answer,
 /// and any frame submitted after the announcement — request or hello —
@@ -1026,7 +1092,7 @@ fn frontend_goaway_drains_in_flight_and_rejects_new_work() {
         .max_batch(1)
         .max_queue(1 << 10)
         .build();
-    let srv = StreamingServer::new(ShardedServer::new(oracle.query_handle(), 3), policy);
+    let srv = StreamingServer::new(ShardedServer::new(&oracle, 3), policy);
     let mut fe = Frontend::new(srv);
     let (mut client, s) = loopback_pair();
     let conn = fe.connect(Box::new(s));
@@ -1140,7 +1206,7 @@ fn wire_costs_equal_in_process_costs_plus_frame_ops() {
 
     // Wire path: two authenticated sessions, drained to completion.
     let mut wire_led = Ledger::new(OMEGA);
-    let srv = StreamingServer::new(ShardedServer::new(oracle.query_handle(), 3), policy());
+    let srv = StreamingServer::new(ShardedServer::new(&oracle, 3), policy());
     let mut fe = Frontend::new(srv);
     let (mut c1, s1) = loopback_pair();
     let (mut c2, s2) = loopback_pair();
@@ -1170,7 +1236,7 @@ fn wire_costs_equal_in_process_costs_plus_frame_ops() {
     // In-process replay: same submissions in the same order (the pump
     // ingests connection 1 fully, then connection 2), same flush cadence.
     let mut direct_led = Ledger::new(OMEGA);
-    let mut srv = StreamingServer::new(ShardedServer::new(oracle.query_handle(), 3), policy());
+    let mut srv = StreamingServer::new(ShardedServer::new(&oracle, 3), policy());
     for &(t, q) in script.iter().filter(|(t, _)| *t == TenantId(1)) {
         srv.submit_as(&mut direct_led, t, q).unwrap();
     }
@@ -1221,7 +1287,7 @@ fn frontend_serves_tcp_connections_when_enabled() {
         .max_batch(8)
         .max_queue(1 << 10)
         .build();
-    let srv = StreamingServer::new(ShardedServer::new(oracle.query_handle(), 3), policy);
+    let srv = StreamingServer::new(ShardedServer::new(&oracle, 3), policy);
     let mut fe = Frontend::new(srv).with_window(8);
     fe.connect(Box::new(accepted));
 

@@ -86,7 +86,7 @@ fn chaos_run(
         .max_batch(8)
         .max_queue(1 << 20)
         .build();
-    let srv = StreamingServer::new(ShardedServer::new(oracle.query_handle(), 3), policy);
+    let srv = StreamingServer::new(ShardedServer::new(&oracle, 3), policy);
     let mut fe = Frontend::new(srv).with_lifecycle(LifecyclePolicy {
         max_strikes: 8,
         ..LifecyclePolicy::default()
@@ -172,7 +172,7 @@ fn fire_once_run(seed: u64, per_mille: u16, clients: usize, per_client: usize) -
         .max_batch(8)
         .max_queue(1 << 20)
         .build();
-    let srv = StreamingServer::new(ShardedServer::new(oracle.query_handle(), 3), policy);
+    let srv = StreamingServer::new(ShardedServer::new(&oracle, 3), policy);
     let mut fe = Frontend::new(srv).with_lifecycle(LifecyclePolicy {
         max_strikes: 8,
         ..LifecyclePolicy::default()
@@ -349,7 +349,7 @@ fn zero_knob_chaos_run_is_bit_identical_to_bare_transports() {
             .max_batch(8)
             .max_queue(1 << 20)
             .build();
-        let srv = StreamingServer::new(ShardedServer::new(oracle.query_handle(), 3), policy);
+        let srv = StreamingServer::new(ShardedServer::new(&oracle, 3), policy);
         let mut fe = Frontend::new(srv);
         let (mut client, server_end) = loopback_pair();
         if wrap {
@@ -402,7 +402,7 @@ fn keepalive_pings_hold_a_quiet_connection_open() {
     let oracle =
         ConnectivityOracle::build(&mut led, &g, &pri, &verts, k, 1, OracleBuildOpts::default());
     let srv = StreamingServer::new(
-        ShardedServer::new(oracle.query_handle(), 2),
+        ShardedServer::new(&oracle, 2),
         AdmissionPolicy::builder().build(),
     );
     let mut fe = Frontend::new(srv).with_lifecycle(LifecyclePolicy {
@@ -444,7 +444,7 @@ fn idle_connection_is_pinged_then_goaway_closed() {
     let oracle =
         ConnectivityOracle::build(&mut led, &g, &pri, &verts, k, 1, OracleBuildOpts::default());
     let srv = StreamingServer::new(
-        ShardedServer::new(oracle.query_handle(), 2),
+        ShardedServer::new(&oracle, 2),
         AdmissionPolicy::builder().build(),
     );
     let mut fe = Frontend::new(srv).with_lifecycle(LifecyclePolicy {
@@ -497,7 +497,7 @@ fn malformed_frame_strikes_escalate_to_goaway() {
     let oracle =
         ConnectivityOracle::build(&mut led, &g, &pri, &verts, k, 1, OracleBuildOpts::default());
     let srv = StreamingServer::new(
-        ShardedServer::new(oracle.query_handle(), 2),
+        ShardedServer::new(&oracle, 2),
         AdmissionPolicy::builder().build(),
     );
     let mut fe = Frontend::new(srv).with_lifecycle(LifecyclePolicy {
@@ -580,7 +580,7 @@ fn slow_client_backpressures_without_losing_frames() {
     let oracle =
         ConnectivityOracle::build(&mut led, &g, &pri, &verts, k, 1, OracleBuildOpts::default());
     let srv = StreamingServer::new(
-        ShardedServer::new(oracle.query_handle(), 2),
+        ShardedServer::new(&oracle, 2),
         AdmissionPolicy::builder().max_batch(8).build(),
     );
     let mut fe = Frontend::new(srv)
