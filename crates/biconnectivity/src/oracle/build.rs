@@ -33,8 +33,7 @@ pub fn build_biconnectivity_oracle<'a, G: GraphView>(
     opts: BuildOpts,
 ) -> BiconnectivityOracle<'a, G> {
     let d = ImplicitDecomposition::build(led, g, pri, vertices, k, seed, opts);
-    let mut centers = d.centers().to_vec();
-    centers.sort_unstable();
+    let centers = d.centers();
     let nc = centers.len();
     let idx: FxHashMap<Vertex, u32> = centers
         .iter()
@@ -50,7 +49,7 @@ pub fn build_biconnectivity_oracle<'a, G: GraphView>(
     let cg = ClustersGraph::new(&d);
     let mut witness_inner = vec![0 as Vertex; nc];
     let mut witness_outer = vec![0 as Vertex; nc];
-    let (cparent, _) = cg.spanning_forest(led, &centers, &idx, |led, yd, _, e, _| {
+    let (cparent, _) = cg.spanning_forest(led, centers, &idx, |led, yd, _, e, _| {
         let (inner, outer) = e.map_or((0, 0), |e| (e.outer, e.inner));
         witness_inner[yd as usize] = inner;
         witness_outer[yd as usize] = outer;
@@ -66,15 +65,14 @@ pub fn build_biconnectivity_oracle<'a, G: GraphView>(
     // ledger scopes (split/merge contract) and merges in index order. `lo`
     // and `hi` are registers; each cluster writes its `w_low`/`w_high` pair
     // once, and one word per non-tree pair it lists.
-    let (cg_ref, idx_ref, forest_ref, tour_ref, centers_ref) =
-        (&cg, &idx, &forest, &tour, &centers);
+    let (cg_ref, idx_ref, forest_ref, tour_ref) = (&cg, &idx, &forest, &tour);
     let step2 = led.scoped_par(nc, STEP_GRAIN, &|r, s| {
         let mut w = Vec::with_capacity(r.len());
         let mut pairs = Vec::new();
         for ci in r.start as u32..r.end as u32 {
             let pre = tour_ref.pre[ci as usize];
             let (mut lo, mut hi) = (pre, pre);
-            for e in cg_ref.neighbor_edges(s.ledger(), centers_ref[ci as usize]) {
+            for e in cg_ref.neighbor_edges(s.ledger(), centers[ci as usize]) {
                 let yd = idx_ref[&e.center];
                 s.op(2);
                 let tree = forest_ref.parent(yd) == ci || forest_ref.parent(ci) == yd;
@@ -158,7 +156,7 @@ pub fn build_biconnectivity_oracle<'a, G: GraphView>(
     }
     let records: Vec<(u64, Vec<ChildRec>)> = {
         let ctx = ClusterCtx {
-            centers: &centers,
+            centers,
             idx: &idx,
             forest: &forest,
             tour: &tour,
@@ -267,7 +265,6 @@ pub fn build_biconnectivity_oracle<'a, G: GraphView>(
 
     BiconnectivityOracle {
         d,
-        centers,
         idx,
         forest,
         tour,

@@ -53,9 +53,8 @@ pub enum BccId {
 
 /// The sublinear-write biconnectivity oracle.
 pub struct BiconnectivityOracle<'a, G: GraphView> {
+    /// The decomposition; its ascending center list maps dense id → center.
     pub(crate) d: ImplicitDecomposition<'a, G>,
-    /// Dense id → center.
-    pub(crate) centers: Vec<Vertex>,
     /// Center → dense id.
     pub(crate) idx: FxHashMap<Vertex, u32>,
     /// Clusters forest over dense ids.
@@ -107,12 +106,11 @@ impl<'a, G: GraphView> BiconnectivityOracle<'a, G> {
         self.num_main_bcc
     }
 
-    /// Asymmetric-memory footprint in words (O(n/k)): the decomposition,
-    /// every per-cluster array (two words per `idx` entry), the clusters
+    /// Asymmetric-memory footprint in words: the decomposition
+    /// (`⌈n/32⌉ + n_c`), every per-cluster array (two words per `idx` entry), the clusters
     /// forest, its tour and the LCA index.
     pub fn storage_words(&self) -> usize {
         let per_cluster = [
-            self.centers.len(),
             2 * self.idx.len(),
             self.witness_inner.len(),
             self.witness_outer.len(),
@@ -132,7 +130,7 @@ impl<'a, G: GraphView> BiconnectivityOracle<'a, G> {
 
     pub(crate) fn ctx(&self) -> ClusterCtx<'_> {
         ClusterCtx {
-            centers: &self.centers,
+            centers: self.d.centers(),
             idx: &self.idx,
             forest: &self.forest,
             tour: &self.tour,

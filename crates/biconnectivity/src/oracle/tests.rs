@@ -248,7 +248,7 @@ fn fifo_clusters_forest(
     oracle: &super::BiconnectivityOracle<Csr>,
 ) -> (Vec<u32>, Vec<Vertex>, Vec<Vertex>) {
     let cg = ClustersGraph::new(oracle.decomposition());
-    let nc = oracle.centers.len();
+    let nc = oracle.d.centers().len();
     let mut parent = vec![u32::MAX; nc];
     let mut inner = vec![0 as Vertex; nc];
     let mut outer = vec![0 as Vertex; nc];
@@ -261,7 +261,7 @@ fn fifo_clusters_forest(
         parent[start as usize] = start;
         queue.push_back(start);
         while let Some(x) = queue.pop_front() {
-            for e in cg.neighbor_edges(&mut led, oracle.centers[x as usize]) {
+            for e in cg.neighbor_edges(&mut led, oracle.d.centers()[x as usize]) {
                 let y = oracle.idx[&e.center] as usize;
                 if parent[y] == u32::MAX {
                     parent[y] = x;
@@ -383,7 +383,7 @@ fn build_writes_each_oracle_word_once() {
         let mut l = Ledger::new(16);
         ImplicitDecomposition::build(&mut l, &g, &pri, &verts, k, 3, opts);
         let decomp = l.costs().asym_writes;
-        let nc = oracle.centers.len() as u64;
+        let nc = oracle.d.centers().len() as u64;
         let parents = (0..nc as u32).map(|c| oracle.forest.parent(c)).collect();
         let mut l = Ledger::new(16);
         let forest = RootedForest::from_parents(&mut l, parents);
@@ -400,7 +400,7 @@ fn build_writes_each_oracle_word_once() {
         let cg = ClustersGraph::new(oracle.decomposition());
         let mut pairs = 0u64;
         for ci in 0..nc as u32 {
-            for e in cg.neighbor_edges(&mut l, oracle.centers[ci as usize]) {
+            for e in cg.neighbor_edges(&mut l, oracle.d.centers()[ci as usize]) {
                 let yd = oracle.idx[&e.center];
                 let tree = oracle.forest.parent(yd) == ci || oracle.forest.parent(ci) == yd;
                 let unrelated =

@@ -7,7 +7,7 @@
 //! The clusters pass is one level-parallel BFS,
 //! [`ClustersGraph::spanning_forest`] — the same forest as Step 1 of the
 //! §5.3 biconnectivity oracle. Each tree is a component, and its number in
-//! `decomposition().centers()` order is the label.
+//! the ascending `decomposition().centers()` order is the label.
 //!
 //! A query re-derives `ρ(v)` (O(√ω) expected operations, no writes) and
 //! looks up the center's label. Vertices of small center-less components

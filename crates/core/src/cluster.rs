@@ -243,7 +243,8 @@ mod tests {
     use wec_graph::Csr;
 
     fn centers_of(led: &mut Ledger, prim: &[Vertex], sec: &[Vertex]) -> CenterSet {
-        let mut s = CenterSet::with_capacity(led, prim.len() + sec.len() + 1);
+        let ids = prim.iter().chain(sec).max().map_or(0, |&m| m as usize + 1);
+        let mut s = CenterSet::new(led, ids);
         for &p in prim {
             s.insert(led, p, CenterLabel::Primary);
         }

@@ -35,14 +35,15 @@ pub struct BuildOpts {
 }
 
 /// An implicit k-decomposition: the oracle state is exactly the center set
-/// (`O(n/k)` words, 1-bit labels) plus borrowed read-only inputs.
+/// (two bits per vertex id, `⌈n/32⌉` words) and the list of its `n_c`
+/// centers in ascending order, plus borrowed read-only inputs.
 pub struct ImplicitDecomposition<'a, G: GraphView> {
     g: &'a G,
     pri: &'a Priorities,
     k: usize,
     centers: CenterSet,
-    /// Materialized center list (also `O(n/k)` words), for algorithms that
-    /// iterate over clusters-graph vertices.
+    /// Materialized center list in ascending order (`n_c` words), for
+    /// algorithms that iterate over clusters-graph vertices.
     center_list: Vec<Vertex>,
     stats: BuildStats,
 }
@@ -52,8 +53,10 @@ impl<'a, G: GraphView> ImplicitDecomposition<'a, G> {
     /// center-less components, then plant secondary centers.
     ///
     /// `vertices` is the actual vertex list of `g` (for implicit views
-    /// whose id space has holes). Charges O(kn) operations and O(n/k)
-    /// writes in expectation.
+    /// whose id space has holes). Charges O(kn) operations in expectation
+    /// and `⌈g.n()/32⌉ + inserts + n_c` writes: the center set, one write
+    /// per insert, and the center list. The parallel variant adds one write
+    /// per secondary its overlays plant before the merge.
     pub fn build(
         led: &mut Ledger,
         g: &'a G,
@@ -64,47 +67,15 @@ impl<'a, G: GraphView> ImplicitDecomposition<'a, G> {
         opts: BuildOpts,
     ) -> Self {
         assert!(k >= 1, "k must be at least 1");
-        let n = vertices.len();
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0xdec0);
-        let mut centers = CenterSet::with_capacity(led, (2 * n / k).max(8));
-        let mut stats = BuildStats::default();
-        // Line 1: sample S0. The coin flips stay on the sequential rng
-        // stream; the per-vertex unit op is a known count, charged in bulk.
-        led.op(n as u64);
-        for &v in vertices {
-            if rng.gen_range(0..k) == 0 {
-                centers.insert(led, v, CenterLabel::Primary);
-                stats.sampled_primaries += 1;
-            }
-        }
+        let mut centers = CenterSet::new(led, g.n());
+        let mut stats = BuildStats {
+            sampled_primaries: sample_primaries(led, vertices, k, seed, &mut centers),
+            ..BuildStats::default()
+        };
         // Unconnected extension: mark the minimum-priority vertex of every
-        // center-less component of size ≥ k as primary. Every vertex probes
-        // the post-sampling snapshot independently (the winner set — one
-        // minimum per center-less component — does not depend on probe
-        // order), so the searches run as one flat parallel pass with
-        // per-worker ledger scopes; the few winners are inserted afterward.
-        let base = &centers;
-        let winners: Vec<Vec<Vertex>> = led.scoped_par(n, COMPONENT_SCAN_GRAIN, &|range, scope| {
-            let l = scope.ledger();
-            let mut found_mins = Vec::new();
-            for &v in &vertices[range] {
-                let mut s = DetSearch::new(l, g, pri, v);
-                let found = loop {
-                    if s.first_in_frontier(l, base, CenterLabel::Primary).is_some() {
-                        break true;
-                    }
-                    if !s.advance(l) {
-                        break false;
-                    }
-                };
-                if !found && s.visited() >= k && s.min_priority_visited(l) == v {
-                    found_mins.push(v);
-                }
-                s.release(l);
-            }
-            found_mins
-        });
-        for v in winners.into_iter().flatten() {
+        // center-less component of size ≥ k as primary; the few winners are
+        // inserted after the scan.
+        for v in component_minima(led, g, pri, vertices, k, &centers) {
             centers.insert(led, v, CenterLabel::Primary);
             stats.component_primaries += 1;
         }
@@ -163,7 +134,7 @@ impl<'a, G: GraphView> ImplicitDecomposition<'a, G> {
         self.pri
     }
 
-    /// All stored centers (unordered but deterministic).
+    /// All stored centers, in ascending id order.
     pub fn centers(&self) -> &[Vertex] {
         &self.center_list
     }
@@ -178,7 +149,8 @@ impl<'a, G: GraphView> ImplicitDecomposition<'a, G> {
         &self.stats
     }
 
-    /// Asymmetric-memory footprint of the oracle state, in words.
+    /// Asymmetric-memory footprint of the oracle state, in words:
+    /// `⌈n/32⌉ + n_c` for the center set and the center list.
     pub fn storage_words(&self) -> usize {
         self.centers.storage_words() + self.center_list.len()
     }
@@ -198,6 +170,73 @@ impl<'a, G: GraphView> ImplicitDecomposition<'a, G> {
     pub fn center_label(&self, led: &mut Ledger, v: Vertex) -> Option<CenterLabel> {
         self.centers.lookup(led, v)
     }
+}
+
+/// Line 1: sample `S0`, each vertex a primary with probability `1/k`.
+/// The coin flips stay on one sequential rng stream; the per-vertex unit op
+/// is a known count, charged in bulk. Returns the number sampled.
+fn sample_primaries(
+    led: &mut Ledger,
+    vertices: &[Vertex],
+    k: usize,
+    seed: u64,
+    centers: &mut CenterSet,
+) -> usize {
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0xdec0);
+    led.op(vertices.len() as u64);
+    let mut sampled = 0;
+    for &v in vertices {
+        if rng.gen_range(0..k) == 0 {
+            centers.insert(led, v, CenterLabel::Primary);
+            sampled += 1;
+        }
+    }
+    sampled
+}
+
+/// The minimum-priority vertex of every component of size ≥ `k` that holds
+/// no primary of `base`, in `vertices` order.
+///
+/// Every vertex probes the snapshot independently (the winner set does not
+/// depend on probe order), so the searches run as one flat parallel pass
+/// with per-worker ledger scopes. Only a component's minimum can win, so a
+/// vertex with a higher-priority neighbour skips its search: the neighbour
+/// test costs the adjacency prefix it scans plus one op for the compare.
+fn component_minima<G: GraphView>(
+    led: &mut Ledger,
+    g: &G,
+    pri: &Priorities,
+    vertices: &[Vertex],
+    k: usize,
+    base: &CenterSet,
+) -> Vec<Vertex> {
+    let winners: Vec<Vec<Vertex>> =
+        led.scoped_par(vertices.len(), COMPONENT_SCAN_GRAIN, &|range, scope| {
+            let l = scope.ledger();
+            let mut found_mins = Vec::new();
+            for &v in &vertices[range] {
+                l.op(1);
+                let rv = pri.rank(v);
+                if g.find_neighbor(l, v, &mut |w| pri.rank(w) < rv).is_some() {
+                    continue;
+                }
+                let mut s = DetSearch::new(l, g, pri, v);
+                let found = loop {
+                    if s.first_in_frontier(l, base, CenterLabel::Primary).is_some() {
+                        break true;
+                    }
+                    if !s.advance(l) {
+                        break false;
+                    }
+                };
+                if !found && s.visited() >= k && s.min_priority_visited(l) == v {
+                    found_mins.push(v);
+                }
+                s.release(l);
+            }
+            found_mins
+        });
+    winners.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
@@ -252,6 +291,132 @@ mod tests {
             a.sort_unstable();
             b.sort_unstable();
             assert_eq!(a, b, "cluster({c}) enumeration mismatch");
+        }
+    }
+
+    /// The center-less-component scan without the neighbour prefilter: one
+    /// search from every vertex.
+    fn unfiltered_minima(
+        g: &Csr,
+        pri: &Priorities,
+        vertices: &[Vertex],
+        k: usize,
+        base: &CenterSet,
+    ) -> Vec<Vertex> {
+        let mut led = Ledger::sequential(8);
+        let l = &mut led;
+        let mut out = Vec::new();
+        for &v in vertices {
+            let mut s = DetSearch::new(l, g, pri, v);
+            let found = loop {
+                if s.first_in_frontier(l, base, CenterLabel::Primary).is_some() {
+                    break true;
+                }
+                if !s.advance(l) {
+                    break false;
+                }
+            };
+            if !found && s.visited() >= k && s.min_priority_visited(l) == v {
+                out.push(v);
+            }
+            s.release(l);
+        }
+        out
+    }
+
+    #[test]
+    fn prefilter_keeps_the_component_winners() {
+        let k = 8;
+        // Components below k (paths of 3 and 5) and above it.
+        let g = disjoint_union(&[
+            &grid(6, 6),
+            &path(3),
+            &path(12),
+            &caterpillar(5, 2),
+            &path(5),
+            &path(10),
+            &bounded_degree_connected(200, 4, 50, 2),
+            &path(9),
+        ]);
+        let n = g.n();
+        let verts: Vec<Vertex> = (0..n as u32).collect();
+        let mut winners = 0;
+        for seed in 0..6u64 {
+            let pri = Priorities::random(n, seed);
+            let mut s0_led = Ledger::sequential(8);
+            let mut s0 = CenterSet::new(&mut s0_led, n);
+            sample_primaries(&mut s0_led, &verts, k, seed, &mut s0);
+            let want = unfiltered_minima(&g, &pri, &verts, k, &s0);
+            winners += want.len();
+            for mut led in [Ledger::new(8), Ledger::sequential(8)] {
+                let got = component_minima(&mut led, &g, &pri, &verts, k, &s0);
+                assert_eq!(got, want, "seed {seed}");
+                for parallel in [false, true] {
+                    let d = ImplicitDecomposition::build(
+                        &mut led,
+                        &g,
+                        &pri,
+                        &verts,
+                        k,
+                        seed,
+                        BuildOpts { parallel },
+                    );
+                    let primaries: Vec<Vertex> = d
+                        .centers
+                        .iter_uncharged()
+                        .filter(|&(_, l)| l == CenterLabel::Primary)
+                        .map(|(v, _)| v)
+                        .collect();
+                    let mut expect: Vec<Vertex> = s0
+                        .iter_uncharged()
+                        .map(|(v, _)| v)
+                        .chain(want.clone())
+                        .collect();
+                    expect.sort_unstable();
+                    assert_eq!(primaries, expect, "seed {seed}, parallel {parallel}");
+                    assert_eq!(d.stats().component_primaries, want.len());
+                }
+            }
+        }
+        assert!(winners > 0, "no seed left a large component center-less");
+    }
+
+    #[test]
+    fn build_writes_follow_the_exact_formula() {
+        let g = disjoint_union(&[
+            &bounded_degree_connected(700, 4, 200, 3),
+            &grid(9, 9),
+            &path(5),
+        ]);
+        let n = g.n();
+        let pri = Priorities::random(n, 3);
+        let verts: Vec<Vertex> = (0..n as u32).collect();
+        for parallel in [false, true] {
+            for mut led in [Ledger::new(8), Ledger::sequential(8)] {
+                let d = ImplicitDecomposition::build(
+                    &mut led,
+                    &g,
+                    &pri,
+                    &verts,
+                    6,
+                    7,
+                    BuildOpts { parallel },
+                );
+                let s = d.stats();
+                let nc = d.num_centers();
+                let inserted = s.sampled_primaries + s.component_primaries + s.secondaries;
+                assert_eq!(inserted, nc, "each center is inserted once");
+                // The parallel overlays write each secondary once more
+                // before the merge inserts it.
+                let overlay = if parallel { s.secondaries } else { 0 };
+                let words = n.div_ceil(32);
+                assert_eq!(
+                    led.costs().asym_writes as usize,
+                    words + inserted + overlay + nc,
+                    "parallel {parallel}"
+                );
+                assert_eq!(d.storage_words(), words + nc);
+            }
         }
     }
 
@@ -354,7 +519,7 @@ mod tests {
         let d =
             ImplicitDecomposition::build(&mut led, &g, &pri, &verts, k, 9, BuildOpts::default());
         let writes = led.costs().asym_writes;
-        // writes ~ O(n/k) with table allocation + center list constants
+        // writes ~ O(n/k) plus the center set's n/32 words
         assert!(
             writes <= 40 * (n as u64) / (k as u64) + 100,
             "construction writes {writes} not O(n/k)"

@@ -400,7 +400,7 @@ mod tests {
         let g = grid(128, 128);
         let pri = Priorities::random(128 * 128, 3);
         let mut led = Ledger::new(8);
-        let none = CenterSet::with_capacity(&mut led, 1);
+        let none = CenterSet::new(&mut led, g.n());
         let a = crate::rho::rho(&mut led, &g, &pri, &none, 0);
         assert!(a.center.is_implicit());
         POOL.with(|p| {

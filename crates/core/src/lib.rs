@@ -2,15 +2,18 @@
 //!
 //! The paper's central technical contribution: partition a bounded-degree
 //! graph into connected clusters of size ≤ k such that the only stored
-//! state is `O(n/k)` center vertices with a 1-bit label each. The mapping
-//! `ρ(v)` from a vertex to its cluster's center is *recomputed on demand*
-//! by a deterministic tie-breaking BFS — O(k) expected operations and zero
-//! asymmetric-memory writes per query (Theorem 3.1).
+//! state is `O(n/k)` center vertices with a 1-bit label each (stored here
+//! as two bits per vertex id, `⌈n/32⌉` words, plus the `n_c`-word center
+//! list). The mapping `ρ(v)` from a vertex to its cluster's center is
+//! *recomputed on demand* by a deterministic tie-breaking BFS — O(k)
+//! expected operations and zero asymmetric-memory writes per query
+//! (Theorem 3.1).
 //!
 //! Module map:
 //!
-//! * [`centers`] — the stored center set `S` (open-addressing, 1-bit
-//!   labels) and the lookup trait construction overlays use;
+//! * [`centers`] — the stored center set `S` (a two-bit-per-vertex array
+//!   of member and primary bits) and the lookup trait construction
+//!   overlays use;
 //! * [`detbfs`] — the deterministic tie-breaking BFS realizing the paper's
 //!   canonical path order `L(SP(·,·))`;
 //! * [`rho`] — `ρ0`/`ρ` queries (Lemma 3.2) including the implicit-minimum

@@ -9,7 +9,8 @@
 //! graph connectivity and biconnectivity using asymptotically fewer
 //! writes than any conventional algorithm — down to `O(n/√ω)` writes for
 //! bounded-degree graphs via an **implicit k-decomposition** whose only
-//! stored state is an `O(n/k)`-sized center set with 1-bit labels.
+//! stored state is a center set with 1-bit labels (here two bits per
+//! vertex id plus the center list: `⌈n/32⌉ + n_c` words).
 //!
 //! This facade re-exports the workspace:
 //!

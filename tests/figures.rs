@@ -99,7 +99,7 @@ fn figure1_secondary_center_rule() {
     let g = wec::graph::gen::path(7);
     let pri = Priorities::identity(7);
     let mut led = Ledger::new(16);
-    let mut cs = CenterSet::with_capacity(&mut led, 4);
+    let mut cs = CenterSet::new(&mut led, g.n());
     cs.insert(&mut led, 0, CenterLabel::Primary);
     cs.insert(&mut led, 3, CenterLabel::Secondary);
     // vertex 2: path to primary 0 = [2,1,0]; the nearer secondary 3 is NOT
