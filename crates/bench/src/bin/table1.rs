@@ -13,10 +13,11 @@
 //! We print measured writes/operations/work/depth for all six algorithms
 //! on a density sweep at each ω and mark the measured winner. Two constant
 //! factors shift the crossovers relative to the asymptotics: our ρ
-//! implementation costs ~90 unit operations per visited vertex (hash-map
-//! deterministic BFS), so the √ω·m oracles win on *work* only once
-//! ω ≳ 10⁴, while they win on *writes* — the actual NVM resource — already
-//! at ω = 16; and the §5.2 labeling carries ~35n writes of array
+//! implementation costs ~55 unit operations per call at k = 8, about 7 per
+//! vertex its hash-map deterministic BFS visits, so the §4.3 oracle wins
+//! on *work* only once ω ≳ 10⁴ (the §5.3 oracle from ω = 1024), while both
+//! beat the parallel prior work on *writes* — the actual NVM resource —
+//! already at ω = 16; and the §5.2 labeling carries ~35n writes of array
 //! constants, so it overtakes Θ(m)-output prior work at m ≳ 16n.
 
 use wec_baseline::{hopcroft_tarjan, seq_connectivity, shun_connectivity};

@@ -221,14 +221,9 @@ fn component_minima<G: GraphView>(
                     continue;
                 }
                 let mut s = DetSearch::new(l, g, pri, v);
-                let found = loop {
-                    if s.first_in_frontier(l, base, CenterLabel::Primary).is_some() {
-                        break true;
-                    }
-                    if !s.advance(l) {
-                        break false;
-                    }
-                };
+                let found = s
+                    .advance_until(l, |l, u| base.lookup(l, u) == Some(CenterLabel::Primary))
+                    .is_some();
                 if !found && s.visited() >= k && s.min_priority_visited(l) == v {
                     found_mins.push(v);
                 }
@@ -294,8 +289,8 @@ mod tests {
         }
     }
 
-    /// The center-less-component scan without the neighbour prefilter: one
-    /// search from every vertex.
+    /// The center-less-component scan without the neighbour prefilter or
+    /// the early stop: one level-at-a-time search from every vertex.
     fn unfiltered_minima(
         g: &Csr,
         pri: &Priorities,
@@ -309,11 +304,12 @@ mod tests {
         for &v in vertices {
             let mut s = DetSearch::new(l, g, pri, v);
             let found = loop {
-                if s.first_in_frontier(l, base, CenterLabel::Primary).is_some() {
-                    break true;
-                }
-                if !s.advance(l) {
-                    break false;
+                let hit = s
+                    .frontier()
+                    .iter()
+                    .any(|&u| base.lookup(l, u) == Some(CenterLabel::Primary));
+                if hit || !s.advance(l) {
+                    break hit;
                 }
             };
             if !found && s.visited() >= k && s.min_priority_visited(l) == v {
@@ -348,6 +344,7 @@ mod tests {
             sample_primaries(&mut s0_led, &verts, k, seed, &mut s0);
             let want = unfiltered_minima(&g, &pri, &verts, k, &s0);
             winners += want.len();
+            let mut center_sets = [Vec::new(), Vec::new()];
             for mut led in [Ledger::new(8), Ledger::sequential(8)] {
                 let got = component_minima(&mut led, &g, &pri, &verts, k, &s0);
                 assert_eq!(got, want, "seed {seed}");
@@ -375,7 +372,14 @@ mod tests {
                     expect.sort_unstable();
                     assert_eq!(primaries, expect, "seed {seed}, parallel {parallel}");
                     assert_eq!(d.stats().component_primaries, want.len());
+                    center_sets[parallel as usize].push(d.centers().to_vec());
                 }
+            }
+            // Secondaries included, each variant plants one set under both
+            // ledgers. The variants differ from each other by design: the
+            // parallel one also marks each call root's cluster-tree children.
+            for (parallel, sets) in center_sets.iter().enumerate() {
+                assert_eq!(sets[0], sets[1], "seed {seed}, parallel {parallel}");
             }
         }
         assert!(winners > 0, "no seed left a large component center-less");

@@ -8,12 +8,20 @@
 //! **independent of which vertices happen to be centers** — the property
 //! Lemma 3.2's expectation argument needs.
 //!
-//! Realization: process the search level by level. Within level `d+1`,
-//! the canonical parent of `u` is its level-`d` neighbor whose own rank is
-//! minimal, and vertices are ranked by `(parent's rank, own priority)`:
-//! two canonical paths to different level-`(d+1)` vertices either diverge
-//! before level `d` (compare parent ranks) or at level `d+1` itself
-//! (same parent — compare own priorities).
+//! Realization: process the search level by level, one parent block at a
+//! time. Within level `d+1`, the canonical parent of `u` is its level-`d`
+//! neighbor whose own rank is minimal, and vertices are ranked by
+//! `(parent's rank, own priority)`: two canonical paths to different
+//! level-`(d+1)` vertices either diverge before level `d` (compare parent
+//! ranks) or at level `d+1` itself (same parent — compare own priorities).
+//! Scanning level `d` in rank order and letting the first parent that sees
+//! a vertex claim it makes the vertices the rank-`r` parent claims exactly
+//! the next level's `r`-th block: once that parent's list is read, no
+//! later parent adds to the block. So each block is sorted by priority as
+//! it closes, and a search for the first vertex with some property
+//! ([`DetSearch::advance_until`]) stops at the first block holding one,
+//! without reading the rest of the level. A level finished in full costs
+//! one sort per block, `Σ b log b ≤ f log f` for a level of `f`.
 //!
 //! Everything lives in **symmetric memory** and is charged against the
 //! ledger's high-water mark: the search performs no asymmetric writes,
@@ -24,7 +32,6 @@
 //! searches allocates nothing. The `sym_alloc`/`sym_free` charges follow
 //! the model's words per visited vertex, not the allocator.
 
-use crate::centers::{CenterLabel, CenterLookup};
 use crate::scratch::{self, Pool, Recycle};
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
@@ -54,9 +61,9 @@ struct SearchScratch {
     frontier: Vec<Vertex>,
     /// One frontier vertex's neighbors.
     nbrs: Vec<Vertex>,
-    /// The next level keyed for the canonical sort:
-    /// `(parent's rank, own priority rank, vertex)`.
-    next: Vec<(u32, u32, Vertex)>,
+    /// The next level, one parent block after another, each keyed by
+    /// `(own priority rank, vertex)` for its sort.
+    next: Vec<(u32, Vertex)>,
     /// The last path reconstructed by `path_from_start`.
     path: Vec<Vertex>,
 }
@@ -107,16 +114,6 @@ impl<'a, G: GraphView> DetSearch<'a, G> {
         }
     }
 
-    /// Current level's vertices in canonical rank order.
-    pub fn frontier(&self) -> &[Vertex] {
-        &self.buf.frontier
-    }
-
-    /// Current level number.
-    pub fn level(&self) -> u32 {
-        self.level
-    }
-
     /// Number of vertices visited so far.
     pub fn visited(&self) -> usize {
         self.buf.info.len()
@@ -140,9 +137,21 @@ impl<'a, G: GraphView> DetSearch<'a, G> {
             .expect("search visited at least its start")
     }
 
-    /// Expand to the next level. Returns `false` when the component is
-    /// exhausted (frontier became empty).
-    pub fn advance(&mut self, led: &mut Ledger) -> bool {
+    /// Test `pred` on the search's vertices in canonical order — the start,
+    /// then level by level — and return the first that passes, or `None`
+    /// once the component is exhausted without one.
+    ///
+    /// Each level is expanded one parent block at a time and its blocks are
+    /// tested as they close, so a pass ends the search inside its level:
+    /// the later parents' adjacency is never read. A search runs this once;
+    /// afterwards `node` and `path_from_start` serve every vertex visited,
+    /// and `min_priority_visited` names the component's minimum when the
+    /// search returned `None`.
+    pub fn advance_until(
+        &mut self,
+        led: &mut Ledger,
+        mut pred: impl FnMut(&mut Ledger, Vertex) -> bool,
+    ) -> Option<Vertex> {
         let SearchScratch {
             info,
             frontier,
@@ -150,38 +159,53 @@ impl<'a, G: GraphView> DetSearch<'a, G> {
             next,
             ..
         } = &mut self.buf;
-        // Scan the frontier in rank order. The first time an unvisited
-        // neighbor is seen its parent has minimal rank — the canonical
-        // parent — and recording it right away makes later sightings in
-        // this level skip it.
-        next.clear();
-        let level = self.level + 1;
-        for (rank, &v) in frontier.iter().enumerate() {
-            nbrs.clear();
-            self.g.neighbors_into(led, v, nbrs);
-            for &w in nbrs.iter() {
-                led.op(1);
-                if let Entry::Vacant(e) = info.entry(w) {
-                    e.insert(NodeInfo { parent: v, level });
-                    next.push((rank as u32, self.pri.rank(w), w));
+        let start = frontier[0];
+        if pred(led, start) {
+            return Some(start);
+        }
+        while !frontier.is_empty() {
+            // Scan the frontier in rank order. The first time an unvisited
+            // neighbor is seen its parent has minimal rank — the canonical
+            // parent — and recording it right away makes later sightings in
+            // this level skip it.
+            next.clear();
+            self.level += 1;
+            let mut hit = None;
+            for &v in frontier.iter() {
+                let block_start = next.len();
+                nbrs.clear();
+                self.g.neighbors_into(led, v, nbrs);
+                for &w in nbrs.iter() {
+                    led.op(1);
+                    if let Entry::Vacant(e) = info.entry(w) {
+                        e.insert(NodeInfo {
+                            parent: v,
+                            level: self.level,
+                        });
+                        next.push((self.pri.rank(w), w));
+                    }
+                }
+                // `v`'s block is closed: canonical order within it is own
+                // priority.
+                let block = &mut next[block_start..];
+                block.sort_unstable();
+                led.op(sort_cost(block.len()));
+                hit = block.iter().map(|&(_, w)| w).find(|&w| pred(led, w));
+                if hit.is_some() {
+                    break;
                 }
             }
-        }
-        if next.is_empty() {
+            let f = next.len() as u64;
+            led.sym_alloc(f * WORDS_PER_NODE);
+            self.sym_words += f * WORDS_PER_NODE;
+            if hit.is_some() {
+                return hit;
+            }
             frontier.clear();
-            return false;
+            frontier.extend(next.iter().map(|&(_, w)| w));
+            led.op(f);
         }
-        // Canonical order within the new level.
-        next.sort_unstable();
-        let f = next.len() as u64;
-        led.op(f * (64 - f.leading_zeros() as u64).max(1)); // sort cost
-        self.level = level;
-        frontier.clear();
-        frontier.extend(next.iter().map(|&(_, _, w)| w));
-        led.op(f);
-        led.sym_alloc(f * WORDS_PER_NODE);
-        self.sym_words += f * WORDS_PER_NODE;
-        true
+        None
     }
 
     /// The canonical path `start → v` (inclusive of both endpoints),
@@ -205,25 +229,66 @@ impl<'a, G: GraphView> DetSearch<'a, G> {
         path
     }
 
-    /// Scan the current frontier in canonical order for the first center
-    /// with the given label, charging lookups.
-    pub fn first_in_frontier(
-        &self,
-        led: &mut Ledger,
-        centers: &impl CenterLookup,
-        want: CenterLabel,
-    ) -> Option<Vertex> {
-        self.buf
-            .frontier
-            .iter()
-            .copied()
-            .find(|&u| centers.lookup(led, u) == Some(want))
-    }
-
     /// Release the symmetric memory this search charged; its buffers go
     /// back to the thread's pool.
     pub fn release(self, led: &mut Ledger) {
         led.sym_free(self.sym_words);
+    }
+}
+
+/// Unit ops charged for sorting `f` keys: `f` times the bit length of `f`.
+fn sort_cost(f: usize) -> u64 {
+    let f = f as u64;
+    f * (64 - f.leading_zeros() as u64)
+}
+
+/// The level-at-a-time reference the tests hold `advance_until` to:
+/// `advance` reads every parent's adjacency, then sorts the whole level by
+/// `(parent's rank, own priority)` and charges that one sort.
+#[cfg(test)]
+impl<G: GraphView> DetSearch<'_, G> {
+    /// Current level's vertices in canonical rank order.
+    pub(crate) fn frontier(&self) -> &[Vertex] {
+        &self.buf.frontier
+    }
+
+    /// Expand the whole next level. Returns `false` when the component is
+    /// exhausted (frontier became empty).
+    pub(crate) fn advance(&mut self, led: &mut Ledger) -> bool {
+        let SearchScratch {
+            info,
+            frontier,
+            nbrs,
+            ..
+        } = &mut self.buf;
+        // `(parent's rank, own priority rank, vertex)`, sorted level-wide.
+        let mut next = Vec::new();
+        let level = self.level + 1;
+        for (rank, &v) in frontier.iter().enumerate() {
+            nbrs.clear();
+            self.g.neighbors_into(led, v, nbrs);
+            for &w in nbrs.iter() {
+                led.op(1);
+                if let Entry::Vacant(e) = info.entry(w) {
+                    e.insert(NodeInfo { parent: v, level });
+                    next.push((rank as u32, self.pri.rank(w), w));
+                }
+            }
+        }
+        if next.is_empty() {
+            frontier.clear();
+            return false;
+        }
+        next.sort_unstable();
+        let f = next.len();
+        led.op(sort_cost(f));
+        self.level = level;
+        frontier.clear();
+        frontier.extend(next.iter().map(|&(_, _, w)| w));
+        led.op(f as u64);
+        led.sym_alloc(f as u64 * WORDS_PER_NODE);
+        self.sym_words += f as u64 * WORDS_PER_NODE;
+        true
     }
 }
 
@@ -238,10 +303,27 @@ mod tests {
     use super::*;
     use crate::centers::CenterSet;
     use crate::scratch::SCRATCH_CAP;
-    use wec_graph::gen::{cycle, grid, path};
+    use wec_graph::gen::{cycle, gnm, grid, path};
     use wec_graph::Csr;
 
+    /// The search order from `start`: every vertex, tested by a predicate
+    /// that never passes.
     fn collect_order(g: &Csr, pri: &Priorities, start: Vertex) -> Vec<Vertex> {
+        let mut led = Ledger::new(8);
+        let mut s = DetSearch::new(&mut led, g, pri, start);
+        let mut order = Vec::new();
+        let none = s.advance_until(&mut led, |_, u| {
+            order.push(u);
+            false
+        });
+        assert_eq!(none, None);
+        s.release(&mut led);
+        assert_eq!(led.sym_live(), 0);
+        order
+    }
+
+    /// The same order from the level-at-a-time reference.
+    fn reference_order(g: &Csr, pri: &Priorities, start: Vertex) -> Vec<Vertex> {
         let mut led = Ledger::new(8);
         let mut s = DetSearch::new(&mut led, g, pri, start);
         let mut order = s.frontier().to_vec();
@@ -249,8 +331,19 @@ mod tests {
             order.extend_from_slice(s.frontier());
         }
         s.release(&mut led);
-        assert_eq!(led.sym_live(), 0);
         order
+    }
+
+    /// Exhaust the component from `start` and return the search.
+    fn exhaust<'a>(
+        led: &mut Ledger,
+        g: &'a Csr,
+        pri: &'a Priorities,
+        start: Vertex,
+    ) -> DetSearch<'a, Csr> {
+        let mut s = DetSearch::new(led, g, pri, start);
+        assert_eq!(s.advance_until(led, |_, _| false), None);
+        s
     }
 
     #[test]
@@ -258,8 +351,7 @@ mod tests {
         let g = grid(5, 5);
         let pri = Priorities::identity(25);
         let mut led = Ledger::new(8);
-        let mut s = DetSearch::new(&mut led, &g, &pri, 0);
-        while s.advance(&mut led) {}
+        let s = exhaust(&mut led, &g, &pri, 0);
         let dist = wec_graph::props::bfs_distances(&g, 0);
         for v in 0..25u32 {
             assert_eq!(s.node(v).unwrap().level, dist[v as usize], "level of {v}");
@@ -297,23 +389,15 @@ mod tests {
         // Diamond: 0-1, 0-2, 1-3, 2-3. 3's parents could be 1 or 2; the
         // canonical parent is the one ranked first in level 1.
         let g = Csr::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
-        let pri = Priorities::identity(4);
-        let mut led = Ledger::new(8);
-        let mut s = DetSearch::new(&mut led, &g, &pri, 0);
-        s.advance(&mut led);
-        s.advance(&mut led);
-        assert_eq!(s.node(3).unwrap().parent, 1);
-        let path = s.path_from_start(&mut led, 3);
-        assert_eq!(path, vec![0, 1, 3]);
-        s.release(&mut led);
-        // flip priorities of 1 and 2
-        let pri2 = Priorities::from_ranks(vec![0, 2, 1, 3]);
-        let mut led2 = Ledger::new(8);
-        let mut s2 = DetSearch::new(&mut led2, &g, &pri2, 0);
-        s2.advance(&mut led2);
-        s2.advance(&mut led2);
-        assert_eq!(s2.node(3).unwrap().parent, 2);
-        s2.release(&mut led2);
+        for (ranks, parent) in [(vec![0, 1, 2, 3], 1), (vec![0, 2, 1, 3], 2)] {
+            let pri = Priorities::from_ranks(ranks);
+            let mut led = Ledger::new(8);
+            let mut s = DetSearch::new(&mut led, &g, &pri, 0);
+            assert_eq!(s.advance_until(&mut led, |_, u| u == 3), Some(3));
+            assert_eq!(s.node(3).unwrap().parent, parent);
+            assert_eq!(s.path_from_start(&mut led, 3), vec![0, parent, 3]);
+            s.release(&mut led);
+        }
     }
 
     #[test]
@@ -321,11 +405,54 @@ mod tests {
         let g = grid(6, 6);
         let pri = Priorities::random(36, 1);
         let mut led = Ledger::new(8);
-        let mut s = DetSearch::new(&mut led, &g, &pri, 17);
-        while s.advance(&mut led) {}
+        let s = exhaust(&mut led, &g, &pri, 17);
         assert_eq!(led.costs().asym_writes, 0);
         assert!(led.sym_peak() >= 36 * WORDS_PER_NODE);
         s.release(&mut led);
+    }
+
+    #[test]
+    fn block_order_matches_the_level_at_a_time_reference() {
+        let graphs = [
+            grid(9, 9),
+            gnm(120, 400, 3),
+            wec_graph::gen::bounded_degree_connected(150, 4, 30, 4),
+        ];
+        for (i, g) in graphs.iter().enumerate() {
+            let pri = Priorities::random(g.n(), i as u64);
+            for start in [0, 40, g.n() as Vertex - 1] {
+                assert_eq!(
+                    collect_order(g, &pri, start),
+                    reference_order(g, &pri, start),
+                    "graph {i}, start {start}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn advance_until_stops_at_the_first_pass() {
+        let g = grid(9, 9);
+        let pri = Priorities::random(81, 4);
+        let want = collect_order(&g, &pri, 40);
+        // A pass at the i-th vertex tests exactly the order's prefix, and
+        // the canonical path to it is already recorded.
+        for i in [0, 1, 5, 30, 80] {
+            let mut led = Ledger::new(8);
+            let mut s = DetSearch::new(&mut led, &g, &pri, 40);
+            let mut tested = 0;
+            let hit = s.advance_until(&mut led, |_, u| {
+                tested += 1;
+                u == want[i]
+            });
+            assert_eq!(hit, Some(want[i]));
+            assert_eq!(tested, i + 1);
+            let level = s.node(want[i]).unwrap().level;
+            let path = s.path_from_start(&mut led, want[i]);
+            assert_eq!(path.len() as u32, level + 1);
+            s.release(&mut led);
+            assert_eq!(led.sym_live(), 0);
+        }
     }
 
     #[test]
@@ -342,8 +469,7 @@ mod tests {
         let g = path(10);
         let pri = Priorities::identity(10);
         let mut led = Ledger::new(8);
-        let mut s = DetSearch::new(&mut led, &g, &pri, 0);
-        while s.advance(&mut led) {}
+        let mut s = exhaust(&mut led, &g, &pri, 0);
         assert_eq!(s.path_from_start(&mut led, 4), vec![0, 1, 2, 3, 4]);
         s.release(&mut led);
     }
@@ -367,24 +493,22 @@ mod tests {
         let pri2 = Priorities::random(11, 6);
         let want1 = collect_order(&g1, &pri1, 30);
         let want2 = collect_order(&g2, &pri2, 4);
-        // Both searches hold pooled buffers at once and advance in turn.
+        // Both searches hold pooled buffers at once: `b` runs to exhaustion
+        // inside `a`'s predicate.
         let mut led = Ledger::new(8);
         let mut a = DetSearch::new(&mut led, &g1, &pri1, 30);
         let mut b = DetSearch::new(&mut led, &g2, &pri2, 4);
-        let (mut got1, mut got2) = (a.frontier().to_vec(), b.frontier().to_vec());
-        let (mut live_a, mut live_b) = (true, true);
-        while live_a || live_b {
-            if live_a && a.advance(&mut led) {
-                got1.extend_from_slice(a.frontier());
-            } else {
-                live_a = false;
+        let (mut got1, mut got2) = (Vec::new(), Vec::new());
+        a.advance_until(&mut led, |l, u| {
+            if got1.is_empty() {
+                b.advance_until(l, |_, w| {
+                    got2.push(w);
+                    false
+                });
             }
-            if live_b && b.advance(&mut led) {
-                got2.extend_from_slice(b.frontier());
-            } else {
-                live_b = false;
-            }
-        }
+            got1.push(u);
+            false
+        });
         b.release(&mut led);
         a.release(&mut led);
         assert_eq!(led.sym_live(), 0);

@@ -3,7 +3,9 @@
 //! `ρ0(v)` is the first *primary* center in the deterministic search order
 //! from `v`; `ρ(v)` is the center (primary or secondary) on the canonical
 //! path `v → ρ0(v)` closest to `v`. O(k) expected operations, **no
-//! asymmetric writes**, O(k log n) symmetric memory whp.
+//! asymmetric writes**, O(k log n) symmetric memory whp. The search stops
+//! at `ρ0(v)` inside its BFS level: the parents ranked after it are never
+//! read and the level is never sorted as a whole (see `detbfs`).
 //!
 //! If the search exhausts `v`'s component without meeting a primary center
 //! (possible only for components smaller than `k` after construction), the
@@ -59,16 +61,26 @@ pub fn rho<G: GraphView>(
     v: Vertex,
 ) -> RhoAnswer {
     let mut s = DetSearch::new(led, g, pri, v);
-    // Find ρ0(v): scan levels in canonical order for the first primary.
-    let rho0 = loop {
-        if let Some(u) = s.first_in_frontier(led, centers, CenterLabel::Primary) {
-            break Some(u);
-        }
-        if !s.advance(led) {
-            break None;
-        }
-    };
-    let answer = match rho0 {
+    // ρ0(v): the first primary in canonical order.
+    let rho0 = s.advance_until(led, |l, u| {
+        centers.lookup(l, u) == Some(CenterLabel::Primary)
+    });
+    let answer = resolve(led, &mut s, centers, v, rho0);
+    s.release(led);
+    answer
+}
+
+/// `ρ(v)` from the search that looked for `ρ0(v)`: the stored center
+/// closest to `v` on the canonical path to `rho0`, or the implicit minimum
+/// when the search exhausted the component.
+fn resolve<G: GraphView>(
+    led: &mut Ledger,
+    s: &mut DetSearch<'_, G>,
+    centers: &impl CenterLookup,
+    v: Vertex,
+    rho0: Option<Vertex>,
+) -> RhoAnswer {
+    match rho0 {
         Some(p0) => {
             // Canonical path v → p0; the S-member closest to v on it is ρ(v).
             let path = s.path_from_start(led, p0); // [v, ..., p0]
@@ -110,16 +122,16 @@ pub fn rho<G: GraphView>(
                 }
             }
         }
-    };
-    s.release(led);
-    answer
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::centers::CenterSet;
-    use wec_graph::gen::{cycle, grid, path};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use wec_graph::gen::{bounded_degree_connected, cycle, disjoint_union, grid, path};
     use wec_graph::Csr;
 
     fn centers_of(led: &mut Ledger, prim: &[Vertex], sec: &[Vertex]) -> CenterSet {
@@ -289,5 +301,101 @@ mod tests {
             let fresh = std::thread::scope(|t| t.spawn(|| run(i, v)).join().unwrap());
             assert_eq!(run(i, v), fresh, "graph {i}, start {v}");
         }
+    }
+
+    /// ρ as computed before the early stop: each level is expanded in
+    /// full, then scanned for a primary.
+    fn level_at_a_time_rho<G: GraphView>(
+        led: &mut Ledger,
+        g: &G,
+        pri: &Priorities,
+        centers: &CenterSet,
+        v: Vertex,
+    ) -> RhoAnswer {
+        let mut s = DetSearch::new(led, g, pri, v);
+        let rho0 = loop {
+            let hit = s
+                .frontier()
+                .iter()
+                .copied()
+                .find(|&u| centers.lookup(led, u) == Some(CenterLabel::Primary));
+            if hit.is_some() || !s.advance(led) {
+                break hit;
+            }
+        };
+        let answer = resolve(led, &mut s, centers, v, rho0);
+        s.release(led);
+        answer
+    }
+
+    /// Each of the ids `0..centred` is a primary with probability `1/k`
+    /// and a secondary with probability `1/k`; ids past `centred` hold no
+    /// center.
+    fn random_centers(
+        led: &mut Ledger,
+        n: usize,
+        centred: usize,
+        k: usize,
+        seed: u64,
+    ) -> CenterSet {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut s = CenterSet::new(led, n);
+        for v in 0..centred as Vertex {
+            match rng.gen_range(0..k) {
+                0 => s.insert(led, v, CenterLabel::Primary),
+                1 => s.insert(led, v, CenterLabel::Secondary),
+                _ => {}
+            }
+        }
+        s
+    }
+
+    #[test]
+    fn block_search_matches_the_level_at_a_time_reference() {
+        let k = 8;
+        let mut graphs: Vec<(Csr, usize)> = (0..3u64)
+            .map(|seed| (bounded_degree_connected(300, 4, 60, seed), 300))
+            .collect();
+        graphs.push((grid(15, 20), 300));
+        // After the centred component: center-less components below k (a
+        // 5-path and a 7-cycle) and above it (a 4×4 grid and a 12-path).
+        graphs.push((
+            disjoint_union(&[
+                &bounded_degree_connected(200, 4, 50, 9),
+                &path(5),
+                &grid(4, 4),
+                &cycle(7),
+                &path(12),
+            ]),
+            200,
+        ));
+        let (mut implicit, mut saved_reads, mut saved_ops) = (0, 0, 0);
+        for (i, (g, centred)) in graphs.iter().enumerate() {
+            let n = g.n();
+            let pri = Priorities::random(n, i as u64);
+            let mut led = Ledger::new(8);
+            let cs = random_centers(&mut led, n, *centred, k, i as u64);
+            for v in 0..n as Vertex {
+                let mut ref_led = Ledger::new(8);
+                let want = level_at_a_time_rho(&mut ref_led, g, &pri, &cs, v);
+                let mut led = Ledger::new(8);
+                let got = rho(&mut led, g, &pri, &cs, v);
+                assert_eq!(got, want, "graph {i}, vertex {v}");
+                let (c, r) = (led.costs(), ref_led.costs());
+                assert!(c.asym_reads <= r.asym_reads, "graph {i}, vertex {v}: reads");
+                assert!(c.sym_ops <= r.sym_ops, "graph {i}, vertex {v}: ops");
+                assert!(led.sym_peak() <= ref_led.sym_peak());
+                assert_eq!(c.asym_writes, 0);
+                assert_eq!(led.sym_live(), 0);
+                implicit += got.center.is_implicit() as usize;
+                saved_reads += r.asym_reads - c.asym_reads;
+                saved_ops += r.sym_ops - c.sym_ops;
+            }
+        }
+        assert_eq!(implicit, 5 + 16 + 7 + 12, "every center-less vertex");
+        assert!(
+            saved_reads > 0 && saved_ops > 0,
+            "the early stop saved nothing"
+        );
     }
 }

@@ -97,11 +97,6 @@ impl<'a> BoundedDegreeView<'a> {
         (1u64 << (levels + 1)) - 2 // heap indices 2 ..= 2^(levels+1) - 1
     }
 
-    /// Number of original vertices.
-    pub fn original_n(&self) -> usize {
-        self.g.n()
-    }
-
     /// Underlying graph.
     pub fn graph(&self) -> &Csr {
         self.g
@@ -227,11 +222,6 @@ impl<'a> BoundedDegreeView<'a> {
     /// project component labels back onto `G`.
     pub fn owner(&self, id: Vertex) -> Vertex {
         self.decode(id).0
-    }
-
-    /// Whether the id denotes a virtual node.
-    pub fn is_virtual(&self, id: Vertex) -> bool {
-        id as usize >= self.g.n()
     }
 }
 
