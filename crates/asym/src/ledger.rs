@@ -50,6 +50,7 @@
 
 use crate::cost::Costs;
 use crate::report::CostReport;
+use std::sync::Mutex;
 
 /// Forked tasks per pool thread in [`Ledger::scoped_par`]'s execution
 /// grain. Greater than 1 so the work-stealing scheduler can rebalance
@@ -344,25 +345,37 @@ impl Ledger {
     }
 
     /// Per-element convenience over [`Ledger::scoped_par`]: `map` runs once
-    /// per index, results are concatenated in index order. Same accounting.
+    /// per index, results are returned in index order. Same accounting.
+    ///
+    /// Each chunk writes its results straight into its own slice of one
+    /// `n`-slot output, so no result is ever held twice; the final unwrap
+    /// collects in place.
     pub fn scoped_par_map<T: Send>(
         &mut self,
         n: usize,
         grain: usize,
         map: &(impl Fn(usize, &mut LedgerScope) -> T + Sync),
     ) -> Vec<T> {
-        let parts = self.scoped_par(n, grain, &|range, scope| {
-            let mut v = Vec::with_capacity(range.len());
-            for i in range {
-                v.push(map(i, scope));
-            }
-            v
-        });
-        let mut out = Vec::with_capacity(n);
-        for p in parts {
-            out.extend(p);
+        let grain = grain.max(1);
+        let mut out: Vec<Option<T>> = Vec::new();
+        out.resize_with(n, || None);
+        {
+            // One uncontended lock per chunk: it only hands the chunk's
+            // slice to whichever worker runs that chunk.
+            let slices: Vec<Mutex<&mut [Option<T>]>> =
+                out.chunks_mut(grain).map(Mutex::new).collect();
+            self.scoped_par(n, grain, &|range, scope| {
+                let mut slice = slices[range.start / grain]
+                    .lock()
+                    .expect("only this chunk locks its slice");
+                for (slot, i) in slice.iter_mut().zip(range) {
+                    *slot = Some(map(i, scope));
+                }
+            });
         }
-        out
+        out.into_iter()
+            .map(|r| r.expect("every index ran"))
+            .collect()
     }
 }
 

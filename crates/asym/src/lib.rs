@@ -34,6 +34,8 @@
 //! * [`FxHashMap`]/[`FxHashSet`] — a local implementation of the FxHash
 //!   function (Rust perf-book recommendation) so no extra dependency is
 //!   needed for fast integer-keyed tables.
+//! * [`scratch`] — the per-worker buffer pools every symmetric-memory
+//!   kernel reuses across queries (wall-clock only; no charge).
 
 pub mod cost;
 pub mod fusion;
@@ -41,6 +43,7 @@ pub mod hash;
 pub mod ledger;
 pub mod mutation;
 pub mod report;
+pub mod scratch;
 pub mod wire;
 
 pub use cost::Costs;

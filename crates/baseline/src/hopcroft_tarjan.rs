@@ -13,7 +13,7 @@ use wec_asym::Ledger;
 use wec_graph::{Csr, EdgeId};
 
 /// Full biconnectivity information with the standard per-edge output.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct HtResult {
     /// Per-vertex articulation flag.
     pub articulation: Vec<bool>,
@@ -47,23 +47,74 @@ impl HtResult {
     }
 }
 
+wec_asym::recycle_fields!(HtResult { articulation, bridge, edge_bcc } reset { num_bcc });
+
 const UNSET: u32 = u32::MAX;
+
+/// The working arrays of one run, reusable across runs (see
+/// [`hopcroft_tarjan_into`]).
+#[derive(Debug, Default)]
+pub struct HtScratch {
+    disc: Vec<u32>,
+    low: Vec<u32>,
+    edge_stack: Vec<EdgeId>,
+    /// Frame: (vertex, adjacency cursor, parent edge id or UNSET).
+    frames: Vec<(u32, usize, u32)>,
+}
+
+wec_asym::recycle_fields!(HtScratch {
+    disc,
+    low,
+    edge_stack,
+    frames
+});
 
 /// Run Hopcroft–Tarjan. Charges `O(m)` reads and `Θ(n + m)` writes
 /// (disc/low arrays, the edge stack, and the per-edge output array).
 pub fn hopcroft_tarjan(led: &mut Ledger, g: &Csr) -> HtResult {
+    let mut out = HtResult::default();
+    hopcroft_tarjan_into(led, g, &mut out, &mut HtScratch::default());
+    out
+}
+
+/// [`hopcroft_tarjan`] into caller-owned storage: `out` is overwritten
+/// and `scratch` holds the working arrays, so a caller that keeps both
+/// allocates nothing once they are large enough. Charges exactly what
+/// [`hopcroft_tarjan`] charges.
+pub fn hopcroft_tarjan_into(
+    led: &mut Ledger,
+    g: &Csr,
+    out: &mut HtResult,
+    scratch: &mut HtScratch,
+) {
     let n = g.n();
     let m = g.m();
-    let mut disc = vec![UNSET; n];
-    let mut low = vec![UNSET; n];
-    let mut articulation = vec![false; n];
-    let mut bridge = vec![false; m];
-    let mut edge_bcc = vec![UNSET; m];
+    let HtResult {
+        articulation,
+        bridge,
+        edge_bcc,
+        num_bcc: out_bcc,
+    } = out;
+    let HtScratch {
+        disc,
+        low,
+        edge_stack,
+        frames,
+    } = scratch;
+    disc.clear();
+    disc.resize(n, UNSET);
+    low.clear();
+    low.resize(n, UNSET);
+    edge_bcc.clear();
+    edge_bcc.resize(m, UNSET);
+    articulation.clear();
+    articulation.resize(n, false);
+    bridge.clear();
+    bridge.resize(m, false);
+    edge_stack.clear();
+    frames.clear();
     let mut num_bcc = 0u32;
     let mut timer = 0u32;
-    let mut edge_stack: Vec<EdgeId> = Vec::new();
-    // Frame: (vertex, adjacency cursor, parent edge id or UNSET).
-    let mut frames: Vec<(u32, usize, u32)> = Vec::new();
 
     for s in 0..n as u32 {
         led.read(1);
@@ -147,12 +198,7 @@ pub fn hopcroft_tarjan(led: &mut Ledger, g: &Csr) -> HtResult {
     }
     debug_assert!(edge_stack.is_empty());
     debug_assert!(edge_bcc.iter().all(|&b| b != UNSET));
-    HtResult {
-        articulation,
-        bridge,
-        edge_bcc,
-        num_bcc: num_bcc as usize,
-    }
+    *out_bcc = num_bcc as usize;
 }
 
 #[cfg(test)]
@@ -251,6 +297,30 @@ mod tests {
         let mut led = Ledger::new(8);
         let r = hopcroft_tarjan(&mut led, &g);
         assert_eq!(r.num_bcc, 1);
+    }
+
+    #[test]
+    fn reused_storage_matches_fresh_runs() {
+        let graphs = [
+            grid(6, 7),
+            path(3),
+            disjoint_union(&[&cycle(5), &star(4), &path(2)]),
+            Csr::from_edges(0, &[]),
+            ladder(9),
+        ];
+        let mut out = HtResult::default();
+        let mut scratch = HtScratch::default();
+        for g in graphs.iter().chain(graphs.iter().rev()) {
+            let mut fresh_led = Ledger::new(8);
+            let fresh = hopcroft_tarjan(&mut fresh_led, g);
+            let mut led = Ledger::new(8);
+            hopcroft_tarjan_into(&mut led, g, &mut out, &mut scratch);
+            assert_eq!(out.articulation, fresh.articulation);
+            assert_eq!(out.bridge, fresh.bridge);
+            assert_eq!(out.edge_bcc, fresh.edge_bcc);
+            assert_eq!(out.num_bcc, fresh.num_bcc);
+            assert_eq!(led.costs(), fresh_led.costs());
+        }
     }
 
     #[test]

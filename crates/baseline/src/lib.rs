@@ -21,7 +21,7 @@ pub mod seq;
 pub mod shun;
 pub mod unionfind;
 
-pub use hopcroft_tarjan::{hopcroft_tarjan, HtResult};
+pub use hopcroft_tarjan::{hopcroft_tarjan, hopcroft_tarjan_into, HtResult, HtScratch};
 pub use seq::{seq_connectivity, seq_spanning_forest};
 pub use shun::shun_connectivity;
 pub use unionfind::UnionFind;

@@ -154,6 +154,14 @@ fn bench_queries(h: &Harness) {
         }
         acc
     });
+    h.case("table1/queries/bicc-oracle/two_edge_connected", 5, || {
+        let mut acc = 0usize;
+        for _ in 0..1000 {
+            i = (i.wrapping_mul(2654435761)).wrapping_add(1) % n as u32;
+            acc += usize::from(bicc.two_edge_connected(&mut l, i, (i + 31) % n as u32));
+        }
+        acc
+    });
 }
 
 fn bench_decomposition(h: &Harness) {

@@ -24,9 +24,22 @@
 //! boundary vertex and memoizes its center, and a rescan of member
 //! adjacency that routes each external edge by a lookup in that memo —
 //! O(k²) expected operations, **no writes** (Lemma 5.4).
+//!
+//! That symmetric memory is the paper's scratchpad, reused from query to
+//! query: the kernel runs in per-worker pooled buffers
+//! ([`wec_asym::scratch`]). A [`LocalGraph`] (its CSR included) and a
+//! [`LocalBcc`] take their vectors from their thread's pool and give them
+//! back when dropped; construction, Hopcroft–Tarjan and the path checks
+//! borrow their working arrays from it for the duration of the call. Once
+//! the pools are warm a query allocates nothing. The pool is wall-clock
+//! plumbing only: every charge above is made explicitly, so reuse changes
+//! no `Costs`.
 
-use wec_asym::{FxHashMap, FxHashSet, Ledger};
-use wec_baseline::hopcroft_tarjan;
+use std::cell::RefCell;
+use std::mem::take;
+use wec_asym::scratch::{self, Pool};
+use wec_asym::{FxHashMap, Ledger};
+use wec_baseline::{hopcroft_tarjan_into, HtResult, HtScratch};
 use wec_core::ImplicitDecomposition;
 use wec_graph::{Csr, GraphView, Vertex};
 use wec_prims::lca::child_toward;
@@ -45,7 +58,8 @@ pub enum OutsideDir {
     Child(u32),
 }
 
-/// A materialized (symmetric-memory) local graph.
+/// A materialized (symmetric-memory) local graph. Its storage returns to
+/// this thread's pool when it is dropped.
 pub struct LocalGraph {
     /// Global ids: members in canonical order, then outside vertices.
     pub verts: Vec<Vertex>,
@@ -65,7 +79,128 @@ pub struct LocalGraph {
     pub tree_parent: Vec<Vertex>,
 }
 
+/// The storage of a [`LocalGraph`], pooled while no local graph holds it.
+#[derive(Default)]
+struct GraphBufs {
+    verts: Vec<Vertex>,
+    index: FxHashMap<Vertex, u32>,
+    csr: Csr,
+    dirs: Vec<OutsideDir>,
+    tree_parent: Vec<Vertex>,
+}
+
+wec_asym::recycle_fields!(GraphBufs {
+    verts,
+    index,
+    csr,
+    dirs,
+    tree_parent
+});
+
+/// The storage of a [`LocalBcc`], pooled while no analysis holds it.
+#[derive(Default)]
+struct BccBufs {
+    ht: HtResult,
+    tecc: Vec<u32>,
+    bcc_touches_parent: Vec<bool>,
+    internal_rank: Vec<u32>,
+    bcc_offsets: Vec<u32>,
+    bcc_lists: Vec<u32>,
+}
+
+wec_asym::recycle_fields!(BccBufs {
+    ht,
+    tecc,
+    bcc_touches_parent,
+    internal_rank,
+    bcc_offsets,
+    bcc_lists
+});
+
+/// The working arrays of one kernel call (a build, an analysis or a path
+/// check), each call using the ones it needs.
+#[derive(Default)]
+struct KernelScratch {
+    /// Local edges as they are listed.
+    edges: Vec<(u32, u32)>,
+    /// One member's neighbors.
+    nbrs: Vec<Vertex>,
+    /// `(clusters-graph label, local id)` of the labeled outside vertices.
+    labeled: Vec<(u32, u32)>,
+    /// One chain of equal labels: a `start..end` range of `labeled`.
+    chains: Vec<(u32, u32)>,
+    /// Hopcroft–Tarjan's working arrays.
+    ht: HtScratch,
+    /// DFS stack of the 2-edge-connected-component sweep.
+    stack: Vec<u32>,
+    /// One vertex's BCCs while they are deduplicated.
+    bccs: Vec<u32>,
+    /// One vertex's ancestor chain in the cluster tree.
+    ancestors: Vec<Vertex>,
+}
+
+wec_asym::recycle_fields!(KernelScratch {
+    edges,
+    nbrs,
+    labeled,
+    chains,
+    ht,
+    stack,
+    bccs,
+    ancestors
+});
+
+thread_local! {
+    static GRAPHS: Pool<GraphBufs> = const { RefCell::new(Vec::new()) };
+    static BCCS: Pool<BccBufs> = const { RefCell::new(Vec::new()) };
+    static SCRATCH: Pool<KernelScratch> = const { RefCell::new(Vec::new()) };
+}
+
+/// The largest buffer capacity held by this thread's local-graph pools,
+/// for the pool-hygiene tests.
+#[cfg(test)]
+pub(super) fn largest_pooled_capacity() -> usize {
+    fn largest<T: scratch::Recycle>(pool: &'static std::thread::LocalKey<Pool<T>>) -> usize {
+        pool.with(|p| p.borrow().iter().map(T::largest_capacity).max())
+            .unwrap_or(0)
+    }
+    largest(&GRAPHS).max(largest(&BCCS)).max(largest(&SCRATCH))
+}
+
+impl Drop for LocalGraph {
+    fn drop(&mut self) {
+        let bufs = GraphBufs {
+            verts: take(&mut self.verts),
+            index: take(&mut self.index),
+            csr: take(&mut self.csr),
+            dirs: take(&mut self.dirs),
+            tree_parent: take(&mut self.tree_parent),
+        };
+        scratch::give(&GRAPHS, bufs);
+    }
+}
+
 impl LocalGraph {
+    /// An empty local graph over pooled storage.
+    fn pooled() -> LocalGraph {
+        let GraphBufs {
+            verts,
+            index,
+            csr,
+            dirs,
+            tree_parent,
+        } = scratch::take(&GRAPHS);
+        LocalGraph {
+            verts,
+            index,
+            n_members: 0,
+            csr,
+            dirs,
+            parent_outside: None,
+            tree_parent,
+        }
+    }
+
     /// Local id of a global vertex, if present.
     pub fn local(&self, v: Vertex) -> Option<u32> {
         self.index.get(&v).copied()
@@ -99,39 +234,44 @@ pub(super) fn intra_path_bridge_free(
     if a == b {
         return true;
     }
-    // Collect a's ancestor chain (toward the cluster center).
-    let mut seen: FxHashSet<Vertex> = FxHashSet::default();
-    let mut cur = a;
-    seen.insert(a);
-    led.op(1);
-    loop {
-        let p = lg.parent_of(cur);
-        if p == cur {
-            break;
-        }
-        seen.insert(p);
+    let mut tmp = scratch::take(&SCRATCH);
+    let seen = &mut tmp.ancestors;
+    let free = 'walk: {
+        // Collect a's ancestor chain (toward the cluster center).
+        let mut cur = a;
+        seen.push(a);
         led.op(1);
-        cur = p;
-    }
-    // Walk b upward to the meeting point, checking bridges on the way.
-    let mut meet = b;
-    while !seen.contains(&meet) {
-        let p = lg.parent_of(meet);
-        if bcc.edge_is_bridge(led, &lg.csr, lg.index[&meet], lg.index[&p]) {
-            return false;
+        loop {
+            let p = lg.parent_of(cur);
+            if p == cur {
+                break;
+            }
+            seen.push(p);
+            led.op(1);
+            cur = p;
         }
-        meet = p;
-    }
-    // Walk a upward to the meeting point, checking its side.
-    let mut cur = a;
-    while cur != meet {
-        let p = lg.parent_of(cur);
-        if bcc.edge_is_bridge(led, &lg.csr, lg.index[&cur], lg.index[&p]) {
-            return false;
+        // Walk b upward to the meeting point, checking bridges on the way.
+        let mut meet = b;
+        while !seen.contains(&meet) {
+            let p = lg.parent_of(meet);
+            if bcc.edge_is_bridge(led, &lg.csr, lg.index[&meet], lg.index[&p]) {
+                break 'walk false;
+            }
+            meet = p;
         }
-        cur = p;
-    }
-    true
+        // Walk a upward to the meeting point, checking its side.
+        let mut cur = a;
+        while cur != meet {
+            let p = lg.parent_of(cur);
+            if bcc.edge_is_bridge(led, &lg.csr, lg.index[&cur], lg.index[&p]) {
+                break 'walk false;
+            }
+            cur = p;
+        }
+        true
+    };
+    scratch::give(&SCRATCH, tmp);
+    free
 }
 
 /// Everything about the clusters forest the local-graph builder needs.
@@ -162,12 +302,29 @@ pub fn build_local_graph<G: GraphView>(
     let center = ctx.centers[ci as usize];
     let cluster = d.cluster(led, center);
     let members = &cluster.members;
-    let mut verts = members.clone();
-    let mut dirs: Vec<OutsideDir> = Vec::new();
+    let mut lg = LocalGraph::pooled();
+    let mut tmp = scratch::take(&SCRATCH);
+    let LocalGraph {
+        verts,
+        index,
+        n_members,
+        csr,
+        dirs,
+        parent_outside,
+        tree_parent,
+    } = &mut lg;
+    let KernelScratch {
+        edges,
+        nbrs,
+        labeled,
+        chains,
+        ..
+    } = &mut tmp;
+    verts.extend_from_slice(members);
+    tree_parent.extend_from_slice(&cluster.parents);
     let is_root = ctx.forest.is_root(ci);
-    let mut parent_outside = None;
     if !is_root {
-        parent_outside = Some(verts.len() as u32);
+        *parent_outside = Some(verts.len() as u32);
         verts.push(ctx.witness_outer[ci as usize]);
         dirs.push(OutsideDir::Parent);
     }
@@ -176,16 +333,15 @@ pub fn build_local_graph<G: GraphView>(
         verts.push(ctx.witness_inner[cj as usize]);
         dirs.push(OutsideDir::Child(cj));
     }
-    let n_members = members.len();
-    let mut index: FxHashMap<Vertex, u32> = FxHashMap::default();
+    *n_members = members.len();
+    let n_members = *n_members;
     for (i, &v) in verts.iter().enumerate() {
         index.insert(v, i as u32);
     }
     led.op(verts.len() as u64);
 
-    let mut edges: Vec<(u32, u32)> = Vec::new();
     // Category 1b: witness tree edges (each exactly once).
-    if let Some(po) = parent_outside {
+    if let Some(po) = *parent_outside {
         edges.push((index[&ctx.witness_inner[ci as usize]], po));
     }
     for &cj in children {
@@ -197,12 +353,11 @@ pub fn build_local_graph<G: GraphView>(
     // Categories 1a + 3: scan member adjacency. `index` answers
     // membership: members hold the local ids below `n_members`.
     led.op(n_members as u64);
-    let mut nbrs = Vec::new();
     for &v in members {
         nbrs.clear();
-        d.graph().neighbors_into(led, v, &mut nbrs);
+        d.graph().neighbors_into(led, v, nbrs);
         let iv = index[&v];
-        for &w in &nbrs {
+        for &w in nbrs.iter() {
             led.op(1);
             if let Some(&iw) = index.get(&w).filter(|&&iw| (iw as usize) < n_members) {
                 if v < w {
@@ -243,7 +398,6 @@ pub fn build_local_graph<G: GraphView>(
     // clusters-graph BC label. Each chain runs in local-id order and the
     // chains are ordered by their smallest local id, so local edge ids are
     // deterministic.
-    let mut labeled: Vec<(u32, u32)> = Vec::new(); // (label, local id)
     for (j, &dir) in dirs.iter().enumerate() {
         let label = match dir {
             OutsideDir::Parent => ctx.cg_label[ci as usize],
@@ -255,29 +409,66 @@ pub fn build_local_graph<G: GraphView>(
         }
     }
     labeled.sort_unstable();
-    let mut chains: Vec<&[(u32, u32)]> = labeled.chunk_by(|a, b| a.0 == b.0).collect();
-    chains.sort_unstable_by_key(|chain| chain[0].1);
-    for chain in chains {
-        for pair in chain.windows(2) {
+    let mut start = 0;
+    for run in labeled.chunk_by(|a, b| a.0 == b.0) {
+        chains.push((start, start + run.len() as u32));
+        start += run.len() as u32;
+    }
+    chains.sort_unstable_by_key(|&(lo, _)| labeled[lo as usize].1);
+    for &(lo, hi) in chains.iter() {
+        for pair in labeled[lo as usize..hi as usize].windows(2) {
             edges.push((pair[0].1, pair[1].1));
         }
     }
     led.op(edges.len() as u64);
 
-    let csr = Csr::from_edges_multigraph(verts.len(), &edges);
+    csr.refill_multigraph(verts.len(), edges);
     led.op(2 * edges.len() as u64);
-    LocalGraph {
-        verts,
-        index,
-        n_members,
-        csr,
-        dirs,
-        parent_outside,
-        tree_parent: cluster.parents,
+    scratch::give(&SCRATCH, tmp);
+    lg
+}
+
+/// Build the local graph of a small center-less component (< k vertices,
+/// enumerated from its minimum vertex): its members and the G-edges among
+/// them, as the simple graph [`Csr::from_edges`] would build, with no
+/// outside vertices.
+pub(super) fn build_component_graph<G: GraphView>(
+    led: &mut Ledger,
+    d: &ImplicitDecomposition<G>,
+    min_vertex: Vertex,
+) -> LocalGraph {
+    let cluster = d.cluster(led, min_vertex);
+    let mut lg = LocalGraph::pooled();
+    let mut tmp = scratch::take(&SCRATCH);
+    let KernelScratch { edges, nbrs, .. } = &mut tmp;
+    let n = cluster.members.len();
+    lg.verts.extend_from_slice(&cluster.members);
+    lg.tree_parent.extend_from_slice(&cluster.parents);
+    lg.n_members = n;
+    for (i, &v) in cluster.members.iter().enumerate() {
+        lg.index.insert(v, i as u32);
     }
+    for &v in &cluster.members {
+        nbrs.clear();
+        d.graph().neighbors_into(led, v, nbrs);
+        for &w in nbrs.iter() {
+            led.op(1);
+            if v < w {
+                let (a, b) = (lg.index[&v], lg.index[&w]);
+                edges.push((a.min(b), a.max(b)));
+            }
+        }
+    }
+    led.op(2 * edges.len() as u64 + n as u64);
+    edges.sort_unstable();
+    edges.dedup();
+    lg.csr.refill_multigraph(n, edges);
+    scratch::give(&SCRATCH, tmp);
+    lg
 }
 
 /// Biconnectivity analysis of a local graph, computed in symmetric memory.
+/// Its storage returns to this thread's pool when it is dropped.
 pub struct LocalBcc {
     /// Per-local-edge BCC labels (Hopcroft–Tarjan).
     pub edge_bcc: Vec<u32>,
@@ -304,16 +495,49 @@ pub struct LocalBcc {
     pub bcc_lists: Vec<u32>,
 }
 
+impl Drop for LocalBcc {
+    fn drop(&mut self) {
+        let bufs = BccBufs {
+            ht: HtResult {
+                articulation: take(&mut self.articulation),
+                bridge: take(&mut self.bridge),
+                edge_bcc: take(&mut self.edge_bcc),
+                num_bcc: 0,
+            },
+            tecc: take(&mut self.tecc),
+            bcc_touches_parent: take(&mut self.bcc_touches_parent),
+            internal_rank: take(&mut self.internal_rank),
+            bcc_offsets: take(&mut self.bcc_offsets),
+            bcc_lists: take(&mut self.bcc_lists),
+        };
+        scratch::give(&BCCS, bufs);
+    }
+}
+
 /// Analyze a local graph. All charged as symmetric-memory operations.
 pub fn analyze_local(led: &mut Ledger, lg: &LocalGraph) -> LocalBcc {
     let n = lg.csr.n();
     let m = lg.csr.m();
-    led.sym_compute((4 * (n + m) + 8) as u64, |scratch| {
-        let ht = hopcroft_tarjan(scratch, &lg.csr);
+    let BccBufs {
+        mut ht,
+        mut tecc,
+        mut bcc_touches_parent,
+        mut internal_rank,
+        mut bcc_offsets,
+        mut bcc_lists,
+    } = scratch::take(&BCCS);
+    let mut tmp = scratch::take(&SCRATCH);
+    led.sym_compute((4 * (n + m) + 8) as u64, |sc| {
+        let KernelScratch {
+            ht: ht_scratch,
+            stack,
+            bccs,
+            ..
+        } = &mut tmp;
+        hopcroft_tarjan_into(sc, &lg.csr, &mut ht, ht_scratch);
         // 2ecc: components after removing bridges.
-        let mut tecc = vec![u32::MAX; n];
+        tecc.resize(n, u32::MAX);
         let mut next = 0u32;
-        let mut stack = Vec::new();
         for s in 0..n as u32 {
             if tecc[s as usize] != u32::MAX {
                 continue;
@@ -321,7 +545,7 @@ pub fn analyze_local(led: &mut Ledger, lg: &LocalGraph) -> LocalBcc {
             tecc[s as usize] = next;
             stack.push(s);
             while let Some(v) = stack.pop() {
-                scratch.op(1);
+                sc.op(1);
                 for (&w, &e) in lg.csr.neighbors(v).iter().zip(lg.csr.neighbor_edge_ids(v)) {
                     if !ht.bridge[e as usize] && tecc[w as usize] == u32::MAX {
                         tecc[w as usize] = next;
@@ -332,51 +556,50 @@ pub fn analyze_local(led: &mut Ledger, lg: &LocalGraph) -> LocalBcc {
             next += 1;
         }
         // Which BCCs touch the parent-direction outside vertex.
-        let mut bcc_touches_parent = vec![false; ht.num_bcc];
+        bcc_touches_parent.resize(ht.num_bcc, false);
         if let Some(po) = lg.parent_outside {
             for &e in lg.csr.neighbor_edge_ids(po) {
                 bcc_touches_parent[ht.edge_bcc[e as usize] as usize] = true;
             }
         }
-        let mut internal_rank = vec![u32::MAX; ht.num_bcc];
         let mut next_rank = 0u32;
-        for (b, &up) in bcc_touches_parent.iter().enumerate() {
-            if !up {
-                internal_rank[b] = next_rank;
+        for &up in bcc_touches_parent.iter() {
+            if up {
+                internal_rank.push(u32::MAX);
+            } else {
+                internal_rank.push(next_rank);
                 next_rank += 1;
             }
         }
         // Per-vertex BCC membership.
-        let mut bcc_offsets = Vec::with_capacity(n + 1);
-        let mut bcc_lists = Vec::with_capacity(2 * m);
-        let mut bs: Vec<u32> = Vec::new();
         bcc_offsets.push(0);
         for v in 0..n as u32 {
-            bs.clear();
-            bs.extend(
+            bccs.clear();
+            bccs.extend(
                 lg.csr
                     .neighbor_edge_ids(v)
                     .iter()
                     .map(|&e| ht.edge_bcc[e as usize]),
             );
-            bs.sort_unstable();
-            bs.dedup();
-            scratch.op(bs.len() as u64 + 1);
-            bcc_lists.extend_from_slice(&bs);
+            bccs.sort_unstable();
+            bccs.dedup();
+            sc.op(bccs.len() as u64 + 1);
+            bcc_lists.extend_from_slice(bccs);
             bcc_offsets.push(bcc_lists.len() as u32);
         }
-        LocalBcc {
-            edge_bcc: ht.edge_bcc,
-            articulation: ht.articulation,
-            bridge: ht.bridge,
-            num_bcc: ht.num_bcc,
-            tecc,
-            bcc_touches_parent,
-            internal_rank,
-            bcc_offsets,
-            bcc_lists,
-        }
-    })
+    });
+    scratch::give(&SCRATCH, tmp);
+    LocalBcc {
+        edge_bcc: take(&mut ht.edge_bcc),
+        articulation: take(&mut ht.articulation),
+        bridge: take(&mut ht.bridge),
+        num_bcc: ht.num_bcc,
+        tecc,
+        bcc_touches_parent,
+        internal_rank,
+        bcc_offsets,
+        bcc_lists,
+    }
 }
 
 impl LocalBcc {

@@ -38,7 +38,8 @@ use wec_graph::{GraphView, Vertex};
 use wec_prims::{lca::child_toward, EulerTour, LcaIndex, RootedForest};
 
 use local::{
-    analyze_local, build_local_graph, intra_path_bridge_free, ClusterCtx, LocalBcc, LocalGraph,
+    analyze_local, build_component_graph, build_local_graph, intra_path_bridge_free, ClusterCtx,
+    LocalBcc, LocalGraph,
 };
 
 /// A globally unique biconnected-component identity.
@@ -166,33 +167,12 @@ impl<'a, G: GraphView> BiconnectivityOracle<'a, G> {
         }
     }
 
-    /// Materialize a small center-less component (≤ k vertices) as a CSR +
-    /// index, in symmetric memory.
-    fn small_component(
-        &self,
-        led: &mut Ledger,
-        min_vertex: Vertex,
-    ) -> (wec_graph::Csr, FxHashMap<Vertex, u32>) {
-        let cluster = self.d.cluster(led, min_vertex);
-        let members = cluster.members;
-        let mut index = FxHashMap::default();
-        for (i, &v) in members.iter().enumerate() {
-            index.insert(v, i as u32);
-        }
-        let mut edges = Vec::new();
-        let mut nbrs = Vec::new();
-        for &v in &members {
-            nbrs.clear();
-            self.d.graph().neighbors_into(led, v, &mut nbrs);
-            for &w in &nbrs {
-                led.op(1);
-                if v < w {
-                    edges.push((index[&v], index[&w]));
-                }
-            }
-        }
-        led.op(2 * edges.len() as u64 + members.len() as u64);
-        (wec_graph::Csr::from_edges(members.len(), &edges), index)
+    /// Build and analyze the local graph of a small center-less
+    /// component (< k vertices), named by its minimum vertex.
+    fn small_local(&self, led: &mut Ledger, min_vertex: Vertex) -> (LocalGraph, LocalBcc) {
+        let lg = build_component_graph(led, &self.d, min_vertex);
+        let bcc = analyze_local(led, &lg);
+        (lg, bcc)
     }
 
     /// Whether `u` and `v` are connected (same component).
@@ -220,9 +200,8 @@ impl<'a, G: GraphView> BiconnectivityOracle<'a, G> {
                 if a != b {
                     return false;
                 }
-                let (csr, index) = self.small_component(led, a);
-                let bcc = analyze_small(led, &csr);
-                bcc.same_bcc(led, index[&u], index[&v])
+                let (lg, bcc) = self.small_local(led, a);
+                bcc.same_bcc(led, lg.index[&u], lg.index[&v])
             }
             (Resolved::Cluster(cu), Resolved::Cluster(cv)) => {
                 if cu == cv {
@@ -286,9 +265,8 @@ impl<'a, G: GraphView> BiconnectivityOracle<'a, G> {
                 if a != b {
                     return false;
                 }
-                let (csr, index) = self.small_component(led, a);
-                let bcc = analyze_small(led, &csr);
-                bcc.same_tecc(led, index[&u], index[&v])
+                let (lg, bcc) = self.small_local(led, a);
+                bcc.same_tecc(led, lg.index[&u], lg.index[&v])
             }
             (Resolved::Cluster(cu), Resolved::Cluster(cv)) => {
                 if cu == cv {
@@ -370,9 +348,8 @@ impl<'a, G: GraphView> BiconnectivityOracle<'a, G> {
                 bcc.articulation[lg.index[&v] as usize]
             }
             Resolved::Small(c) => {
-                let (csr, index) = self.small_component(led, c);
-                let bcc = analyze_small(led, &csr);
-                bcc.articulation[index[&v] as usize]
+                let (lg, bcc) = self.small_local(led, c);
+                bcc.articulation[lg.index[&v] as usize]
             }
         }
     }
@@ -382,9 +359,8 @@ impl<'a, G: GraphView> BiconnectivityOracle<'a, G> {
     pub fn is_bridge(&self, led: &mut Ledger, u: Vertex, v: Vertex) -> bool {
         match (self.cluster_of(led, u), self.cluster_of(led, v)) {
             (Resolved::Small(a), Resolved::Small(_b)) => {
-                let (csr, index) = self.small_component(led, a);
-                let bcc = analyze_small(led, &csr);
-                bcc.edge_is_bridge(led, &csr, index[&u], index[&v])
+                let (lg, bcc) = self.small_local(led, a);
+                bcc.edge_is_bridge(led, &lg.csr, lg.index[&u], lg.index[&v])
             }
             (Resolved::Cluster(a), Resolved::Cluster(b)) => {
                 if a == b {
@@ -416,12 +392,11 @@ impl<'a, G: GraphView> BiconnectivityOracle<'a, G> {
     pub fn edge_bcc(&self, led: &mut Ledger, u: Vertex, v: Vertex) -> BccId {
         match (self.cluster_of(led, u), self.cluster_of(led, v)) {
             (Resolved::Small(a), Resolved::Small(_)) => {
-                let (csr, index) = self.small_component(led, a);
-                let bcc = analyze_small(led, &csr);
-                let iu = index[&u];
-                let iv = index[&v];
-                let pos = csr.arc_position(iu, iv).expect("edge must exist");
-                BccId::Small(a, bcc.edge_bcc[csr.neighbor_edge_ids(iu)[pos] as usize])
+                let (lg, bcc) = self.small_local(led, a);
+                let iu = lg.index[&u];
+                let iv = lg.index[&v];
+                let pos = lg.csr.arc_position(iu, iv).expect("edge must exist");
+                BccId::Small(a, bcc.edge_bcc[lg.csr.neighbor_edge_ids(iu)[pos] as usize])
             }
             (Resolved::Cluster(a), Resolved::Cluster(b)) => {
                 if a == b {
@@ -547,24 +522,10 @@ impl BiconnQueryKey {
 /// and one word wide. The name is kept for callers that spell the type.
 pub type BiconnQueryHandle<'o, 'g, G> = &'o BiconnectivityOracle<'g, G>;
 
+#[derive(Debug, Clone, Copy)]
 enum Resolved {
     Cluster(u32),
     Small(Vertex),
-}
-
-/// Hopcroft–Tarjan + 2ecc analysis of a small component, charged as
-/// symmetric operations (the component has < k vertices).
-fn analyze_small(led: &mut Ledger, csr: &wec_graph::Csr) -> LocalBcc {
-    let lg = LocalGraph {
-        verts: (0..csr.n() as u32).collect(),
-        index: (0..csr.n() as u32).map(|v| (v, v)).collect(),
-        n_members: csr.n(),
-        csr: csr.clone(),
-        dirs: Vec::new(),
-        parent_outside: None,
-        tree_parent: Vec::new(),
-    };
-    analyze_local(led, &lg)
 }
 
 pub use build::build_biconnectivity_oracle;

@@ -6,7 +6,12 @@
 //! center-less components).
 
 use super::build::build_biconnectivity_oracle;
-use wec_asym::{FxHashMap, Ledger};
+use super::local::{
+    intra_path_bridge_free, largest_pooled_capacity, LocalBcc, LocalGraph, OutsideDir,
+};
+use super::{BiconnectivityOracle, Resolved};
+use wec_asym::scratch::SCRATCH_CAP;
+use wec_asym::{Costs, FxHashMap, Ledger};
 use wec_baseline::{brute, hopcroft_tarjan};
 use wec_core::{BuildOpts, ClustersGraph, ImplicitDecomposition};
 use wec_graph::gen::{
@@ -423,4 +428,183 @@ fn build_writes_each_oracle_word_once() {
             "{opts:?}: n_c {nc}, roots {roots}, pairs {pairs}, unions {unions}"
         );
     }
+}
+
+/// Every field of a built and analyzed local graph, comparable.
+type LocalPrint = (
+    (
+        Vec<Vertex>,
+        Vec<(Vertex, u32)>,
+        usize,
+        Vec<(Vertex, Vertex)>,
+        Vec<(Vec<Vertex>, Vec<u32>)>,
+        Vec<OutsideDir>,
+        Option<u32>,
+        Vec<Vertex>,
+    ),
+    (
+        Vec<u32>,
+        Vec<bool>,
+        Vec<bool>,
+        usize,
+        Vec<u32>,
+        Vec<bool>,
+        Vec<u32>,
+        Vec<u32>,
+        Vec<u32>,
+    ),
+);
+
+fn local_print(lg: &LocalGraph, bcc: &LocalBcc) -> LocalPrint {
+    let mut index: Vec<(Vertex, u32)> = lg.index.iter().map(|(&v, &i)| (v, i)).collect();
+    index.sort_unstable();
+    let lists = (0..lg.csr.n() as u32)
+        .map(|v| {
+            (
+                lg.csr.neighbors(v).to_vec(),
+                lg.csr.neighbor_edge_ids(v).to_vec(),
+            )
+        })
+        .collect();
+    (
+        (
+            lg.verts.clone(),
+            index,
+            lg.n_members,
+            lg.csr.edges().to_vec(),
+            lists,
+            lg.dirs.clone(),
+            lg.parent_outside,
+            lg.tree_parent.clone(),
+        ),
+        (
+            bcc.edge_bcc.clone(),
+            bcc.articulation.clone(),
+            bcc.bridge.clone(),
+            bcc.num_bcc,
+            bcc.tecc.clone(),
+            bcc.bcc_touches_parent.clone(),
+            bcc.internal_rank.clone(),
+            bcc.bcc_offsets.clone(),
+            bcc.bcc_lists.clone(),
+        ),
+    )
+}
+
+/// Build and analyze the local graph `r` names on a fresh ledger.
+fn local_run(oracle: &BiconnectivityOracle<Csr>, r: Resolved) -> (LocalPrint, Costs, u64, u64) {
+    let mut led = Ledger::new(64);
+    let (lg, bcc) = match r {
+        Resolved::Cluster(ci) => oracle.local_of(&mut led, ci),
+        Resolved::Small(c) => oracle.small_local(&mut led, c),
+    };
+    (
+        local_print(&lg, &bcc),
+        led.costs(),
+        led.depth(),
+        led.sym_peak(),
+    )
+}
+
+#[test]
+fn interleaved_local_graphs_match_runs_on_a_fresh_thread() {
+    let graphs = [
+        bounded_degree_connected(160, 4, 40, 3),
+        grid(9, 7),
+        disjoint_union(&[
+            &bounded_degree_connected(60, 4, 15, 8),
+            &path(3),
+            &cycle(4),
+            &ladder(2),
+            &path(2),
+            &cycle(3),
+            &path(3),
+        ]),
+    ];
+    let ks = [4usize, 3, 8];
+    let pris: Vec<Priorities> = graphs
+        .iter()
+        .enumerate()
+        .map(|(i, g)| Priorities::random(g.n(), 40 + i as u64))
+        .collect();
+    let mut led = Ledger::new(64);
+    let oracles: Vec<BiconnectivityOracle<Csr>> = graphs
+        .iter()
+        .zip(&pris)
+        .zip(ks)
+        .map(|((g, pri), k)| {
+            let verts: Vec<Vertex> = (0..g.n() as u32).collect();
+            build_biconnectivity_oracle(&mut led, g, pri, &verts, k, 5, BuildOpts::default())
+        })
+        .collect();
+    // Every cluster and every small component of every oracle, visited
+    // round-robin so consecutive builds reuse buffers sized by another
+    // graph.
+    let mut per_oracle: Vec<Vec<Resolved>> = Vec::new();
+    for (o, g) in oracles.iter().zip(&graphs) {
+        let mut calls: Vec<Resolved> = (0..o.decomposition().num_centers() as u32)
+            .map(Resolved::Cluster)
+            .collect();
+        for v in 0..g.n() as u32 {
+            if let Resolved::Small(c) = o.cluster_of(&mut led, v) {
+                if c == v {
+                    calls.push(Resolved::Small(c));
+                }
+            }
+        }
+        per_oracle.push(calls);
+    }
+    assert!(per_oracle[2]
+        .iter()
+        .any(|r| matches!(r, Resolved::Small(_))));
+    let longest = per_oracle.iter().map(Vec::len).max().unwrap();
+    for round in 0..2 {
+        for j in 0..longest {
+            for (i, calls) in per_oracle.iter().enumerate() {
+                let r = calls[(j * 7 + round) % calls.len()];
+                let o = &oracles[i];
+                let fresh = std::thread::scope(|t| t.spawn(|| local_run(o, r)).join().unwrap());
+                assert_eq!(local_run(o, r), fresh, "oracle {i}, {r:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_huge_local_graph_leaves_the_pools_capped() {
+    // k exceeds n, so the whole grid is one local graph — a cluster or a
+    // center-less component — with far more arcs than a pooled buffer
+    // keeps.
+    let g = grid(50, 50);
+    let n = g.n();
+    let pri = Priorities::random(n, 2);
+    let verts: Vec<Vertex> = (0..n as u32).collect();
+    let mut led = Ledger::new(64);
+    let oracle = build_biconnectivity_oracle(
+        &mut led,
+        &g,
+        &pri,
+        &verts,
+        2 * SCRATCH_CAP,
+        3,
+        BuildOpts::default(),
+    );
+    let (lg, bcc) = match oracle.cluster_of(&mut led, 0) {
+        Resolved::Cluster(ci) => oracle.local_of(&mut led, ci),
+        Resolved::Small(c) => oracle.small_local(&mut led, c),
+    };
+    assert!(2 * lg.csr.m() > SCRATCH_CAP && lg.n_members == n);
+    // The grid has no bridge; the walk from a far corner climbs a deep
+    // cluster tree through the pooled ancestor chain.
+    let far = lg.verts[n - 1];
+    assert!(intra_path_bridge_free(
+        &mut led,
+        &lg,
+        &bcc,
+        far,
+        lg.verts[0]
+    ));
+    drop((lg, bcc));
+    let cap = largest_pooled_capacity();
+    assert!(cap <= SCRATCH_CAP, "a pooled buffer kept capacity {cap}");
 }

@@ -21,12 +21,13 @@
 
 use crate::centers::CenterLookup;
 use crate::rho::rho;
-use crate::scratch::{self, Pool, Recycle};
 use std::cell::RefCell;
+use wec_asym::scratch::{self, Pool};
 use wec_asym::{FxHashMap, FxHashSet, Ledger};
 use wec_graph::{GraphView, Priorities, Vertex};
 
-/// An enumerated cluster.
+/// An enumerated cluster. Its vectors come from this thread's pool and
+/// return to it when the cluster is dropped.
 #[derive(Debug, Clone)]
 pub struct Cluster {
     /// The center (stored or implicit) this cluster belongs to.
@@ -92,6 +93,32 @@ impl Cluster {
     }
 }
 
+impl Drop for Cluster {
+    fn drop(&mut self) {
+        let bufs = ClusterBufs {
+            members: std::mem::take(&mut self.members),
+            parents: std::mem::take(&mut self.parents),
+            boundary: std::mem::take(&mut self.boundary),
+        };
+        scratch::give(&OUTPUT, bufs);
+    }
+}
+
+/// The storage of an enumerated [`Cluster`], pooled while no cluster
+/// holds it.
+#[derive(Default)]
+struct ClusterBufs {
+    members: Vec<Vertex>,
+    parents: Vec<Vertex>,
+    boundary: Vec<(Vertex, Vertex)>,
+}
+
+wec_asym::recycle_fields!(ClusterBufs {
+    members,
+    parents,
+    boundary
+});
+
 /// The reusable buffers of one enumeration, pooled per worker like the
 /// search scratch in [`crate::detbfs`].
 #[derive(Default)]
@@ -112,20 +139,19 @@ struct ClusterScratch {
     level: Vec<Vertex>,
 }
 
-impl Recycle for ClusterScratch {
-    fn clear_capped(&mut self) {
-        self.rank_of.clear_capped();
-        self.member_set.clear_capped();
-        self.non_members.clear_capped();
-        self.cand.clear_capped();
-        self.nbrs.clear_capped();
-        self.next.clear_capped();
-        self.level.clear_capped();
-    }
-}
+wec_asym::recycle_fields!(ClusterScratch {
+    rank_of,
+    member_set,
+    non_members,
+    cand,
+    nbrs,
+    next,
+    level
+});
 
 thread_local! {
     static POOL: Pool<ClusterScratch> = const { RefCell::new(Vec::new()) };
+    static OUTPUT: Pool<ClusterBufs> = const { RefCell::new(Vec::new()) };
 }
 
 /// Enumerate up to `limit` members of the cluster centered at `s`.
@@ -150,9 +176,13 @@ pub fn enumerate_cluster<G: GraphView>(
         next,
         level,
     } = &mut buf;
-    let mut members = vec![s];
-    let mut parents = vec![s];
-    let mut boundary = Vec::new();
+    let ClusterBufs {
+        mut members,
+        mut parents,
+        mut boundary,
+    } = scratch::take(&OUTPUT);
+    members.push(s);
+    parents.push(s);
     rank_of.insert(s, 0);
     member_set.insert(s);
     let mut truncated = false;
@@ -238,7 +268,7 @@ pub fn enumerate_cluster<G: GraphView>(
 mod tests {
     use super::*;
     use crate::centers::{CenterLabel, CenterSet};
-    use crate::scratch::SCRATCH_CAP;
+    use wec_asym::scratch::{Recycle, SCRATCH_CAP};
     use wec_graph::gen::{grid, path, star};
     use wec_graph::Csr;
 
@@ -404,7 +434,12 @@ mod tests {
         let run = |i: usize, s: Vertex, limit: usize| {
             let mut led = Ledger::new(8);
             let c = enumerate_cluster(&mut led, &graphs[i], &pris[i], &centers[i], s, limit);
-            let out = (c.members, c.parents, c.truncated, c.boundary);
+            let out = (
+                c.members.clone(),
+                c.parents.clone(),
+                c.truncated,
+                c.boundary.clone(),
+            );
             (out, led.costs(), led.depth(), led.sym_peak())
         };
         let calls = [
@@ -441,17 +476,17 @@ mod tests {
             let p = p.borrow();
             assert!(!p.is_empty(), "the enumeration returned its buffers");
             for b in p.iter() {
-                for cap in [
-                    b.rank_of.capacity(),
-                    b.member_set.capacity(),
-                    b.non_members.capacity(),
-                    b.cand.capacity(),
-                    b.nbrs.capacity(),
-                    b.next.capacity(),
-                    b.level.capacity(),
-                ] {
-                    assert!(cap <= SCRATCH_CAP, "capacity {cap}");
-                }
+                let cap = b.largest_capacity();
+                assert!(cap <= SCRATCH_CAP, "capacity {cap}");
+            }
+        });
+        drop(c);
+        OUTPUT.with(|p| {
+            let p = p.borrow();
+            assert!(!p.is_empty(), "the dropped cluster returned its vectors");
+            for b in p.iter() {
+                let cap = b.largest_capacity();
+                assert!(cap <= SCRATCH_CAP, "capacity {cap}");
             }
         });
     }

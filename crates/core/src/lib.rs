@@ -27,9 +27,11 @@
 //!   Lemma 4.3) and its spanning-forest BFS, the one clusters pass of both
 //!   the §4.3 and the §5.3 oracle.
 //!
-//! The searches behind `ρ` and cluster enumeration reuse per-worker pooled
-//! buffers (the paper's reused symmetric scratchpad), so a steady stream
-//! of queries allocates nothing; charges still come only from the model.
+//! The searches behind `ρ` and cluster enumeration, and the enumerated
+//! [`Cluster`]s themselves, reuse per-worker pooled buffers
+//! ([`wec_asym::scratch`], the paper's reused symmetric scratchpad), so a
+//! steady stream of queries allocates nothing; charges still come only
+//! from the model.
 
 pub mod centers;
 pub mod cluster;
@@ -37,7 +39,6 @@ pub mod clusters_graph;
 pub mod decomp;
 pub mod detbfs;
 pub mod rho;
-mod scratch;
 pub mod secondary;
 
 pub use centers::{CenterLabel, CenterLookup, CenterSet};

@@ -1,8 +1,10 @@
 //! Compressed-sparse-row storage for undirected graphs.
 
 use crate::{EdgeId, Vertex};
+use std::cell::RefCell;
+use wec_asym::scratch::{self, Pool};
 
-/// An immutable undirected graph in CSR form.
+/// An undirected graph in CSR form.
 ///
 /// Each undirected edge `{u, v}` is stored as two directed arcs (`u→v` and
 /// `v→u`) tagged with a shared [`EdgeId`]; a self-loop is stored as a single
@@ -10,7 +12,12 @@ use crate::{EdgeId, Vertex};
 /// recovered by binary search — which is what the Section 6 bounded-degree
 /// transformation relies on ("the edge lists are presorted and the label can
 /// be binary searched").
-#[derive(Debug, Clone)]
+///
+/// A graph is immutable once built, except that
+/// [`Csr::refill_multigraph`] rebuilds one in place: the §5.3 local graphs
+/// are rebuilt query after query in pooled storage
+/// ([`wec_asym::scratch`]). `Csr::default()` is the empty graph.
+#[derive(Debug, Clone, Default)]
 pub struct Csr {
     n: usize,
     offsets: Vec<u32>,
@@ -20,6 +27,13 @@ pub struct Csr {
     /// except multigraph duplicates which keep insertion order.
     edges: Vec<(Vertex, Vertex)>,
 }
+
+thread_local! {
+    /// One adjacency list's `(target, edge id)` pairs while it is sorted.
+    static SORT: Pool<Vec<(Vertex, EdgeId)>> = const { RefCell::new(Vec::new()) };
+}
+
+wec_asym::recycle_fields!(Csr { offsets, targets, edge_ids, edges } reset { n });
 
 impl Csr {
     /// Build a canonical **simple** graph: self-loops dropped, parallel
@@ -33,72 +47,89 @@ impl Csr {
             .collect();
         canon.sort_unstable();
         canon.dedup();
-        Csr::from_canonical(n, canon)
+        let mut g = Csr {
+            edges: canon,
+            ..Csr::default()
+        };
+        g.fill(n);
+        g
     }
 
     /// Build preserving parallel edges (self-loops still dropped). Intended
     /// for connectivity-only workloads; biconnectivity requires simple
     /// graphs (see crate docs).
     pub fn from_edges_multigraph(n: usize, edges: &[(Vertex, Vertex)]) -> Csr {
-        let canon: Vec<(Vertex, Vertex)> = edges
-            .iter()
-            .filter(|&&(u, v)| u != v)
-            .map(|&(u, v)| (u.min(v), u.max(v)))
-            .collect();
-        Csr::from_canonical(n, canon)
+        let mut g = Csr::default();
+        g.refill_multigraph(n, edges);
+        g
     }
 
-    fn from_canonical(n: usize, canon: Vec<(Vertex, Vertex)>) -> Csr {
-        for &(u, v) in &canon {
+    /// Rebuild `self` in place as [`Csr::from_edges_multigraph`]`(n,
+    /// edges)` would build it, reusing its storage.
+    pub fn refill_multigraph(&mut self, n: usize, edges: &[(Vertex, Vertex)]) {
+        self.edges.clear();
+        self.edges.extend(
+            edges
+                .iter()
+                .filter(|&&(u, v)| u != v)
+                .map(|&(u, v)| (u.min(v), u.max(v))),
+        );
+        self.fill(n);
+    }
+
+    /// Lay out the arcs of `self.edges` over `n` vertices.
+    fn fill(&mut self, n: usize) {
+        for &(u, v) in &self.edges {
             assert!(
                 (u as usize) < n && (v as usize) < n,
                 "edge endpoint out of range"
             );
         }
-        let mut deg = vec![0u32; n];
-        for &(u, v) in &canon {
-            deg[u as usize] += 1;
-            deg[v as usize] += 1;
+        self.n = n;
+        let offsets = &mut self.offsets;
+        offsets.clear();
+        offsets.resize(n + 1, 0);
+        for &(u, v) in &self.edges {
+            offsets[u as usize + 1] += 1;
+            offsets[v as usize + 1] += 1;
         }
-        let mut offsets = vec![0u32; n + 1];
         for i in 0..n {
-            offsets[i + 1] = offsets[i] + deg[i];
+            offsets[i + 1] += offsets[i];
         }
         let total = offsets[n] as usize;
-        let mut targets = vec![0 as Vertex; total];
-        let mut edge_ids = vec![0 as EdgeId; total];
-        let mut cursor: Vec<u32> = offsets[..n].to_vec();
-        for (eid, &(u, v)) in canon.iter().enumerate() {
-            let cu = cursor[u as usize] as usize;
-            targets[cu] = v;
-            edge_ids[cu] = eid as EdgeId;
-            cursor[u as usize] += 1;
-            let cv = cursor[v as usize] as usize;
-            targets[cv] = u;
-            edge_ids[cv] = eid as EdgeId;
-            cursor[v as usize] += 1;
+        self.targets.clear();
+        self.targets.resize(total, 0);
+        self.edge_ids.clear();
+        self.edge_ids.resize(total, 0);
+        // `offsets[v]` serves as v's cursor, ending at v's list end (the
+        // next list's start); shifting by one restores the offsets.
+        for (eid, &(u, v)) in self.edges.iter().enumerate() {
+            let cu = offsets[u as usize] as usize;
+            self.targets[cu] = v;
+            self.edge_ids[cu] = eid as EdgeId;
+            offsets[u as usize] += 1;
+            let cv = offsets[v as usize] as usize;
+            self.targets[cv] = u;
+            self.edge_ids[cv] = eid as EdgeId;
+            offsets[v as usize] += 1;
         }
+        offsets.copy_within(0..n, 1);
+        offsets[0] = 0;
         // Sort each adjacency list by (target, edge id) so positions are
         // binary-searchable and iteration order is deterministic; one
-        // buffer is reused across all lists.
-        let mut pairs: Vec<(Vertex, EdgeId)> = Vec::new();
+        // pooled buffer serves every list.
+        let mut pairs = scratch::take(&SORT);
         for v in 0..n {
             let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
             pairs.clear();
-            pairs.extend((lo..hi).map(|i| (targets[i], edge_ids[i])));
+            pairs.extend((lo..hi).map(|i| (self.targets[i], self.edge_ids[i])));
             pairs.sort_unstable();
             for (j, &(t, e)) in pairs.iter().enumerate() {
-                targets[lo + j] = t;
-                edge_ids[lo + j] = e;
+                self.targets[lo + j] = t;
+                self.edge_ids[lo + j] = e;
             }
         }
-        Csr {
-            n,
-            offsets,
-            targets,
-            edge_ids,
-            edges: canon,
-        }
+        scratch::give(&SORT, pairs);
     }
 
     /// Number of vertices.
@@ -202,6 +233,27 @@ mod tests {
         assert_eq!(g.m(), 2);
         assert_eq!(g.degree(0), 2);
         assert_eq!(g.neighbors(0), &[1, 1]);
+    }
+
+    #[test]
+    fn refill_matches_a_fresh_build() {
+        let layout = |g: &Csr| {
+            let lists: Vec<_> = (0..g.n() as Vertex)
+                .map(|v| (g.neighbors(v).to_vec(), g.neighbor_edge_ids(v).to_vec()))
+                .collect();
+            (g.n(), g.edges().to_vec(), lists)
+        };
+        let mut g = Csr::from_edges_multigraph(6, &[(0, 5), (5, 1), (1, 0), (2, 3), (3, 2)]);
+        let cases: [(usize, &[(Vertex, Vertex)]); 4] = [
+            (3, &[(2, 0), (0, 1), (1, 0)]),
+            (8, &[(6, 0), (3, 4), (4, 3), (0, 6), (5, 5), (7, 1), (1, 7)]),
+            (0, &[]),
+            (2, &[(1, 0), (0, 1), (0, 0)]),
+        ];
+        for (n, edges) in cases {
+            g.refill_multigraph(n, edges);
+            assert_eq!(layout(&g), layout(&Csr::from_edges_multigraph(n, edges)));
+        }
     }
 
     #[test]

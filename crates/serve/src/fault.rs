@@ -241,7 +241,8 @@ pub struct RobustnessStats {
     pub half_open_probes: u64,
     /// Recovery attempts charged through the backoff ladder.
     pub retries: u64,
-    /// Queries answered through the degraded uncached recompute path.
+    /// Queries resolved through the degraded uncached recompute path
+    /// (answered, or failed with a typed error).
     pub degraded_answers: u64,
     /// Submissions shed with `ServeError::Overloaded`.
     pub sheds: u64,

@@ -248,6 +248,12 @@ pub enum ServeError {
     /// on this connection. Resubmitting on a fresh connection (or to
     /// another server) is safe — no ticket was consumed.
     ShuttingDown,
+    /// The oracle panicked answering this query, and panicked again on the
+    /// degraded uncached recompute that recovers a failed shard chunk. The
+    /// query's slot fails with this error; the server and every other
+    /// query in the chunk carry on. A deterministic fault fails the same
+    /// query again if it is resubmitted.
+    OracleFault(Query),
 }
 
 impl std::fmt::Display for ServeError {
@@ -276,6 +282,12 @@ impl std::fmt::Display for ServeError {
             }
             ServeError::ShuttingDown => {
                 write!(f, "server shutting down: connection is draining")
+            }
+            ServeError::OracleFault(q) => {
+                write!(
+                    f,
+                    "oracle fault: answering {q:?} panicked, also on recovery"
+                )
             }
         }
     }

@@ -1146,10 +1146,14 @@ where
             led.read(QUERY_WORDS);
             // The degraded path answers at the entry's own epoch, like
             // the healthy path (the identity epoch 0 charges nothing,
-            // keeping the PR-6 recovery contract exact).
-            let r = self
-                .server
-                .try_answer_one_in(led, self.epochs.view(e.epoch), e.q);
+            // keeping the recovery cost contract exact). It runs on the
+            // caller's thread, so a query that panics deterministically in
+            // the oracle is caught here too and fails only its own slot.
+            let overlay = self.epochs.view(e.epoch);
+            let r = catch_unwind(AssertUnwindSafe(|| {
+                self.server.try_answer_one_in(led, overlay, e.q)
+            }))
+            .unwrap_or(Err(ServeError::OracleFault(e.q)));
             self.robust.degraded_answers += 1;
             self.park(e.ticket, r);
         }
@@ -1669,6 +1673,117 @@ mod tests {
         };
         assert_eq!(faulty.1, expect);
         assert_eq!(faulty.2, healthy.2 + ladder * failed);
+    }
+
+    /// A predicate handle over a real oracle that panics on every query
+    /// naming `poison`. It first builds a local graph, so the unwind drops
+    /// pooled buffers mid-query.
+    #[derive(Clone, Copy)]
+    struct PanicsOn<'o, 'g> {
+        inner: &'o wec_biconnectivity::oracle::BiconnectivityOracle<'g, wec_graph::Csr>,
+        poison: Vertex,
+    }
+
+    impl OracleHandle for PanicsOn<'_, '_> {
+        type Key = BiconnQueryKey;
+        type Answer = bool;
+
+        fn answer_key(&self, led: &mut Ledger, key: BiconnQueryKey) -> bool {
+            let (BiconnQueryKey::TwoEdgeConnected(u, v) | BiconnQueryKey::Biconnected(u, v)) = key;
+            if u == self.poison || v == self.poison {
+                let _held = self.inner.local_of(led, 0);
+                panic!("oracle fault at vertex {}", self.poison);
+            }
+            self.inner.answer_key(led, key)
+        }
+
+        fn is_vertex(&self, v: Vertex) -> bool {
+            wec_graph::GraphView::is_vertex(self.inner.decomposition().graph(), v)
+        }
+    }
+
+    /// An oracle that panics deterministically panics again on the
+    /// degraded recompute: that slot fails with a typed error, the rest of
+    /// the chunk is answered, and the same server keeps answering later
+    /// queries correctly.
+    #[test]
+    fn deterministic_oracle_panic_fails_only_its_slot() {
+        use wec_biconnectivity::oracle::build_biconnectivity_oracle;
+        use wec_connectivity::{ConnectivityOracle, OracleBuildOpts};
+        use wec_core::BuildOpts;
+        use wec_graph::{gen, Priorities};
+
+        let g = gen::bounded_degree_connected(120, 4, 30, 3);
+        let pri = Priorities::random(120, 3);
+        let verts: Vec<u32> = (0..120).collect();
+        let mut led = Ledger::new(16);
+        let conn =
+            ConnectivityOracle::build(&mut led, &g, &pri, &verts, 4, 1, OracleBuildOpts::default());
+        let bicon =
+            build_biconnectivity_oracle(&mut led, &g, &pri, &verts, 4, 1, BuildOpts::default());
+        let poison = 7;
+        let handle = PanicsOn {
+            inner: &bicon,
+            poison,
+        };
+        let policy = AdmissionPolicy::builder()
+            .max_batch(8)
+            .max_queue(256)
+            .cache_capacity(4)
+            .build();
+        let mut srv = StreamingServer::new(
+            ShardedServer::new(&conn, 2).with_biconnectivity(handle),
+            policy,
+        );
+        let expect = |led: &mut Ledger, q: Query| -> ServeResult {
+            match q {
+                Query::Biconnected(u, v) if u == poison || v == poison => {
+                    Err(ServeError::OracleFault(q))
+                }
+                Query::Biconnected(u, v) => Ok(Answer::Biconnected(bicon.biconnected(led, u, v))),
+                Query::TwoEdgeConnected(u, v) => Ok(Answer::TwoEdgeConnected(
+                    bicon.two_edge_connected(led, u, v),
+                )),
+                _ => unreachable!(),
+            }
+        };
+        for round in 0..3u32 {
+            let mut qs = Vec::new();
+            for i in 0..24u32 {
+                let pick = |x: u32| {
+                    if x % 120 == poison {
+                        poison + 1
+                    } else {
+                        x % 120
+                    }
+                };
+                let (u, v) = (pick(i * 13 + round), pick(i * 29 + 5 * round + 1));
+                qs.push(if i % 2 == 0 {
+                    Query::Biconnected(u, v)
+                } else {
+                    Query::TwoEdgeConnected(u, v)
+                });
+            }
+            if round < 2 {
+                qs[3] = Query::Biconnected(poison, 40 + round);
+            }
+            let mut tickets = Vec::new();
+            for &q in &qs {
+                tickets.push(srv.submit(&mut led, q).unwrap());
+            }
+            srv.drain(&mut led);
+            let got = srv.take_ready();
+            assert_eq!(got.len(), qs.len());
+            for ((t, r), (&want_t, &q)) in got.into_iter().zip(tickets.iter().zip(&qs)) {
+                assert_eq!(t, want_t);
+                assert_eq!(r, expect(&mut Ledger::new(16), q), "round {round}, {q:?}");
+            }
+        }
+        assert_eq!(
+            srv.robustness_stats().panics_caught,
+            2,
+            "one shard panic per poisoned round, none after"
+        );
     }
 
     #[test]

@@ -281,6 +281,10 @@ fn put_error(out: &mut Vec<u8>, e: ServeError) {
             out.push(got);
         }
         ServeError::ShuttingDown => out.push(7),
+        ServeError::OracleFault(q) => {
+            out.push(8);
+            put_query(out, q);
+        }
     }
 }
 
@@ -477,6 +481,7 @@ fn get_error(c: &mut Cursor<'_>) -> Result<ServeError, WireFault> {
         5 => Ok(ServeError::MalformedFrame(get_fault(c)?)),
         6 => Ok(ServeError::ProtocolVersion { got: c.u8()? }),
         7 => Ok(ServeError::ShuttingDown),
+        8 => Ok(ServeError::OracleFault(get_query(c)?)),
         _ => Err(WireFault::UnknownErrorKind(k)),
     }
 }

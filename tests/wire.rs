@@ -105,7 +105,7 @@ fn arb_fault(r: &mut Lcg) -> WireFault {
 }
 
 fn arb_error(r: &mut Lcg) -> ServeError {
-    match r.below(7) {
+    match r.below(8) {
         0 => ServeError::UnsupportedQuery(arb_query(r)),
         1 => ServeError::Overloaded {
             queue_len: r.below(1 << 20) as usize,
@@ -120,6 +120,7 @@ fn arb_error(r: &mut Lcg) -> ServeError {
         5 => ServeError::ProtocolVersion {
             got: r.below(256) as u8,
         },
+        6 => ServeError::OracleFault(arb_query(r)),
         _ => ServeError::ShuttingDown,
     }
 }
